@@ -316,49 +316,67 @@ def symmetry_residual_norm(model: AffineModel, obs, signs=None) -> float:
     return float(np.mean(np.linalg.norm(resid, axis=1)))
 
 
-def _forward_heads(backbone, a_head, b_head, x, u):
-    h = forward(backbone, x)
-    a = forward(a_head, h)
-    b = forward(b_head, h).reshape(-1, WRENCH_DIM, CONTROL_DIM)
-    pred = a + np.einsum("nck,nk->nc", b, u)
-    return h, a, b, pred
+def _forward_heads(backbone, a_head, b_head, x, u, y):
+    """Wrench residual pred - y, the B batch (n, 6, 4), and each net's activations."""
+    acts_bb = forward(backbone, x, activations=True)
+    acts_a = forward(a_head, acts_bb[-1], activations=True)
+    acts_b = forward(b_head, acts_bb[-1], activations=True)
+    b = acts_b[-1].reshape(-1, WRENCH_DIM, CONTROL_DIM)
+    err = acts_a[-1] + np.einsum("nck,nk->nc", b, u) - y
+    return err, b, (acts_bb, acts_a, acts_b)
 
 
-def _loss_and_tapes(backbone, a_head, b_head, x, u, y, sym: SymmetryConfig):
-    """Mean squared wrench error plus mean mirror penalty, with gradients.
-
-    Returns (loss, backbone tape, A-head tape, B-head tape). Upstreams carry
-    the 1/n factors so the tapes hold gradients of the mean-form loss.
-    """
-    n = x.shape[0]
-    h, a, b, pred = _forward_heads(backbone, a_head, b_head, x, u)
-    err = pred - y
+def _batch_loss(err, b, sym: SymmetryConfig) -> float:
+    """Mean squared wrench error plus mean mirror penalty."""
     loss = float(np.mean(err**2))
+    if sym.lambda_sym > 0.0:
+        resid = symmetry_residual_matrix(b, sym.signs_array())
+        loss += float(sym.lambda_sym * np.sum(huber(resid, sym.delta_array())) / err.shape[0])
+    return loss
 
+
+def _batch_tapes(nets, u, err, b, acts, sym: SymmetryConfig):
+    """(backbone, A-head, B-head) tapes of `_batch_loss`, reusing the forward pass.
+
+    Upstreams carry the 1/n factors so the tapes hold gradients of the
+    mean-form loss.
+    """
+    backbone, a_head, b_head = nets
+    acts_bb, acts_a, acts_b = acts
+    n = err.shape[0]
     up_a = (2.0 / err.size) * err
     up_b = up_a[:, :, None] * u[:, None, :]
     if sym.lambda_sym > 0.0:
         resid = symmetry_residual_matrix(b, sym.signs_array())
-        loss += float(sym.lambda_sym * np.sum(huber(resid, sym.delta_array())) / n)
         g = (sym.lambda_sym / n) * huber_grad(resid, sym.delta_array())
         up_b[:, :, 0] += g
         up_b[:, :, 1] += g * sym.signs_array()
-    tape_a = backward(a_head, h, up_a)
-    tape_b = backward(b_head, h, up_b.reshape(n, -1))
-    tape_bb = backward(backbone, x, tape_a.input_grad + tape_b.input_grad)
-    return loss, tape_bb, tape_a, tape_b
+    h = acts_bb[-1]
+    tape_a = backward(a_head, h, up_a, acts_a)
+    tape_b = backward(b_head, h, up_b.reshape(n, -1), acts_b)
+    tape_bb = backward(backbone, acts_bb[0], tape_a.input_grad + tape_b.input_grad, acts_bb)
+    return tape_bb, tape_a, tape_b
 
 
-def training_loss(model: AffineModel, obs, u, y) -> float:
-    """Mean squared wrench error plus the batch-mean mirror penalty."""
+def _model_batch(model: AffineModel, obs, u, y):
+    """Standardized features, control rows and wrench targets of one batch."""
     x = _obs_matrix(obs, model.n_features)
     if x.shape[0] == 0:
         raise ValueError("training loss needs a non-empty batch")
     x = (x - model.obs_mean) / model.obs_std
     u = _control_matrix_rows(u)
     y = np.asarray(y, dtype=float).reshape(x.shape[0], WRENCH_DIM)
-    loss, *_ = _loss_and_tapes(model.backbone, model.a_head, model.b_head, x, u, y, model.sym)
-    return loss
+    return x, u, y
+
+
+def _model_nets(model: AffineModel):
+    return model.backbone, model.a_head, model.b_head
+
+
+def training_loss(model: AffineModel, obs, u, y) -> float:
+    """Mean squared wrench error plus the batch-mean mirror penalty."""
+    err, b, _ = _forward_heads(*_model_nets(model), *_model_batch(model, obs, u, y))
+    return _batch_loss(err, b, model.sym)
 
 
 def training_gradients(model: AffineModel, obs, u, y):
@@ -366,37 +384,19 @@ def training_gradients(model: AffineModel, obs, u, y):
 
     Parameter order matches model_flat_params: backbone, A head, B head.
     """
-    x = _obs_matrix(obs, model.n_features)
-    if x.shape[0] == 0:
-        raise ValueError("training loss needs a non-empty batch")
-    x = (x - model.obs_mean) / model.obs_std
-    u = _control_matrix_rows(u)
-    y = np.asarray(y, dtype=float).reshape(x.shape[0], WRENCH_DIM)
-    loss, tape_bb, tape_a, tape_b = _loss_and_tapes(
-        model.backbone, model.a_head, model.b_head, x, u, y, model.sym
-    )
-    grad = np.concatenate(
-        [nncore.flat_grads(tape_bb), nncore.flat_grads(tape_a), nncore.flat_grads(tape_b)]
-    )
-    return loss, grad
+    nets = _model_nets(model)
+    x, u, y = _model_batch(model, obs, u, y)
+    err, b, acts = _forward_heads(*nets, x, u, y)
+    tapes = _batch_tapes(nets, u, err, b, acts, model.sym)
+    return _batch_loss(err, b, model.sym), nncore.flat_grads(*tapes)
 
 
 def model_flat_params(model: AffineModel) -> np.ndarray:
-    return np.concatenate(
-        [nncore.flat_params(model.backbone), nncore.flat_params(model.a_head),
-         nncore.flat_params(model.b_head)]
-    )
+    return nncore.flat_params(*_model_nets(model))
 
 
 def set_model_flat_params(model: AffineModel, vec: np.ndarray) -> None:
-    vec = np.asarray(vec, dtype=float)
-    sizes = [nncore.flat_params(net).size for net in (model.backbone, model.a_head, model.b_head)]
-    if vec.size != sum(sizes):
-        raise ValueError(f"expected {sum(sizes)} parameters, got {vec.size}")
-    offset = 0
-    for net, size in zip((model.backbone, model.a_head, model.b_head), sizes):
-        nncore.set_flat_params(net, vec[offset:offset + size])
-        offset += size
+    nncore.set_flat_params(_model_nets(model), vec)
 
 
 @dataclass
@@ -446,17 +446,13 @@ def block_split(dataset, holdout_fraction: float):
     return (obs[:cut], u[:cut], y[:cut]), (obs[cut:], u[cut:], y[cut:])
 
 
-def _standardize_stats(mat: np.ndarray, floor: float = 1e-8):
-    mean = mat.mean(axis=0)
-    std = np.maximum(mat.std(axis=0), floor)
-    return mean, std
-
-
-def _fold_target_scaling(head: Network, scale: np.ndarray, shift: np.ndarray) -> None:
-    # The head is linear, so target de-standardization folds into its weights.
-    out = head.layers[-1]
-    out.weight[...] = scale[:, None] * out.weight
-    out.bias[...] = scale * out.bias + shift
+def _training_rows(obs, u, y, cfg: DynamicsTrainConfig):
+    """Training rows and the validation block, None when nothing is held out."""
+    if obs.shape[0] < 10:
+        raise ValueError(f"dataset too small to fit ({obs.shape[0]} rows)")
+    if cfg.val_fraction > 0.0 and obs.shape[0] >= 20:
+        return block_split((obs, u, y), cfg.val_fraction)
+    return (obs, u, y), None
 
 
 def _child_seeds(seed: int, n: int) -> list[int]:
@@ -472,33 +468,29 @@ def train_dynamics(dataset, cfg: DynamicsTrainConfig, history: list | None = Non
     If `history` is given, the full-training-set loss is appended per epoch.
     """
     obs, u, y = _dataset_arrays(dataset)
-    n = obs.shape[0]
-    if n < 10:
-        raise ValueError(f"dataset too small to fit ({n} rows)")
-    if n < 100:
-        warnings.warn(f"only {n} samples; expect a poorly constrained fit", stacklevel=2)
+    (obs_tr, u_tr, y_tr), val = _training_rows(obs, u, y, cfg)
+    if obs.shape[0] < 100:
+        warnings.warn(
+            f"only {obs.shape[0]} samples; expect a poorly constrained fit", stacklevel=2
+        )
     if float(np.max(u.std(axis=0))) < 1e-9:
         warnings.warn(
             "control inputs are constant across the dataset; "
             "effectiveness columns are unidentifiable", stacklevel=2,
         )
 
-    if cfg.val_fraction > 0.0 and n >= 20:
-        (obs_tr, u_tr, y_tr), val = block_split((obs, u, y), cfg.val_fraction)
-    else:
-        obs_tr, u_tr, y_tr, val = obs, u, y, None
-
     n_feat = OBS_DIM if cfg.wing_sensors else PROBE_FEATURES
     feats_tr = obs_tr[:, :n_feat]
-    obs_mean, obs_std = _standardize_stats(feats_tr)
-    y_mean, y_std = _standardize_stats(y_tr)
+    obs_mean, obs_std = nncore.standardize_stats(feats_tr)
+    y_mean, y_std = nncore.standardize_stats(y_tr)
 
     seed_bb, seed_a, seed_b, seed_batch = _child_seeds(cfg.seed, 4)
     width = cfg.hidden[-1]
     backbone = nncore.init_network((n_feat, *cfg.hidden), seed_bb, output_activation="tanh")
     a_head = nncore.init_network((width, WRENCH_DIM), seed_a)
     b_head = nncore.init_network((width, WRENCH_DIM * CONTROL_DIM), seed_b)
-    opts = [nncore.init_optimizer(net, lr=cfg.lr) for net in (backbone, a_head, b_head)]
+    nets = (backbone, a_head, b_head)
+    opt = nncore.init_optimizer(nets, lr=cfg.lr)
 
     # Optimize with deflections rescaled to fractions of full throw, so the
     # effectiveness entries sit at order one where the mirror penalty has
@@ -506,26 +498,23 @@ def train_dynamics(dataset, cfg: DynamicsTrainConfig, history: list | None = Non
     x_tr = (feats_tr - obs_mean) / obs_std
     us_tr = u_tr / CONTROL_LIMIT_DEG
     yt_tr = (y_tr - y_mean) / y_std
-    rng = np.random.default_rng(seed_batch)
-    n_tr = x_tr.shape[0]
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n_tr)
-        for start in range(0, n_tr, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            _, *tapes = _loss_and_tapes(
-                backbone, a_head, b_head, x_tr[idx], us_tr[idx], yt_tr[idx], cfg.sym
-            )
-            for opt, net, tape in zip(opts, (backbone, a_head, b_head), tapes):
-                nncore.step(opt, net, tape)
-        if history is not None or (cfg.log_every and (epoch + 1) % cfg.log_every == 0):
-            loss, *_ = _loss_and_tapes(backbone, a_head, b_head, x_tr, us_tr, yt_tr, cfg.sym)
-            if history is not None:
-                history.append(loss)
-            if cfg.log_every and (epoch + 1) % cfg.log_every == 0:
-                log.info("epoch %d/%d train loss %.6f", epoch + 1, cfg.epochs, loss)
 
-    _fold_target_scaling(a_head, y_std, y_mean)
-    _fold_target_scaling(
+    def minibatch_grads(idx):
+        u = us_tr[idx]
+        err, b, acts = _forward_heads(*nets, x_tr[idx], u, yt_tr[idx])
+        return _batch_tapes(nets, u, err, b, acts, cfg.sym)
+
+    def full_loss():
+        err, b, _ = _forward_heads(*nets, x_tr, us_tr, yt_tr)
+        return _batch_loss(err, b, cfg.sym)
+
+    nncore.fit(
+        opt, x_tr.shape[0], cfg.batch_size, cfg.epochs, np.random.default_rng(seed_batch),
+        minibatch_grads, full_loss, history, cfg.log_every,
+    )
+
+    nncore.fold_output_scaling(a_head, y_std, y_mean)
+    nncore.fold_output_scaling(
         b_head,
         np.repeat(y_std, CONTROL_DIM) / CONTROL_LIMIT_DEG,
         np.zeros(WRENCH_DIM * CONTROL_DIM),
@@ -592,19 +581,12 @@ def train_unstructured(
     Shares the config type; the mirror penalty does not apply here and
     cfg.sym is ignored.
     """
-    obs, u, y = _dataset_arrays(dataset)
-    n = obs.shape[0]
-    if n < 10:
-        raise ValueError(f"dataset too small to fit ({n} rows)")
-    if cfg.val_fraction > 0.0 and n >= 20:
-        (obs_tr, u_tr, y_tr), val = block_split((obs, u, y), cfg.val_fraction)
-    else:
-        obs_tr, u_tr, y_tr, val = obs, u, y, None
+    (obs_tr, u_tr, y_tr), val = _training_rows(*_dataset_arrays(dataset), cfg)
 
     n_feat = OBS_DIM if cfg.wing_sensors else PROBE_FEATURES
     inputs = np.concatenate([obs_tr[:, :n_feat], u_tr], axis=1)
-    in_mean, in_std = _standardize_stats(inputs)
-    y_mean, y_std = _standardize_stats(y_tr)
+    in_mean, in_std = nncore.standardize_stats(inputs)
+    y_mean, y_std = nncore.standardize_stats(y_tr)
 
     seed_net, seed_batch = _child_seeds(cfg.seed, 2)
     net = nncore.init_network((inputs.shape[1], *cfg.hidden, WRENCH_DIM), seed_net)
@@ -612,27 +594,22 @@ def train_unstructured(
 
     x_tr = (inputs - in_mean) / in_std
     yt_tr = (y_tr - y_mean) / y_std
-    rng = np.random.default_rng(seed_batch)
-    n_tr = x_tr.shape[0]
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n_tr)
-        for start in range(0, n_tr, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            pred = forward(net, x_tr[idx])
-            err = pred - yt_tr[idx]
-            tape = backward(net, x_tr[idx], (2.0 / err.size) * err)
-            nncore.step(opt, net, tape)
-        if history is not None:
-            pred = forward(net, x_tr)
-            history.append(float(np.mean((pred - yt_tr) ** 2)))
-        if cfg.log_every and (epoch + 1) % cfg.log_every == 0:
-            pred = forward(net, x_tr)
-            log.info(
-                "epoch %d/%d train loss %.6f",
-                epoch + 1, cfg.epochs, float(np.mean((pred - yt_tr) ** 2)),
-            )
 
-    _fold_target_scaling(net, y_std, y_mean)
+    def minibatch_grads(idx):
+        x = x_tr[idx]
+        acts = forward(net, x, activations=True)
+        err = acts[-1] - yt_tr[idx]
+        return (backward(net, x, (2.0 / err.size) * err, acts),)
+
+    def full_loss():
+        return float(np.mean((forward(net, x_tr) - yt_tr) ** 2))
+
+    nncore.fit(
+        opt, x_tr.shape[0], cfg.batch_size, cfg.epochs, np.random.default_rng(seed_batch),
+        minibatch_grads, full_loss, history, cfg.log_every,
+    )
+
+    nncore.fold_output_scaling(net, y_std, y_mean)
     model = UnstructuredModel(net, in_mean, in_std, wing_sensors=cfg.wing_sensors)
     if val is not None:
         log.info("validation wrench rmse %.4f", eval_rmse(model, val))

@@ -334,6 +334,7 @@ def write_report_csv(report: MetricsReport, path: str | Path) -> None:
                     writer.writerow([variant, "rmssd", f"u{i}", str(val)])
                 writer.writerow([variant, "rmssd", "average", str(loop["rmssd"]["average"])])
                 writer.writerow([variant, "tracking_rmse", "", str(loop["tracking_rmse"])])
+                writer.writerow([variant, "clamped_fraction", "", str(loop["clamped_fraction"])])
 
 
 def format_report_text(report: MetricsReport, compare=None) -> str:

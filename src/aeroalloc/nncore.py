@@ -4,16 +4,22 @@ Plain numpy, float64 throughout. A Network is a stack of affine layers with
 tanh or identity activations; gradients come from a hand-rolled reverse pass
 so every training loss in this package is differentiable end to end without
 an autodiff framework. Networks are treated as immutable during forward and
-backward passes; only `step` mutates parameters.
+backward passes. `init_optimizer` moves the parameters of the networks it
+trains into one shared flat buffer, every layer's weight and bias becoming a
+view of it; `step` mutates that buffer in place with one Adam update, and
+`fit` is the minibatch loop every trainer in the package runs.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 FORMAT_VERSION = "nncore-v1"
 ACTIVATIONS = ("tanh", "identity")
@@ -87,14 +93,6 @@ class GradientTape:
     bias_grads: list[np.ndarray]
     input_grad: np.ndarray
 
-    def matches(self, net: Network) -> bool:
-        if len(self.weight_grads) != len(net.layers):
-            return False
-        return all(
-            gw.shape == layer.weight.shape and gb.shape == layer.bias.shape
-            for gw, gb, layer in zip(self.weight_grads, self.bias_grads, net.layers)
-        )
-
 
 def init_network(
     widths: Sequence[int],
@@ -138,18 +136,30 @@ def _activations(net: Network, x_batch: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def forward(net: Network, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a vector (d,) or a batch (n, d)."""
+def forward(net: Network, x: np.ndarray, activations: bool = False):
+    """Evaluate the network on a vector (d,) or a batch (n, d).
+
+    With `activations=True` the result is instead the batch-shaped list
+    [input, first layer output, ..., network output], which `backward` takes
+    so that it need not run the pass again.
+    """
     batch, single = _as_batch(x, net.input_dim, "input")
-    out = _activations(net, batch)[-1]
+    acts = _activations(net, batch)
+    if activations:
+        return acts
+    out = acts[-1]
     return out[0] if single else out
 
 
-def backward(net: Network, x: np.ndarray, upstream: np.ndarray) -> GradientTape:
+def backward(
+    net: Network, x: np.ndarray, upstream: np.ndarray, acts: list | None = None
+) -> GradientTape:
     """Gradients of <upstream, forward(net, x)> with respect to all parameters.
 
     Batched inputs sum the contraction over rows, which is exactly what a
-    mean-type loss needs once the upstream carries the 1/n factor.
+    mean-type loss needs once the upstream carries the 1/n factor. `acts` are
+    the activations `forward(net, x, activations=True)` returned for this `x`;
+    without them the forward pass is recomputed.
     """
     x_batch, _ = _as_batch(x, net.input_dim, "input")
     up_batch, _ = _as_batch(upstream, net.output_dim, "upstream")
@@ -157,7 +167,8 @@ def backward(net: Network, x: np.ndarray, upstream: np.ndarray) -> GradientTape:
         raise ValueError(
             f"batch sizes differ: input {x_batch.shape[0]}, upstream {up_batch.shape[0]}"
         )
-    acts = _activations(net, x_batch)
+    if acts is None:
+        acts = _activations(net, x_batch)
     n_layers = len(net.layers)
     weight_grads: list[np.ndarray] = [np.empty(0)] * n_layers
     bias_grads: list[np.ndarray] = [np.empty(0)] * n_layers
@@ -199,90 +210,134 @@ def huber_grad(e, delta):
 
 @dataclass
 class OptimizerState:
-    """Adam state: bias-corrected first/second moments per parameter."""
+    """Adam over one flat parameter buffer.
 
+    `params` is the `flat_params` vector of the networks the state was built
+    for, and every weight and bias of theirs is a view into it. The moments
+    `m`, `v` and the packed gradient `grad` share that layout.
+    """
+
+    params: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    grad: np.ndarray
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     count: int = 0
-    m_weights: list[np.ndarray] = field(default_factory=list)
-    v_weights: list[np.ndarray] = field(default_factory=list)
-    m_biases: list[np.ndarray] = field(default_factory=list)
-    v_biases: list[np.ndarray] = field(default_factory=list)
+
+
+def _as_nets(nets: Network | Sequence[Network]) -> tuple[Network, ...]:
+    return (nets,) if isinstance(nets, Network) else tuple(nets)
 
 
 def init_optimizer(
-    net: Network,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    nets: Network | Sequence[Network], lr: float = 1e-3, beta1: float = 0.9,
+    beta2: float = 0.999, eps: float = 1e-8,
 ) -> OptimizerState:
-    return OptimizerState(
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        count=0,
-        m_weights=[np.zeros_like(l.weight) for l in net.layers],
-        v_weights=[np.zeros_like(l.weight) for l in net.layers],
-        m_biases=[np.zeros_like(l.bias) for l in net.layers],
-        v_biases=[np.zeros_like(l.bias) for l in net.layers],
-    )
+    """Adam state for one network, or several trained together.
+
+    Moves the networks' parameters into one flat buffer and rebinds every
+    layer's weight and bias to a view of it, so that `step` updates all of
+    them at once. The layout is fixed here; a layer may appear only once.
+    """
+    nets = _as_nets(nets)
+    layers = [layer for net in nets for layer in net.layers]
+    if len({id(layer) for layer in layers}) != len(layers):
+        raise ValueError("a layer appears more than once in the optimizer's networks")
+    params = flat_params(*nets)
+    offset = 0
+    for layer in layers:
+        for name in ("weight", "bias"):
+            arr = getattr(layer, name)
+            setattr(layer, name, params[offset : offset + arr.size].reshape(arr.shape))
+            offset += arr.size
+    zeros = [np.zeros_like(params) for _ in range(3)]
+    return OptimizerState(params, *zeros, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def step(opt: OptimizerState, net: Network, tape: GradientTape) -> Network:
-    """One Adam update in place; returns the same Network for chaining."""
-    if not tape.matches(net):
-        raise ValueError("gradient tape does not match network layout")
-    if len(opt.m_weights) != len(net.layers):
-        raise ValueError("optimizer state does not match network layout")
+def step(opt: OptimizerState, *tapes: GradientTape) -> None:
+    """One Adam update of the whole parameter buffer, in place.
+
+    `tapes` hold the gradients of the optimizer's networks in the order it
+    was built with; gradients of any other total size raise ValueError.
+    """
+    grad = flat_grads(*tapes, out=opt.grad)
     opt.count += 1
     c1 = 1.0 - opt.beta1**opt.count
     c2 = 1.0 - opt.beta2**opt.count
-    for i, layer in enumerate(net.layers):
-        for param, grad, m, v in (
-            (layer.weight, tape.weight_grads[i], opt.m_weights[i], opt.v_weights[i]),
-            (layer.bias, tape.bias_grads[i], opt.m_biases[i], opt.v_biases[i]),
-        ):
-            m *= opt.beta1
-            m += (1.0 - opt.beta1) * grad
-            v *= opt.beta2
-            v += (1.0 - opt.beta2) * grad * grad
-            param -= opt.lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
-    return net
+    opt.m *= opt.beta1
+    opt.m += (1.0 - opt.beta1) * grad
+    opt.v *= opt.beta2
+    opt.v += (1.0 - opt.beta2) * grad * grad
+    opt.params -= opt.lr * (opt.m / c1) / (np.sqrt(opt.v / c2) + opt.eps)
 
 
-def flat_params(net: Network) -> np.ndarray:
-    """All parameters as one vector, layer by layer, weight rows then bias."""
-    chunks = []
-    for layer in net.layers:
-        chunks.append(layer.weight.ravel())
-        chunks.append(layer.bias.ravel())
-    return np.concatenate(chunks)
+def fit(
+    opt: OptimizerState, n_rows: int, batch_size: int, epochs: int, rng: np.random.Generator,
+    minibatch_grads: Callable[[np.ndarray], Sequence[GradientTape]],
+    full_loss: Callable[[], float] | None = None, history: list | None = None, log_every: int = 0,
+) -> None:
+    """Minibatch Adam, the training loop every trainer in the package shares.
+
+    Each epoch draws one permutation of range(n_rows) from `rng` and walks
+    it in consecutive slices of `batch_size` rows; `minibatch_grads(idx)`
+    returns the tapes of the minibatch loss at rows `idx`, in the optimizer's
+    network order. After each epoch `full_loss()` is appended to `history`,
+    if one is given, and logged every `log_every` epochs.
+    """
+    for epoch in range(epochs):
+        perm = rng.permutation(n_rows)
+        for start in range(0, n_rows, batch_size):
+            step(opt, *minibatch_grads(perm[start : start + batch_size]))
+        logged = log_every and (epoch + 1) % log_every == 0
+        if history is not None or logged:
+            loss = full_loss()
+            if history is not None:
+                history.append(loss)
+            if logged:
+                log.info("epoch %d/%d train loss %.6g", epoch + 1, epochs, loss)
 
 
-def set_flat_params(net: Network, vec: np.ndarray) -> None:
+def standardize_stats(mat: np.ndarray, floor: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and standard deviation, the deviation floored at `floor`."""
+    return mat.mean(axis=0), np.maximum(mat.std(axis=0), floor)
+
+
+def fold_output_scaling(net: Network, scale: np.ndarray, shift: np.ndarray) -> None:
+    """Fold y -> scale * y + shift into the network's identity output layer."""
+    out = net.layers[-1]
+    out.weight[...] = scale[:, None] * out.weight
+    out.bias[...] = scale * out.bias + shift
+
+
+def _param_arrays(nets: Sequence[Network]) -> list[np.ndarray]:
+    return [arr for net in nets for layer in net.layers for arr in (layer.weight, layer.bias)]
+
+
+def flat_params(*nets: Network) -> np.ndarray:
+    """All parameters as one vector: net by net, layer by layer, weight rows then bias."""
+    return np.concatenate([arr.ravel() for arr in _param_arrays(nets)])
+
+
+def set_flat_params(nets: Network | Sequence[Network], vec: np.ndarray) -> None:
+    """Copy a vector laid out as `flat_params` into the networks' parameters."""
+    arrays = _param_arrays(_as_nets(nets))
     vec = np.asarray(vec, dtype=np.float64)
+    expected = sum(arr.size for arr in arrays)
+    if vec.size != expected:
+        raise ValueError(f"parameter vector length {vec.size}, expected {expected}")
     offset = 0
-    for layer in net.layers:
-        n_w = layer.weight.size
-        layer.weight[...] = vec[offset : offset + n_w].reshape(layer.weight.shape)
-        offset += n_w
-        n_b = layer.bias.size
-        layer.bias[...] = vec[offset : offset + n_b]
-        offset += n_b
-    if offset != vec.size:
-        raise ValueError(f"parameter vector length {vec.size}, expected {offset}")
+    for arr in arrays:
+        arr[...] = vec[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
 
 
-def flat_grads(tape: GradientTape) -> np.ndarray:
-    chunks = []
-    for gw, gb in zip(tape.weight_grads, tape.bias_grads):
-        chunks.append(gw.ravel())
-        chunks.append(gb.ravel())
-    return np.concatenate(chunks)
+def flat_grads(*tapes: GradientTape, out: np.ndarray | None = None) -> np.ndarray:
+    """The gradients of one or more tapes as one vector, in flat_params order."""
+    grads = [g for t in tapes for pair in zip(t.weight_grads, t.bias_grads) for g in pair]
+    return np.concatenate([g.ravel() for g in grads], out=out)
 
 
 def network_to_dict(net: Network) -> dict:

@@ -208,34 +208,28 @@ def train_calibration(
         order = np.lexsort(np.column_stack([x, t]).T[::-1])
         x, t = x[order], t[order]
 
-    t_mean = t.mean(axis=0)
-    t_std = np.maximum(t.std(axis=0), 1e-8)
+    t_mean, t_std = nncore.standardize_stats(t)
     t_norm = (t - t_mean) / t_std
 
     net = nncore.init_network([5, *cfg.hidden, 3], seed=cfg.seed)
     opt = nncore.init_optimizer(net, lr=cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
-    n = x.shape[0]
-    batch = min(cfg.batch_size, n)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            pred = nncore.forward(net, x[idx])
-            upstream = 2.0 * (pred - t_norm[idx]) / pred.size
-            tape = nncore.backward(net, x[idx], upstream)
-            nncore.step(opt, net, tape)
-        if history is not None:
-            resid = nncore.forward(net, x) - t_norm
-            history.append(float((resid**2).mean()))
-        if cfg.log_every and (epoch + 1) % cfg.log_every == 0:
-            resid = nncore.forward(net, x) - t_norm
-            log.info("calibration epoch %d: loss %.3e", epoch + 1, float((resid**2).mean()))
 
-    # Fold target de-standardization into the identity output layer.
-    out_layer = net.layers[-1]
-    out_layer.weight[...] = t_std[:, None] * out_layer.weight
-    out_layer.bias[...] = t_std * out_layer.bias + t_mean
+    def minibatch_grads(idx):
+        xb = x[idx]
+        acts = nncore.forward(net, xb, activations=True)
+        upstream = 2.0 * (acts[-1] - t_norm[idx]) / acts[-1].size
+        return (nncore.backward(net, xb, upstream, acts),)
+
+    def full_loss():
+        resid = nncore.forward(net, x) - t_norm
+        return float((resid**2).mean())
+
+    nncore.fit(
+        opt, x.shape[0], cfg.batch_size, cfg.epochs, np.random.default_rng(cfg.seed),
+        minibatch_grads, full_loss, history, cfg.log_every,
+    )
+
+    nncore.fold_output_scaling(net, t_std, t_mean)
     return net
 
 

@@ -293,6 +293,41 @@ def test_train_dynamics_fits_affine_truth(rng):
     assert np.allclose(b, k, atol=0.03)
 
 
+def test_loss_evaluation_runs_no_backward_pass(rng, monkeypatch):
+    model = small_model(0, lambda_sym=0.3)
+    obs, u, y = random_batch(rng)
+    expected = training_loss(model, obs, u, y)
+
+    def no_backward(*args, **kwargs):
+        raise AssertionError("a loss evaluation ran a backward pass")
+
+    monkeypatch.setattr(dynamics, "backward", no_backward)
+    assert training_loss(model, obs, u, y) == expected
+
+
+@pytest.mark.parametrize("trainer, nets", [(train_dynamics, 3), (train_unstructured, 1)])
+def test_epoch_loss_is_one_forward_only_pass(rng, monkeypatch, trainer, nets):
+    data, _ = synthetic_affine_dataset(rng, n=100)
+    n_train = 80  # val_fraction 0.2 holds out the last 20 rows
+    full = {"forward": 0, "backward": 0}
+
+    def counting(name):
+        original = getattr(dynamics, name)
+
+        def wrapper(net, x, *args, **kwargs):
+            full[name] += np.shape(x)[0] == n_train
+            return original(net, x, *args, **kwargs)
+        return wrapper
+
+    for name in full:
+        monkeypatch.setattr(dynamics, name, counting(name))
+    history = []
+    trainer(data, DynamicsTrainConfig(hidden=(8,), epochs=3, batch_size=32, log_every=1),
+            history=history)
+    assert len(history) == 3
+    assert full == {"forward": 3 * nets, "backward": 0}
+
+
 def test_train_dynamics_deterministic(rng):
     data, _ = synthetic_affine_dataset(rng, n=200)
     cfg = DynamicsTrainConfig(seed=9, hidden=(8,), epochs=5)

@@ -1,4 +1,5 @@
 """Experiment harness: RMSSD, reports, ablation suite, closed-loop determinism."""
+import csv
 import json
 
 import numpy as np
@@ -285,6 +286,10 @@ def test_suite_closed_loop_rmssd_block(tmp_path):
         assert block["rmssd"]["average"] >= 0.0
     csv_text = (tmp_path / "reports" / "suite_report.csv").read_text()
     assert "rmssd,average" in csv_text
+    rows = list(csv.reader(csv_text.splitlines()))
+    for variant, entry in report.variants.items():
+        written = {metric for v, metric, _, _ in rows[1:] if v == variant}
+        assert set(entry["closed_loop"]) <= written
 
 
 def test_format_report_text_compare(tiny_suite):

@@ -148,7 +148,7 @@ def test_step_zero_gradient_keeps_params():
     before = nncore.flat_params(net).copy()
     opt = nncore.init_optimizer(net)
     tape = nncore.backward(net, np.zeros(2), np.zeros(2))
-    nncore.step(opt, net, tape)
+    nncore.step(opt, tape)
     assert opt.count == 1
     assert np.array_equal(nncore.flat_params(net), before)
 
@@ -158,7 +158,7 @@ def test_step_first_update_magnitude():
     net = nncore.Network([nncore.Layer(np.array([[1.0]]), np.array([0.0]), "identity")])
     opt = nncore.init_optimizer(net, lr=0.1)
     tape = nncore.backward(net, np.array([1.0]), np.array([1.0]))
-    nncore.step(opt, net, tape)
+    nncore.step(opt, tape)
     assert net.layers[0].weight[0, 0] == pytest.approx(0.9, abs=1e-6)
 
 
@@ -171,7 +171,7 @@ def test_step_descends_quadratic():
         traj.append(abs(w))
         # d(w^2)/dw = 2w corresponds to upstream 2w on input x=1
         tape = nncore.backward(net, np.array([1.0]), np.array([2.0 * w]))
-        nncore.step(opt, net, tape)
+        nncore.step(opt, tape)
     assert traj[-1] < 1e-3
     assert max(traj[50:]) <= max(traj[:50])
 
@@ -182,7 +182,94 @@ def test_step_rejects_mismatched_tape():
     opt = nncore.init_optimizer(net)
     tape = nncore.backward(other, np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
-        nncore.step(opt, net, tape)
+        nncore.step(opt, tape)
+    with pytest.raises(ValueError):
+        nncore.step(opt, nncore.backward(net, np.zeros(2), np.zeros(2)), tape)
+    assert opt.count == 0
+    with pytest.raises(ValueError):
+        nncore.init_optimizer([net, net])
+
+
+def test_backward_reuses_forward_activations(rng):
+    net = nncore.init_network([4, 7, 5, 3], seed=21)
+    xs = rng.normal(size=(9, 4))
+    ups = rng.normal(size=(9, 3))
+    acts = nncore.forward(net, xs, activations=True)
+    assert np.array_equal(acts[-1], nncore.forward(net, xs))
+    reused = nncore.backward(net, xs, ups, acts)
+    fresh = nncore.backward(net, xs, ups)
+    assert np.array_equal(nncore.flat_grads(reused), nncore.flat_grads(fresh))
+    assert np.array_equal(reused.input_grad, fresh.input_grad)
+
+
+def _reference_adam(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam applied array by array, as separate per-parameter states would."""
+    state["count"] = count = state.get("count", 0) + 1
+    c1, c2 = 1.0 - beta1**count, 1.0 - beta2**count
+    for i, (param, grad) in enumerate(zip(params, grads)):
+        m = state.setdefault(("m", i), np.zeros_like(param))
+        v = state.setdefault(("v", i), np.zeros_like(param))
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad * grad
+        param -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def _param_arrays(nets):
+    return [a for net in nets for layer in net.layers for a in (layer.weight, layer.bias)]
+
+
+def test_flat_adam_matches_per_array_adam(rng):
+    widths = ([3, 6, 4], [4, 2], [4, 5, 8])
+    nets = [nncore.init_network(w, seed=30 + i) for i, w in enumerate(widths)]
+    ref_nets = [nncore.init_network(w, seed=30 + i) for i, w in enumerate(widths)]
+    opt = nncore.init_optimizer(nets, lr=0.01)
+    assert np.shares_memory(nets[2].layers[1].weight, opt.params)
+    ref_state = {}
+    for _ in range(5):
+        xs = [rng.normal(size=(6, w[0])) for w in widths]
+        ups = [rng.normal(size=(6, w[-1])) for w in widths]
+        tapes = [nncore.backward(net, x, up) for net, x, up in zip(nets, xs, ups)]
+        ref_tapes = [nncore.backward(net, x, up) for net, x, up in zip(ref_nets, xs, ups)]
+        nncore.step(opt, *tapes)
+        ref_grads = [g for t in ref_tapes for pair in zip(t.weight_grads, t.bias_grads)
+                     for g in pair]
+        _reference_adam(_param_arrays(ref_nets), ref_grads, ref_state, lr=0.01)
+        for got, want in zip(_param_arrays(nets), _param_arrays(ref_nets)):
+            assert np.array_equal(got, want)
+
+
+def test_fit_reproduces_reference_minibatch_loop(rng):
+    x = rng.normal(size=(37, 3))
+    y = rng.normal(size=(37, 2))
+    net = nncore.init_network([3, 8, 2], seed=4)
+    ref = nncore.init_network([3, 8, 2], seed=4)
+
+    def minibatch_grads(idx):
+        acts = nncore.forward(net, x[idx], activations=True)
+        err = acts[-1] - y[idx]
+        return (nncore.backward(net, x[idx], (2.0 / err.size) * err, acts),)
+
+    history = []
+    nncore.fit(
+        nncore.init_optimizer(net, lr=0.01), 37, 10, 4, np.random.default_rng(5),
+        minibatch_grads, lambda: float(np.mean((nncore.forward(net, x) - y) ** 2)), history,
+    )
+
+    ref_rng, ref_state, ref_history = np.random.default_rng(5), {}, []
+    for _ in range(4):
+        perm = ref_rng.permutation(37)
+        for start in range(0, 37, 10):
+            idx = perm[start:start + 10]
+            pred = nncore.forward(ref, x[idx])
+            err = pred - y[idx]
+            tape = nncore.backward(ref, x[idx], (2.0 / err.size) * err)
+            grads = [g for pair in zip(tape.weight_grads, tape.bias_grads) for g in pair]
+            _reference_adam(_param_arrays([ref]), grads, ref_state, lr=0.01)
+        ref_history.append(float(np.mean((nncore.forward(ref, x) - y) ** 2)))
+    assert np.array_equal(nncore.flat_params(net), nncore.flat_params(ref))
+    assert history == ref_history
 
 
 def test_init_network_deterministic_and_bounded():
