@@ -184,6 +184,17 @@ def backward(
     return GradientTape(weight_grads, bias_grads, input_grad)
 
 
+def input_grad(net: Network, upstream: np.ndarray, acts: list) -> np.ndarray:
+    """`backward(net, acts[0], upstream, acts).input_grad` of a batch, without
+    forming the parameter gradients; the same operations, so the same bits."""
+    g = upstream
+    for layer, out in zip(reversed(net.layers), reversed(acts[1:])):
+        if layer.activation == "tanh":
+            g = g * (1.0 - out**2)
+        g = g @ layer.weight
+    return g
+
+
 def huber(e, delta):
     """Huber penalty: e^2/2 inside |e| <= delta, linear delta*(|e|-delta/2) outside.
 

@@ -178,13 +178,16 @@ class PlantParams:
         flaperon columns satisfy the mirror pattern exactly by construction.
         """
         b, c = self.span, self.chord
-        la = [-self.flap_cfx, self.flap_cfy, self.flap_cfz,
-              self.flap_croll * b, -self.flap_cm * c, self.flap_cn * b]
-        ra = [self.flap_cfx, self.flap_cfy, -self.flap_cfz,
-              self.flap_croll * b, self.flap_cm * c, self.flap_cn * b]
-        el = [-self.elev_cfx, 0.0, self.elev_cfz, 0.0, self.elev_cm * c, 0.0]
-        ru = [-self.rud_cfx, self.rud_cfy, 0.0, self.rud_croll * b, 0.0, self.rud_cn * b]
-        return np.column_stack([la, ra, el, ru])
+        return np.array(
+            [
+                [-self.flap_cfx, self.flap_cfx, -self.elev_cfx, -self.rud_cfx],
+                [self.flap_cfy, self.flap_cfy, 0.0, self.rud_cfy],
+                [self.flap_cfz, -self.flap_cfz, self.elev_cfz, 0.0],
+                [self.flap_croll * b, self.flap_croll * b, 0.0, self.rud_croll * b],
+                [-self.flap_cm * c, self.flap_cm * c, self.elev_cm * c, 0.0],
+                [self.flap_cn * b, self.flap_cn * b, 0.0, self.rud_cn * b],
+            ]
+        )
 
     def baseline_coefficients(self, alpha_deg: float, beta_deg: float) -> np.ndarray:
         """Zero-deflection wrench coefficients at the given flow angles."""
@@ -289,13 +292,12 @@ def wing_pressures(
     All taps sit on the right wing, so they couple to the right flaperon only;
     the leading-edge taps (0 and 4) carry the largest gust sensitivity.
     """
-    flow_w = local_flow(cond, "wing", params)
     d_alpha, d_beta = gust_perturbation(cond.gust, cond.time, "wing", cond.va, params)
     gust_term = d_alpha + d_beta
     q = dynamic_pressure(cond.va, params)
     taps = q * (
         np.asarray(params.wing_tap_a)
-        + np.asarray(params.wing_tap_b) * flow_w.alpha_deg
+        + np.asarray(params.wing_tap_b) * (cond.alpha_deg + d_alpha)
         + np.asarray(params.wing_tap_c) * u.d_ra
         + np.asarray(params.wing_tap_d) * gust_term
     )

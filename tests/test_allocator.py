@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from aeroalloc import allocator
 from aeroalloc.allocator import (
@@ -126,6 +127,39 @@ def test_problem_validates_shapes():
         AllocationProblem(a=np.zeros(6), b=np.full((6, 4), np.nan), y_target=np.zeros(6))
 
 
+@pytest.mark.parametrize("part", ["a", "y_target", "u_prev", "u_trim"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_parts(part, bad):
+    parts = {"a": np.zeros(6), "y_target": np.zeros(6), "u_prev": np.zeros(4),
+             "u_trim": np.zeros(4)}
+    parts[part][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        AllocationProblem(b=np.zeros((6, 4)), **parts)
+
+
+def test_solve_matches_scipy_cholesky_bit_for_bit(rng):
+    saturated = AllocationProblem(
+        a=np.zeros(6), b=np.vstack([np.eye(4) * 0.01, np.zeros((2, 4))]),
+        y_target=np.array([50.0, -50.0, 0.0, 0.0, 1.0, 2.0]), lambda0=0.0, lambda1=1e-6,
+    )
+    problems = [random_problem(rng, rng.uniform(0, 1), rng.uniform(1e-3, 1)) for _ in range(50)]
+    for p in problems + [saturated]:
+        sol = solve(p)
+        q, c = build_normal_equations(p)
+        u = cho_solve(cho_factor(q, lower=True), c)
+        assert np.array_equal(sol.u_unconstrained, u)
+        resid = p.y_target - p.a - p.b @ u
+        assert sol.objective_value == objective(p, u)
+        assert sol.residual_norm == float(np.linalg.norm(resid))
+    assert solve(saturated).clamped[:2].all()
+
+
+def test_solve_rejects_non_finite_normal_equations():
+    p = AllocationProblem(a=np.zeros(6), b=np.full((6, 4), 1e200), y_target=np.zeros(6))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        solve(p)
+
+
 def test_unclamped_solution_matches_exactly(rng):
     p = random_problem(rng, lambda0=1.0, lambda1=1.0)  # heavy penalties keep u small
     sol = solve(p)
@@ -218,6 +252,27 @@ def test_track_sequence_needs_one_observation_per_target():
     model = constant_model(np.zeros(6), np.zeros((6, 4)))
     with pytest.raises(ValueError):
         track_sequence(model, np.zeros((3, 6)), [np.zeros(13)] * 2, TrackingConfig())
+
+
+def test_track_sequence_names_step_of_non_finite_model_output():
+    model = constant_model(np.zeros(6), np.vstack([np.eye(4), np.zeros((2, 4))]))
+    obs = [np.zeros(13)] * 5
+    obs[3] = np.full(13, np.nan)  # the zero-weight backbone passes NaN through
+    with pytest.raises(ArithmeticError, match="non-finite model output at step 3"):
+        track_sequence(model, np.zeros((5, 6)), obs, TrackingConfig())
+
+
+def test_track_sequence_validates_targets_and_config():
+    model = constant_model(np.zeros(6), np.zeros((6, 4)))
+    targets = np.zeros((3, 6))
+    targets[1, 2] = np.inf
+    with pytest.raises(ValueError, match="targets must be finite"):
+        track_sequence(model, targets, [np.zeros(13)] * 3, TrackingConfig())
+    cfg = TrackingConfig()
+    cfg.lambda1 = 0.0
+    cfg.lambda0 = 0.0
+    with pytest.raises(NotStrictlyConvexError):
+        track_sequence(model, np.zeros((3, 6)), [np.zeros(13)] * 3, cfg)
 
 
 def test_track_sequence_rejects_unknown_model():

@@ -1,4 +1,5 @@
 """Control-affine model: gradients, mirror penalty, training, linearization."""
+import logging
 import warnings
 
 import numpy as np
@@ -244,6 +245,17 @@ def test_wrench_and_observation_roundtrip(rng):
         Observation.from_array(np.zeros(12))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_records_reject_non_finite_entries(bad):
+    for cls, size, indices in ((Observation, 13, (0, 5, 6, 12)), (Control, 4, range(4)),
+                               (Wrench, 6, range(6))):
+        for i in indices:
+            vec = np.zeros(size)
+            vec[i] = bad
+            with pytest.raises(ValueError, match="finite"):
+                cls.from_array(vec)
+
+
 # ---------------------------------------------------------------------------
 # splits and training
 # ---------------------------------------------------------------------------
@@ -326,6 +338,26 @@ def test_epoch_loss_is_one_forward_only_pass(rng, monkeypatch, trainer, nets):
             history=history)
     assert len(history) == 3
     assert full == {"forward": 3 * nets, "backward": 0}
+
+
+@pytest.mark.parametrize("trainer", [train_dynamics, train_unstructured])
+def test_validation_rmse_runs_only_when_logged(rng, monkeypatch, caplog, trainer):
+    data, _ = synthetic_affine_dataset(rng, n=100)
+    calls = []
+
+    def counting(model, dataset):
+        calls.append(1)
+        return eval_rmse(model, dataset)
+
+    monkeypatch.setattr(dynamics, "eval_rmse", counting)
+    cfg = DynamicsTrainConfig(hidden=(8,), epochs=1)
+    caplog.set_level(logging.WARNING, logger="aeroalloc.dynamics")
+    trainer(data, cfg)
+    assert calls == []
+    caplog.set_level(logging.INFO, logger="aeroalloc.dynamics")
+    trainer(data, cfg)
+    assert calls == [1]
+    assert "validation wrench rmse" in caplog.text
 
 
 def test_train_dynamics_deterministic(rng):
@@ -418,6 +450,21 @@ def test_affine_at_exact_at_reference(rng):
     a, b = affine_at(model, obs, u_ref)
     direct = predict_wrench_batch(model, obs[None, :], u_ref[None, :])[0]
     assert np.allclose(a + b @ u_ref, direct, atol=1e-10)
+
+
+def test_affine_at_matches_reference_backward_bit_for_bit(rng):
+    model = train_unstructured(
+        synthetic_affine_dataset(rng, n=200)[0],
+        DynamicsTrainConfig(seed=5, hidden=(8, 8), epochs=5),
+    )
+    for _ in range(5):
+        obs = rng.normal(size=13)
+        u_ref = rng.uniform(-20, 20, size=4)
+        a, b = affine_at(model, obs, u_ref)
+        x = (np.concatenate([obs, u_ref]) - model.in_mean) / model.in_std
+        tape = nncore.backward(model.net, np.tile(x, (6, 1)), np.eye(6))
+        assert np.array_equal(b, tape.input_grad[:, -4:] / model.in_std[-4:])
+        assert np.array_equal(a, nncore.forward(model.net, x) - b @ u_ref)
 
 
 def test_affine_at_jacobian_matches_finite_differences(rng):

@@ -95,6 +95,15 @@ def test_backward_batch_sums_rows(rng):
     assert np.allclose(batched.input_grad[2], summed[2].input_grad, atol=1e-12)
 
 
+def test_input_grad_equals_backward_input_grad(rng):
+    net = nncore.init_network([5, 7, 6, 3], seed=4)
+    xs = rng.normal(size=(6, 5))
+    ups = rng.normal(size=(6, 3))
+    acts = nncore.forward(net, xs, activations=True)
+    expected = nncore.backward(net, xs, ups).input_grad
+    assert np.array_equal(nncore.input_grad(net, ups, acts), expected)
+
+
 def test_backward_input_grad_finite_difference(rng):
     net = nncore.init_network([4, 5, 3], seed=3)
     x = rng.normal(size=4)
