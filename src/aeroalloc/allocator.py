@@ -22,7 +22,6 @@ of the solve (about a quarter).
 """
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -41,6 +40,7 @@ from .dynamics import (
     affine_at,
     predict,
 )
+from .table import read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -289,31 +289,13 @@ def track_sequence(model, targets, observations, cfg: TrackingConfig, achieved_f
 
 
 def save_tracking_csv(path: str | Path, tlog: TrackingLog) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACKING_CSV_HEADER)
-        for k in range(tlog.t.size):
-            row = (
-                [str(tlog.t[k])]
-                + [str(v) for v in tlog.targets[k]]
-                + [str(v) for v in tlog.predicted[k]]
-                + [str(v) for v in tlog.achieved[k]]
-                + [str(v) for v in tlog.controls[k]]
-                + [str(int(v)) for v in tlog.clamped[k]]
-            )
-            writer.writerow(row)
+    values = np.column_stack([tlog.t, tlog.targets, tlog.predicted, tlog.achieved, tlog.controls])
+    rows = (v.tolist() + f.tolist() for v, f in zip(values, tlog.clamped.astype(int)))
+    write_table(path, TRACKING_CSV_HEADER, rows)
 
 
 def load_tracking_csv(path: str | Path) -> TrackingLog:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACKING_CSV_HEADER:
-            raise ValueError(f"unexpected tracking CSV header in {path}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-    mat = np.asarray(rows, dtype=float)
+    mat = read_table(path, TRACKING_CSV_HEADER)
     return TrackingLog(
         t=mat[:, 0],
         targets=mat[:, 1:7],

@@ -136,9 +136,8 @@ def _cmd_train_calib(args) -> int:
     root = harness.resolve_out_root(args.out)
     dirs = _dirs(root)
     rows = probe.load_calibration_csv(args.data)
-    cfg = probe.CalibrationTrainConfig(seed=args.seed)
-    if args.epochs:
-        cfg = probe.CalibrationTrainConfig(seed=args.seed, epochs=args.epochs)
+    epochs = {"epochs": args.epochs} if args.epochs else {}
+    cfg = probe.CalibrationTrainConfig(seed=args.seed, **epochs)
     model = probe.train_calibration(rows, cfg)
     name = args.name or args.data.stem
     out_path = dirs["models"] / f"calib_{name}.json"
@@ -150,12 +149,7 @@ def _cmd_train_calib(args) -> int:
 def _cmd_train_dyn(args) -> int:
     root = harness.resolve_out_root(args.out)
     dirs = _dirs(root)
-    datasets = [dynamics.load_dynamics_csv(p) for p in args.data]
-    full = (
-        np.concatenate([d[0] for d in datasets]),
-        np.concatenate([d[1] for d in datasets]),
-        np.concatenate([d[2] for d in datasets]),
-    )
+    full = harness._concat_datasets([dynamics.load_dynamics_csv(p) for p in args.data])
     cfg = harness.ExperimentConfig(
         seed=args.seed, variant=args.variant, lambda_sym=args.lambda_sym
     )

@@ -17,7 +17,6 @@ linearization used for closed-loop allocation.
 """
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -29,6 +28,7 @@ import numpy as np
 
 from . import nncore
 from .nncore import Network, forward, backward, huber, huber_grad
+from .table import read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -725,22 +725,10 @@ def load_dynamics_model(path: str | Path):
 
 
 def save_dynamics_csv(path: str | Path, dataset) -> None:
-    obs, u, y = _dataset_arrays(dataset)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DYNAMICS_CSV_HEADER)
-        for row in np.concatenate([obs, u, y], axis=1):
-            writer.writerow([str(v) for v in row])
+    rows = (o.tolist() + u.tolist() + y.tolist() for o, u, y in zip(*_dataset_arrays(dataset)))
+    write_table(path, DYNAMICS_CSV_HEADER, rows)
 
 
 def load_dynamics_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DYNAMICS_CSV_HEADER:
-            raise ValueError(f"unexpected dynamics CSV header in {path}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-    mat = np.asarray(rows, dtype=float)
+    mat = read_table(path, DYNAMICS_CSV_HEADER)
     return mat[:, :OBS_DIM], mat[:, OBS_DIM:OBS_DIM + CONTROL_DIM], mat[:, OBS_DIM + CONTROL_DIM:]

@@ -34,12 +34,14 @@ from .dynamics import (
     WRENCH_DIM,
     block_split,
     eval_rmse,
+    load_dynamics_csv,
     per_channel_rmse,
     symmetry_residual_norm,
     train_dynamics,
     train_unstructured,
 )
 from .plant import PlantParams, TunnelCondition
+from .table import write_table
 
 log = logging.getLogger(__name__)
 
@@ -186,8 +188,6 @@ def generate_speed_datasets(
     name_suffix: str = "",
 ) -> dict:
     """One dynamics CSV per speed; returns {speed: loaded arrays}."""
-    from .dynamics import load_dynamics_csv
-
     out = {}
     for i, speed in enumerate(speeds):
         paths = plant_mod.generate_dataset(
@@ -313,28 +313,25 @@ def load_report_json(path: str | Path) -> MetricsReport:
 
 
 def write_report_csv(report: MetricsReport, path: str | Path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "metric", "key", "value"])
-        for variant in sorted(report.variants):
-            entry = report.variants[variant]
-            for key in sorted(entry["rmse"]):
-                writer.writerow([variant, "rmse", key, str(entry["rmse"][key])])
-            for key in sorted(entry["inflation_pct"]):
-                writer.writerow([variant, "inflation_pct", key, str(entry["inflation_pct"][key])])
-            for i, val in enumerate(entry["per_channel_in_dist"]):
-                writer.writerow([variant, "per_channel_rmse", f"ch{i}", str(val)])
-            if entry.get("sym_residual") is not None:
-                writer.writerow([variant, "sym_residual", "in_dist", str(entry["sym_residual"])])
-            loop = entry.get("closed_loop")
-            if loop:
-                for i, val in enumerate(loop["rmssd"]["per_input"]):
-                    writer.writerow([variant, "rmssd", f"u{i}", str(val)])
-                writer.writerow([variant, "rmssd", "average", str(loop["rmssd"]["average"])])
-                writer.writerow([variant, "tracking_rmse", "", str(loop["tracking_rmse"])])
-                writer.writerow([variant, "clamped_fraction", "", str(loop["clamped_fraction"])])
+    rows = []
+    for variant in sorted(report.variants):
+        entry = report.variants[variant]
+        for key in sorted(entry["rmse"]):
+            rows.append([variant, "rmse", key, entry["rmse"][key]])
+        for key in sorted(entry["inflation_pct"]):
+            rows.append([variant, "inflation_pct", key, entry["inflation_pct"][key]])
+        for i, val in enumerate(entry["per_channel_in_dist"]):
+            rows.append([variant, "per_channel_rmse", f"ch{i}", val])
+        if entry.get("sym_residual") is not None:
+            rows.append([variant, "sym_residual", "in_dist", entry["sym_residual"]])
+        loop = entry.get("closed_loop")
+        if loop:
+            for i, val in enumerate(loop["rmssd"]["per_input"]):
+                rows.append([variant, "rmssd", f"u{i}", val])
+            rows.append([variant, "rmssd", "average", loop["rmssd"]["average"]])
+            rows.append([variant, "tracking_rmse", "", loop["tracking_rmse"]])
+            rows.append([variant, "clamped_fraction", "", loop["clamped_fraction"]])
+    write_table(path, ["variant", "metric", "key", "value"], rows)
 
 
 def format_report_text(report: MetricsReport, compare=None) -> str:

@@ -22,7 +22,6 @@ fill.
 """
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field
@@ -33,11 +32,15 @@ import numpy as np
 from . import probe as probe_mod
 from .probe import AirDensity, FlowState, ProbePressures
 from .dynamics import (
+    CONTROL_DIM,
     Control,
-    DYNAMICS_CSV_HEADER,
+    OBS_DIM,
     Observation,
+    WRENCH_DIM,
     Wrench,
+    save_dynamics_csv,
 )
+from .table import write_table
 
 log = logging.getLogger(__name__)
 
@@ -239,26 +242,6 @@ def local_flow(cond: TunnelCondition, location: str, params: PlantParams) -> Flo
     )
 
 
-_TAP_AXES_CACHE: dict[float, np.ndarray] = {}
-
-
-def _tap_axes(cone_deg: float) -> np.ndarray:
-    axes = _TAP_AXES_CACHE.get(cone_deg)
-    if axes is None:
-        c, s = np.cos(np.radians(cone_deg)), np.sin(np.radians(cone_deg))
-        axes = np.array(
-            [
-                [1.0, 0.0, 0.0],   # center
-                [c, 0.0, -s],      # up (-z body)
-                [c, 0.0, s],       # down
-                [c, -s, 0.0],      # left (-y body)
-                [c, s, 0.0],       # right
-            ]
-        )
-        _TAP_AXES_CACHE[cone_deg] = axes
-    return axes
-
-
 def probe_pressures(
     flow: FlowState, params: PlantParams, rng: np.random.Generator | None = None
 ) -> ProbePressures:
@@ -271,7 +254,17 @@ def probe_pressures(
     a = np.radians(flow.alpha_deg)
     b = np.radians(flow.beta_deg)
     flow_dir = np.array([np.cos(a) * np.cos(b), np.sin(b), np.sin(a) * np.cos(b)])
-    cos_gamma = _tap_axes(params.probe_cone_deg) @ flow_dir
+    c, s = np.cos(np.radians(params.probe_cone_deg)), np.sin(np.radians(params.probe_cone_deg))
+    tap_axes = np.array(
+        [
+            [1.0, 0.0, 0.0],   # center
+            [c, 0.0, -s],      # up (-z body)
+            [c, 0.0, s],       # down
+            [c, -s, 0.0],      # left (-y body)
+            [c, s, 0.0],       # right
+        ]
+    )
+    cos_gamma = tap_axes @ flow_dir
     q = dynamic_pressure(flow.va, params)
     taps = params.probe_static_pa + q * (
         1.0 - params.probe_sensitivity * (1.0 - cos_gamma**2)
@@ -524,28 +517,28 @@ def generate_dynamics_data(
     )
     gust = gust_from_spec(protocol.get("gust"), speed, params)
 
+    obs_rows = np.empty((t.size, OBS_DIM))
+    u_rows = np.empty((t.size, CONTROL_DIM))
+    y_rows = np.empty((t.size, WRENCH_DIM))
+    cond_rows = np.empty((t.size, 5))  # t, alpha, beta, and the wing's gust angles
+    for k in range(t.size):
+        cond = TunnelCondition(speed, float(alpha[k]), float(beta[k]), gust=gust, time=float(t[k]))
+        u = Control.from_array(controls[k])
+        obs_rows[k] = make_observation(cond, u, params, rng, probe_models=probe_models).as_array()
+        u_rows[k] = u.as_array()
+        y_rows[k] = true_wrench(cond, u, params, rng).as_array()
+        d_alpha, d_beta = gust_perturbation(gust, cond.time, "wing", speed, params)
+        cond_rows[k] = (cond.time, cond.alpha_deg, cond.beta_deg, d_alpha, d_beta)
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / f"{name}.csv"
     cond_path = out_dir / f"{name}_conditions.csv"
-    with open(data_path, "w", newline="") as fh_data, open(cond_path, "w", newline="") as fh_cond:
-        data_writer = csv.writer(fh_data)
-        data_writer.writerow(DYNAMICS_CSV_HEADER)
-        cond_writer = csv.writer(fh_cond)
-        cond_writer.writerow(CONDITIONS_CSV_HEADER)
-        for k in range(t.size):
-            cond = TunnelCondition(speed, float(alpha[k]), float(beta[k]), gust=gust, time=float(t[k]))
-            u = Control.from_array(controls[k])
-            obs = make_observation(cond, u, params, rng, probe_models=probe_models)
-            y = true_wrench(cond, u, params, rng)
-            data_writer.writerow(
-                [str(v) for v in np.concatenate([obs.as_array(), u.as_array(), y.as_array()])]
-            )
-            d_alpha, d_beta = gust_perturbation(gust, cond.time, "wing", speed, params)
-            cond_writer.writerow(
-                [str(v) for v in (cond.time, speed, cond.alpha_deg, cond.beta_deg)]
-                + [gust.mode, str(d_alpha), str(d_beta)]
-            )
+    save_dynamics_csv(data_path, (obs_rows, u_rows, y_rows))
+    write_table(cond_path, CONDITIONS_CSV_HEADER, (
+        [time, speed, a, b, gust.mode, d_alpha, d_beta]
+        for time, a, b, d_alpha, d_beta in map(np.ndarray.tolist, cond_rows)
+    ))
     return [data_path, cond_path]
 
 

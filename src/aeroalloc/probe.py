@@ -7,15 +7,15 @@ by inverting the correction definition.
 """
 from __future__ import annotations
 
-import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nncore
 from .nncore import Network
+from .table import read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -234,29 +234,14 @@ def train_calibration(
 
 
 def save_calibration_csv(path: str | Path, rows: list[tuple[ProbePressures, FlowState]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CALIBRATION_CSV_HEADER)
-        for pressures, flow in rows:
-            writer.writerow(
-                [str(float(v)) for v in pressures.p]
-                + [str(float(flow.va)), str(float(flow.alpha_deg)), str(float(flow.beta_deg))]
-            )
+    write_table(path, CALIBRATION_CSV_HEADER, (
+        pressures.p.tolist() + [float(flow.va), float(flow.alpha_deg), float(flow.beta_deg)]
+        for pressures, flow in rows
+    ))
 
 
 def load_calibration_csv(path: str | Path) -> list[tuple[ProbePressures, FlowState]]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CALIBRATION_CSV_HEADER:
-            raise ValueError(f"unexpected calibration CSV header: {header}")
-        for rec in reader:
-            vals = [float(v) for v in rec]
-            rows.append(
-                (
-                    ProbePressures(np.asarray(vals[:5])),
-                    FlowState(va=vals[5], alpha_deg=vals[6], beta_deg=vals[7]),
-                )
-            )
-    return rows
+    return [
+        (ProbePressures(np.asarray(vals[:5])), FlowState(*vals[5:]))
+        for vals in read_table(path, CALIBRATION_CSV_HEADER).tolist()
+    ]

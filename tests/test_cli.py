@@ -44,6 +44,13 @@ def test_missing_data_file_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+def test_empty_data_file_exits_1(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert cli.main(["train-calib", "--data", str(empty)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {empty}")
+
+
 def test_bad_protocol_json_exits_1(tmp_path):
     proto = tmp_path / "proto.json"
     proto.write_text(json.dumps({"kind": "mystery"}))
