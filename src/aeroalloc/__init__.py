@@ -4,6 +4,9 @@ Five-hole probe calibration, a control-affine wrench model with a soft
 left/right mirror prior, convex control allocation, and a synthetic plant
 that stands in for the physical rig.
 """
+# Defined before the submodule imports, so that they can import it.
+__version__ = "0.1.0"
+
 from .allocator import (
     AllocationProblem,
     AllocationSolution,
@@ -48,5 +51,3 @@ from .probe import (
     reconstruct_airspeed,
     train_calibration,
 )
-
-__version__ = "0.1.0"

@@ -13,22 +13,28 @@ closed form exact and making saturation observable in the logs.
 
 `solve` factors Q with LAPACK's Cholesky routines (potrf/potrs, the ones
 scipy's cho_factor/cho_solve wrap), called directly because the wrappers cost
-more than the 4x4 arithmetic. `track_sequence` validates its configuration and
-targets once, at its boundary; inside the loop it checks only what each step
-produces: the model's (A, B) and the achieved wrench must be finite. A step's
+more than the 4x4 arithmetic. They are looked up on the first solve, so
+scipy.linalg is imported only by a process that allocates, not by importing
+the package or by a CLI command that never allocates. A solution keeps the
+problem it solved; its objective value and residual norm are computed when
+read, so the tracking loop, which never reads them, does not pay for them.
+
+`track_sequence` validates its configuration and targets once, at its
+boundary; inside the loop it checks only what each step produces: the
+model's (A, B) and the achieved wrench must be finite. A step's
 time is then mostly the plant's observation and response (about a third in a
 traced C7 loop), the model pass (about a third) and the small numpy operations
-of the solve (about a quarter).
+of the solve (about a fifth).
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .dynamics import (
     AffineModel,
@@ -54,7 +60,12 @@ TRACKING_CSV_HEADER = (
 )
 
 
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((CONTROL_DIM, CONTROL_DIM)),))
+@functools.cache
+def _cholesky_routines():
+    """LAPACK (potrf, potrs) for float64 matrices, looked up on first use."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("potrf", "potrs"), (np.empty((CONTROL_DIM, CONTROL_DIM)),))
 
 
 class NotStrictlyConvexError(ValueError):
@@ -118,17 +129,26 @@ class AllocationProblem:
 class AllocationSolution:
     """Closed-form minimizer plus its post-solve clamp.
 
-    objective_value and residual_norm are evaluated at the unconstrained
-    minimizer; u_star is that minimizer clipped to the actuator limits, with
+    u_star is the unconstrained minimizer clipped to the actuator limits, with
     per-surface clamp flags. When nothing clamps, u_star equals
-    u_unconstrained exactly.
+    u_unconstrained exactly. objective_value and residual_norm are evaluated
+    at the unconstrained minimizer of `problem`, each time they are read.
     """
 
     u_star: Control
     u_unconstrained: np.ndarray
     clamped: np.ndarray
-    objective_value: float
-    residual_norm: float
+    problem: AllocationProblem
+
+    @property
+    def objective_value(self) -> float:
+        return objective(self.problem, self.u_unconstrained)
+
+    @property
+    def residual_norm(self) -> float:
+        p = self.problem
+        resid = p.y_target - p.a - p.b @ self.u_unconstrained
+        return math.sqrt(resid @ resid)
 
 
 _EYE_CONTROL = np.eye(CONTROL_DIM)
@@ -164,24 +184,17 @@ def solve(p: AllocationProblem) -> AllocationSolution:
     q, c = build_normal_equations(p)
     if not (np.isfinite(q).all() and np.isfinite(c).all()):
         raise ValueError("normal equations must be finite")
-    factor, info = _POTRF(q, lower=1, clean=0)
+    potrf, potrs = _cholesky_routines()
+    factor, info = potrf(q, lower=1, clean=0)
     if info == 0:
-        u, info = _POTRS(factor, c, lower=1)
+        u, info = potrs(factor, c, lower=1)
     if info != 0:
         raise ArithmeticError(f"normal equations not solvable (LAPACK info {info})")
     u_star = Control.clamped(u)
     clamped = np.abs(u) > np.abs(u_star.as_array()) + 1e-12
     if clamped.any():
         log.debug("clamped surfaces: %s", clamped.nonzero()[0].tolist())
-    resid = p.y_target - p.a - p.b @ u
-    sq_resid = resid @ resid
-    return AllocationSolution(
-        u_star=u_star,
-        u_unconstrained=u,
-        clamped=clamped,
-        objective_value=_objective(p, u, sq_resid),
-        residual_norm=math.sqrt(sq_resid),
-    )
+    return AllocationSolution(u_star=u_star, u_unconstrained=u, clamped=clamped, problem=p)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,12 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import plant as plant_mod
+from . import __version__, plant as plant_mod
 from .allocator import TrackingConfig, TrackingLog, track_sequence
 from .dynamics import (
     CONTROL_DIM,
@@ -219,13 +219,16 @@ class MetricsReport:
     Each variant entry carries aggregate and per-channel wrench RMSE,
     shift-inflation percentages, the flaperon mirror residual (affine models
     only), and, when the suite ran closed loop, RMSSD per control input with
-    its average.
+    its average. `config` holds the ExperimentConfig fields of the run that
+    produced the report, as JSON values, plus the package `version`; reports
+    written before it existed load with an empty one.
     """
 
     seed: int
     train_speeds: tuple
     split_hash: str
     variants: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -233,6 +236,7 @@ class MetricsReport:
             "train_speeds": list(self.train_speeds),
             "split_hash": self.split_hash,
             "variants": self.variants,
+            "config": self.config,
         }
 
     @classmethod
@@ -242,7 +246,15 @@ class MetricsReport:
             train_speeds=tuple(doc["train_speeds"]),
             split_hash=str(doc["split_hash"]),
             variants=dict(doc["variants"]),
+            config=dict(doc.get("config", {})),
         )
+
+
+def _config_block(cfg: ExperimentConfig) -> dict:
+    """The report's `config`: cfg's fields, tuples as lists, plus the package version."""
+    block = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
+    block["version"] = __version__
+    return block
 
 
 def run_ablation_suite(
@@ -274,7 +286,10 @@ def run_ablation_suite(
     in_dist_split = _concat_datasets([eval_sets[s] for s in cfg.train_speeds])
     split_hash = dataset_hash(train_split, *eval_sets.values())
 
-    report = MetricsReport(seed=cfg.seed, train_speeds=cfg.train_speeds, split_hash=split_hash)
+    report = MetricsReport(
+        seed=cfg.seed, train_speeds=cfg.train_speeds, split_hash=split_hash,
+        config=_config_block(cfg),
+    )
     for variant in VARIANTS:
         model = train_variant(variant, train_split, cfg)
         rmse_in = eval_rmse(model, in_dist_split)

@@ -8,6 +8,7 @@ by inverting the correction definition.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,30 +111,40 @@ def normalize(p: ProbePressures, eps_dp: float = DEFAULT_EPS_DP) -> NormalizedPr
     return NormalizedPressures(cp=(p_max - arr) / delta_p, delta_p=delta_p)
 
 
+def _check_positive_finite(value: float, what: str) -> None:
+    # NaN fails both comparisons, so it is rejected along with inf and <= 0
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
 def dynamic_pressure_correction(va: float, delta_p: float, rho: AirDensity | float) -> float:
     """Ratio of true dynamic pressure 0.5*rho*Va^2 to the tap spread."""
-    if delta_p <= 0.0:
-        raise ValueError(f"tap spread must be positive, got {delta_p}")
+    _check_positive_finite(delta_p, "tap spread")
     return 0.5 * _rho_value(rho) * va * va / delta_p
 
 
 def reconstruct_airspeed(cd: float, delta_p: float, rho: AirDensity | float) -> float:
     """Invert the correction definition: Va = sqrt(2 * delta_p * Cd / rho)."""
-    if cd <= 0.0:
-        raise ValueError(f"dynamic-pressure correction must be positive, got {cd}")
-    if delta_p <= 0.0:
-        raise ValueError(f"tap spread must be positive, got {delta_p}")
+    _check_positive_finite(cd, "dynamic-pressure correction")
+    _check_positive_finite(delta_p, "tap spread")
     return float(np.sqrt(2.0 * delta_p * cd / _rho_value(rho)))
 
 
 def calibrate(model: Network, np_: NormalizedPressures) -> CalibrationOutput:
-    """Run the calibration network on normalized pressures -> (Cd, alpha, beta)."""
+    """Run the calibration network on normalized pressures -> (Cd, alpha, beta).
+
+    Raises ValueError if the network output is not finite.
+    """
     if model.input_dim != 5 or model.output_dim != 3:
         raise ValueError(
             f"calibration model must map 5 -> 3, got {model.input_dim} -> {model.output_dim}"
         )
-    out = nncore.forward(model, np_.cp)
-    return CalibrationOutput(cd=float(out[0]), alpha_deg=float(out[1]), beta_deg=float(out[2]))
+    cd, alpha_deg, beta_deg = nncore.forward(model, np_.cp).tolist()
+    if not (math.isfinite(cd) and math.isfinite(alpha_deg) and math.isfinite(beta_deg)):
+        raise ValueError(
+            f"calibration network output must be finite, got {[cd, alpha_deg, beta_deg]}"
+        )
+    return CalibrationOutput(cd=cd, alpha_deg=alpha_deg, beta_deg=beta_deg)
 
 
 def estimate_flow(

@@ -154,6 +154,24 @@ def test_solve_matches_scipy_cholesky_bit_for_bit(rng):
     assert solve(saturated).clamped[:2].all()
 
 
+def test_solution_diagnostics_read_twice_are_equal(rng):
+    sol = solve(random_problem(rng))
+    assert sol.objective_value == sol.objective_value
+    assert sol.residual_norm == sol.residual_norm
+    assert isinstance(sol.objective_value, float) and isinstance(sol.residual_norm, float)
+
+
+def test_track_sequence_never_evaluates_diagnostics(monkeypatch, rng):
+    def fail(*args):
+        raise AssertionError("solve diagnostics evaluated inside the loop")
+
+    monkeypatch.setattr(allocator, "_objective", fail)
+    monkeypatch.setattr(allocator.AllocationSolution, "residual_norm", property(fail))
+    model = constant_model(np.zeros(6), np.vstack([np.eye(4), np.zeros((2, 4))]))
+    tlog = track_sequence(model, rng.normal(size=(20, 6)), [np.zeros(13)] * 20, TrackingConfig())
+    assert tlog.controls.shape == (20, 4)
+
+
 def test_solve_rejects_non_finite_normal_equations():
     p = AllocationProblem(a=np.zeros(6), b=np.full((6, 4), 1e200), y_target=np.zeros(6))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aeroalloc
 from aeroalloc import harness, plant
 from aeroalloc.allocator import TrackingConfig
 from aeroalloc.dynamics import Control
@@ -261,6 +262,23 @@ def test_suite_report_round_trips(tiny_suite, tmp_path):
     loaded = load_report_json(path)
     assert loaded.to_dict() == report.to_dict()
     assert MetricsReport.from_dict(report.to_dict()).to_dict() == report.to_dict()
+
+
+def test_suite_report_config_block_round_trips(tiny_suite, tmp_path):
+    report, _ = tiny_suite
+    assert report.config["version"] == aeroalloc.__version__
+    assert report.config["epochs"] == 4
+    assert report.config["hidden"] == [8, 8]
+    assert report.config["closed_loop_speed"] is None
+    assert set(report.config) == set(vars(tiny_cfg())) | {"version"}
+    path = tmp_path / "report.json"
+    write_report_json(report, path)
+    assert json.loads(path.read_text())["config"] == report.config
+    assert load_report_json(path).config == report.config
+    # reports written before the block existed still load
+    doc = report.to_dict()
+    del doc["config"]
+    assert MetricsReport.from_dict(doc).config == {}
 
 
 def test_suite_reruns_byte_identical(tmp_path):

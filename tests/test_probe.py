@@ -68,6 +68,20 @@ def test_reconstruct_rejects_nonpositive():
         reconstruct_airspeed(1.0, 10.0, -1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reconstruct_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="dynamic-pressure correction"):
+        reconstruct_airspeed(bad, 10.0, 1.225)
+    with pytest.raises(ValueError, match="tap spread"):
+        reconstruct_airspeed(1.0, bad, 1.225)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_dynamic_pressure_correction_rejects_bad_spread(bad):
+    with pytest.raises(ValueError, match="tap spread"):
+        dynamic_pressure_correction(10.0, bad, 1.225)
+
+
 @given(
     va=st.floats(0.1, 50.0),
     delta_p=st.floats(1e-3, 1e4),
@@ -88,6 +102,28 @@ def test_calibrate_zero_network_gives_bias():
     out = probe.calibrate(net, normalize(ProbePressures(np.arange(5.0))))
     assert (out.cd, out.alpha_deg, out.beta_deg) == (0.9, 1.0, -2.0)
     assert out.is_physical
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_calibrate_rejects_non_finite_output(monkeypatch, index, bad):
+    out = np.array([0.9, 1.0, -2.0])
+    out[index] = bad
+    monkeypatch.setattr(probe.nncore, "forward", lambda net, x: out)
+    net = nncore.init_network([5, 3], seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        probe.calibrate(net, normalize(ProbePressures(np.arange(5.0))))
+
+
+def test_estimate_flow_rejects_nan_network():
+    # the hidden layer overflows to inf and the zero output weights turn it into NaN
+    net = nncore.Network([
+        nncore.Layer(np.full((4, 5), 1e308), np.zeros(4), "identity"),
+        nncore.Layer(np.zeros((3, 4)), np.zeros(3), "identity"),
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_flow(net, ProbePressures(np.arange(5.0)))
 
 
 def test_calibrate_rejects_wrong_widths():
