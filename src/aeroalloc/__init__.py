@@ -19,17 +19,13 @@ from .allocator import (
 )
 from .dynamics import (
     AffineModel,
-    Control,
     DynamicsTrainConfig,
-    Observation,
     SymmetryConfig,
     UnstructuredModel,
-    Wrench,
     affine_at,
     build_unstructured,
     eval_rmse,
     predict,
-    predict_wrench,
     symmetry_loss,
     train_dynamics,
     train_unstructured,

@@ -19,12 +19,14 @@ the package or by a CLI command that never allocates. A solution keeps the
 problem it solved; its objective value and residual norm are computed when
 read, so the tracking loop, which never reads them, does not pay for them.
 
-`track_sequence` validates its configuration and targets once, at its
-boundary; inside the loop it checks only what each step produces: the
-model's (A, B) and the achieved wrench must be finite. A step's
-time is then mostly the plant's observation and response (about a third in a
-traced C7 loop), the model pass (about a third) and the small numpy operations
-of the solve (about a fifth).
+Each value is checked once, where it enters: AllocationProblem its parts,
+TrackingConfig.validate the penalties, dt and the trim and initial commands
+(4 finite entries within the actuator limits), `track_sequence` its targets.
+Inside the loop, where commands pass as plain (4,) arrays, only the model's
+(A, B) and the achieved wrench are checked to be finite. A step's time is then
+mostly the plant's observation and response (about a third in a traced C7
+loop), the model pass (about a third) and the small numpy operations of the
+solve (about a fifth).
 """
 from __future__ import annotations
 
@@ -39,10 +41,9 @@ import numpy as np
 from .dynamics import (
     AffineModel,
     CONTROL_DIM,
-    Control,
+    CONTROL_LIMIT_DEG,
     UnstructuredModel,
     WRENCH_DIM,
-    Wrench,
     affine_at,
     predict,
 )
@@ -73,8 +74,6 @@ class NotStrictlyConvexError(ValueError):
 
 
 def _vec(value, dim: int, what: str) -> np.ndarray:
-    if isinstance(value, (Wrench, Control)):
-        value = value.as_array()
     vec = np.asarray(value, dtype=float)
     if vec.shape != (dim,):
         raise ValueError(f"{what} must have {dim} entries, got shape {vec.shape}")
@@ -135,7 +134,7 @@ class AllocationSolution:
     at the unconstrained minimizer of `problem`, each time they are read.
     """
 
-    u_star: Control
+    u_star: np.ndarray
     u_unconstrained: np.ndarray
     clamped: np.ndarray
     problem: AllocationProblem
@@ -190,8 +189,8 @@ def solve(p: AllocationProblem) -> AllocationSolution:
         u, info = potrs(factor, c, lower=1)
     if info != 0:
         raise ArithmeticError(f"normal equations not solvable (LAPACK info {info})")
-    u_star = Control.clamped(u)
-    clamped = np.abs(u) > np.abs(u_star.as_array()) + 1e-12
+    u_star = u.clip(-CONTROL_LIMIT_DEG, CONTROL_LIMIT_DEG)
+    clamped = np.abs(u) > np.abs(u_star) + 1e-12
     if clamped.any():
         log.debug("clamped surfaces: %s", clamped.nonzero()[0].tolist())
     return AllocationSolution(u_star=u_star, u_unconstrained=u, clamped=clamped, problem=p)
@@ -206,18 +205,25 @@ def solve(p: AllocationProblem) -> AllocationSolution:
 class TrackingConfig:
     lambda0: float = 0.01
     lambda1: float = 0.1
-    u_trim: Control = field(default_factory=Control)
-    u_init: Control = field(default_factory=Control)
+    u_trim: np.ndarray = field(default_factory=lambda: np.zeros(CONTROL_DIM))
+    u_init: np.ndarray = field(default_factory=lambda: np.zeros(CONTROL_DIM))
     dt: float = 0.02
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
-        """Raise ValueError unless the penalties and the time step are usable."""
+        """Raise ValueError unless the penalties, the time step and the trim and
+        initial commands are usable; stores the commands as float arrays."""
         _check_penalties(self.lambda0, self.lambda1)
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        for name in ("u_trim", "u_init"):
+            u = _vec(getattr(self, name), CONTROL_DIM, name)
+            if np.abs(u).max() > CONTROL_LIMIT_DEG:
+                raise ValueError(f"{name} {u} exceeds the +-{CONTROL_LIMIT_DEG:g} deg "
+                                 "actuator limit")
+            setattr(self, name, u)
 
 
 @dataclass
@@ -239,11 +245,13 @@ def track_sequence(model, targets, observations, cfg: TrackingConfig, achieved_f
     """Run the predict-allocate loop over a target wrench sequence.
 
     `observations` is either a sequence (one per step) or a callable
-    (step, u_prev: Control) -> observation, for plants whose sensors respond
-    to the deflections. `achieved_fn(step, u: Control) -> Wrench` supplies the
-    plant response; without it the achieved column repeats the prediction.
-    The previous command threads through as the smoothness reference, using
-    the clamped command actually applied. Halts on non-finite state.
+    (step, u_prev) -> observation, for plants whose sensors respond to the
+    deflections; u_prev is the (4,) command applied at the previous step,
+    cfg.u_init at step 0. `achieved_fn(step, u)` returns the plant's (6,)
+    response to the (4,) command applied at this step; without it the
+    achieved column repeats the prediction. The previous command threads
+    through as the smoothness reference, using the clamped command actually
+    applied. Halts on non-finite state.
 
     The configuration and the targets are validated here, once; each step
     then checks only that the model output and the achieved wrench are finite.
@@ -251,9 +259,7 @@ def track_sequence(model, targets, observations, cfg: TrackingConfig, achieved_f
     if not isinstance(model, (AffineModel, UnstructuredModel)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
     cfg.validate()
-    target_mat = np.asarray(
-        [t.as_array() if isinstance(t, Wrench) else np.asarray(t, dtype=float) for t in targets]
-    )
+    target_mat = np.array(targets, dtype=float)
     if target_mat.ndim != 2 or target_mat.shape[1] != WRENCH_DIM:
         raise ValueError(f"targets must be (n, {WRENCH_DIM})")
     if not np.isfinite(target_mat).all():
@@ -264,31 +270,25 @@ def track_sequence(model, targets, observations, cfg: TrackingConfig, achieved_f
         raise ValueError("need one observation per target")
 
     affine = isinstance(model, AffineModel)
-    u_trim = cfg.u_trim.as_array()
+    u_trim, u_prev = cfg.u_trim, cfg.u_init
     lambda0, lambda1 = cfg.lambda0, cfg.lambda1
-    u_prev = cfg.u_init  # the Control the callbacks see; u_vec is the same command
-    u_vec = u_prev.as_array()
     rows_pred = np.empty((n, WRENCH_DIM))
     rows_ach = np.empty((n, WRENCH_DIM))
     rows_u = np.empty((n, CONTROL_DIM))
     rows_clamp = np.zeros((n, CONTROL_DIM), dtype=bool)
     for k in range(n):
         obs = obs_fn(k, u_prev) if obs_fn is not None else observations[k]
-        a, b = predict(model, obs) if affine else affine_at(model, obs, u_vec)
+        a, b = predict(model, obs) if affine else affine_at(model, obs, u_prev)
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ArithmeticError(f"non-finite model output at step {k}")
         sol = solve(AllocationProblem._prechecked(
-            a, b, target_mat[k], u_vec, u_trim, lambda0, lambda1
+            a, b, target_mat[k], u_prev, u_trim, lambda0, lambda1
         ))
         u_prev = sol.u_star
-        u_vec = u_prev.as_array()
-        rows_u[k] = u_vec
+        rows_u[k] = u_prev
         rows_clamp[k] = sol.clamped
-        rows_pred[k] = a + b @ u_vec
-        if achieved_fn is not None:
-            rows_ach[k] = achieved_fn(k, u_prev).as_array()
-        else:
-            rows_ach[k] = rows_pred[k]
+        rows_pred[k] = a + b @ u_prev
+        rows_ach[k] = rows_pred[k] if achieved_fn is None else achieved_fn(k, u_prev)
         if not np.isfinite(rows_ach[k]).all():
             raise ArithmeticError(f"non-finite achieved wrench at step {k}")
     return TrackingLog(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,103 +51,6 @@ _EYE_WRENCH = np.eye(WRENCH_DIM)  # upstream of the per-output Jacobian rows
 def _finite_or_raise(value: np.ndarray, what: str) -> None:
     if not np.isfinite(value).all():
         raise ValueError(f"{what} must be finite, got {value!r}")
-
-
-def _finite_fields(values: tuple, what: str) -> None:
-    """The scalar fields of a record; plain floats check faster without numpy."""
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{what} must be finite, got {np.array(values, dtype=float)!r}")
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Flow features from both nose probes plus seven wing-tap pressures."""
-
-    va0: float
-    alpha0: float
-    beta0: float
-    va1: float
-    alpha1: float
-    beta1: float
-    ps: np.ndarray  # ps0..ps6, Pa
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ps", np.asarray(self.ps, dtype=float))
-        if self.ps.shape != (7,):
-            raise ValueError(f"expected 7 wing-tap pressures, got shape {self.ps.shape}")
-        head = (self.va0, self.alpha0, self.beta0, self.va1, self.alpha1, self.beta1)
-        if not (all(map(math.isfinite, head)) and np.isfinite(self.ps).all()):
-            raise ValueError(f"observation must be finite, got {self.as_array()!r}")
-
-    def as_array(self) -> np.ndarray:
-        head = [self.va0, self.alpha0, self.beta0, self.va1, self.alpha1, self.beta1]
-        return np.concatenate([np.asarray(head, dtype=float), self.ps])
-
-    @classmethod
-    def from_array(cls, vec: np.ndarray) -> "Observation":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (OBS_DIM,):
-            raise ValueError(f"expected {OBS_DIM} observation entries, got shape {vec.shape}")
-        return cls(*vec[:6].tolist(), ps=vec[6:].copy())
-
-
-@dataclass(frozen=True)
-class Control:
-    """Surface deflections in degrees: left/right flaperon, elevator, rudder."""
-
-    d_la: float = 0.0
-    d_ra: float = 0.0
-    d_el: float = 0.0
-    d_ru: float = 0.0
-
-    def __post_init__(self) -> None:
-        values = (self.d_la, self.d_ra, self.d_el, self.d_ru)
-        _finite_fields(values, "control")
-        if max(map(abs, values)) > CONTROL_LIMIT_DEG + 1e-9:
-            raise ValueError(
-                f"deflections {self.as_array()} exceed the +-{CONTROL_LIMIT_DEG:.0f} deg "
-                "actuator limit"
-            )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d_la, self.d_ra, self.d_el, self.d_ru], dtype=float)
-
-    @classmethod
-    def from_array(cls, vec: np.ndarray) -> "Control":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (CONTROL_DIM,):
-            raise ValueError(f"expected {CONTROL_DIM} deflections, got shape {vec.shape}")
-        return cls(*vec.tolist())
-
-    @classmethod
-    def clamped(cls, vec: np.ndarray) -> "Control":
-        vec = np.asarray(vec, dtype=float).clip(-CONTROL_LIMIT_DEG, CONTROL_LIMIT_DEG)
-        return cls.from_array(vec)
-
-
-@dataclass(frozen=True)
-class Wrench:
-    """Aerodynamic forces (N) and torques (N m) in body axes."""
-
-    fx: float
-    fy: float
-    fz: float
-    tx: float
-    ty: float
-    tz: float
-
-    def __post_init__(self) -> None:
-        _finite_fields((self.fx, self.fy, self.fz, self.tx, self.ty, self.tz), "wrench")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.fx, self.fy, self.fz, self.tx, self.ty, self.tz], dtype=float)
-
-    @classmethod
-    def from_array(cls, vec: np.ndarray) -> "Wrench":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (WRENCH_DIM,):
-            raise ValueError(f"expected {WRENCH_DIM} wrench entries, got shape {vec.shape}")
-        return cls(*vec.tolist())
 
 
 @dataclass(frozen=True)
@@ -260,20 +162,15 @@ class UnstructuredModel:
 def _obs_matrix(value, n_features: int) -> np.ndarray:
     """Observation(s) -> (n, n_features) float matrix, slicing off wing taps
     for models that do not use them."""
-    if isinstance(value, Observation):
-        mat = value.as_array()[None, :]
-    else:
-        mat = np.asarray(value, dtype=float)
-        if mat.ndim == 1:
-            mat = mat[None, :]
+    mat = np.asarray(value, dtype=float)
+    if mat.ndim == 1:
+        mat = mat[None, :]
     if mat.ndim != 2 or mat.shape[1] < n_features:
         raise ValueError(f"observations must have at least {n_features} columns")
     return mat[:, :n_features]
 
 
 def _control_matrix_rows(value) -> np.ndarray:
-    if isinstance(value, Control):
-        return value.as_array()[None, :]
     mat = np.asarray(value, dtype=float)
     if mat.ndim == 1:
         mat = mat[None, :]
@@ -297,12 +194,6 @@ def predict(model: AffineModel, obs) -> tuple[np.ndarray, np.ndarray]:
     if a.shape[0] != 1:
         raise ValueError("predict takes a single observation; use predict_batch")
     return a[0], b[0]
-
-
-def predict_wrench(model: AffineModel, obs, u) -> Wrench:
-    a, b = predict(model, obs)
-    u_vec = u.as_array() if isinstance(u, Control) else np.asarray(u, dtype=float)
-    return Wrench.from_array(a + b @ u_vec)
 
 
 def symmetry_residual_matrix(b: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -637,7 +528,7 @@ def affine_at(model: UnstructuredModel, obs, u_ref) -> tuple[np.ndarray, np.ndar
     feats = _obs_matrix(obs, model.n_features)
     if feats.shape[0] != 1:
         raise ValueError("affine_at linearizes around a single observation")
-    u_vec = u_ref.as_array() if isinstance(u_ref, Control) else np.asarray(u_ref, dtype=float)
+    u_vec = np.asarray(u_ref, dtype=float)
     x = (np.concatenate([feats[0], u_vec]) - model.in_mean) / model.in_std
     acts = forward(model.net, np.tile(x, (WRENCH_DIM, 1)), activations=True)
     grad = nncore.input_grad(model.net, _EYE_WRENCH, acts)

@@ -27,7 +27,6 @@ from . import __version__, plant as plant_mod
 from .allocator import TrackingConfig, TrackingLog, track_sequence
 from .dynamics import (
     CONTROL_DIM,
-    Control,
     DEFAULT_SIGNS,
     DynamicsTrainConfig,
     SymmetryConfig,
@@ -120,10 +119,7 @@ def rmssd(u_series) -> tuple[np.ndarray, float]:
     A smoothness metric: constant series score 0, oscillating ones score the
     typical step size. Translation-invariant by construction.
     """
-    if len(u_series) and isinstance(u_series[0], Control):
-        mat = np.asarray([u.as_array() for u in u_series])
-    else:
-        mat = np.asarray(u_series, dtype=float)
+    mat = np.asarray(u_series, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != CONTROL_DIM:
         raise ValueError(f"control series must be (n, {CONTROL_DIM})")
     if mat.shape[0] < 2:
@@ -449,10 +445,10 @@ def closed_loop_run(
         params, speed, t, int(rng_targets.integers(2**32)), alpha_deg=alpha, beta_deg=beta
     )
 
-    def observe(k: int, u_prev: Control):
+    def observe(k: int, u_prev: np.ndarray):
         return plant_mod.make_observation(conds[k], u_prev, params, rng_noise)
 
-    def achieved(k: int, u: Control):
+    def achieved(k: int, u: np.ndarray):
         return plant_mod.true_wrench(conds[k], u, params, rng_noise)
 
     return track_sequence(model, targets, observe, tracking, achieved_fn=achieved)

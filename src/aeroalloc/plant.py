@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,15 +32,7 @@ import numpy as np
 
 from . import probe as probe_mod
 from .probe import AirDensity, FlowState, ProbePressures
-from .dynamics import (
-    CONTROL_DIM,
-    Control,
-    OBS_DIM,
-    Observation,
-    WRENCH_DIM,
-    Wrench,
-    save_dynamics_csv,
-)
+from .dynamics import CONTROL_LIMIT_DEG, OBS_DIM, WRENCH_DIM, save_dynamics_csv
 from .table import write_table
 
 log = logging.getLogger(__name__)
@@ -56,6 +49,12 @@ CONDITIONS_CSV_HEADER = [
 
 class OutOfEnvelopeError(ValueError):
     """Commanded flow angles outside the plant's linear-regime envelope."""
+
+
+def _check_airspeed(va: float) -> None:
+    # NaN fails the comparison as well
+    if not 0.0 <= va < math.inf:
+        raise ValueError(f"tunnel airspeed must be finite and >= 0, got {va}")
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,12 @@ class GustState:
     def __post_init__(self) -> None:
         if self.mode not in GUST_MODES:
             raise ValueError(f"gust mode must be one of {GUST_MODES}, got {self.mode!r}")
-        if self.amplitude < 0.0:
-            raise ValueError("gust amplitude must be >= 0")
-        if self.mode == "shedding" and not self.frequency_hz > 0.0:
-            raise ValueError("shedding requires a positive frequency")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"gust amplitude must be finite and >= 0, got {self.amplitude}")
+        if not (math.isfinite(self.yaw_deg) and math.isfinite(self.phase)):
+            raise ValueError(f"gust yaw and phase must be finite, got {self!r}")
+        if self.mode == "shedding" and not 0.0 < self.frequency_hz < math.inf:
+            raise ValueError(f"shedding requires a positive finite frequency, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,10 @@ class TunnelCondition:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.va < 0.0:
-            raise ValueError("tunnel airspeed must be >= 0")
+        _check_airspeed(self.va)
+        if not (math.isfinite(self.alpha_deg) and math.isfinite(self.beta_deg)
+                and math.isfinite(self.time)):
+            raise ValueError(f"flow angles and time must be finite, got {self!r}")
 
 
 @dataclass
@@ -276,11 +279,11 @@ def probe_pressures(
 
 def wing_pressures(
     cond: TunnelCondition,
-    u: Control,
+    u: np.ndarray,
     params: PlantParams,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Seven wing-surface tap pressures in Pa.
+    """Seven wing-surface tap pressures in Pa for the (4,) command `u`.
 
     All taps sit on the right wing, so they couple to the right flaperon only;
     the leading-edge taps (0 and 4) carry the largest gust sensitivity.
@@ -291,7 +294,7 @@ def wing_pressures(
     taps = q * (
         np.asarray(params.wing_tap_a)
         + np.asarray(params.wing_tap_b) * (cond.alpha_deg + d_alpha)
-        + np.asarray(params.wing_tap_c) * u.d_ra
+        + np.asarray(params.wing_tap_c) * u[1]
         + np.asarray(params.wing_tap_d) * gust_term
     )
     if rng is not None:
@@ -301,11 +304,11 @@ def wing_pressures(
 
 def true_wrench(
     cond: TunnelCondition,
-    u: Control,
+    u: np.ndarray,
     params: PlantParams,
     rng: np.random.Generator | None = None,
-) -> Wrench:
-    """Ground-truth forces and torques: q*S*(C0(local flow) + D u) plus noise.
+) -> np.ndarray:
+    """Ground-truth (6,) forces and torques: q*S*(C0(local flow) + D u) plus noise.
 
     Exactly affine in u for a fixed condition. The gust enters through the
     wing-local flow angles in the baseline term.
@@ -319,7 +322,7 @@ def true_wrench(
     q_s = dynamic_pressure(cond.va, params) * params.wing_area
     y = q_s * (
         params.baseline_coefficients(flow_w.alpha_deg, flow_w.beta_deg)
-        + params.control_matrix() @ u.as_array()
+        + params.control_matrix() @ u
     )
     if rng is not None:
         y = y + np.concatenate(
@@ -328,7 +331,7 @@ def true_wrench(
                 rng.normal(0.0, params.torque_noise_nm, size=3),
             ]
         )
-    return Wrench.from_array(y)
+    return y
 
 
 def true_affine_terms(
@@ -345,13 +348,13 @@ def true_affine_terms(
 
 def make_observation(
     cond: TunnelCondition,
-    u: Control,
+    u: np.ndarray,
     params: PlantParams,
     rng: np.random.Generator | None = None,
     probe_models=None,
     rho: AirDensity | None = None,
-) -> Observation:
-    """Assemble the 13-feature observation the wrench model consumes.
+) -> np.ndarray:
+    """Assemble the (13,) observation the wrench model consumes.
 
     With `probe_models` (a pair of calibration networks) the probe features go
     through the full sensing chain: simulated tap pressures -> normalize ->
@@ -376,7 +379,7 @@ def make_observation(
                 be += rng.normal(0.0, params.est_noise_angle_deg)
             feats.extend([max(va, 0.0), al, be])
     ps = wing_pressures(cond, u, params, rng)
-    return Observation.from_array(np.concatenate([feats, ps]))
+    return np.concatenate([feats, ps])
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +404,25 @@ def band_limited_walk(
     return out
 
 
+def _excitation_args(spec: dict) -> dict:
+    """The band_limited_walk settings of a protocol's `excitation` block, checked
+    before any step runs; `limit` keeps every command inside the actuator limits."""
+    ar = float(spec.get("ar", 0.95))
+    sigma = float(spec.get("sigma", 1.2))
+    limit = float(spec.get("limit", CONTROL_LIMIT_DEG))
+    if not math.isfinite(ar):
+        raise ValueError(f"excitation ar must be finite, got {ar}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"excitation sigma must be finite and >= 0, got {sigma}")
+    if not 0.0 < limit <= CONTROL_LIMIT_DEG:
+        raise ValueError(
+            f"excitation limit must be in (0, {CONTROL_LIMIT_DEG:g}] deg, got {limit}"
+        )
+    return {"ar": ar, "sigma": sigma, "limit": limit}
+
+
 def gust_from_spec(spec: dict | None, va: float, params: PlantParams) -> GustState:
+    _check_airspeed(va)  # before a shedding frequency is derived from it
     if not spec or spec.get("mode", "off") == "off":
         return GustState()
     spec = dict(spec)
@@ -505,28 +526,20 @@ def generate_dynamics_data(
     """
     speed = float(protocol.get("speed", 10.0))
     name = protocol.get("name", f"dyn_va{speed:g}")
+    excitation = _excitation_args(protocol.get("excitation", {}))
     rng = np.random.default_rng(seed)
     t, alpha, beta = stage_schedule(protocol, params, rng)
-    exc = protocol.get("excitation", {})
-    controls = band_limited_walk(
-        rng,
-        t.size,
-        ar=float(exc.get("ar", 0.95)),
-        sigma=float(exc.get("sigma", 1.2)),
-        limit=float(exc.get("limit", 25.0)),
-    )
+    controls = band_limited_walk(rng, t.size, **excitation)
     gust = gust_from_spec(protocol.get("gust"), speed, params)
 
     obs_rows = np.empty((t.size, OBS_DIM))
-    u_rows = np.empty((t.size, CONTROL_DIM))
     y_rows = np.empty((t.size, WRENCH_DIM))
     cond_rows = np.empty((t.size, 5))  # t, alpha, beta, and the wing's gust angles
     for k in range(t.size):
         cond = TunnelCondition(speed, float(alpha[k]), float(beta[k]), gust=gust, time=float(t[k]))
-        u = Control.from_array(controls[k])
-        obs_rows[k] = make_observation(cond, u, params, rng, probe_models=probe_models).as_array()
-        u_rows[k] = u.as_array()
-        y_rows[k] = true_wrench(cond, u, params, rng).as_array()
+        u = controls[k]
+        obs_rows[k] = make_observation(cond, u, params, rng, probe_models=probe_models)
+        y_rows[k] = true_wrench(cond, u, params, rng)
         d_alpha, d_beta = gust_perturbation(gust, cond.time, "wing", speed, params)
         cond_rows[k] = (cond.time, cond.alpha_deg, cond.beta_deg, d_alpha, d_beta)
 
@@ -534,7 +547,7 @@ def generate_dynamics_data(
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / f"{name}.csv"
     cond_path = out_dir / f"{name}_conditions.csv"
-    save_dynamics_csv(data_path, (obs_rows, u_rows, y_rows))
+    save_dynamics_csv(data_path, (obs_rows, controls, y_rows))
     write_table(cond_path, CONDITIONS_CSV_HEADER, (
         [time, speed, a, b, gust.mode, d_alpha, d_beta]
         for time, a, b, d_alpha, d_beta in map(np.ndarray.tolist, cond_rows)

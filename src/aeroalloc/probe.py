@@ -77,8 +77,10 @@ class FlowState:
     beta_deg: float
 
     def __post_init__(self) -> None:
-        if self.va < 0.0:
-            raise ValueError(f"airspeed must be nonnegative, got {self.va}")
+        if not 0.0 <= self.va < math.inf:  # NaN fails the comparison as well
+            raise ValueError(f"airspeed must be finite and nonnegative, got {self.va}")
+        if not (math.isfinite(self.alpha_deg) and math.isfinite(self.beta_deg)):
+            raise ValueError(f"flow angles must be finite, got {self.alpha_deg}, {self.beta_deg}")
 
 
 @dataclass(frozen=True)

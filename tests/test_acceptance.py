@@ -231,7 +231,7 @@ def test_allocator_matches_iterative_minimizer(capsys):
         worst_gap = max(worst_gap, float(np.max(np.abs(ref.x - sol.u_unconstrained))))
         q, _ = build_normal_equations(prob)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(q).min()))
-        assert np.array_equal(sol.u_star.as_array(),
+        assert np.array_equal(sol.u_star,
                               np.clip(sol.u_unconstrained, -25.0, 25.0))
     elapsed = time.perf_counter() - t0
     ok = worst_gap < ALLOC_ATOL and min_eig > 0.0 and elapsed < ALLOC_BUDGET_S

@@ -16,7 +16,6 @@ from aeroalloc.allocator import (
     solve,
     track_sequence,
 )
-from aeroalloc.dynamics import Control, Wrench
 
 from conftest import constant_affine_model as constant_model, finite_difference_grads
 
@@ -182,7 +181,7 @@ def test_unclamped_solution_matches_exactly(rng):
     p = random_problem(rng, lambda0=1.0, lambda1=1.0)  # heavy penalties keep u small
     sol = solve(p)
     assert not sol.clamped.any()
-    assert np.array_equal(sol.u_star.as_array(), sol.u_unconstrained)
+    assert np.array_equal(sol.u_star, sol.u_unconstrained)
 
 
 def test_clamping_flags_and_limits():
@@ -194,9 +193,9 @@ def test_clamping_flags_and_limits():
     )
     sol = solve(p)
     assert sol.clamped[0] and not sol.clamped[1:].any()
-    assert sol.u_star.d_la == 25.0
+    assert sol.u_star[0] == 25.0
     assert abs(sol.u_unconstrained[0]) > 25.0
-    assert np.max(np.abs(sol.u_star.as_array())) <= 25.0
+    assert np.max(np.abs(sol.u_star)) <= 25.0
 
 
 def test_solution_reports_unconstrained_metrics(rng):
@@ -210,8 +209,26 @@ def test_solution_reports_unconstrained_metrics(rng):
 def test_tracking_config_validation():
     with pytest.raises(ValueError):
         TrackingConfig(lambda0=0.0, lambda1=0.0)
-    with pytest.raises(ValueError):
-        TrackingConfig(dt=0.0)
+    for dt in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt"):
+            TrackingConfig(dt=dt)
+
+
+@pytest.mark.parametrize("name", ["u_trim", "u_init"])
+@pytest.mark.parametrize("value", [
+    np.zeros(3), np.zeros((1, 4)), [0.0, np.nan, 0.0, 0.0], [0.0, 0.0, np.inf, 0.0],
+    [25.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -30.0],
+])
+def test_tracking_config_rejects_bad_commands(name, value):
+    with pytest.raises(ValueError, match=name):
+        TrackingConfig(**{name: value})
+
+
+def test_tracking_config_stores_commands_as_float_arrays():
+    cfg = TrackingConfig(u_trim=[25, 0, -25, 1], u_init=(0, 0, 0, 2))
+    for u in (cfg.u_trim, cfg.u_init):
+        assert isinstance(u, np.ndarray) and u.dtype == float and u.shape == (4,)
+    assert cfg.u_trim.tolist() == [25.0, 0.0, -25.0, 1.0]
 
 
 def test_track_sequence_matches_manual_iteration(rng):
@@ -229,7 +246,7 @@ def test_track_sequence_matches_manual_iteration(rng):
             a_vec, b_mat, targets[k], u_prev=u_prev, u_trim=np.zeros(4),
             lambda0=0.02, lambda1=0.2,
         )
-        u_prev = solve(p).u_star.as_array()
+        u_prev = solve(p).u_star
         assert np.array_equal(tlog.controls[k], u_prev)
         assert np.allclose(tlog.predicted[k], a_vec + b_mat @ u_prev)
     # no plant callback: achieved repeats predicted
@@ -239,19 +256,27 @@ def test_track_sequence_matches_manual_iteration(rng):
 
 def test_track_sequence_callable_observations_thread_commands():
     model = constant_model(np.zeros(6), np.vstack([np.eye(4), np.zeros((2, 4))]))
-    seen = []
+    observed, applied = [], []
 
     def obs_fn(k, u_prev):
-        assert isinstance(u_prev, Control)
-        seen.append(u_prev.as_array())
+        observed.append(u_prev.copy())
         return np.zeros(13)
 
-    targets = np.tile(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]), (4, 1))
-    tlog = track_sequence(model, targets, obs_fn, TrackingConfig())
-    # step k sees the command applied at step k-1
-    assert np.array_equal(seen[0], np.zeros(4))
-    for k in range(1, 4):
-        assert np.array_equal(seen[k], tlog.controls[k - 1])
+    def plant(k, u):
+        applied.append(u.copy())
+        return np.zeros(6)
+
+    targets = np.tile(np.array([1.0, -2.0, 0.5, 0.0, 0.0, 0.0]), (4, 1))
+    cfg = TrackingConfig(u_init=[1.0, 2.0, 3.0, 4.0])
+    tlog = track_sequence(model, targets, obs_fn, cfg, achieved_fn=plant)
+    for u in observed + applied:
+        assert isinstance(u, np.ndarray) and u.dtype == float and u.shape == (4,)
+    # step k observes the command applied at step k-1, and the plant sees step k's
+    assert np.array_equal(observed[0], [1.0, 2.0, 3.0, 4.0])
+    for k in range(4):
+        assert np.array_equal(applied[k], tlog.controls[k])
+        if k:
+            assert np.array_equal(observed[k], tlog.controls[k - 1])
 
 
 def test_track_sequence_uses_achieved_fn():
@@ -259,7 +284,7 @@ def test_track_sequence_uses_achieved_fn():
     targets = np.zeros((3, 6))
 
     def plant(k, u):
-        return Wrench(float(k), 0.0, 0.0, 0.0, 0.0, 0.0)
+        return [float(k), 0.0, 0.0, 0.0, 0.0, 0.0]
 
     tlog = track_sequence(model, targets, [np.zeros(13)] * 3, TrackingConfig(), achieved_fn=plant)
     assert np.array_equal(tlog.achieved[:, 0], [0.0, 1.0, 2.0])

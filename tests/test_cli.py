@@ -92,3 +92,33 @@ def test_gen_data_writes_under_out_root(tmp_path, capsys):
     assert (root / "datasets" / "smoke.csv").exists()
     assert (root / "datasets" / "smoke_conditions.csv").exists()
     assert "wrote" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("excitation", [{"limit": 30.0}, {"sigma": float("nan")}])
+def test_gen_data_rejects_bad_excitation_before_writing(tmp_path, capsys, excitation):
+    proto = tmp_path / "proto.json"
+    proto.write_text(json.dumps({"kind": "dynamics", "name": "bad", "speed": 9.0,
+                                 "duration_s": 2.0, "excitation": excitation}))
+    root = tmp_path / "root"
+    assert cli.main(["gen-data", "--protocol", str(proto), "--out", str(root)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: excitation ")
+    assert not list(root.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("gust", ["shedding", "off"])
+def test_track_rejects_nan_speed(tmp_path, capsys, gust):
+    import numpy as np
+
+    from aeroalloc import dynamics
+    from conftest import constant_affine_model
+
+    model_path = tmp_path / "m.json"
+    dynamics.save_dynamics_model(
+        constant_affine_model(np.zeros(6), np.zeros((6, 4))), model_path
+    )
+    code = cli.main(["track", "--model", str(model_path), "--speed", "nan",
+                     "--duration", "1", "--gust", gust, "--out", str(tmp_path / "root")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "airspeed" in err

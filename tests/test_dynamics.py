@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aeroalloc import dynamics, nncore
+from aeroalloc.allocator import AllocationProblem, TrackingConfig, solve
 from aeroalloc.dynamics import (
     CONTROL_LIMIT_DEG,
     DEFAULT_SIGNS,
     AffineModel,
-    Control,
     DynamicsTrainConfig,
-    Observation,
     SymmetryConfig,
     UnstructuredModel,
-    Wrench,
     affine_at,
     block_split,
     build_unstructured,
@@ -25,7 +23,6 @@ from aeroalloc.dynamics import (
     per_channel_rmse,
     predict,
     predict_batch,
-    predict_wrench,
     predict_wrench_batch,
     set_model_flat_params,
     symmetry_loss,
@@ -188,10 +185,8 @@ def test_prediction_exactly_affine_in_control(rng):
     model = small_model(2)
     obs = rng.normal(size=13)
     u1, u2 = rng.uniform(-10, 10, size=(2, 4))
-    y0 = predict_wrench(model, obs, np.zeros(4)).as_array()
-    y1 = predict_wrench(model, obs, u1).as_array()
-    y2 = predict_wrench(model, obs, u2).as_array()
-    y12 = predict_wrench(model, obs, u1 + u2).as_array()
+    y0, y1, y2, y12 = predict_wrench_batch(model, np.tile(obs, (4, 1)),
+                                           [np.zeros(4), u1, u2, u1 + u2])
     assert np.allclose(y12 - y0, (y1 - y0) + (y2 - y0), atol=1e-9)
     _, b = predict(model, obs)
     assert np.allclose(y1 - y0, b @ u1, atol=1e-9)
@@ -220,40 +215,21 @@ def test_predict_wrench_batch_matches_manual_forward(rng):
 
 
 # ---------------------------------------------------------------------------
-# container types
+# actuator limit
 # ---------------------------------------------------------------------------
 
 
 def test_control_limit_enforced():
-    with pytest.raises(ValueError):
-        Control(d_la=25.5)
-    c = Control.clamped(np.array([40.0, -40.0, 3.0, 0.0]))
-    assert (c.d_la, c.d_ra, c.d_el) == (25.0, -25.0, 3.0)
     assert CONTROL_LIMIT_DEG == 25.0
-
-
-def test_wrench_and_observation_roundtrip(rng):
-    w = Wrench.from_array(rng.normal(size=6))
-    assert np.array_equal(Wrench.from_array(w.as_array()).as_array(), w.as_array())
-    with pytest.raises(ValueError):
-        Wrench.from_array(np.zeros(5))
-    with pytest.raises(ValueError):
-        Wrench(np.nan, 0, 0, 0, 0, 0)
-    vec = rng.normal(size=13)
-    assert np.allclose(Observation.from_array(vec).as_array(), vec)
-    with pytest.raises(ValueError):
-        Observation.from_array(np.zeros(12))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_records_reject_non_finite_entries(bad):
-    for cls, size, indices in ((Observation, 13, (0, 5, 6, 12)), (Control, 4, range(4)),
-                               (Wrench, 6, range(6))):
-        for i in indices:
-            vec = np.zeros(size)
-            vec[i] = bad
-            with pytest.raises(ValueError, match="finite"):
-                cls.from_array(vec)
+    p = AllocationProblem(a=np.zeros(6), b=np.vstack([np.eye(4) * 0.01, np.zeros((2, 4))]),
+                          y_target=np.array([50.0, -50.0, 0.03, 0.0, 0.0, 0.0]),
+                          lambda0=0.0, lambda1=1e-6)
+    sol = solve(p)
+    assert sol.u_star[:2].tolist() == [25.0, -25.0]
+    assert sol.u_star[2] == pytest.approx(3.0, rel=0.02) and not sol.clamped[2:].any()
+    with pytest.raises(ValueError, match="actuator limit"):
+        TrackingConfig(u_trim=[25.5, 0.0, 0.0, 0.0])
+    TrackingConfig(u_trim=[25.0, -25.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import aeroalloc
 from aeroalloc import harness, plant
 from aeroalloc.allocator import TrackingConfig
-from aeroalloc.dynamics import Control
 from aeroalloc.harness import (
     ExperimentConfig,
     MetricsReport,
@@ -79,8 +78,8 @@ def test_rmssd_translation_invariant(offset, seed):
     assert shifted[1] == pytest.approx(base[1], abs=1e-9)
 
 
-def test_rmssd_accepts_control_objects():
-    series = [Control(d_la=float(k)) for k in range(4)]
+def test_rmssd_accepts_a_list_of_command_arrays():
+    series = [np.array([float(k), 0.0, 0.0, 0.0]) for k in range(4)]
     per_input, avg = rmssd(series)
     assert per_input[0] == pytest.approx(1.0)
     assert avg == pytest.approx(0.25)

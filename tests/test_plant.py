@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aeroalloc import plant, probe as probe_mod
-from aeroalloc.dynamics import Control, load_dynamics_csv
+from aeroalloc.dynamics import load_dynamics_csv
 from aeroalloc.plant import (
     ENVELOPE_DEG,
     GustState,
@@ -155,6 +155,26 @@ def test_gust_state_validation():
         GustState(mode="shedding", frequency_hz=0.0)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("amplitude", np.nan), ("amplitude", np.inf), ("yaw_deg", np.nan), ("yaw_deg", -np.inf),
+    ("phase", np.nan),
+])
+def test_gust_state_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match="finite"):
+        GustState(mode="shear", **{field: bad})
+    with pytest.raises(ValueError, match="finite"):
+        GustState(mode="shedding", frequency_hz=bad)
+
+
+@pytest.mark.parametrize("args", [
+    (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (-1.0, 0.0, 0.0), (10.0, np.inf, 0.0),
+    (10.0, 0.0, np.nan), (10.0, 0.0, 0.0, GustState(), np.nan),
+])
+def test_tunnel_condition_rejects_non_finite_or_negative(args):
+    with pytest.raises(ValueError, match="finite"):
+        TunnelCondition(*args)
+
+
 def test_gust_from_spec(params):
     assert gust_from_spec(None, 10.0, params).mode == "off"
     assert gust_from_spec({"mode": "off"}, 10.0, params).mode == "off"
@@ -191,10 +211,10 @@ def test_true_wrench_exactly_affine_in_control(seed, alpha, beta):
     cond = TunnelCondition(11.0, alpha, beta)
     rng = np.random.default_rng(seed)
     u1, u2 = rng.uniform(-12.0, 12.0, size=(2, 4))
-    y0 = true_wrench(cond, Control(), params).as_array()
-    y1 = true_wrench(cond, Control.from_array(u1), params).as_array()
-    y2 = true_wrench(cond, Control.from_array(u2), params).as_array()
-    y12 = true_wrench(cond, Control.from_array(0.5 * (u1 + u2)), params).as_array()
+    y0 = true_wrench(cond, np.zeros(4), params)
+    y1 = true_wrench(cond, u1, params)
+    y2 = true_wrench(cond, u2, params)
+    y12 = true_wrench(cond, 0.5 * (u1 + u2), params)
     assert np.allclose(y12 - y0, 0.5 * ((y1 - y0) + (y2 - y0)), atol=1e-9)
 
 
@@ -204,22 +224,22 @@ def test_true_wrench_matches_affine_terms(params, rng):
     q_s = dynamic_pressure(9.0, params) * params.wing_area
     assert np.allclose(b, q_s * params.control_matrix())
     for _ in range(5):
-        u = Control.from_array(rng.uniform(-10, 10, size=4))
-        y = true_wrench(cond, u, params).as_array()
-        assert np.allclose(y, a + b @ u.as_array(), atol=1e-12)
+        u = rng.uniform(-10, 10, size=4)
+        y = true_wrench(cond, u, params)
+        assert np.allclose(y, a + b @ u, atol=1e-12)
 
 
 def test_true_wrench_envelope_guard(params):
     with pytest.raises(OutOfEnvelopeError):
-        true_wrench(TunnelCondition(10.0, ENVELOPE_DEG + 1.0, 0.0), Control(), params)
+        true_wrench(TunnelCondition(10.0, ENVELOPE_DEG + 1.0, 0.0), np.zeros(4), params)
     with pytest.raises(OutOfEnvelopeError):
-        true_wrench(TunnelCondition(10.0, 0.0, -ENVELOPE_DEG - 0.5), Control(), params)
+        true_wrench(TunnelCondition(10.0, 0.0, -ENVELOPE_DEG - 0.5), np.zeros(4), params)
 
 
 def test_true_wrench_noise_determinism(params):
     cond = TunnelCondition(10.0, 1.0, 0.0)
-    y1 = true_wrench(cond, Control(), params, np.random.default_rng(3)).as_array()
-    y2 = true_wrench(cond, Control(), params, np.random.default_rng(3)).as_array()
+    y1 = true_wrench(cond, np.zeros(4), params, np.random.default_rng(3))
+    y2 = true_wrench(cond, np.zeros(4), params, np.random.default_rng(3))
     assert np.array_equal(y1, y2)
 
 
@@ -230,9 +250,9 @@ def test_true_wrench_noise_determinism(params):
 
 def test_wing_taps_couple_to_right_flaperon_only(params):
     cond = TunnelCondition(10.0, 2.0, 0.0)
-    base = wing_pressures(cond, Control(), params)
-    left = wing_pressures(cond, Control(d_la=10.0), params)
-    right = wing_pressures(cond, Control(d_ra=10.0), params)
+    base = wing_pressures(cond, np.zeros(4), params)
+    left = wing_pressures(cond, np.array([10.0, 0.0, 0.0, 0.0]), params)
+    right = wing_pressures(cond, np.array([0.0, 10.0, 0.0, 0.0]), params)
     assert np.array_equal(base, left)
     q = dynamic_pressure(10.0, params)
     assert np.allclose(right - base, q * 10.0 * np.asarray(params.wing_tap_c))
@@ -245,22 +265,33 @@ def test_wing_taps_see_gust(params):
         time=0.02,
     )
     assert not np.array_equal(
-        wing_pressures(quiet, Control(), params), wing_pressures(gusty, Control(), params)
+        wing_pressures(quiet, np.zeros(4), params), wing_pressures(gusty, np.zeros(4), params)
     )
 
 
 def test_ideal_observation_reports_true_flow(params):
     cond = TunnelCondition(10.0, 3.0, -2.0)
-    obs = make_observation(cond, Control(), params).as_array()
+    obs = make_observation(cond, np.zeros(4), params)
     assert np.allclose(obs[:6], [10.0, 3.0, -2.0, 10.0, 3.0, -2.0])
-    assert np.allclose(obs[6:], wing_pressures(cond, Control(), params))
+    assert np.allclose(obs[6:], wing_pressures(cond, np.zeros(4), params))
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_plant_step_returns_float_arrays(params, noisy):
+    rng = np.random.default_rng(0) if noisy else None
+    cond = TunnelCondition(10.0, 1.0, -1.0)
+    u = np.array([1.0, -2.0, 3.0, 0.5])
+    obs = make_observation(cond, u, params, rng)
+    y = true_wrench(cond, u, params, rng)
+    assert isinstance(obs, np.ndarray) and obs.dtype == float and obs.shape == (13,)
+    assert isinstance(y, np.ndarray) and y.dtype == float and y.shape == (6,)
 
 
 def test_observation_probe_features_independent_of_controls(params):
     # deflections act on the wing taps, never on the probe flow estimates
     cond = TunnelCondition(10.0, 1.0, 1.0)
-    a = make_observation(cond, Control(), params).as_array()
-    b = make_observation(cond, Control(d_la=5.0, d_ra=-5.0, d_el=3.0), params).as_array()
+    a = make_observation(cond, np.zeros(4), params)
+    b = make_observation(cond, np.array([5.0, -5.0, 3.0, 0.0]), params)
     assert np.array_equal(a[:6], b[:6])
     assert not np.array_equal(a[6:], b[6:])
 

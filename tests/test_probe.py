@@ -236,6 +236,16 @@ def test_calibration_csv_roundtrip(tmp_path):
         assert (f0.va, f0.alpha_deg, f0.beta_deg) == (f1.va, f1.alpha_deg, f1.beta_deg)
 
 
+@pytest.mark.parametrize("column,bad", [(5, "nan"), (6, "inf"), (7, "-inf")])
+def test_calibration_csv_rejects_non_finite_labels(tmp_path, column, bad):
+    path = tmp_path / "cal.csv"
+    row = ["101.0", "60.0", "60.0", "60.0", "60.0", "10.0", "0.0", "0.0"]
+    row[column] = bad
+    path.write_text("p1,p2,p3,p4,p5,Va,alpha_deg,beta_deg\n" + ",".join(row) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        probe.load_calibration_csv(path)
+
+
 def test_calibration_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
