@@ -256,7 +256,8 @@ def _batch_tapes(nets, u, err, b, acts, sym: SymmetryConfig):
     h = acts_bb[-1]
     tape_a = backward(a_head, h, up_a, acts_a)
     tape_b = backward(b_head, h, up_b.reshape(n, -1), acts_b)
-    tape_bb = backward(backbone, acts_bb[0], tape_a.input_grad + tape_b.input_grad, acts_bb)
+    tape_bb = backward(backbone, acts_bb[0], tape_a.input_grad + tape_b.input_grad, acts_bb,
+                       with_input_grad=False)
     return tape_bb, tape_a, tape_b
 
 
@@ -501,7 +502,7 @@ def train_unstructured(
         x = x_tr[idx]
         acts = forward(net, x, activations=True)
         err = acts[-1] - yt_tr[idx]
-        return (backward(net, x, (2.0 / err.size) * err, acts),)
+        return (backward(net, x, (2.0 / err.size) * err, acts, with_input_grad=False),)
 
     def full_loss():
         return float(np.mean((forward(net, x_tr) - yt_tr) ** 2))

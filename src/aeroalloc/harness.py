@@ -11,13 +11,18 @@ The suite trains five model variants on identical data and splits:
 and reports wrench RMSE per evaluation speed, per-channel RMSE, inflation
 under airspeed shift, and flaperon mirror residuals. Reports are written as
 JSON (for tooling), CSV (for plotting), and an aligned text table.
+The five variants train and score as independent jobs spread over the
+usable CPUs (`run_jobs`); the results do not depend on how many there are.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
 import os
+import sys
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -151,6 +156,135 @@ def dataset_hash(*splits) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Independent jobs across CPUs
+# ---------------------------------------------------------------------------
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (1 where the OS cannot say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _recorded(fn, args: tuple):
+    """fn(*args) and the warnings it issued, as picklable tuples."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _reissue(message, category, filename: str, lineno: int) -> None:
+    """Issue a recorded warning as `warnings.warn` did where it arose: under
+    the name and with the once-per-location registry of the module at
+    `filename`, so module filters and the "default" action behave the same."""
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    if module is None:
+        warnings.warn_explicit(message, category, filename, lineno)
+    else:
+        warnings.warn_explicit(message, category, filename, lineno, module.__name__,
+                               vars(module).setdefault("__warningregistry__", {}))
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None without one."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    lib = ctypes.CDLL(core.__file__)  # a lookup in it also searches the BLAS it links
+    for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+        if get and set_:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread inside the block, where it can.
+
+    OpenBLAS threads spin while they wait for each other, so job processes
+    that each run a multi-threaded BLAS on the same few CPUs slow each other
+    down severalfold. The count does not change results: one thread sums
+    each output element in the same order either way. With another BLAS the
+    block runs as it is.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
+_worker_jobs: tuple | None = None  # (fn, jobs) in a forked worker
+
+
+def _init_worker(fn, jobs: list) -> None:
+    global _worker_jobs
+    _worker_jobs = fn, jobs
+
+
+def _run_worker_job(index: int):
+    fn, jobs = _worker_jobs
+    return _recorded(fn, jobs[index])
+
+
+def run_jobs(fn, jobs) -> list:
+    """[fn(*args) for args in jobs], the jobs spread over the usable CPUs.
+
+    With n = min(usable_cpus(), number of jobs) above 1, this process runs
+    jobs 0, n, 2n, ... itself, a fixed share, and a pool of n - 1 forked
+    processes runs the rest. The workers inherit `fn` and `jobs` through the
+    fork, so neither is pickled, and `fn` may be any callable; each result is
+    pickled back, which keeps its floats bit for bit. (A spawned worker would
+    import numpy again and take every job's inputs pickled.) The processes
+    fork before the pool starts its own thread. Warnings the jobs issue
+    are re-issued here in job order. An exception in a job re-raises here
+    with its type and message, and a worker that dies raises
+    `concurrent.futures.process.BrokenProcessPool`. With one CPU no pool is
+    made and `multiprocessing` is not imported. While jobs run in parallel,
+    numpy's OpenBLAS keeps to one thread per process (`_one_blas_thread`).
+    """
+    jobs = list(jobs)
+    n_proc = min(usable_cpus(), len(jobs))
+    if n_proc <= 1:
+        outcomes = [_recorded(fn, args) for args in jobs]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with _one_blas_thread():  # set before the fork, so the workers inherit it
+            pool = ProcessPoolExecutor(
+                n_proc - 1, mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker, initargs=(fn, jobs),
+            )
+            try:
+                remote = {i: pool.submit(_run_worker_job, i)
+                          for i in range(len(jobs)) if i % n_proc}
+                local = {i: _recorded(fn, jobs[i]) for i in range(0, len(jobs), n_proc)}
+                outcomes = [local[i] if i in local else remote[i].result()
+                            for i in range(len(jobs))]
+            finally:
+                pool.shutdown(cancel_futures=True)
+    for _, caught in outcomes:
+        for warning in caught:
+            _reissue(*warning)
+    return [result for result, _ in outcomes]
+
+
+# ---------------------------------------------------------------------------
 # Dataset plumbing
 # ---------------------------------------------------------------------------
 
@@ -253,6 +387,33 @@ def _config_block(cfg: ExperimentConfig) -> dict:
     return block
 
 
+def _variant_entry(
+    variant: str, cfg: ExperimentConfig, params: PlantParams, train_split, in_dist_split,
+    eval_sets: dict,
+) -> dict:
+    """Train one variant and score it: its entry in the suite report."""
+    model = train_variant(variant, train_split, cfg)
+    rmse_in = eval_rmse(model, in_dist_split)
+    entry = {
+        "rmse": {"in_dist": rmse_in},
+        "per_channel_in_dist": per_channel_rmse(model, in_dist_split).tolist(),
+        "inflation_pct": {},
+    }
+    for speed, eval_set in eval_sets.items():
+        rmse_s = eval_rmse(model, eval_set)
+        entry["rmse"][f"va{speed:g}"] = rmse_s
+        if speed not in cfg.train_speeds:
+            entry["inflation_pct"][f"va{speed:g}"] = 100.0 * (rmse_s - rmse_in) / rmse_in
+    if not variant.startswith("unstructured"):
+        entry["sym_residual"] = symmetry_residual_norm(model, in_dist_split[0])
+    else:
+        entry["sym_residual"] = None
+    if cfg.closed_loop_speed is not None:
+        tlog = closed_loop_run(model, cfg, cfg.closed_loop_speed, params=params)
+        entry["closed_loop"] = closed_loop_metrics(tlog)
+    return entry
+
+
 def run_ablation_suite(
     cfg: ExperimentConfig, out_dir: str | Path, params: PlantParams | None = None
 ) -> MetricsReport:
@@ -263,6 +424,7 @@ def run_ablation_suite(
     generated run (fresh schedule and noise, offset seeds): in-distribution
     RMSE comes from fresh runs at the training speeds, and inflation is the
     relative RMSE increase of each other evaluation speed over that number.
+    The variants train and score in parallel through `run_jobs`.
     """
     params = params or PlantParams()
     out_dir = Path(out_dir)
@@ -286,28 +448,10 @@ def run_ablation_suite(
         seed=cfg.seed, train_speeds=cfg.train_speeds, split_hash=split_hash,
         config=_config_block(cfg),
     )
-    for variant in VARIANTS:
-        model = train_variant(variant, train_split, cfg)
-        rmse_in = eval_rmse(model, in_dist_split)
-        entry = {
-            "rmse": {"in_dist": rmse_in},
-            "per_channel_in_dist": per_channel_rmse(model, in_dist_split).tolist(),
-            "inflation_pct": {},
-        }
-        for speed, eval_set in eval_sets.items():
-            rmse_s = eval_rmse(model, eval_set)
-            entry["rmse"][f"va{speed:g}"] = rmse_s
-            if speed not in cfg.train_speeds:
-                entry["inflation_pct"][f"va{speed:g}"] = 100.0 * (rmse_s - rmse_in) / rmse_in
-        if not variant.startswith("unstructured"):
-            entry["sym_residual"] = symmetry_residual_norm(model, in_dist_split[0])
-        else:
-            entry["sym_residual"] = None
-        if cfg.closed_loop_speed is not None:
-            tlog = closed_loop_run(model, cfg, cfg.closed_loop_speed, params=params)
-            entry["closed_loop"] = closed_loop_metrics(tlog)
+    jobs = [(v, cfg, params, train_split, in_dist_split, eval_sets) for v in VARIANTS]
+    for variant, entry in zip(VARIANTS, run_jobs(_variant_entry, jobs)):
         report.variants[variant] = entry
-        log.info("variant %s: in-dist rmse %.4f", variant, rmse_in)
+        log.info("variant %s: in-dist rmse %.4f", variant, entry["rmse"]["in_dist"])
 
     write_report_json(report, report_dir / "suite_report.json")
     write_report_csv(report, report_dir / "suite_report.csv")
@@ -445,10 +589,14 @@ def closed_loop_run(
         params, speed, t, int(rng_targets.integers(2**32)), alpha_deg=alpha, beta_deg=beta
     )
 
+    wing_gusts = {}  # step -> its wing gust, evaluated once for observe and achieved
+
     def observe(k: int, u_prev: np.ndarray):
-        return plant_mod.make_observation(conds[k], u_prev, params, rng_noise)
+        wing_gusts[k] = plant_mod.wing_gust_angles(conds[k], params)
+        return plant_mod.make_observation(conds[k], u_prev, params, rng_noise,
+                                          wing_gust=wing_gusts[k])
 
     def achieved(k: int, u: np.ndarray):
-        return plant_mod.true_wrench(conds[k], u, params, rng_noise)
+        return plant_mod.true_wrench(conds[k], u, params, rng_noise, wing_gusts.pop(k))
 
     return track_sequence(model, targets, observe, tracking, achieved_fn=achieved)

@@ -86,12 +86,13 @@ class GradientTape:
     """Per-parameter gradient buffers aligned with a Network's layout.
 
     `input_grad` (gradient with respect to the network input) is carried along
-    so multi-head models can chain a head's pass into a shared trunk.
+    so multi-head models can chain a head's pass into a shared trunk; it is
+    None when the pass was asked not to form it.
     """
 
     weight_grads: list[np.ndarray]
     bias_grads: list[np.ndarray]
-    input_grad: np.ndarray
+    input_grad: np.ndarray | None
 
 
 def init_network(
@@ -152,14 +153,18 @@ def forward(net: Network, x: np.ndarray, activations: bool = False):
 
 
 def backward(
-    net: Network, x: np.ndarray, upstream: np.ndarray, acts: list | None = None
+    net: Network, x: np.ndarray, upstream: np.ndarray, acts: list | None = None,
+    with_input_grad: bool = True,
 ) -> GradientTape:
     """Gradients of <upstream, forward(net, x)> with respect to all parameters.
 
     Batched inputs sum the contraction over rows, which is exactly what a
     mean-type loss needs once the upstream carries the 1/n factor. `acts` are
     the activations `forward(net, x, activations=True)` returned for this `x`;
-    without them the forward pass is recomputed.
+    without them the forward pass is recomputed. With `with_input_grad=False`
+    the first layer's input gradient, which a trainer of the input-side net
+    never reads, is not formed and the tape's `input_grad` is None; the
+    parameter gradients are the same bits either way.
     """
     x_batch, _ = _as_batch(x, net.input_dim, "input")
     up_batch, _ = _as_batch(upstream, net.output_dim, "upstream")
@@ -179,6 +184,8 @@ def backward(
             g = g * (1.0 - acts[i + 1] ** 2)
         weight_grads[i] = g.T @ acts[i]
         bias_grads[i] = g.sum(axis=0)
+        if i == 0 and not with_input_grad:
+            return GradientTape(weight_grads, bias_grads, None)
         g = g @ layer.weight
     input_grad = g[0] if np.asarray(x).ndim == 1 else g
     return GradientTape(weight_grads, bias_grads, input_grad)

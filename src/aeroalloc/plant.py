@@ -237,6 +237,16 @@ def gust_perturbation(
     return weight * angle_amp * float(np.sin(ph)), weight * angle_amp * float(np.cos(ph))
 
 
+def wing_gust_angles(cond: TunnelCondition, params: PlantParams) -> tuple[float, float]:
+    """The condition's gust (d_alpha, d_beta) at the wing.
+
+    `wing_pressures`, `true_wrench` and `make_observation` take it as
+    `wing_gust=`, so a caller that needs it more than once per condition
+    evaluates it once; without it they evaluate it themselves.
+    """
+    return gust_perturbation(cond.gust, cond.time, "wing", cond.va, params)
+
+
 def local_flow(cond: TunnelCondition, location: str, params: PlantParams) -> FlowState:
     """Freestream plus the location's gust perturbation."""
     d_alpha, d_beta = gust_perturbation(cond.gust, cond.time, location, cond.va, params)
@@ -282,13 +292,14 @@ def wing_pressures(
     u: np.ndarray,
     params: PlantParams,
     rng: np.random.Generator | None = None,
+    wing_gust: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """Seven wing-surface tap pressures in Pa for the (4,) command `u`.
 
     All taps sit on the right wing, so they couple to the right flaperon only;
     the leading-edge taps (0 and 4) carry the largest gust sensitivity.
     """
-    d_alpha, d_beta = gust_perturbation(cond.gust, cond.time, "wing", cond.va, params)
+    d_alpha, d_beta = wing_gust_angles(cond, params) if wing_gust is None else wing_gust
     gust_term = d_alpha + d_beta
     q = dynamic_pressure(cond.va, params)
     taps = q * (
@@ -307,6 +318,7 @@ def true_wrench(
     u: np.ndarray,
     params: PlantParams,
     rng: np.random.Generator | None = None,
+    wing_gust: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """Ground-truth (6,) forces and torques: q*S*(C0(local flow) + D u) plus noise.
 
@@ -318,10 +330,10 @@ def true_wrench(
             f"|alpha|={abs(cond.alpha_deg):.1f}, |beta|={abs(cond.beta_deg):.1f} "
             f"outside the +-{ENVELOPE_DEG:.0f} deg envelope"
         )
-    flow_w = local_flow(cond, "wing", params)
+    d_alpha, d_beta = wing_gust_angles(cond, params) if wing_gust is None else wing_gust
     q_s = dynamic_pressure(cond.va, params) * params.wing_area
     y = q_s * (
-        params.baseline_coefficients(flow_w.alpha_deg, flow_w.beta_deg)
+        params.baseline_coefficients(cond.alpha_deg + d_alpha, cond.beta_deg + d_beta)
         + params.control_matrix() @ u
     )
     if rng is not None:
@@ -353,6 +365,7 @@ def make_observation(
     rng: np.random.Generator | None = None,
     probe_models=None,
     rho: AirDensity | None = None,
+    wing_gust: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """Assemble the (13,) observation the wrench model consumes.
 
@@ -378,7 +391,7 @@ def make_observation(
                 al += rng.normal(0.0, params.est_noise_angle_deg)
                 be += rng.normal(0.0, params.est_noise_angle_deg)
             feats.extend([max(va, 0.0), al, be])
-    ps = wing_pressures(cond, u, params, rng)
+    ps = wing_pressures(cond, u, params, rng, wing_gust)
     return np.concatenate([feats, ps])
 
 
@@ -538,10 +551,10 @@ def generate_dynamics_data(
     for k in range(t.size):
         cond = TunnelCondition(speed, float(alpha[k]), float(beta[k]), gust=gust, time=float(t[k]))
         u = controls[k]
-        obs_rows[k] = make_observation(cond, u, params, rng, probe_models=probe_models)
-        y_rows[k] = true_wrench(cond, u, params, rng)
-        d_alpha, d_beta = gust_perturbation(gust, cond.time, "wing", speed, params)
-        cond_rows[k] = (cond.time, cond.alpha_deg, cond.beta_deg, d_alpha, d_beta)
+        gust_w = wing_gust_angles(cond, params)
+        obs_rows[k] = make_observation(cond, u, params, rng, probe_models, wing_gust=gust_w)
+        y_rows[k] = true_wrench(cond, u, params, rng, gust_w)
+        cond_rows[k] = (cond.time, cond.alpha_deg, cond.beta_deg, *gust_w)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

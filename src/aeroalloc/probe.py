@@ -231,7 +231,7 @@ def train_calibration(
         xb = x[idx]
         acts = nncore.forward(net, xb, activations=True)
         upstream = 2.0 * (acts[-1] - t_norm[idx]) / acts[-1].size
-        return (nncore.backward(net, xb, upstream, acts),)
+        return (nncore.backward(net, xb, upstream, acts, with_input_grad=False),)
 
     def full_loss():
         resid = nncore.forward(net, x) - t_norm

@@ -39,3 +39,18 @@ def constant_affine_model(a_vec, b_mat):
         backbone=backbone, a_head=a_head, b_head=b_head,
         obs_mean=np.zeros(13), obs_std=np.ones(13),
     )
+
+
+def count_gust_calls(monkeypatch) -> list:
+    """Patch plant.gust_perturbation to log (gust mode, location) per call."""
+    from aeroalloc import plant
+
+    calls = []
+    original = plant.gust_perturbation
+
+    def counted(gust, time, location, va, params):
+        calls.append((gust.mode, location))
+        return original(gust, time, location, va, params)
+
+    monkeypatch.setattr(plant, "gust_perturbation", counted)
+    return calls

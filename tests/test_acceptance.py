@@ -96,16 +96,19 @@ def extrapolated_loops(tmp_path_factory):
     """
     params = plant.PlantParams()
     out = tmp_path_factory.mktemp("acc_loops")
-    margins, sweeps = [], []
+    names = ("affine_sym", "unstructured")
+    cfgs, jobs = {}, []
     for seed in SUITE_SEEDS:
-        cfg = ExperimentConfig(seed=seed, train_speeds=EXTRAP_TRAIN_SPEEDS)
+        cfg = cfgs[seed] = ExperimentConfig(seed=seed, train_speeds=EXTRAP_TRAIN_SPEEDS)
         sets = harness.generate_speed_datasets(cfg, cfg.train_speeds, params, out / f"d{seed}")
         full = harness._concat_datasets([sets[s] for s in cfg.train_speeds])
         split, _ = block_split(full, cfg.holdout_fraction)
-        models = {
-            name: harness.train_variant(name, split, cfg)
-            for name in ("affine_sym", "unstructured")
-        }
+        jobs += [(name, split, cfg) for name in names]
+    trained = iter(harness.run_jobs(harness.train_variant, jobs))  # the six models
+    margins, sweeps = [], []
+    for seed in SUITE_SEEDS:
+        cfg = cfgs[seed]
+        models = {name: next(trained) for name in names}
         avg = {}
         for name, model in models.items():
             tlog = closed_loop_run(model, cfg, EXTRAP_LOOP_SPEED, params=params,

@@ -1,14 +1,18 @@
 """Experiment harness: RMSSD, reports, ablation suite, closed-loop determinism."""
 import csv
 import json
+import os
+import signal
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import aeroalloc
-from aeroalloc import harness, plant
+from aeroalloc import harness, nncore, plant
 from aeroalloc.allocator import TrackingConfig
+from aeroalloc.dynamics import AffineModel, model_flat_params
 from aeroalloc.harness import (
     ExperimentConfig,
     MetricsReport,
@@ -26,7 +30,7 @@ from aeroalloc.harness import (
     write_report_json,
 )
 
-from conftest import constant_affine_model
+from conftest import constant_affine_model, count_gust_calls
 
 
 def tiny_cfg(**overrides) -> ExperimentConfig:
@@ -193,6 +197,23 @@ def test_closed_loop_run_is_seed_deterministic():
     assert not np.array_equal(a.controls, c.controls)
 
 
+def test_closed_loop_evaluates_the_wing_gust_once_per_step(monkeypatch):
+    model = constant_affine_model(
+        np.zeros(6), np.vstack([np.eye(4) * 0.3, np.zeros((2, 4))])
+    )
+    cfg = tiny_cfg(duration_s=2.0)  # 100 steps, shedding gust
+    reference = closed_loop_run(model, cfg, 10.0, seed=5)
+    calls = count_gust_calls(monkeypatch)
+    tlog = closed_loop_run(model, cfg, 10.0, seed=5)
+    # per step: both probes and the wing once; the gust-free target baseline
+    # evaluates an "off" gust once more
+    assert calls.count(("shedding", "wing")) == 100
+    assert calls.count(("shedding", "probe0")) == calls.count(("shedding", "probe1")) == 100
+    assert calls.count(("off", "wing")) == len(calls) - 300 == 100
+    assert np.array_equal(tlog.controls, reference.controls)
+    assert np.array_equal(tlog.achieved, reference.achieved)
+
+
 def test_closed_loop_metrics_block():
     model = constant_affine_model(
         np.zeros(6), np.vstack([np.eye(4) * 0.3, np.zeros((2, 4))])
@@ -316,3 +337,133 @@ def test_format_report_text_compare(tiny_suite):
     assert "affine_no_ws" not in text
     with pytest.raises(ValueError):
         format_report_text(report, compare=["mystery"])
+
+
+# ---------------------------------------------------------------------------
+# jobs across CPUs
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+
+
+def _warn_and_square(i):
+    warnings.warn(f"job {i}", UserWarning)
+    return i * i, os.getpid()
+
+
+def test_run_jobs_keeps_job_order_and_reissues_warnings(two_cpus):
+    with pytest.warns(UserWarning) as caught:
+        results = harness.run_jobs(_warn_and_square, [(i,) for i in range(5)])
+    assert [r for r, _ in results] == [0, 1, 4, 9, 16]
+    pids = [pid for _, pid in results]
+    # the caller keeps a fixed share, jobs 0, 2 and 4; one forked worker runs 1 and 3
+    assert pids[0] == pids[2] == pids[4] == os.getpid()
+    assert pids[1] == pids[3] != os.getpid()
+    shown = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+    assert shown == [f"job {i}" for i in range(5)]
+
+
+def _warn_same():
+    warnings.warn("same place", UserWarning)
+
+
+def test_run_jobs_reissues_warnings_as_warn_would(two_cpus):
+    # the "default" action shows a location's warning once, as a plain loop would
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        harness.run_jobs(_warn_same, [()] * 3)
+    assert [str(w.message) for w in caught] == ["same place"]
+    # module filters see the module that warned
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="same place", module=__name__)
+        with pytest.raises(UserWarning, match="same place"):
+            harness.run_jobs(_warn_same, [()] * 2)
+
+
+def _blas_threads():
+    return harness._openblas_threads()[0]()
+
+
+@pytest.mark.skipif(harness._openblas_threads() is None, reason="numpy without OpenBLAS")
+def test_run_jobs_holds_openblas_to_one_thread_per_process(two_cpus):
+    before = _blas_threads()
+    assert harness.run_jobs(_blas_threads, [()] * 2) == [1, 1]
+    assert _blas_threads() == before
+
+
+def _fail_on(i, bad):
+    if i == bad:
+        raise ValueError(f"job {i} failed")
+    return i
+
+
+@pytest.mark.parametrize("bad", [0, 1])  # the caller's share, then the worker's
+def test_run_jobs_reraises_a_job_error(two_cpus, bad):
+    with pytest.raises(ValueError, match=f"^job {bad} failed$"):
+        harness.run_jobs(_fail_on, [(i, bad) for i in range(3)])
+
+
+def test_run_jobs_raises_when_a_worker_dies(two_cpus):
+    from concurrent.futures.process import BrokenProcessPool
+
+    caller = os.getpid()
+
+    def die_in_worker(i):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    def hung(signum, frame):
+        raise TimeoutError("run_jobs waited on a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            harness.run_jobs(die_in_worker, [(0,), (1,)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_suite_reissues_training_warnings(two_cpus, tmp_path):
+    cfg = tiny_cfg(train_speeds=(10.0,), test_speeds=(10.0,), duration_s=2.0, epochs=2)
+    with pytest.warns(UserWarning, match="only 75 samples") as caught:
+        run_ablation_suite(cfg, tmp_path)
+    # the three affine variants warn, affine in the worker
+    assert sum("only 75 samples" in str(w.message) for w in caught) == 3
+
+
+def _model_params(model) -> np.ndarray:
+    if isinstance(model, AffineModel):
+        return model_flat_params(model)
+    return nncore.flat_params(model.net)
+
+
+def test_suite_is_the_same_on_one_and_two_cpus(tmp_path, monkeypatch):
+    cfg = tiny_cfg(epochs=3)
+    train = harness.train_variant
+    models_dir = {}
+
+    def train_and_save(variant, dataset, cfg, history=None):
+        model = train(variant, dataset, cfg, history)
+        np.save(models_dir["path"] / f"{variant}.npy", _model_params(model))
+        return model
+
+    monkeypatch.setattr(harness, "train_variant", train_and_save)
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "usable_cpus", lambda n=cpus: n)
+        models_dir["path"] = tmp_path / f"models{cpus}"
+        models_dir["path"].mkdir()
+        run_ablation_suite(cfg, tmp_path / f"cpus{cpus}")
+    for name in ("suite_report.json", "suite_report.csv", "suite_report.txt"):
+        one = (tmp_path / "cpus1" / "reports" / name).read_bytes()
+        two = (tmp_path / "cpus2" / "reports" / name).read_bytes()
+        assert one == two, name
+    for variant in VARIANTS:
+        one = np.load(tmp_path / "models1" / f"{variant}.npy")
+        two = np.load(tmp_path / "models2" / f"{variant}.npy")
+        assert np.array_equal(one, two), variant

@@ -104,6 +104,18 @@ def test_input_grad_equals_backward_input_grad(rng):
     assert np.array_equal(nncore.input_grad(net, ups, acts), expected)
 
 
+@pytest.mark.parametrize("widths", [[5, 3], [5, 7, 6, 3]])
+def test_backward_without_input_grad_keeps_parameter_grads(rng, widths):
+    net = nncore.init_network(widths, seed=8)
+    xs = rng.normal(size=(9, 5))
+    ups = rng.normal(size=(9, 3))
+    acts = nncore.forward(net, xs, activations=True)
+    full = nncore.backward(net, xs, ups, acts)
+    lean = nncore.backward(net, xs, ups, acts, with_input_grad=False)
+    assert lean.input_grad is None
+    assert np.array_equal(nncore.flat_grads(lean), nncore.flat_grads(full))
+
+
 def test_backward_input_grad_finite_difference(rng):
     net = nncore.init_network([4, 5, 3], seed=3)
     x = rng.normal(size=4)

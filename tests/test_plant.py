@@ -26,6 +26,8 @@ from aeroalloc.plant import (
 )
 from aeroalloc.probe import FlowState
 
+from conftest import count_gust_calls
+
 SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 angles = st.floats(-12.0, 12.0)
@@ -355,6 +357,35 @@ def test_generate_dynamics_dataset(tmp_path, params):
     assert np.max(np.abs(u)) <= 25.0
     header = paths[1].read_text().splitlines()[0].split(",")
     assert header == plant.CONDITIONS_CSV_HEADER
+
+
+def test_dynamics_run_evaluates_the_wing_gust_once_per_step(tmp_path, params, monkeypatch):
+    proto = {
+        "kind": "dynamics", "speed": 10.0, "stage": "I", "duration_s": 2.0,
+        "gust": {"mode": "shedding", "amplitude": 0.4}, "name": "count",
+    }
+    reference = generate_dataset(proto, params, seed=3, out_dir=tmp_path / "a")
+    calls = count_gust_calls(monkeypatch)
+    paths = generate_dataset(proto, params, seed=3, out_dir=tmp_path / "b")
+    # 100 steps: one evaluation per probe and one at the wing
+    assert calls.count(("shedding", "wing")) == 100
+    assert len(calls) == 300
+    for pa, pb in zip(reference, paths):
+        assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_plant_step_takes_the_wing_gust_it_was_given(params, rng):
+    gust = GustState(mode="shedding", amplitude=0.4, frequency_hz=8.0)
+    cond = TunnelCondition(10.0, 3.0, -2.0, gust=gust, time=0.37)
+    u = rng.uniform(-20.0, 20.0, size=4)
+    given = plant.wing_gust_angles(cond, params)
+    assert np.array_equal(true_wrench(cond, u, params, wing_gust=given),
+                          true_wrench(cond, u, params))
+    assert np.array_equal(make_observation(cond, u, params, wing_gust=given),
+                          make_observation(cond, u, params))
+    zero = make_observation(cond, u, params, wing_gust=(0.0, 0.0))
+    assert np.array_equal(zero[6:], wing_pressures(
+        TunnelCondition(10.0, 3.0, -2.0), u, params))
 
 
 def test_dataset_generation_is_byte_deterministic(tmp_path, params):
