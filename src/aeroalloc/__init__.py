@@ -34,11 +34,8 @@ from .dynamics import (
 from .harness import ExperimentConfig, MetricsReport, VARIANTS, rmssd, run_ablation_suite
 from .plant import GustState, PlantParams, TunnelCondition, generate_dataset, true_wrench
 from .probe import (
-    AirDensity,
-    CalibrationOutput,
     CalibrationTrainConfig,
     FlowState,
-    NormalizedPressures,
     ProbePressures,
     calibrate,
     dynamic_pressure_correction,

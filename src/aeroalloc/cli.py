@@ -137,7 +137,8 @@ def _cmd_train_calib(args) -> int:
     dirs = _dirs(root)
     rows = probe.load_calibration_csv(args.data)
     epochs = {"epochs": args.epochs} if args.epochs else {}
-    cfg = probe.CalibrationTrainConfig(seed=args.seed, **epochs)
+    rho = _load_params(args.params).rho  # the density the taps were read in
+    cfg = probe.CalibrationTrainConfig(seed=args.seed, rho=rho, **epochs)
     model = probe.train_calibration(rows, cfg)
     name = args.name or args.data.stem
     out_path = dirs["models"] / f"calib_{name}.json"

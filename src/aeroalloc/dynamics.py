@@ -45,6 +45,7 @@ DYNAMICS_CSV_HEADER = (
 )
 
 DEFAULT_SIGNS = (1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
+VAL_FRACTION = 0.2  # trailing share of the training rows held out for validation
 _EYE_WRENCH = np.eye(WRENCH_DIM)  # upstream of the per-output Jacobian rows
 
 
@@ -210,11 +211,10 @@ def symmetry_loss(b: np.ndarray, cfg: SymmetryConfig) -> float:
     return float(cfg.lambda_sym * np.sum(huber(resid, cfg.delta_array())))
 
 
-def symmetry_residual_norm(model: AffineModel, obs, signs=None) -> float:
+def symmetry_residual_norm(model: AffineModel, obs) -> float:
     """Mean euclidean norm of the flaperon mirror residual over observations."""
-    signs = model.sym.signs_array() if signs is None else np.asarray(signs, dtype=float)
     _, b = predict_batch(model, obs)
-    resid = symmetry_residual_matrix(b, signs)
+    resid = symmetry_residual_matrix(b, model.sym.signs_array())
     return float(np.mean(np.linalg.norm(resid, axis=1)))
 
 
@@ -311,14 +311,11 @@ class DynamicsTrainConfig:
     lr: float = 1e-3
     sym: SymmetryConfig = field(default_factory=SymmetryConfig)
     wing_sensors: bool = True
-    val_fraction: float = 0.2
     log_every: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in [0, 1)")
 
 
 def _dataset_arrays(dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -349,12 +346,12 @@ def block_split(dataset, holdout_fraction: float):
     return (obs[:cut], u[:cut], y[:cut]), (obs[cut:], u[cut:], y[cut:])
 
 
-def _training_rows(obs, u, y, cfg: DynamicsTrainConfig):
+def _training_rows(obs, u, y):
     """Training rows and the validation block, None when nothing is held out."""
     if obs.shape[0] < 10:
         raise ValueError(f"dataset too small to fit ({obs.shape[0]} rows)")
-    if cfg.val_fraction > 0.0 and obs.shape[0] >= 20:
-        return block_split((obs, u, y), cfg.val_fraction)
+    if obs.shape[0] >= 20:
+        return block_split((obs, u, y), VAL_FRACTION)
     return (obs, u, y), None
 
 
@@ -371,7 +368,7 @@ def train_dynamics(dataset, cfg: DynamicsTrainConfig, history: list | None = Non
     If `history` is given, the full-training-set loss is appended per epoch.
     """
     obs, u, y = _dataset_arrays(dataset)
-    (obs_tr, u_tr, y_tr), val = _training_rows(obs, u, y, cfg)
+    (obs_tr, u_tr, y_tr), val = _training_rows(obs, u, y)
     if obs.shape[0] < 100:
         warnings.warn(
             f"only {obs.shape[0]} samples; expect a poorly constrained fit", stacklevel=2
@@ -484,7 +481,7 @@ def train_unstructured(
     Shares the config type; the mirror penalty does not apply here and
     cfg.sym is ignored.
     """
-    (obs_tr, u_tr, y_tr), val = _training_rows(*_dataset_arrays(dataset), cfg)
+    (obs_tr, u_tr, y_tr), val = _training_rows(*_dataset_arrays(dataset))
 
     n_feat = OBS_DIM if cfg.wing_sensors else PROBE_FEATURES
     inputs = np.concatenate([obs_tr[:, :n_feat], u_tr], axis=1)

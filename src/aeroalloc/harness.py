@@ -532,8 +532,8 @@ def make_target_sequence(
     speed: float,
     t: np.ndarray,
     seed: int,
-    alpha_deg: np.ndarray | None = None,
-    beta_deg: np.ndarray | None = None,
+    alpha_deg: np.ndarray,
+    beta_deg: np.ndarray,
 ) -> np.ndarray:
     """Demanded wrench: the scheduled condition's own gust-free baseline plus
     slow lift and roll modulation.
@@ -542,8 +542,8 @@ def make_target_sequence(
     allocator works all four surfaces without living on the actuator limits.
     """
     rng = np.random.default_rng(seed)
-    alpha_deg = np.zeros(t.size) if alpha_deg is None else np.asarray(alpha_deg, dtype=float)
-    beta_deg = np.zeros(t.size) if beta_deg is None else np.asarray(beta_deg, dtype=float)
+    alpha_deg = np.asarray(alpha_deg, dtype=float)
+    beta_deg = np.asarray(beta_deg, dtype=float)
     targets = np.empty((t.size, 6))
     for k in range(t.size):
         cond = TunnelCondition(speed, float(alpha_deg[k]), float(beta_deg[k]))

@@ -23,6 +23,7 @@ log = logging.getLogger(__name__)
 
 FORMAT_VERSION = "nncore-v1"
 ACTIVATIONS = ("tanh", "identity")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -95,20 +96,15 @@ class GradientTape:
     input_grad: np.ndarray | None
 
 
-def init_network(
-    widths: Sequence[int],
-    seed: int,
-    hidden_activation: str = "tanh",
-    output_activation: str = "identity",
-) -> Network:
-    """Build a network with seeded uniform init in +-sqrt(6/(fan_in+fan_out))."""
+def init_network(widths: Sequence[int], seed: int, output_activation: str = "identity") -> Network:
+    """Tanh hidden layers, seeded uniform init in +-sqrt(6/(fan_in+fan_out))."""
     if len(widths) < 2:
         raise ValueError("need at least input and output widths")
     rng = np.random.default_rng(seed)
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        act = output_activation if i == len(widths) - 2 else hidden_activation
+        act = output_activation if i == len(widths) - 2 else "tanh"
         layers.append(
             Layer(
                 weight=rng.uniform(-limit, limit, size=(fan_out, fan_in)),
@@ -240,9 +236,6 @@ class OptimizerState:
     v: np.ndarray
     grad: np.ndarray
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     count: int = 0
 
 
@@ -250,10 +243,7 @@ def _as_nets(nets: Network | Sequence[Network]) -> tuple[Network, ...]:
     return (nets,) if isinstance(nets, Network) else tuple(nets)
 
 
-def init_optimizer(
-    nets: Network | Sequence[Network], lr: float = 1e-3, beta1: float = 0.9,
-    beta2: float = 0.999, eps: float = 1e-8,
-) -> OptimizerState:
+def init_optimizer(nets: Network | Sequence[Network], lr: float = 1e-3) -> OptimizerState:
     """Adam state for one network, or several trained together.
 
     Moves the networks' parameters into one flat buffer and rebinds every
@@ -272,7 +262,7 @@ def init_optimizer(
             setattr(layer, name, params[offset : offset + arr.size].reshape(arr.shape))
             offset += arr.size
     zeros = [np.zeros_like(params) for _ in range(3)]
-    return OptimizerState(params, *zeros, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    return OptimizerState(params, *zeros, lr=lr)
 
 
 def step(opt: OptimizerState, *tapes: GradientTape) -> None:
@@ -283,13 +273,13 @@ def step(opt: OptimizerState, *tapes: GradientTape) -> None:
     """
     grad = flat_grads(*tapes, out=opt.grad)
     opt.count += 1
-    c1 = 1.0 - opt.beta1**opt.count
-    c2 = 1.0 - opt.beta2**opt.count
-    opt.m *= opt.beta1
-    opt.m += (1.0 - opt.beta1) * grad
-    opt.v *= opt.beta2
-    opt.v += (1.0 - opt.beta2) * grad * grad
-    opt.params -= opt.lr * (opt.m / c1) / (np.sqrt(opt.v / c2) + opt.eps)
+    c1 = 1.0 - ADAM_BETA1**opt.count
+    c2 = 1.0 - ADAM_BETA2**opt.count
+    opt.m *= ADAM_BETA1
+    opt.m += (1.0 - ADAM_BETA1) * grad
+    opt.v *= ADAM_BETA2
+    opt.v += (1.0 - ADAM_BETA2) * grad * grad
+    opt.params -= opt.lr * (opt.m / c1) / (np.sqrt(opt.v / c2) + ADAM_EPS)
 
 
 def fit(

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import probe as probe_mod
-from .probe import AirDensity, FlowState, ProbePressures
+from .probe import RHO, FlowState, ProbePressures
 from .dynamics import CONTROL_LIMIT_DEG, OBS_DIM, WRENCH_DIM, save_dynamics_csv
 from .table import write_table
 
@@ -102,7 +102,7 @@ class TunnelCondition:
 class PlantParams:
     """Geometry, aerodynamic derivatives, sensor layout, and noise levels."""
 
-    rho: float = 1.225          # kg/m^3
+    rho: float = RHO            # kg/m^3
     wing_area: float = 0.30     # m^2
     span: float = 1.2           # m
     chord: float = 0.25         # m
@@ -170,8 +170,8 @@ class PlantParams:
     est_noise_angle_deg: float = 0.3
 
     def __post_init__(self) -> None:
-        if min(self.rho, self.wing_area, self.chord, self.span) <= 0.0:
-            raise ValueError("rho, wing area, span, and chord must be positive")
+        for name in ("rho", "wing_area", "span", "chord"):
+            probe_mod._check_positive_finite(getattr(self, name), name)
         for name in ("wing_tap_a", "wing_tap_b", "wing_tap_c", "wing_tap_d"):
             if len(getattr(self, name)) != 7:
                 raise ValueError(f"{name} must list 7 tap coefficients")
@@ -364,7 +364,6 @@ def make_observation(
     params: PlantParams,
     rng: np.random.Generator | None = None,
     probe_models=None,
-    rho: AirDensity | None = None,
     wing_gust: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """Assemble the (13,) observation the wrench model consumes.
@@ -375,13 +374,12 @@ def make_observation(
     true local flow at each probe plus a small residual mimicking calibration
     error.
     """
-    rho = rho or AirDensity(params.rho)
     flows = [local_flow(cond, loc, params) for loc in ("probe0", "probe1")]
     feats = []
     if probe_models is not None:
         for model, flow in zip(probe_models, flows):
             taps = probe_pressures(flow, params, rng)
-            est = probe_mod.estimate_flow(model, taps, rho)
+            est = probe_mod.estimate_flow(model, taps, params.rho)
             feats.extend([est.va, est.alpha_deg, est.beta_deg])
     else:
         for flow in flows:

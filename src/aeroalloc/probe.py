@@ -20,9 +20,8 @@ from .table import read_table, write_table
 
 log = logging.getLogger(__name__)
 
-TAP_ORDER = ("center", "up", "down", "left", "right")
-ACCEPTANCE_CONE_DEG = 45.0
-DEFAULT_EPS_DP = 1e-6  # Pa; below this the probe sees no usable flow
+RHO = 1.225  # kg/m^3, standard sea-level air; the default wherever a density is taken
+EPS_DP = 1e-6  # Pa; below this the probe sees no usable flow
 
 CALIBRATION_CSV_HEADER = ["p1", "p2", "p3", "p4", "p5", "Va", "alpha_deg", "beta_deg"]
 
@@ -47,30 +46,6 @@ class ProbePressures:
 
 
 @dataclass(frozen=True)
-class NormalizedPressures:
-    """Nondimensional tap coefficients plus the raw tap spread in Pa."""
-
-    cp: np.ndarray
-    delta_p: float
-
-
-@dataclass(frozen=True)
-class CalibrationOutput:
-    cd: float
-    alpha_deg: float
-    beta_deg: float
-
-    @property
-    def is_physical(self) -> bool:
-        """Positive correction and angles inside the probe acceptance cone."""
-        return (
-            self.cd > 0.0
-            and abs(self.alpha_deg) <= ACCEPTANCE_CONE_DEG
-            and abs(self.beta_deg) <= ACCEPTANCE_CONE_DEG
-        )
-
-
-@dataclass(frozen=True)
 class FlowState:
     va: float
     alpha_deg: float
@@ -83,24 +58,9 @@ class FlowState:
             raise ValueError(f"flow angles must be finite, got {self.alpha_deg}, {self.beta_deg}")
 
 
-@dataclass(frozen=True)
-class AirDensity:
-    rho: float = 1.225
-
-    def __post_init__(self) -> None:
-        if not self.rho > 0.0:
-            raise ValueError(f"air density must be positive, got {self.rho}")
-
-
-def _rho_value(rho: AirDensity | float) -> float:
-    value = rho.rho if isinstance(rho, AirDensity) else float(rho)
-    if not value > 0.0:
-        raise ValueError(f"air density must be positive, got {value}")
-    return value
-
-
-def normalize(p: ProbePressures, eps_dp: float = DEFAULT_EPS_DP) -> NormalizedPressures:
-    """Map tap pressures to coefficients (p_max - p_i)/(p_max - p_min).
+def normalize(p: ProbePressures) -> tuple[np.ndarray, float]:
+    """Map tap pressures to coefficients (p_max - p_i)/(p_max - p_min) and the
+    tap spread p_max - p_min in Pa.
 
     The hottest tap maps to 0, the coldest to 1; adding a constant to all taps
     or scaling them by a positive factor leaves the coefficients unchanged.
@@ -108,9 +68,9 @@ def normalize(p: ProbePressures, eps_dp: float = DEFAULT_EPS_DP) -> NormalizedPr
     arr = p.p
     p_max = float(arr.max())
     delta_p = p_max - float(arr.min())
-    if delta_p <= eps_dp:
-        raise NoFlowError(f"tap spread {delta_p:.3g} Pa <= {eps_dp:.3g} Pa")
-    return NormalizedPressures(cp=(p_max - arr) / delta_p, delta_p=delta_p)
+    if delta_p <= EPS_DP:
+        raise NoFlowError(f"tap spread {delta_p:.3g} Pa <= {EPS_DP:.3g} Pa")
+    return (p_max - arr) / delta_p, delta_p
 
 
 def _check_positive_finite(value: float, what: str) -> None:
@@ -119,21 +79,23 @@ def _check_positive_finite(value: float, what: str) -> None:
         raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
-def dynamic_pressure_correction(va: float, delta_p: float, rho: AirDensity | float) -> float:
+def dynamic_pressure_correction(va: float, delta_p: float, rho: float) -> float:
     """Ratio of true dynamic pressure 0.5*rho*Va^2 to the tap spread."""
     _check_positive_finite(delta_p, "tap spread")
-    return 0.5 * _rho_value(rho) * va * va / delta_p
+    _check_positive_finite(rho, "air density")
+    return 0.5 * rho * va * va / delta_p
 
 
-def reconstruct_airspeed(cd: float, delta_p: float, rho: AirDensity | float) -> float:
+def reconstruct_airspeed(cd: float, delta_p: float, rho: float) -> float:
     """Invert the correction definition: Va = sqrt(2 * delta_p * Cd / rho)."""
     _check_positive_finite(cd, "dynamic-pressure correction")
     _check_positive_finite(delta_p, "tap spread")
-    return float(np.sqrt(2.0 * delta_p * cd / _rho_value(rho)))
+    _check_positive_finite(rho, "air density")
+    return float(np.sqrt(2.0 * delta_p * cd / rho))
 
 
-def calibrate(model: Network, np_: NormalizedPressures) -> CalibrationOutput:
-    """Run the calibration network on normalized pressures -> (Cd, alpha, beta).
+def calibrate(model: Network, cp: np.ndarray) -> tuple[float, float, float]:
+    """Run the calibration network on tap coefficients -> (Cd, alpha_deg, beta_deg).
 
     Raises ValueError if the network output is not finite.
     """
@@ -141,25 +103,20 @@ def calibrate(model: Network, np_: NormalizedPressures) -> CalibrationOutput:
         raise ValueError(
             f"calibration model must map 5 -> 3, got {model.input_dim} -> {model.output_dim}"
         )
-    cd, alpha_deg, beta_deg = nncore.forward(model, np_.cp).tolist()
+    cd, alpha_deg, beta_deg = nncore.forward(model, cp).tolist()
     if not (math.isfinite(cd) and math.isfinite(alpha_deg) and math.isfinite(beta_deg)):
         raise ValueError(
             f"calibration network output must be finite, got {[cd, alpha_deg, beta_deg]}"
         )
-    return CalibrationOutput(cd=cd, alpha_deg=alpha_deg, beta_deg=beta_deg)
+    return cd, alpha_deg, beta_deg
 
 
-def estimate_flow(
-    model: Network,
-    p: ProbePressures,
-    rho: AirDensity | float = AirDensity(),
-    eps_dp: float = DEFAULT_EPS_DP,
-) -> FlowState:
+def estimate_flow(model: Network, p: ProbePressures, rho: float = RHO) -> FlowState:
     """Full deployment chain: normalize -> calibrate -> reconstruct airspeed."""
-    norm = normalize(p, eps_dp=eps_dp)
-    cal = calibrate(model, norm)
-    va = reconstruct_airspeed(cal.cd, norm.delta_p, rho)
-    return FlowState(va=va, alpha_deg=cal.alpha_deg, beta_deg=cal.beta_deg)
+    cp, delta_p = normalize(p)
+    cd, alpha_deg, beta_deg = calibrate(model, cp)
+    va = reconstruct_airspeed(cd, delta_p, rho)
+    return FlowState(va=va, alpha_deg=alpha_deg, beta_deg=beta_deg)
 
 
 @dataclass
@@ -169,9 +126,7 @@ class CalibrationTrainConfig:
     epochs: int = 2000
     batch_size: int = 128
     lr: float = 3e-3
-    rho: float = 1.225
-    eps_dp: float = DEFAULT_EPS_DP
-    deterministic_order: bool = False
+    rho: float = RHO  # kg/m^3; the Cd labels hold only at the density the taps were read in
     log_every: int = 0  # epochs between loss log lines; 0 disables
 
 
@@ -182,12 +137,12 @@ def _to_features_targets(
     n_degenerate = 0
     for pressures, flow in dataset:
         try:
-            norm = normalize(pressures, eps_dp=cfg.eps_dp)
+            cp, delta_p = normalize(pressures)
         except NoFlowError:
             n_degenerate += 1
             continue
-        cd = dynamic_pressure_correction(flow.va, norm.delta_p, cfg.rho)
-        feats.append(norm.cp)
+        cd = dynamic_pressure_correction(flow.va, delta_p, cfg.rho)
+        feats.append(cp)
         targets.append((cd, flow.alpha_deg, flow.beta_deg))
     if not feats:
         raise ValueError(f"all {n_degenerate} samples are no-flow degenerate")
@@ -217,9 +172,6 @@ def train_calibration(
         raise ValueError(f"need labels at >= 2 distinct airspeeds, got {sorted(speeds)}")
 
     x, t = _to_features_targets(dataset, cfg)
-    if cfg.deterministic_order:
-        order = np.lexsort(np.column_stack([x, t]).T[::-1])
-        x, t = x[order], t[order]
 
     t_mean, t_std = nncore.standardize_stats(t)
     t_norm = (t - t_mean) / t_std

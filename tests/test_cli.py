@@ -122,3 +122,41 @@ def test_track_rejects_nan_speed(tmp_path, capsys, gust):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "airspeed" in err
+
+
+def test_train_calib_labels_at_the_params_air_density(tmp_path):
+    # taps read in rho = 1.0 air must be labelled with it, or airspeed reads ~11 % high
+    import numpy as np
+
+    from aeroalloc import nncore, plant, probe
+
+    held_out = ((8.0, -5.0, 5.0), (10.0, 5.0, -5.0), (12.0, 0.0, 5.0))
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps({"rho": 1.0}))
+    proto = tmp_path / "cal.json"
+    proto.write_text(json.dumps({"kind": "calibration", "name": "cal", "repeats": 2,
+                                 "exclude_points": [list(pt) for pt in held_out]}))
+    root = tmp_path / "root"
+    common = ["--params", str(params_path), "--out", str(root)]
+    assert cli.main(["gen-data", "--protocol", str(proto), *common]) == 0
+    assert cli.main(["train-calib", "--data", str(root / "datasets" / "cal_probe0.csv"),
+                     "--epochs", "100", *common]) == 0
+    net = nncore.load_network(root / "models" / "calib_cal_probe0.json")
+    params = plant.PlantParams(rho=1.0)
+    for va, alpha, beta in held_out:
+        taps = plant.probe_pressures(probe.FlowState(va, alpha, beta), params)
+        est = probe.estimate_flow(net, taps, 1.0)
+        assert abs(est.va - va) / va < 0.03, (va, alpha, beta, est.va)
+
+
+def test_gen_data_rejects_nan_air_density_before_writing(tmp_path, capsys):
+    params_path = tmp_path / "params.json"
+    params_path.write_text('{"rho": NaN}')
+    proto = tmp_path / "proto.json"
+    proto.write_text(json.dumps({"kind": "calibration", "name": "cal", "repeats": 1}))
+    root = tmp_path / "root"
+    code = cli.main(["gen-data", "--protocol", str(proto), "--params", str(params_path),
+                     "--out", str(root)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: rho ")
+    assert not list(root.rglob("*.csv"))

@@ -80,10 +80,10 @@ def test_probe_taps_on_axis_known_values(params):
     q = 61.25
     assert p.p[0] == pytest.approx(q)
     assert np.allclose(p.p[1:], 0.0, atol=1e-9)
-    out = probe_mod.normalize(p)
-    assert out.delta_p == pytest.approx(q)
+    _, delta_p = probe_mod.normalize(p)
+    assert delta_p == pytest.approx(q)
     # correction factor is exactly one on-axis for this probe law
-    cd = probe_mod.dynamic_pressure_correction(10.0, out.delta_p, params.rho)
+    cd = probe_mod.dynamic_pressure_correction(10.0, delta_p, params.rho)
     assert cd == pytest.approx(1.0)
 
 
@@ -419,6 +419,13 @@ def test_plant_params_validation():
         PlantParams(wing_tap_a=(1.0, 2.0))
     with pytest.raises(ValueError):
         TunnelCondition(-1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("field", ["rho", "wing_area", "span", "chord"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_plant_params_reject_non_finite_geometry(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        PlantParams(**{field: bad})
 
 
 def test_plant_params_from_json(tmp_path):
