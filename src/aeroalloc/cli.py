@@ -48,12 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True, out=True):
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        if out:
-            p.add_argument("--out", type=Path, default=None, help="output root directory")
-        p.add_argument("--params", type=Path, default=None, help="plant parameter JSON")
+    def add_common(p, params=True):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", type=Path, default=None, help="output root directory")
+        if params:
+            p.add_argument("--params", type=Path, default=None, help="plant parameter JSON")
 
     p = sub.add_parser("gen-data", help="generate calibration or dynamics CSVs from the plant")
     p.add_argument("--protocol", type=Path, required=True, help="protocol JSON file")
@@ -72,16 +71,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-dyn", help="train one wrench-model variant from a dynamics CSV")
     p.add_argument("--data", type=Path, required=True, nargs="+", help="dynamics CSV(s)")
     p.add_argument("--variant", choices=harness.VARIANTS, default="affine_sym")
-    p.add_argument("--lambda-sym", type=float, default=0.1)
+    p.add_argument("--lambda-sym", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    add_common(p)
+    add_common(p, params=False)  # the plant is already in the data
 
     p = sub.add_parser("eval", help="evaluate a trained model across airspeeds or CSVs")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--data", type=Path, nargs="+", default=None, help="explicit dynamics CSVs")
     p.add_argument(
         "--speeds", type=_speeds, default=None,
-        help="comma list; uses <root>/datasets/dyn_va<S>.csv, generating any missing set",
+        help="comma list; scores the suite's fresh eval sets, <root>/datasets/dyn_va<S>_eval.csv",
     )
     add_common(p)
 
@@ -89,21 +88,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--speed", type=float, default=10.0)
     p.add_argument("--duration", type=float, default=20.0, help="seconds")
-    p.add_argument("--gust", choices=plant.GUST_MODES, default="shedding")
-    p.add_argument("--lambda0", type=float, default=0.01)
-    p.add_argument("--lambda1", type=float, default=0.1)
+    p.add_argument("--gust", choices=harness.GUST_MODES, default=None)
+    p.add_argument("--lambda0", type=float, default=None)
+    p.add_argument("--lambda1", type=float, default=None)
     add_common(p)
 
     p = sub.add_parser("report", help="run or reformat the five-variant ablation suite")
     p.add_argument("--run", action="store_true", help="train all variants and write the suite report")
     p.add_argument("--suite", type=Path, default=None, help="existing suite_report.json to format")
     p.add_argument("--compare", default=None, help="comma list of variants to tabulate")
-    p.add_argument("--speeds", type=_speeds, default=(10.0, 14.0))
-    p.add_argument("--lambda-sym", type=float, default=0.1)
+    p.add_argument("--speeds", type=_speeds, default=None, help="comma list of test speeds")
+    p.add_argument("--lambda-sym", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
     add_common(p)
 
     return parser
+
+
+def _given(**flags) -> dict:
+    """The flags that were given; the others fall through to the config's defaults."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
+def _experiment(args, **flags) -> harness.ExperimentConfig:
+    return harness.ExperimentConfig(seed=args.seed, **_given(**flags))
 
 
 def _load_params(path: Path | None) -> plant.PlantParams:
@@ -135,10 +143,9 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train_calib(args) -> int:
     root = harness.resolve_out_root(args.out)
     dirs = _dirs(root)
-    rows = probe.load_calibration_csv(args.data)
-    epochs = {"epochs": args.epochs} if args.epochs else {}
     rho = _load_params(args.params).rho  # the density the taps were read in
-    cfg = probe.CalibrationTrainConfig(seed=args.seed, rho=rho, **epochs)
+    cfg = probe.CalibrationTrainConfig(seed=args.seed, rho=rho, **_given(epochs=args.epochs))
+    rows = probe.load_calibration_csv(args.data)
     model = probe.train_calibration(rows, cfg)
     name = args.name or args.data.stem
     out_path = dirs["models"] / f"calib_{name}.json"
@@ -150,12 +157,8 @@ def _cmd_train_calib(args) -> int:
 def _cmd_train_dyn(args) -> int:
     root = harness.resolve_out_root(args.out)
     dirs = _dirs(root)
+    cfg = _experiment(args, lambda_sym=args.lambda_sym, epochs=args.epochs)
     full = harness._concat_datasets([dynamics.load_dynamics_csv(p) for p in args.data])
-    cfg = harness.ExperimentConfig(
-        seed=args.seed, variant=args.variant, lambda_sym=args.lambda_sym
-    )
-    if args.epochs:
-        cfg.epochs = args.epochs
     model = harness.train_variant(args.variant, full, cfg)
     out_path = dirs["models"] / f"{args.variant}_seed{args.seed}.json"
     dynamics.save_dynamics_model(model, out_path)
@@ -176,24 +179,18 @@ def _cmd_eval(args) -> int:
     if args.data:
         for path in args.data:
             results[path.stem] = dynamics.eval_rmse(model, dynamics.load_dynamics_csv(path))
-    if args.speeds:
-        cfg = harness.ExperimentConfig(seed=args.seed, test_speeds=args.speeds)
-        for speed in args.speeds:
-            csv_path = dirs["datasets"] / f"dyn_va{speed:g}.csv"
-            if not csv_path.exists():
-                plant.generate_dataset(
-                    harness._dynamics_protocol(cfg, speed), params,
-                    args.seed + 1000 + int(speed), dirs["datasets"],
-                )
-                print(f"generated {csv_path}")
-            results[f"va{speed:g}"] = dynamics.eval_rmse(
-                model, dynamics.load_dynamics_csv(csv_path)
-            )
+    if args.speeds:  # the suite's own eval sets: fresh runs at seed + 1000 + i
+        eval_sets = harness.generate_speed_datasets(
+            _experiment(args), args.speeds, params, dirs["datasets"],
+            seed_offset=1000, name_suffix="_eval",
+        )
+        for speed, eval_set in eval_sets.items():
+            results[f"va{speed:g}"] = dynamics.eval_rmse(model, eval_set)
 
     doc = {"model": str(args.model), "rmse": results}
     out_path = dirs["reports"] / f"eval_{args.model.stem}.json"
     out_path.write_text(json.dumps(doc, sort_keys=True, indent=1))
-    width = max(len(k) for k in results)
+    width = max(len(k) for k in ["dataset", *results])
     print(f"{'dataset':<{width + 2}}rmse")
     for key in sorted(results):
         print(f"{key:<{width + 2}}{results[key]:.4f}")
@@ -206,12 +203,9 @@ def _cmd_track(args) -> int:
     dirs = _dirs(root)
     params = _load_params(args.params)
     model = dynamics.load_dynamics_model(args.model)
-    cfg = harness.ExperimentConfig(
-        seed=args.seed, lambda0=args.lambda0, lambda1=args.lambda1,
-        gust_mode=args.gust, duration_s=args.duration,
-    )
-    tracking = allocator.TrackingConfig(lambda0=args.lambda0, lambda1=args.lambda1)
-    tlog = harness.closed_loop_run(model, cfg, args.speed, tracking=tracking, params=params)
+    cfg = _experiment(args, lambda0=args.lambda0, lambda1=args.lambda1,
+                      gust_mode=args.gust, duration_s=args.duration)
+    tlog = harness.closed_loop_run(model, cfg, args.speed, params=params)
     stem = f"track_{args.model.stem}_va{args.speed:g}_seed{args.seed}"
     out_path = dirs["tracking"] / f"{stem}.csv"
     allocator.save_tracking_csv(out_path, tlog)
@@ -233,11 +227,8 @@ def _cmd_report(args) -> int:
     root = harness.resolve_out_root(args.out)
     compare = [v.strip() for v in args.compare.split(",")] if args.compare else None
     if args.run:
-        cfg = harness.ExperimentConfig(
-            seed=args.seed, test_speeds=args.speeds, lambda_sym=args.lambda_sym
-        )
-        if args.epochs:
-            cfg.epochs = args.epochs
+        cfg = _experiment(args, test_speeds=args.speeds, lambda_sym=args.lambda_sym,
+                          epochs=args.epochs)
         report = harness.run_ablation_suite(cfg, root, params=_load_params(args.params))
         print(f"wrote {root / 'reports' / 'suite_report.json'}")
     elif args.suite:

@@ -44,44 +44,38 @@ DYNAMICS_CSV_HEADER = (
     + ["d_la", "d_ra", "d_el", "d_ru", "Fx", "Fy", "Fz", "Tx", "Ty", "Tz"]
 )
 
-DEFAULT_SIGNS = (1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
+# Parity of each wrench channel (Fx, Fy, Fz, Tx, Ty, Tz) under a left/right mirror.
+MIRROR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+MIRROR_SIGNS.setflags(write=False)
 VAL_FRACTION = 0.2  # trailing share of the training rows held out for validation
 _EYE_WRENCH = np.eye(WRENCH_DIM)  # upstream of the per-output Jacobian rows
 
 
-def _finite_or_raise(value: np.ndarray, what: str) -> None:
-    if not np.isfinite(value).all():
-        raise ValueError(f"{what} must be finite, got {value!r}")
+def _finite_or_raise(mat: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{what} must be finite; row {bad[0]} is {mat[bad[0]].tolist()}")
 
 
 @dataclass(frozen=True)
 class SymmetryConfig:
     """Mirror prior on the flaperon columns of B.
 
-    `signs` encodes which wrench channels flip under a left/right mirror; the
-    residual B[:,0] + signs * B[:,1] is zero for a perfectly mirrored pair.
+    The penalty is a Huber loss on the residual `symmetry_residual_matrix(b)`.
     `delta` sets the per-channel Huber threshold, so bounded asymmetry costs
     quadratically and gross asymmetry only linearly.
     """
 
-    signs: tuple = DEFAULT_SIGNS
     lambda_sym: float = 0.1
     delta: tuple = (0.5,) * WRENCH_DIM
 
     def __post_init__(self) -> None:
-        signs = tuple(float(s) for s in self.signs)
         delta = tuple(float(d) for d in self.delta)
-        object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "delta", delta)
-        if len(signs) != WRENCH_DIM or any(s not in (1.0, -1.0) for s in signs):
-            raise ValueError(f"signs must be {WRENCH_DIM} entries of +-1, got {signs}")
         if len(delta) != WRENCH_DIM or any(d <= 0.0 for d in delta):
             raise ValueError(f"delta must be {WRENCH_DIM} positive thresholds, got {delta}")
         if self.lambda_sym < 0.0:
             raise ValueError("lambda_sym must be >= 0")
-
-    def signs_array(self) -> np.ndarray:
-        return np.asarray(self.signs, dtype=float)
 
     def delta_array(self) -> np.ndarray:
         return np.asarray(self.delta, dtype=float)
@@ -197,9 +191,9 @@ def predict(model: AffineModel, obs) -> tuple[np.ndarray, np.ndarray]:
     return a[0], b[0]
 
 
-def symmetry_residual_matrix(b: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Per-channel flaperon mirror residual B[:,0] + signs * B[:,1]."""
-    return b[..., 0] + signs * b[..., 1]
+def symmetry_residual_matrix(b: np.ndarray) -> np.ndarray:
+    """Per-channel flaperon mirror residual B[:,0] + MIRROR_SIGNS * B[:,1]."""
+    return b[..., 0] + MIRROR_SIGNS * b[..., 1]
 
 
 def symmetry_loss(b: np.ndarray, cfg: SymmetryConfig) -> float:
@@ -207,14 +201,14 @@ def symmetry_loss(b: np.ndarray, cfg: SymmetryConfig) -> float:
     b = np.asarray(b, dtype=float)
     if b.shape != (WRENCH_DIM, CONTROL_DIM):
         raise ValueError(f"expected a {WRENCH_DIM}x{CONTROL_DIM} matrix, got {b.shape}")
-    resid = symmetry_residual_matrix(b, cfg.signs_array())
+    resid = symmetry_residual_matrix(b)
     return float(cfg.lambda_sym * np.sum(huber(resid, cfg.delta_array())))
 
 
 def symmetry_residual_norm(model: AffineModel, obs) -> float:
     """Mean euclidean norm of the flaperon mirror residual over observations."""
     _, b = predict_batch(model, obs)
-    resid = symmetry_residual_matrix(b, model.sym.signs_array())
+    resid = symmetry_residual_matrix(b)
     return float(np.mean(np.linalg.norm(resid, axis=1)))
 
 
@@ -232,7 +226,7 @@ def _batch_loss(err, b, sym: SymmetryConfig) -> float:
     """Mean squared wrench error plus mean mirror penalty."""
     loss = float(np.mean(err**2))
     if sym.lambda_sym > 0.0:
-        resid = symmetry_residual_matrix(b, sym.signs_array())
+        resid = symmetry_residual_matrix(b)
         loss += float(sym.lambda_sym * np.sum(huber(resid, sym.delta_array())) / err.shape[0])
     return loss
 
@@ -249,10 +243,10 @@ def _batch_tapes(nets, u, err, b, acts, sym: SymmetryConfig):
     up_a = (2.0 / err.size) * err
     up_b = up_a[:, :, None] * u[:, None, :]
     if sym.lambda_sym > 0.0:
-        resid = symmetry_residual_matrix(b, sym.signs_array())
+        resid = symmetry_residual_matrix(b)
         g = (sym.lambda_sym / n) * huber_grad(resid, sym.delta_array())
         up_b[:, :, 0] += g
-        up_b[:, :, 1] += g * sym.signs_array()
+        up_b[:, :, 1] += g * MIRROR_SIGNS
     h = acts_bb[-1]
     tape_a = backward(a_head, h, up_a, acts_a)
     tape_b = backward(b_head, h, up_b.reshape(n, -1), acts_b)
@@ -550,11 +544,7 @@ def dynamics_model_to_dict(model) -> dict:
             "wing_sensors": model.wing_sensors,
             "obs_mean": model.obs_mean.tolist(),
             "obs_std": model.obs_std.tolist(),
-            "sym": {
-                "signs": list(model.sym.signs),
-                "lambda": model.sym.lambda_sym,
-                "delta": list(model.sym.delta),
-            },
+            "sym": {"lambda": model.sym.lambda_sym, "delta": list(model.sym.delta)},
             "backbone": nncore.network_to_dict(model.backbone),
             "a_head": nncore.network_to_dict(model.a_head),
             "b_head": nncore.network_to_dict(model.b_head),
@@ -576,11 +566,8 @@ def dynamics_model_from_dict(doc: dict):
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
     kind = doc.get("kind")
     if kind == "affine":
-        sym = SymmetryConfig(
-            signs=tuple(doc["sym"]["signs"]),
-            lambda_sym=float(doc["sym"]["lambda"]),
-            delta=tuple(doc["sym"]["delta"]),
-        )
+        # older files also carry "signs", which MIRROR_SIGNS now fixes
+        sym = SymmetryConfig(float(doc["sym"]["lambda"]), tuple(doc["sym"]["delta"]))
         return AffineModel(
             nncore.network_from_dict(doc["backbone"]),
             nncore.network_from_dict(doc["a_head"]),

@@ -32,10 +32,8 @@ from . import __version__, plant as plant_mod
 from .allocator import TrackingConfig, TrackingLog, track_sequence
 from .dynamics import (
     CONTROL_DIM,
-    DEFAULT_SIGNS,
     DynamicsTrainConfig,
     SymmetryConfig,
-    WRENCH_DIM,
     block_split,
     eval_rmse,
     load_dynamics_csv,
@@ -50,6 +48,9 @@ from .table import write_table
 log = logging.getLogger(__name__)
 
 VARIANTS = ("affine_sym", "affine", "affine_no_ws", "unstructured", "unstructured_no_ws")
+# The suite's gusts; a shear gust, which needs a generator yaw, comes from protocol JSON.
+GUST_MODES = ("off", "shedding")
+GUST_AMPLITUDE = 0.4  # m/s, the shedding gust's velocity amplitude
 OUT_ROOT_ENV = "AEROALLOC_OUT"
 DEFAULT_OUT_ROOT = "aeroalloc_out"
 
@@ -65,21 +66,14 @@ def resolve_out_root(explicit: str | os.PathLike | None = None) -> Path:
 @dataclass
 class ExperimentConfig:
     seed: int = 0
-    variant: str = "affine_sym"
     hidden: tuple = (64, 64)
     epochs: int = 300
-    batch_size: int = 256
-    lr: float = 1e-3
     lambda_sym: float = 0.1
-    delta: tuple = (0.5,) * WRENCH_DIM
-    signs: tuple = DEFAULT_SIGNS
     lambda0: float = 0.01
     lambda1: float = 0.1
     train_speeds: tuple = (10.0,)
     test_speeds: tuple = (10.0, 14.0)
     gust_mode: str = "shedding"
-    gust_amplitude: float = 0.4
-    gust_yaw_deg: float = 0.0
     duration_s: float = 120.0
     holdout_fraction: float = 0.25
     # When set, the ablation suite also runs closed-loop tracking at this
@@ -89,13 +83,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         self.train_speeds = tuple(float(v) for v in self.train_speeds)
         self.test_speeds = tuple(float(v) for v in self.test_speeds)
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not self.train_speeds or not self.test_speeds:
             raise ValueError("train and test speed lists must be non-empty")
+        if self.gust_mode not in GUST_MODES:
+            raise ValueError(f"gust_mode must be one of {GUST_MODES}, got {self.gust_mode!r}")
+        if self.epochs <= 0:
+            raise ValueError(f"epochs must be positive, got {self.epochs}")
 
-    def train_config(self, variant: str | None = None) -> DynamicsTrainConfig:
-        variant = variant or self.variant
+    def train_config(self, variant: str) -> DynamicsTrainConfig:
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
         lam = self.lambda_sym if variant == "affine_sym" else 0.0
@@ -103,19 +98,17 @@ class ExperimentConfig:
             seed=self.seed,
             hidden=self.hidden,
             epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            sym=SymmetryConfig(signs=self.signs, lambda_sym=lam, delta=self.delta),
+            sym=SymmetryConfig(lambda_sym=lam),
             wing_sensors=not variant.endswith("_no_ws"),
         )
 
 
-def train_variant(variant: str, dataset, cfg: ExperimentConfig, history: list | None = None):
+def train_variant(variant: str, dataset, cfg: ExperimentConfig):
     """Train one named variant; all variants share the seed and data."""
     train_cfg = cfg.train_config(variant)
     if variant.startswith("unstructured"):
-        return train_unstructured(dataset, train_cfg, history=history)
-    return train_dynamics(dataset, train_cfg, history=history)
+        return train_unstructured(dataset, train_cfg)
+    return train_dynamics(dataset, train_cfg)
 
 
 def rmssd(u_series) -> tuple[np.ndarray, float]:
@@ -292,21 +285,7 @@ def run_jobs(fn, jobs) -> list:
 def _gust_spec(cfg: ExperimentConfig) -> dict:
     if cfg.gust_mode == "off":
         return {"mode": "off"}
-    spec = {"mode": cfg.gust_mode, "amplitude": cfg.gust_amplitude}
-    if cfg.gust_mode == "shear":
-        spec["yaw_deg"] = cfg.gust_yaw_deg
-    return spec
-
-
-def _dynamics_protocol(cfg: ExperimentConfig, speed: float, name_suffix: str = "") -> dict:
-    return {
-        "kind": "dynamics",
-        "name": f"dyn_va{speed:g}{name_suffix}",
-        "speed": speed,
-        "stage": "I",
-        "duration_s": cfg.duration_s,
-        "gust": _gust_spec(cfg),
-    }
+    return {"mode": cfg.gust_mode, "amplitude": GUST_AMPLITUDE}
 
 
 def generate_speed_datasets(
@@ -317,15 +296,13 @@ def generate_speed_datasets(
     seed_offset: int = 0,
     name_suffix: str = "",
 ) -> dict:
-    """One dynamics CSV per speed; returns {speed: loaded arrays}."""
+    """One stage-I dynamics CSV per speed, dyn_va<S><name_suffix>.csv at seed
+    cfg.seed + seed_offset + i for the i-th speed; returns {speed: loaded arrays}."""
     out = {}
     for i, speed in enumerate(speeds):
-        paths = plant_mod.generate_dataset(
-            _dynamics_protocol(cfg, speed, name_suffix),
-            params,
-            cfg.seed + seed_offset + i,
-            out_dir,
-        )
+        protocol = {"kind": "dynamics", "name": f"dyn_va{speed:g}{name_suffix}", "speed": speed,
+                    "stage": "I", "duration_s": cfg.duration_s, "gust": _gust_spec(cfg)}
+        paths = plant_mod.generate_dataset(protocol, params, cfg.seed + seed_offset + i, out_dir)
         out[float(speed)] = load_dynamics_csv(paths[0])
     return out
 

@@ -12,7 +12,7 @@ means flow arriving from below (the probe's down tap sees it), positive beta
 flow arriving from the right. Flaperons use a mirrored deflection convention:
 equal commands on both produce pure roll, their lift and pitch increments
 cancel, so the true control matrix satisfies the left/right mirror pattern
-under the default sign vector.
+under `dynamics.MIRROR_SIGNS`.
 
 The gust is generated upstream and advects downstream, so each sensing
 location sees it with its own strength and time lag: the nose-mounted probes
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -172,9 +172,23 @@ class PlantParams:
     def __post_init__(self) -> None:
         for name in ("rho", "wing_area", "span", "chord"):
             probe_mod._check_positive_finite(getattr(self, name), name)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in ("probe_noise_pa", "wing_noise_pa", "force_noise_n", "torque_noise_nm",
+                     "est_noise_va", "est_noise_angle_deg"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("wing_tap_a", "wing_tap_b", "wing_tap_c", "wing_tap_d"):
-            if len(getattr(self, name)) != 7:
-                raise ValueError(f"{name} must list 7 tap coefficients")
+            taps = getattr(self, name)
+            if len(taps) != 7 or not all(map(math.isfinite, taps)):
+                raise ValueError(f"{name} must list 7 finite tap coefficients, got {taps}")
+        for name in ("gust_weight", "streamwise_offset_m"):
+            table = getattr(self, name)
+            if not all(math.isfinite(table.get(loc, math.nan)) for loc in LOCATIONS):
+                raise ValueError(f"{name} needs a finite value for each of {LOCATIONS}, "
+                                 f"got {table}")
 
     def control_matrix(self) -> np.ndarray:
         """True 6x4 control sensitivity in coefficient form.

@@ -129,6 +129,10 @@ class CalibrationTrainConfig:
     rho: float = RHO  # kg/m^3; the Cd labels hold only at the density the taps were read in
     log_every: int = 0  # epochs between loss log lines; 0 disables
 
+    def __post_init__(self) -> None:
+        if self.epochs <= 0 or self.batch_size <= 0:
+            raise ValueError("epochs and batch_size must be positive")
+
 
 def _to_features_targets(
     dataset: list[tuple[ProbePressures, FlowState]], cfg: CalibrationTrainConfig

@@ -160,3 +160,139 @@ def test_gen_data_rejects_nan_air_density_before_writing(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: rho ")
     assert not list(root.rglob("*.csv"))
+
+
+def _dynamics_csv(tmp_path, seconds=2.0):
+    proto = tmp_path / "dyn.json"
+    proto.write_text(json.dumps(
+        {"kind": "dynamics", "name": "small", "speed": 10.0, "duration_s": seconds}
+    ))
+    assert cli.main(["gen-data", "--protocol", str(proto), "--out", str(tmp_path / "data")]) == 0
+    return tmp_path / "data" / "datasets" / "small.csv"
+
+
+def _model_file(tmp_path):
+    import numpy as np
+
+    from aeroalloc import dynamics
+    from conftest import constant_affine_model
+
+    path = tmp_path / "m.json"
+    dynamics.save_dynamics_model(constant_affine_model(np.zeros(6), np.zeros((6, 4))), path)
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-dyn", "--epochs", "0"],
+    ["train-calib", "--epochs", "0"],
+    ["train-calib", "--epochs", "-2"],
+    ["report", "--run", "--epochs", "0"],
+])
+def test_non_positive_epochs_exit_1_before_writing(tmp_path, capsys, argv):
+    proto = tmp_path / "cal.json"
+    proto.write_text(json.dumps({"kind": "calibration", "name": "cal", "repeats": 1}))
+    assert cli.main(["gen-data", "--protocol", str(proto), "--out", str(tmp_path / "data")]) == 0
+    data = {"train-dyn": _dynamics_csv(tmp_path),
+            "train-calib": tmp_path / "data" / "datasets" / "cal_probe0.csv"}
+    if argv[0] in data:
+        argv = [*argv, "--data", str(data[argv[0]])]
+    root = tmp_path / "root"
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(root)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be positive" in err and err.count("\n") == 1
+    assert not [p for p in root.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("doc, field", [
+    ('{"probe_sensitivity": NaN}', "probe_sensitivity"),
+    ('{"wing_noise_pa": NaN}', "wing_noise_pa"),
+    ('{"cl_alpha": 1e400}', "cl_alpha"),
+    ('{"force_noise_n": -1}', "force_noise_n"),
+    ('{"gust_weight": {"probe0": 1.0}}', "gust_weight"),
+])
+def test_gen_data_rejects_bad_plant_params_before_writing(tmp_path, capsys, doc, field):
+    params_path = tmp_path / "params.json"
+    params_path.write_text(doc)
+    proto = tmp_path / "proto.json"
+    proto.write_text(json.dumps({"kind": "dynamics", "name": "d", "speed": 9.0,
+                                 "duration_s": 1.0, "gust": {"mode": "shedding"}}))
+    root = tmp_path / "root"
+    code = cli.main(["gen-data", "--protocol", str(proto), "--params", str(params_path),
+                     "--out", str(root)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ") and err.count("\n") == 1
+    assert not list(root.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-dyn", "--data", "d.csv", "--params", "p.json"],  # the plant is in the data
+    ["track", "--model", "m.json", "--gust", "shear"],  # shear comes from protocol JSON
+])
+def test_options_a_command_does_not_take_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_eval_speeds_scores_the_suites_eval_sets(tmp_path, capsys):
+    import numpy as np
+
+    from aeroalloc import dynamics, plant
+
+    root = tmp_path / "root"
+    (root / "datasets").mkdir(parents=True)
+    (root / "datasets" / "dyn_va10.csv").write_text("not a dynamics table\n")
+    model_path = _model_file(tmp_path)
+    argv = ["eval", "--model", str(model_path), "--speeds", "10,14", "--seed", "3"]
+    assert cli.main([*argv, "--out", str(root)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("dataset  rmse\nva10     ")
+
+    ref_dir = tmp_path / "ref"
+    sets = harness.generate_speed_datasets(
+        harness.ExperimentConfig(seed=3), (10.0, 14.0), plant.PlantParams(), ref_dir,
+        seed_offset=1000, name_suffix="_eval",
+    )
+    for name in ("dyn_va10_eval.csv", "dyn_va14_eval.csv"):
+        assert (root / "datasets" / name).read_bytes() == (ref_dir / name).read_bytes()
+    model = dynamics.load_dynamics_model(model_path)
+    report = json.loads((root / "reports" / "eval_m.json").read_text())
+    assert report["rmse"] == {
+        f"va{s:g}": dynamics.eval_rmse(model, sets[s]) for s in (10.0, 14.0)
+    }
+    assert np.isfinite(list(report["rmse"].values())).all()
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command, target, flags, expected", [
+    ("train-dyn", "train_variant", [], {}),
+    ("train-dyn", "train_variant", ["--lambda-sym", "0.3", "--epochs", "7"],
+     {"lambda_sym": 0.3, "epochs": 7}),
+    ("report", "run_ablation_suite", [], {}),
+    ("report", "run_ablation_suite", ["--speeds", "12", "--lambda-sym", "0.2"],
+     {"test_speeds": (12.0,), "lambda_sym": 0.2}),
+    ("track", "closed_loop_run", [], {"duration_s": 20.0}),
+    ("track", "closed_loop_run", ["--gust", "off", "--lambda0", "0.02", "--lambda1", "0.5"],
+     {"duration_s": 20.0, "gust_mode": "off", "lambda0": 0.02, "lambda1": 0.5}),
+])
+def test_cli_hands_the_config_defaults_to_the_harness(
+    tmp_path, monkeypatch, command, target, flags, expected
+):
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.extend(a for a in args if isinstance(a, harness.ExperimentConfig))
+        raise _Captured
+
+    monkeypatch.setattr(harness, target, capture)
+    argv = {"train-dyn": ["train-dyn", "--data", str(_dynamics_csv(tmp_path))],
+            "report": ["report", "--run"],
+            "track": ["track", "--model", str(_model_file(tmp_path))]}[command]
+    with pytest.raises(_Captured):
+        cli.main([*argv, *flags, "--seed", "4", "--out", str(tmp_path / "root")])
+    assert seen == [harness.ExperimentConfig(seed=4, **expected)]

@@ -10,7 +10,7 @@ from aeroalloc import dynamics, nncore
 from aeroalloc.allocator import AllocationProblem, TrackingConfig, solve
 from aeroalloc.dynamics import (
     CONTROL_LIMIT_DEG,
-    DEFAULT_SIGNS,
+    MIRROR_SIGNS,
     AffineModel,
     DynamicsTrainConfig,
     SymmetryConfig,
@@ -107,11 +107,12 @@ def test_symmetry_residual_matrix_hand_value():
     b = np.zeros((6, 4))
     b[:, 0] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     b[:, 1] = [-1.0, 2.0, -3.0, 4.0, -5.0, 6.0]
-    resid = symmetry_residual_matrix(b, np.asarray(DEFAULT_SIGNS, dtype=float))
+    resid = symmetry_residual_matrix(b)
     # signs (1,-1,1,-1,1,-1): perfectly mirrored pair cancels channel by channel
+    assert np.array_equal(MIRROR_SIGNS, [1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     assert np.allclose(resid, np.zeros(6))
     b[2, 1] = -2.5
-    resid = symmetry_residual_matrix(b, np.asarray(DEFAULT_SIGNS, dtype=float))
+    resid = symmetry_residual_matrix(b)
     assert resid[2] == pytest.approx(0.5)
 
 
@@ -131,9 +132,8 @@ def test_symmetry_loss_linear_region_hand_value():
 
 def test_symmetry_loss_zero_cases(rng):
     cfg = SymmetryConfig(lambda_sym=0.7)
-    signs = np.asarray(cfg.signs, dtype=float)
     b = rng.normal(size=(6, 4))
-    b[:, 1] = -signs * b[:, 0]  # exact mirror
+    b[:, 1] = -MIRROR_SIGNS * b[:, 0]  # exact mirror
     assert symmetry_loss(b, cfg) == 0.0
     assert symmetry_loss(rng.normal(size=(6, 4)), SymmetryConfig(lambda_sym=0.0)) == 0.0
 
@@ -146,10 +146,6 @@ def test_symmetry_loss_nonnegative(seed, lam):
 
 
 def test_symmetry_config_validation():
-    with pytest.raises(ValueError):
-        SymmetryConfig(signs=(1.0,) * 5)
-    with pytest.raises(ValueError):
-        SymmetryConfig(signs=(2.0,) + (1.0,) * 5)
     with pytest.raises(ValueError):
         SymmetryConfig(delta=(0.0,) * 6)
     with pytest.raises(ValueError):
@@ -371,6 +367,16 @@ def test_train_dynamics_input_validation(rng):
         train_dynamics((np.zeros((50, 12)), np.zeros((50, 4)), np.zeros((50, 6))), cfg)
 
 
+def test_non_finite_data_error_names_the_first_bad_row():
+    obs = np.zeros((200, 13))
+    obs[[57, 120], 4] = [np.nan, np.inf]
+    with pytest.raises(ValueError) as err:
+        eval_rmse(small_model(0), (obs, np.zeros((200, 4)), np.zeros((200, 6))))
+    message = str(err.value)
+    assert message.startswith("observations must be finite; row 57 is [0.0, ")
+    assert "\n" not in message and len(message) < 200
+
+
 def test_train_dynamics_warns_on_constant_controls(rng):
     obs = rng.normal(size=(60, 13))
     data = (obs, np.ones((60, 4)), rng.normal(size=(60, 6)))
@@ -473,6 +479,16 @@ def test_affine_model_json_roundtrip(tmp_path, rng):
     a1, b1 = predict_batch(loaded, obs)
     assert np.array_equal(a0, a1) and np.array_equal(b0, b1)
     assert loaded.sym.lambda_sym == model.sym.lambda_sym
+
+
+def test_affine_model_json_without_signs_and_with_them():
+    model = small_model(6, lambda_sym=0.2)
+    doc = dynamics.dynamics_model_to_dict(model)
+    assert doc["sym"] == {"lambda": 0.2, "delta": [0.5] * 6}
+    # files that still carry the signs load, and the signs are not read
+    doc["sym"]["signs"] = [1.0] * 6
+    loaded = dynamics.dynamics_model_from_dict(doc)
+    assert loaded.sym == model.sym
 
 
 def test_unstructured_model_json_roundtrip(tmp_path, rng):

@@ -102,10 +102,13 @@ def test_rmssd_validation():
 
 
 def test_experiment_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(variant="affine_fancy")
+    with pytest.raises(ValueError, match="gust_mode"):
+        ExperimentConfig(gust_mode="shear")  # a shear gust comes from protocol JSON
     with pytest.raises(ValueError):
         ExperimentConfig(train_speeds=())
+    for epochs in (0, -2):
+        with pytest.raises(ValueError, match="epochs must be positive"):
+            ExperimentConfig(epochs=epochs)
 
 
 def test_train_config_wiring():
@@ -121,8 +124,8 @@ def test_train_config_wiring():
 
 def test_gust_spec_round_trip():
     assert harness._gust_spec(ExperimentConfig(gust_mode="off")) == {"mode": "off"}
-    spec = harness._gust_spec(ExperimentConfig(gust_mode="shear", gust_yaw_deg=2.0))
-    assert spec == {"mode": "shear", "amplitude": 0.4, "yaw_deg": 2.0}
+    spec = harness._gust_spec(ExperimentConfig(gust_mode="shedding"))
+    assert spec == {"mode": "shedding", "amplitude": 0.4}
 
 
 def test_dataset_hash_sensitivity(rng):
@@ -448,8 +451,8 @@ def test_suite_is_the_same_on_one_and_two_cpus(tmp_path, monkeypatch):
     train = harness.train_variant
     models_dir = {}
 
-    def train_and_save(variant, dataset, cfg, history=None):
-        model = train(variant, dataset, cfg, history)
+    def train_and_save(variant, dataset, cfg):
+        model = train(variant, dataset, cfg)
         np.save(models_dir["path"] / f"{variant}.npy", _model_params(model))
         return model
 

@@ -199,6 +199,12 @@ def test_train_calibration_rejects_bad_datasets():
         )
 
 
+@pytest.mark.parametrize("bad", [dict(epochs=0), dict(epochs=-2), dict(batch_size=0)])
+def test_calibration_train_config_validation(bad):
+    with pytest.raises(ValueError, match="epochs and batch_size must be positive"):
+        CalibrationTrainConfig(**bad)
+
+
 def test_train_calibration_loss_decreases():
     history = []
     cfg = CalibrationTrainConfig(seed=0, hidden=(16,), epochs=60)
