@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -96,6 +97,15 @@ class TunnelCondition:
         if not (math.isfinite(self.alpha_deg) and math.isfinite(self.beta_deg)
                 and math.isfinite(self.time)):
             raise ValueError(f"flow angles and time must be finite, got {self!r}")
+
+
+def _is_number(value) -> bool:
+    """A real number, not a bool (JSON's true and false) or a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
 
 
 @dataclass
@@ -170,11 +180,15 @@ class PlantParams:
     est_noise_angle_deg: float = 0.3
 
     def __post_init__(self) -> None:
-        for name in ("rho", "wing_area", "span", "chord"):
-            probe_mod._check_positive_finite(getattr(self, name), name)
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
+            if f.type != "float":
+                continue
+            if not _is_number(value):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if f.name in ("rho", "wing_area", "span", "chord"):
+                probe_mod._check_positive_finite(value, f.name)
+            elif not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("probe_noise_pa", "wing_noise_pa", "force_noise_n", "torque_noise_nm",
                      "est_noise_va", "est_noise_angle_deg"):
@@ -182,13 +196,15 @@ class PlantParams:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("wing_tap_a", "wing_tap_b", "wing_tap_c", "wing_tap_d"):
             taps = getattr(self, name)
-            if len(taps) != 7 or not all(map(math.isfinite, taps)):
-                raise ValueError(f"{name} must list 7 finite tap coefficients, got {taps}")
+            if not (isinstance(taps, (tuple, list, np.ndarray)) and len(taps) == 7
+                    and all(map(_is_finite_number, taps))):
+                raise ValueError(f"{name} must list 7 finite tap coefficients, got {taps!r}")
         for name in ("gust_weight", "streamwise_offset_m"):
             table = getattr(self, name)
-            if not all(math.isfinite(table.get(loc, math.nan)) for loc in LOCATIONS):
+            if not (isinstance(table, dict)
+                    and all(_is_finite_number(table.get(loc)) for loc in LOCATIONS)):
                 raise ValueError(f"{name} needs a finite value for each of {LOCATIONS}, "
-                                 f"got {table}")
+                                 f"got {table!r}")
 
     def control_matrix(self) -> np.ndarray:
         """True 6x4 control sensitivity in coefficient form.

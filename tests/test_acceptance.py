@@ -98,29 +98,35 @@ def extrapolated_loops(tmp_path_factory):
     params = plant.PlantParams()
     out = tmp_path_factory.mktemp("acc_loops")
     names = ("affine_sym", "unstructured")
-    cfgs, jobs = {}, []
-    for seed in SUITE_SEEDS:
+    cfgs, splits, trainings = {}, {}, []
+    for i, seed in enumerate(SUITE_SEEDS):
         cfg = cfgs[seed] = ExperimentConfig(seed=seed, train_speeds=EXTRAP_TRAIN_SPEEDS)
         sets = harness.generate_speed_datasets(cfg, cfg.train_speeds, params, out / f"d{seed}")
         full = harness._concat_datasets([sets[s] for s in cfg.train_speeds])
-        split, _ = block_split(full, cfg.holdout_fraction)
-        jobs += [(name, split, cfg) for name in names]
-    trained = iter(harness.run_jobs(harness.train_variant, jobs))  # the six models
+        splits[seed], _ = block_split(full, cfg.holdout_fraction)
+        # alternate the order per seed, so that each fixed share of run_jobs
+        # mixes the slow affine_sym and the fast unstructured trainings
+        trainings += [(seed, name) for name in (names if i % 2 == 0 else names[::-1])]
+    jobs = [(name, splits[seed], cfgs[seed]) for seed, name in trainings]
+    models = dict(zip(trainings, harness.run_jobs(harness.train_variant, jobs)))
+
+    def loop_rmssd(seed, name, lam1):
+        """Average RMSSD of one seeded loop; lam1 None flies the config's damping."""
+        cfg = cfgs[seed]
+        tracking = None if lam1 is None else TrackingConfig(lambda0=cfg.lambda0, lambda1=lam1)
+        tlog = closed_loop_run(models[seed, name], cfg, EXTRAP_LOOP_SPEED, tracking=tracking,
+                               params=params, seed=EXTRAP_RUN_SEED)
+        return rmssd(tlog.controls)[1]
+
+    loops = [(seed, "unstructured", None) for seed in SUITE_SEEDS]
+    loops += [(seed, "affine_sym", lam1) for seed in SUITE_SEEDS for lam1 in DAMPING_SWEEP]
+    flown = dict(zip(loops, harness.run_jobs(loop_rmssd, loops)))  # the 12 loops
     margins, sweeps = [], []
     for seed in SUITE_SEEDS:
-        cfg = cfgs[seed]
-        models = {name: next(trained) for name in names}
-        tlog = closed_loop_run(models["unstructured"], cfg, EXTRAP_LOOP_SPEED, params=params,
-                               seed=EXTRAP_RUN_SEED)
-        unstructured = rmssd(tlog.controls)[1]
-        sweep = []
-        for lam1 in DAMPING_SWEEP:
-            tracking = TrackingConfig(lambda0=cfg.lambda0, lambda1=lam1)
-            tlog = closed_loop_run(models["affine_sym"], cfg, EXTRAP_LOOP_SPEED,
-                                   tracking=tracking, params=params, seed=EXTRAP_RUN_SEED)
-            sweep.append(rmssd(tlog.controls)[1])
-        sweeps.append(tuple(sweep))
-        margins.append(unstructured - sweep[DAMPING_SWEEP.index(cfg.lambda1)])
+        sweep = tuple(flown[seed, "affine_sym", lam1] for lam1 in DAMPING_SWEEP)
+        sweeps.append(sweep)
+        margins.append(flown[seed, "unstructured", None]
+                       - sweep[DAMPING_SWEEP.index(cfgs[seed].lambda1)])
     return margins, sweeps
 
 

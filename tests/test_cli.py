@@ -19,6 +19,18 @@ def test_speed_list_parsing():
         cli.build_parser().parse_args(["eval", "--model", "m.json", "--speeds", "ten"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", "m.json", "--speeds", "10,10"],
+    ["report", "--run", "--speeds", "14,10,14.0"],
+])
+def test_repeated_speed_exits_2(capsys, argv):
+    # a repeat would write one eval set twice, at two seeds
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "repeats a speed" in capsys.readouterr().err
+
+
 def test_eval_without_inputs_exits_2(tmp_path, capsys):
     import numpy as np
 
@@ -171,6 +183,13 @@ def _dynamics_csv(tmp_path, seconds=2.0):
     return tmp_path / "data" / "datasets" / "small.csv"
 
 
+def _calibration_csv(tmp_path):
+    proto = tmp_path / "cal.json"
+    proto.write_text(json.dumps({"kind": "calibration", "name": "cal", "repeats": 1}))
+    assert cli.main(["gen-data", "--protocol", str(proto), "--out", str(tmp_path / "data")]) == 0
+    return tmp_path / "data" / "datasets" / "cal_probe0.csv"
+
+
 def _model_file(tmp_path):
     import numpy as np
 
@@ -189,11 +208,7 @@ def _model_file(tmp_path):
     ["report", "--run", "--epochs", "0"],
 ])
 def test_non_positive_epochs_exit_1_before_writing(tmp_path, capsys, argv):
-    proto = tmp_path / "cal.json"
-    proto.write_text(json.dumps({"kind": "calibration", "name": "cal", "repeats": 1}))
-    assert cli.main(["gen-data", "--protocol", str(proto), "--out", str(tmp_path / "data")]) == 0
-    data = {"train-dyn": _dynamics_csv(tmp_path),
-            "train-calib": tmp_path / "data" / "datasets" / "cal_probe0.csv"}
+    data = {"train-dyn": _dynamics_csv(tmp_path), "train-calib": _calibration_csv(tmp_path)}
     if argv[0] in data:
         argv = [*argv, "--data", str(data[argv[0]])]
     root = tmp_path / "root"
@@ -210,6 +225,9 @@ def test_non_positive_epochs_exit_1_before_writing(tmp_path, capsys, argv):
     ('{"cl_alpha": 1e400}', "cl_alpha"),
     ('{"force_noise_n": -1}', "force_noise_n"),
     ('{"gust_weight": {"probe0": 1.0}}', "gust_weight"),
+    ('{"cl_alpha": "0.1"}', "cl_alpha"),
+    ('{"wing_tap_a": 3}', "wing_tap_a"),
+    ('{"gust_weight": [1, 2]}', "gust_weight"),
 ])
 def test_gen_data_rejects_bad_plant_params_before_writing(tmp_path, capsys, doc, field):
     params_path = tmp_path / "params.json"
@@ -296,3 +314,35 @@ def test_cli_hands_the_config_defaults_to_the_harness(
     with pytest.raises(_Captured):
         cli.main([*argv, *flags, "--seed", "4", "--out", str(tmp_path / "root")])
     assert seen == [harness.ExperimentConfig(seed=4, **expected)]
+
+
+@pytest.mark.skipif(harness._openblas_threads() is None, reason="numpy without OpenBLAS")
+@pytest.mark.parametrize("command", ["train-dyn", "train-calib", "track"])
+def test_training_commands_run_on_one_blas_thread(tmp_path, monkeypatch, command):
+    from aeroalloc import probe
+
+    get, set_ = harness._openblas_threads()
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.append(get())
+        raise _Captured
+
+    if command == "train-dyn":
+        monkeypatch.setattr(harness, "train_variant", capture)
+        argv = ["train-dyn", "--data", str(_dynamics_csv(tmp_path))]
+    elif command == "train-calib":
+        monkeypatch.setattr(probe, "train_calibration", capture)
+        argv = ["train-calib", "--data", str(_calibration_csv(tmp_path))]
+    else:
+        monkeypatch.setattr(harness, "closed_loop_run", capture)
+        argv = ["track", "--model", str(_model_file(tmp_path))]
+    previous = get()
+    set_(2)
+    try:
+        with pytest.raises(_Captured):
+            cli.main([*argv, "--out", str(tmp_path / "root")])
+        assert seen == [1]
+        assert get() == 2  # restored, also when the command raises
+    finally:
+        set_(previous)

@@ -109,6 +109,11 @@ def test_experiment_config_validation():
     for epochs in (0, -2):
         with pytest.raises(ValueError, match="epochs must be positive"):
             ExperimentConfig(epochs=epochs)
+    with pytest.raises(ValueError, match="train_speeds repeats a speed"):
+        ExperimentConfig(train_speeds=(10, 10.0))
+    with pytest.raises(ValueError, match="test_speeds repeats a speed"):
+        ExperimentConfig(test_speeds=(14.0, 10.0, 14.0))
+    ExperimentConfig(train_speeds=(10.0,), test_speeds=(10.0, 14.0))  # overlap is fine
 
 
 def test_train_config_wiring():
@@ -161,6 +166,13 @@ def test_generate_speed_datasets_layout(tmp_path):
     assert obs.shape[0] == u.shape[0] == y.shape[0] == 200
     # per-speed seeds differ, so the runs are not clones of each other
     assert not np.array_equal(sets[8.0][1], sets[12.0][1])
+
+
+def test_generate_speed_datasets_rejects_a_repeated_speed(tmp_path):
+    # a repeat would write one file twice, at two seeds
+    with pytest.raises(ValueError, match="speeds repeats a speed"):
+        generate_speed_datasets(tiny_cfg(), (8.0, 12.0, 8.0), plant.PlantParams(), tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_make_target_sequence_rides_schedule_baseline():
@@ -436,7 +448,8 @@ def test_suite_reissues_training_warnings(two_cpus, tmp_path):
     cfg = tiny_cfg(train_speeds=(10.0,), test_speeds=(10.0,), duration_s=2.0, epochs=2)
     with pytest.warns(UserWarning, match="only 75 samples") as caught:
         run_ablation_suite(cfg, tmp_path)
-    # the three affine variants warn, affine in the worker
+    # the three affine variants warn: affine_sym and affine in the caller,
+    # affine_no_ws in the worker
     assert sum("only 75 samples" in str(w.message) for w in caught) == 3
 
 
@@ -470,3 +483,32 @@ def test_suite_is_the_same_on_one_and_two_cpus(tmp_path, monkeypatch):
         one = np.load(tmp_path / "models1" / f"{variant}.npy")
         two = np.load(tmp_path / "models2" / f"{variant}.npy")
         assert np.array_equal(one, two), variant
+    datasets = sorted(p.name for p in (tmp_path / "cpus1" / "datasets").iterdir())
+    assert datasets == sorted(p.name for p in (tmp_path / "cpus2" / "datasets").iterdir())
+    assert len(datasets) == 2 * 5  # 2 train and 3 eval sets, each with its conditions
+    for name in datasets:
+        one = (tmp_path / "cpus1" / "datasets" / name).read_bytes()
+        assert one == (tmp_path / "cpus2" / "datasets" / name).read_bytes(), name
+
+
+def test_suite_caller_share_on_two_cpus(two_cpus, tmp_path, monkeypatch):
+    # the fixed shares are balanced by the job order: a reorder that moves a
+    # training or an eval set to the other process fails here
+    train, generate = harness.train_variant, harness.generate_speed_datasets
+    trained, generated = [], []  # appended to in this process only
+
+    def train_here(variant, dataset, cfg):
+        trained.append(variant)
+        return train(variant, dataset, cfg)
+
+    def generate_here(cfg, speeds, *args, **kwargs):
+        generated.append((tuple(speeds), kwargs.get("name_suffix", "")))
+        return generate(cfg, speeds, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_variant", train_here)
+    monkeypatch.setattr(harness, "generate_speed_datasets", generate_here)
+    # two eval speeds, as in the default suite
+    run_ablation_suite(tiny_cfg(epochs=2, train_speeds=(10.0,), test_speeds=(10.0, 14.0)),
+                       tmp_path)
+    assert trained == ["affine_sym", "affine"]
+    assert generated == [((10.0,), ""), ((10.0,), "_eval"), ((14.0,), "_eval")]

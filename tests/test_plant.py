@@ -428,6 +428,16 @@ def test_plant_params_reject_non_finite_geometry(field, bad):
         PlantParams(**{field: bad})
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("cl_alpha", "0.1"), ("rho", True), ("probe_noise_pa", None),
+    ("wing_tap_a", 3), ("wing_tap_b", (1.0,) * 6 + ("x",)),
+    ("gust_weight", [1, 2]), ("streamwise_offset_m", {"probe0": 0, "probe1": 0, "wing": "0"}),
+])
+def test_plant_params_name_a_wrong_typed_field(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        PlantParams(**{field: bad})
+
+
 def test_plant_params_from_json(tmp_path):
     path = tmp_path / "params.json"
     path.write_text('{"rho": 1.1, "wing_noise_pa": 2.5}')
