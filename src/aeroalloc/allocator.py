@@ -15,12 +15,11 @@ closed form exact and making saturation observable in the logs.
 scipy's cho_factor/cho_solve wrap), called directly because the wrappers cost
 more than the 4x4 arithmetic. They are looked up on the first solve, so
 scipy.linalg is imported only by a process that allocates, not by importing
-the package or by a CLI command that never allocates. A solution keeps the
-problem it solved; its objective value and residual norm are computed when
-read, so the tracking loop, which never reads them, does not pay for them.
+the package or by a CLI command that never allocates. A solution holds only
+the commands and clamp flags; `objective(p, u)` evaluates the objective.
 
 Each value is checked once, where it enters: AllocationProblem its parts,
-TrackingConfig.validate the penalties, dt and the trim and initial commands
+TrackingConfig (frozen) the penalties, dt and the trim and initial commands
 (4 finite entries within the actuator limits), `track_sequence` its targets.
 Inside the loop, where commands pass as plain (4,) arrays, only the model's
 (A, B) and the achieved wrench are checked to be finite. A step's time is then
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,7 +45,7 @@ from .dynamics import (
     affine_at,
     predict,
 )
-from .table import read_table, write_table
+from .table import write_table
 
 log = logging.getLogger(__name__)
 
@@ -126,28 +124,13 @@ class AllocationProblem:
 
 @dataclass(frozen=True)
 class AllocationSolution:
-    """Closed-form minimizer plus its post-solve clamp.
-
-    u_star is the unconstrained minimizer clipped to the actuator limits, with
-    per-surface clamp flags. When nothing clamps, u_star equals
-    u_unconstrained exactly. objective_value and residual_norm are evaluated
-    at the unconstrained minimizer of `problem`, each time they are read.
-    """
+    """Closed-form minimizer u_unconstrained and u_star, it clipped to the actuator
+    limits, with per-surface clamp flags; u_star is u_unconstrained exactly when
+    nothing clamps."""
 
     u_star: np.ndarray
     u_unconstrained: np.ndarray
     clamped: np.ndarray
-    problem: AllocationProblem
-
-    @property
-    def objective_value(self) -> float:
-        return objective(self.problem, self.u_unconstrained)
-
-    @property
-    def residual_norm(self) -> float:
-        p = self.problem
-        resid = p.y_target - p.a - p.b @ self.u_unconstrained
-        return math.sqrt(resid @ resid)
 
 
 _EYE_CONTROL = np.eye(CONTROL_DIM)
@@ -164,18 +147,14 @@ def build_normal_equations(p: AllocationProblem) -> tuple[np.ndarray, np.ndarray
     return q, c
 
 
-def _objective(p: AllocationProblem, u: np.ndarray, sq_resid) -> float:
-    return float(
-        sq_resid
-        + p.lambda1 * ((u - p.u_prev) ** 2).sum()
-        + p.lambda0 * ((u - p.u_trim) ** 2).sum()
-    )
-
-
 def objective(p: AllocationProblem, u) -> float:
     u = _vec(u, CONTROL_DIM, "command")
     resid = p.y_target - p.a - p.b @ u
-    return _objective(p, u, resid @ resid)
+    return float(
+        resid @ resid
+        + p.lambda1 * ((u - p.u_prev) ** 2).sum()
+        + p.lambda0 * ((u - p.u_trim) ** 2).sum()
+    )
 
 
 def solve(p: AllocationProblem) -> AllocationSolution:
@@ -193,7 +172,7 @@ def solve(p: AllocationProblem) -> AllocationSolution:
     clamped = np.abs(u) > np.abs(u_star) + 1e-12
     if clamped.any():
         log.debug("clamped surfaces: %s", clamped.nonzero()[0].tolist())
-    return AllocationSolution(u_star=u_star, u_unconstrained=u, clamped=clamped, problem=p)
+    return AllocationSolution(u_star=u_star, u_unconstrained=u, clamped=clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +180,10 @@ def solve(p: AllocationProblem) -> AllocationSolution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackingConfig:
+    """Penalties, commands and time step of a tracking run, checked at construction."""
+
     lambda0: float = 0.01
     lambda1: float = 0.1
     u_trim: np.ndarray = field(default_factory=lambda: np.zeros(CONTROL_DIM))
@@ -210,20 +191,15 @@ class TrackingConfig:
     dt: float = 0.02
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        """Raise ValueError unless the penalties, the time step and the trim and
-        initial commands are usable; stores the commands as float arrays."""
         _check_penalties(self.lambda0, self.lambda1)
-        if not 0.0 < self.dt < math.inf:
+        if not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         for name in ("u_trim", "u_init"):
             u = _vec(getattr(self, name), CONTROL_DIM, name)
             if np.abs(u).max() > CONTROL_LIMIT_DEG:
                 raise ValueError(f"{name} {u} exceeds the +-{CONTROL_LIMIT_DEG:g} deg "
                                  "actuator limit")
-            setattr(self, name, u)
+            object.__setattr__(self, name, u)
 
 
 @dataclass
@@ -241,33 +217,29 @@ class TrackingLog:
         return float(np.sqrt(np.mean((self.achieved - self.targets) ** 2)))
 
 
-def track_sequence(model, targets, observations, cfg: TrackingConfig, achieved_fn=None) -> TrackingLog:
+def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn=None) -> TrackingLog:
     """Run the predict-allocate loop over a target wrench sequence.
 
-    `observations` is either a sequence (one per step) or a callable
-    (step, u_prev) -> observation, for plants whose sensors respond to the
-    deflections; u_prev is the (4,) command applied at the previous step,
-    cfg.u_init at step 0. `achieved_fn(step, u)` returns the plant's (6,)
+    `observe(step, u_prev)` returns the step's observation, so a plant's
+    sensors can respond to the deflections; u_prev is the (4,) command applied
+    at the previous step, cfg.u_init at step 0 (a recorded list replays as
+    `lambda k, u: obs[k]`). `achieved_fn(step, u)` returns the plant's (6,)
     response to the (4,) command applied at this step; without it the
     achieved column repeats the prediction. The previous command threads
     through as the smoothness reference, using the clamped command actually
     applied. Halts on non-finite state.
 
-    The configuration and the targets are validated here, once; each step
-    then checks only that the model output and the achieved wrench are finite.
+    The targets are validated here, once; each step then checks only that the
+    model output and the achieved wrench are finite.
     """
     if not isinstance(model, (AffineModel, UnstructuredModel)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    cfg.validate()
     target_mat = np.array(targets, dtype=float)
     if target_mat.ndim != 2 or target_mat.shape[1] != WRENCH_DIM:
         raise ValueError(f"targets must be (n, {WRENCH_DIM})")
     if not np.isfinite(target_mat).all():
         raise ValueError("targets must be finite")
     n = target_mat.shape[0]
-    obs_fn = observations if callable(observations) else None
-    if obs_fn is None and len(observations) != n:
-        raise ValueError("need one observation per target")
 
     affine = isinstance(model, AffineModel)
     u_trim, u_prev = cfg.u_trim, cfg.u_init
@@ -277,7 +249,7 @@ def track_sequence(model, targets, observations, cfg: TrackingConfig, achieved_f
     rows_u = np.empty((n, CONTROL_DIM))
     rows_clamp = np.zeros((n, CONTROL_DIM), dtype=bool)
     for k in range(n):
-        obs = obs_fn(k, u_prev) if obs_fn is not None else observations[k]
+        obs = observe(k, u_prev)
         a, b = predict(model, obs) if affine else affine_at(model, obs, u_prev)
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ArithmeticError(f"non-finite model output at step {k}")
@@ -306,14 +278,3 @@ def save_tracking_csv(path: str | Path, tlog: TrackingLog) -> None:
     rows = (v.tolist() + f.tolist() for v, f in zip(values, tlog.clamped.astype(int)))
     write_table(path, TRACKING_CSV_HEADER, rows)
 
-
-def load_tracking_csv(path: str | Path) -> TrackingLog:
-    mat = read_table(path, TRACKING_CSV_HEADER)
-    return TrackingLog(
-        t=mat[:, 0],
-        targets=mat[:, 1:7],
-        predicted=mat[:, 7:13],
-        achieved=mat[:, 13:19],
-        controls=mat[:, 19:23],
-        clamped=mat[:, 23:27].astype(bool),
-    )

@@ -223,10 +223,10 @@ def _cmd_track(args) -> int:
     cfg = _experiment(args, lambda0=args.lambda0, lambda1=args.lambda1,
                       gust_mode=args.gust, duration_s=args.duration)
     tlog = harness.closed_loop_run(model, cfg, args.speed, params=params)
+    metrics = harness.closed_loop_metrics(tlog)  # raises before either file is written
     stem = f"track_{args.model.stem}_va{args.speed:g}_seed{args.seed}"
     out_path = dirs["tracking"] / f"{stem}.csv"
     allocator.save_tracking_csv(out_path, tlog)
-    metrics = harness.closed_loop_metrics(tlog)
     metrics_path = dirs["tracking"] / f"{stem}_metrics.json"
     metrics_path.write_text(json.dumps(metrics, sort_keys=True, indent=1))
     print(f"tracking rmse {metrics['tracking_rmse']:.4f}")

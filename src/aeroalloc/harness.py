@@ -84,9 +84,6 @@ class ExperimentConfig:
     gust_mode: str = "shedding"
     duration_s: float = 120.0
     holdout_fraction: float = 0.25
-    # When set, the ablation suite also runs closed-loop tracking at this
-    # speed per variant and records RMSSD in the report.
-    closed_loop_speed: float | None = None
 
     def __post_init__(self) -> None:
         self.train_speeds = tuple(float(v) for v in self.train_speeds)
@@ -99,6 +96,8 @@ class ExperimentConfig:
             raise ValueError(f"gust_mode must be one of {GUST_MODES}, got {self.gust_mode!r}")
         if self.epochs <= 0:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
+        if not 0.0 < self.duration_s < np.inf:
+            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
 
     def train_config(self, variant: str) -> DynamicsTrainConfig:
         if variant not in VARIANTS:
@@ -336,9 +335,8 @@ class MetricsReport:
     """Per-variant metrics on a shared split.
 
     Each variant entry carries aggregate and per-channel wrench RMSE,
-    shift-inflation percentages, the flaperon mirror residual (affine models
-    only), and, when the suite ran closed loop, RMSSD per control input with
-    its average. `config` holds the ExperimentConfig fields of the run that
+    shift-inflation percentages and the flaperon mirror residual (affine models
+    only). `config` holds the ExperimentConfig fields of the run that
     produced the report, as JSON values, plus the package `version`; reports
     written before it existed load with an empty one.
     """
@@ -377,7 +375,7 @@ def _config_block(cfg: ExperimentConfig) -> dict:
 
 
 def _score(variant: str, model, cfg: ExperimentConfig, in_dist_split, eval_sets: dict) -> dict:
-    """A trained variant's entry in the suite report, without the closed loop."""
+    """A trained variant's entry in the suite report."""
     rmse_in = eval_rmse(model, in_dist_split)
     entry = {
         "rmse": {"in_dist": rmse_in},
@@ -389,10 +387,8 @@ def _score(variant: str, model, cfg: ExperimentConfig, in_dist_split, eval_sets:
         entry["rmse"][f"va{speed:g}"] = rmse_s
         if speed not in cfg.train_speeds:
             entry["inflation_pct"][f"va{speed:g}"] = 100.0 * (rmse_s - rmse_in) / rmse_in
-    if not variant.startswith("unstructured"):
-        entry["sym_residual"] = symmetry_residual_norm(model, in_dist_split[0])
-    else:
-        entry["sym_residual"] = None
+    entry["sym_residual"] = (None if variant.startswith("unstructured")
+                             else symmetry_residual_norm(model, in_dist_split[0]))
     return entry
 
 
@@ -416,10 +412,9 @@ def run_ablation_suite(
     generated run (fresh schedule and noise, offset seeds): in-distribution
     RMSE comes from fresh runs at the training speeds, and inflation is the
     relative RMSE increase of each other evaluation speed over that number.
-    After the training sets, one `run_jobs` call runs the five trainings
-    (each with its closed loop, when the config asks for one) and one eval-set
-    generation per eval speed, in `SUITE_JOB_ORDER`; this process then scores
-    the returned models on the returned eval sets.
+    After the training sets, one `run_jobs` call runs the five trainings and
+    one eval-set generation per eval speed, in `SUITE_JOB_ORDER`; this
+    process then scores the returned models on the returned eval sets.
     """
     params = params or PlantParams()
     out_dir = Path(out_dir)
@@ -439,11 +434,7 @@ def run_ablation_suite(
             speed = eval_speeds[key]
             return generate_speed_datasets(cfg, (speed,), params, data_dir,
                                            seed_offset=1000 + key, name_suffix="_eval")[speed]
-        model = train_variant(key, train_split, cfg)
-        if cfg.closed_loop_speed is None:
-            return model, None
-        tlog = closed_loop_run(model, cfg, cfg.closed_loop_speed, params=params)
-        return model, closed_loop_metrics(tlog)
+        return train_variant(key, train_split, cfg)
 
     keys = [*SUITE_JOB_ORDER, *range(1, len(eval_speeds))]
     done = dict(zip(keys, run_jobs(job, [(key,) for key in keys])))
@@ -456,10 +447,8 @@ def run_ablation_suite(
         config=_config_block(cfg),
     )
     for variant in VARIANTS:
-        model, loop = done[variant]
-        entry = report.variants[variant] = _score(variant, model, cfg, in_dist_split, eval_sets)
-        if loop is not None:
-            entry["closed_loop"] = loop
+        entry = report.variants[variant] = _score(variant, done[variant], cfg, in_dist_split,
+                                                  eval_sets)
         log.info("variant %s: in-dist rmse %.4f", variant, entry["rmse"]["in_dist"])
 
     write_report_json(report, report_dir / "suite_report.json")
@@ -488,13 +477,6 @@ def write_report_csv(report: MetricsReport, path: str | Path) -> None:
             rows.append([variant, "per_channel_rmse", f"ch{i}", val])
         if entry.get("sym_residual") is not None:
             rows.append([variant, "sym_residual", "in_dist", entry["sym_residual"]])
-        loop = entry.get("closed_loop")
-        if loop:
-            for i, val in enumerate(loop["rmssd"]["per_input"]):
-                rows.append([variant, "rmssd", f"u{i}", val])
-            rows.append([variant, "rmssd", "average", loop["rmssd"]["average"]])
-            rows.append([variant, "tracking_rmse", "", loop["tracking_rmse"]])
-            rows.append([variant, "clamped_fraction", "", loop["clamped_fraction"]])
     write_table(path, ["variant", "metric", "key", "value"], rows)
 
 
@@ -551,12 +533,7 @@ def make_target_sequence(
     allocator works all four surfaces without living on the actuator limits.
     """
     rng = np.random.default_rng(seed)
-    alpha_deg = np.asarray(alpha_deg, dtype=float)
-    beta_deg = np.asarray(beta_deg, dtype=float)
-    targets = np.empty((t.size, 6))
-    for k in range(t.size):
-        cond = TunnelCondition(speed, float(alpha_deg[k]), float(beta_deg[k]))
-        targets[k], _ = plant_mod.true_affine_terms(cond, params)
+    targets, _ = plant_mod.true_affine_terms(speed, alpha_deg, beta_deg, params)
     ref = abs(plant_mod.dynamic_pressure(speed, params) * params.wing_area * params.cl0)
     f1, f2 = rng.uniform(0.05, 0.1), rng.uniform(0.1, 0.18)
     ph1, ph2 = rng.uniform(0.0, 2.0 * np.pi, size=2)

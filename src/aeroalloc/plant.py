@@ -225,8 +225,8 @@ class PlantParams:
             ]
         )
 
-    def baseline_coefficients(self, alpha_deg: float, beta_deg: float) -> np.ndarray:
-        """Zero-deflection wrench coefficients at the given flow angles."""
+    def baseline_coefficients(self, alpha_deg, beta_deg) -> np.ndarray:
+        """Zero-deflection wrench coefficients at the flow angles, (6,) or (6, n)."""
         return np.array(
             [
                 -(self.cd0 + self.cd_alpha2 * alpha_deg * alpha_deg),
@@ -376,16 +376,12 @@ def true_wrench(
     return y
 
 
-def true_affine_terms(
-    cond: TunnelCondition, params: PlantParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-free (A, B) of the plant at this condition: y = A + B u."""
-    flow_w = local_flow(cond, "wing", params)
-    q_s = dynamic_pressure(cond.va, params) * params.wing_area
-    return (
-        q_s * params.baseline_coefficients(flow_w.alpha_deg, flow_w.beta_deg),
-        q_s * params.control_matrix(),
-    )
+def true_affine_terms(va: float, alpha_deg, beta_deg, params: PlantParams):
+    """Noise-free (A, B), y = A + B u, at airspeed va and the wing's flow angles (a
+    gusty condition adds `wing_gust_angles`); A is (6,) for floats, (n, 6) for arrays."""
+    q_s = dynamic_pressure(va, params) * params.wing_area
+    a = q_s * params.baseline_coefficients(alpha_deg, beta_deg)
+    return np.moveaxis(a, 0, -1), q_s * params.control_matrix()
 
 
 def make_observation(
@@ -445,9 +441,30 @@ def band_limited_walk(
     return out
 
 
+# The protocol keys each generator reads; any other key (a typo) is rejected.
+SCHEDULE_KEYS = {"stage", "dt", "duration_s", "alpha_range", "beta_range", "setpoints", "hold_s"}
+DYNAMICS_KEYS = SCHEDULE_KEYS | {"kind", "name", "speed", "excitation", "gust"}
+CALIBRATION_KEYS = {"kind", "name", "speeds", "alphas", "betas", "repeats", "dt",
+                    "exclude_points", "gust"}
+EXCITATION_KEYS = {"ar", "sigma", "limit"}
+
+
+def _check_keys(block: dict, known: set, what: str) -> None:
+    unknown = sorted(set(block) - known)
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}; it reads {sorted(known)}")
+
+
+def _seconds(protocol: dict, key: str, default: float) -> float:
+    value = float(protocol.get(key, default))
+    probe_mod._check_positive_finite(value, key)
+    return value
+
+
 def _excitation_args(spec: dict) -> dict:
     """The band_limited_walk settings of a protocol's `excitation` block, checked
     before any step runs; `limit` keeps every command inside the actuator limits."""
+    _check_keys(spec, EXCITATION_KEYS, "excitation")
     ar = float(spec.get("ar", 0.95))
     sigma = float(spec.get("sigma", 1.2))
     limit = float(spec.get("limit", CONTROL_LIMIT_DEG))
@@ -493,11 +510,14 @@ def generate_calibration_data(
     Labels are the true local flow at each probe, which equals the commanded
     grid point whenever the gust is off.
     """
+    _check_keys(protocol, CALIBRATION_KEYS, "calibration protocol")
     speeds = protocol.get("speeds", [8.0, 10.0, 12.0])
     alphas = protocol.get("alphas", [-10.0, -5.0, 0.0, 5.0, 10.0])
     betas = protocol.get("betas", [-10.0, -5.0, 0.0, 5.0, 10.0])
     repeats = int(protocol.get("repeats", 24))
-    dt = float(protocol.get("dt", 0.02))
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    dt = _seconds(protocol, "dt", 0.02)
     name = protocol.get("name", "calib")
     exclude = {tuple(pt) for pt in protocol.get("exclude_points", [])}
 
@@ -519,6 +539,8 @@ def generate_calibration_data(
                         flow = local_flow(cond, loc, params)
                         taps = probe_pressures(flow, params, rng)
                         rows[loc].append((taps, flow))
+    if not rows["probe0"]:
+        raise ValueError("calibration protocol produces no rows")
     paths = []
     for loc in ("probe0", "probe1"):
         path = out_dir / f"{name}_{loc}.csv"
@@ -531,10 +553,10 @@ def stage_schedule(
     protocol: dict, params: PlantParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Commanded (t, alpha, beta) series for a stage-I sweep or stage-II holds."""
-    dt = float(protocol.get("dt", 0.02))
+    dt = _seconds(protocol, "dt", 0.02)
     stage = protocol.get("stage", "I")
     if stage == "I":
-        duration = float(protocol.get("duration_s", 60.0))
+        duration = _seconds(protocol, "duration_s", 60.0)
         t = np.arange(int(round(duration / dt))) * dt
         a_lo, a_hi = protocol.get("alpha_range", [-10.0, 10.0])
         b_lo, b_hi = protocol.get("beta_range", [-10.0, 10.0])
@@ -542,13 +564,14 @@ def stage_schedule(
         beta = _smooth_trajectory(rng, t, b_lo, b_hi)
     elif stage == "II":
         setpoints = protocol.get("setpoints", [[0.0, 0.0], [5.0, -5.0], [-5.0, 5.0]])
-        hold = float(protocol.get("hold_s", 15.0))
-        n_hold = int(round(hold / dt))
+        n_hold = int(round(_seconds(protocol, "hold_s", 15.0) / dt))
         alpha = np.concatenate([np.full(n_hold, sp[0]) for sp in setpoints])
         beta = np.concatenate([np.full(n_hold, sp[1]) for sp in setpoints])
         t = np.arange(alpha.size) * dt
     else:
         raise ValueError(f"unknown stage {stage!r}")
+    if t.size == 0:
+        raise ValueError(f"protocol schedule has no steps (dt {dt})")
     return t, alpha, beta
 
 
@@ -565,6 +588,7 @@ def generate_dynamics_data(
     schedule, so held-setpoint protocols are auditable even though the
     observation columns carry gust- and noise-perturbed values.
     """
+    _check_keys(protocol, DYNAMICS_KEYS, "dynamics protocol")
     speed = float(protocol.get("speed", 10.0))
     name = protocol.get("name", f"dyn_va{speed:g}")
     excitation = _excitation_args(protocol.get("excitation", {}))

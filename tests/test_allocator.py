@@ -1,4 +1,6 @@
 """Allocation QP: normal equations, solver optimality, clamping, tracking loop."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,16 +8,17 @@ from scipy.linalg import cho_factor, cho_solve
 
 from aeroalloc import allocator
 from aeroalloc.allocator import (
+    TRACKING_CSV_HEADER,
     AllocationProblem,
     NotStrictlyConvexError,
     TrackingConfig,
     build_normal_equations,
-    load_tracking_csv,
     objective,
     save_tracking_csv,
     solve,
     track_sequence,
 )
+from aeroalloc.table import read_table
 
 from conftest import constant_affine_model as constant_model, finite_difference_grads
 
@@ -148,27 +151,10 @@ def test_solve_matches_scipy_cholesky_bit_for_bit(rng):
         u = cho_solve(cho_factor(q, lower=True), c)
         assert np.array_equal(sol.u_unconstrained, u)
         resid = p.y_target - p.a - p.b @ u
-        assert sol.objective_value == objective(p, u)
-        assert sol.residual_norm == float(np.linalg.norm(resid))
+        assert objective(p, sol.u_unconstrained) == objective(p, u)
+        resid_sol = p.y_target - p.a - p.b @ sol.u_unconstrained
+        assert np.linalg.norm(resid_sol) == np.linalg.norm(resid)
     assert solve(saturated).clamped[:2].all()
-
-
-def test_solution_diagnostics_read_twice_are_equal(rng):
-    sol = solve(random_problem(rng))
-    assert sol.objective_value == sol.objective_value
-    assert sol.residual_norm == sol.residual_norm
-    assert isinstance(sol.objective_value, float) and isinstance(sol.residual_norm, float)
-
-
-def test_track_sequence_never_evaluates_diagnostics(monkeypatch, rng):
-    def fail(*args):
-        raise AssertionError("solve diagnostics evaluated inside the loop")
-
-    monkeypatch.setattr(allocator, "_objective", fail)
-    monkeypatch.setattr(allocator.AllocationSolution, "residual_norm", property(fail))
-    model = constant_model(np.zeros(6), np.vstack([np.eye(4), np.zeros((2, 4))]))
-    tlog = track_sequence(model, rng.normal(size=(20, 6)), [np.zeros(13)] * 20, TrackingConfig())
-    assert tlog.controls.shape == (20, 4)
 
 
 def test_solve_rejects_non_finite_normal_equations():
@@ -198,12 +184,16 @@ def test_clamping_flags_and_limits():
     assert np.max(np.abs(sol.u_star)) <= 25.0
 
 
-def test_solution_reports_unconstrained_metrics(rng):
-    p = random_problem(rng)
+def test_solution_reports_unconstrained_metrics():
+    # the clamp moves u_star off the minimizer; u_unconstrained keeps it
+    b = np.vstack([np.eye(4) * 0.01, np.zeros((2, 4))])
+    p = AllocationProblem(a=np.zeros(6), b=b, y_target=np.array([50.0, 0, 0, 0, 0, 0]),
+                          lambda0=0.0, lambda1=1e-6)
     sol = solve(p)
-    resid = p.y_target - p.a - p.b @ sol.u_unconstrained
-    assert sol.residual_norm == pytest.approx(np.linalg.norm(resid))
-    assert sol.objective_value == pytest.approx(objective(p, sol.u_unconstrained))
+    assert sol.clamped[0]
+    assert objective(p, sol.u_unconstrained) < objective(p, sol.u_star)
+    assert np.linalg.norm(p.y_target - p.a - p.b @ sol.u_unconstrained) < 1.0
+    assert np.linalg.norm(p.y_target - p.a - p.b @ sol.u_star) > 49.0
 
 
 def test_tracking_config_validation():
@@ -236,9 +226,8 @@ def test_track_sequence_matches_manual_iteration(rng):
     b_mat = np.vstack([np.eye(4) * 0.4, np.ones((2, 4)) * 0.05])
     model = constant_model(a_vec, b_mat)
     targets = rng.normal(scale=2.0, size=(12, 6))
-    obs = [np.zeros(13)] * 12
     cfg = TrackingConfig(lambda0=0.02, lambda1=0.2)
-    tlog = track_sequence(model, targets, obs, cfg)
+    tlog = track_sequence(model, targets, lambda k, u: np.zeros(13), cfg)
 
     u_prev = np.zeros(4)
     for k in range(12):
@@ -286,15 +275,10 @@ def test_track_sequence_uses_achieved_fn():
     def plant(k, u):
         return [float(k), 0.0, 0.0, 0.0, 0.0, 0.0]
 
-    tlog = track_sequence(model, targets, [np.zeros(13)] * 3, TrackingConfig(), achieved_fn=plant)
+    tlog = track_sequence(model, targets, lambda k, u: np.zeros(13), TrackingConfig(),
+                          achieved_fn=plant)
     assert np.array_equal(tlog.achieved[:, 0], [0.0, 1.0, 2.0])
     assert tlog.tracking_rmse() == pytest.approx(np.sqrt(np.mean(tlog.achieved ** 2)))
-
-
-def test_track_sequence_needs_one_observation_per_target():
-    model = constant_model(np.zeros(6), np.zeros((6, 4)))
-    with pytest.raises(ValueError):
-        track_sequence(model, np.zeros((3, 6)), [np.zeros(13)] * 2, TrackingConfig())
 
 
 def test_track_sequence_names_step_of_non_finite_model_output():
@@ -302,7 +286,7 @@ def test_track_sequence_names_step_of_non_finite_model_output():
     obs = [np.zeros(13)] * 5
     obs[3] = np.full(13, np.nan)  # the zero-weight backbone passes NaN through
     with pytest.raises(ArithmeticError, match="non-finite model output at step 3"):
-        track_sequence(model, np.zeros((5, 6)), obs, TrackingConfig())
+        track_sequence(model, np.zeros((5, 6)), lambda k, u: obs[k], TrackingConfig())
 
 
 def test_track_sequence_validates_targets_and_config():
@@ -310,17 +294,19 @@ def test_track_sequence_validates_targets_and_config():
     targets = np.zeros((3, 6))
     targets[1, 2] = np.inf
     with pytest.raises(ValueError, match="targets must be finite"):
-        track_sequence(model, targets, [np.zeros(13)] * 3, TrackingConfig())
+        track_sequence(model, targets, lambda k, u: np.zeros(13), TrackingConfig())
+    # the configuration is checked at construction and cannot be changed after it
     cfg = TrackingConfig()
-    cfg.lambda1 = 0.0
-    cfg.lambda0 = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.lambda1 = 0.0
+    assert cfg.lambda1 == 0.1
     with pytest.raises(NotStrictlyConvexError):
-        track_sequence(model, np.zeros((3, 6)), [np.zeros(13)] * 3, cfg)
+        dataclasses.replace(cfg, lambda0=0.0, lambda1=0.0)
 
 
 def test_track_sequence_rejects_unknown_model():
     with pytest.raises(TypeError):
-        track_sequence(object(), np.zeros((1, 6)), [np.zeros(13)], TrackingConfig())
+        track_sequence(object(), np.zeros((1, 6)), lambda k, u: np.zeros(13), TrackingConfig())
 
 
 def test_tracking_rmse_hand_value():
@@ -338,18 +324,18 @@ def test_tracking_rmse_hand_value():
 def test_tracking_csv_roundtrip(tmp_path, rng):
     model = constant_model(rng.normal(size=6) * 0.1, rng.normal(size=(6, 4)) * 0.3)
     tlog = track_sequence(
-        model, rng.normal(size=(6, 6)), [np.zeros(13)] * 6, TrackingConfig()
+        model, rng.normal(size=(6, 6)), lambda k, u: np.zeros(13), TrackingConfig()
     )
     path = tmp_path / "track.csv"
     save_tracking_csv(path, tlog)
-    loaded = load_tracking_csv(path)
-    for name in ("t", "targets", "predicted", "achieved", "controls"):
-        assert np.array_equal(getattr(loaded, name), getattr(tlog, name)), name
-    assert np.array_equal(loaded.clamped, tlog.clamped)
+    loaded = read_table(path, TRACKING_CSV_HEADER)
+    written = np.column_stack([tlog.t, tlog.targets, tlog.predicted, tlog.achieved,
+                               tlog.controls, tlog.clamped])
+    assert np.array_equal(loaded, written)
 
 
 def test_tracking_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,x\n0,1\n")
     with pytest.raises(ValueError):
-        load_tracking_csv(path)
+        read_table(path, TRACKING_CSV_HEADER)

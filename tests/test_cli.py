@@ -118,6 +118,46 @@ def test_gen_data_rejects_bad_excitation_before_writing(tmp_path, capsys, excita
     assert not list(root.rglob("*.csv"))
 
 
+DYN = {"kind": "dynamics", "name": "bad", "speed": 9.0, "duration_s": 2.0}
+CAL = {"kind": "calibration", "name": "bad", "repeats": 1}
+
+
+@pytest.mark.parametrize("protocol, message", [
+    ({"kind": "dynamics", "duraton_s": 2.0}, "dynamics protocol has unknown keys ['duraton_s']"),
+    ({**DYN, "excitation": {"sigam": 1.0}}, "excitation has unknown keys ['sigam']"),
+    ({**CAL, "repeat": 2}, "calibration protocol has unknown keys ['repeat']"),
+    ({**DYN, "dt": -0.02}, "dt must be positive and finite"),
+    ({**DYN, "dt": float("nan")}, "dt must be positive and finite"),
+    ({**DYN, "duration_s": 0.0}, "duration_s must be positive and finite"),
+    ({**DYN, "stage": "II", "hold_s": 0.0}, "hold_s must be positive and finite"),
+    ({**CAL, "dt": float("inf")}, "dt must be positive and finite"),
+    ({**CAL, "repeats": 0}, "repeats must be >= 1"),
+    ({**DYN, "duration_s": 0.001}, "schedule has no steps"),
+    ({**DYN, "stage": "II", "hold_s": 0.001}, "schedule has no steps"),
+    ({**CAL, "speeds": []}, "calibration protocol produces no rows"),
+])
+def test_gen_data_rejects_unusable_protocols_before_writing(tmp_path, capsys, protocol, message):
+    proto = tmp_path / "proto.json"
+    proto.write_text(json.dumps(protocol))
+    root = tmp_path / "root"
+    assert cli.main(["gen-data", "--protocol", str(proto), "--out", str(root)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not [p for p in root.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("duration", ["0", "0.02", "-1"])
+def test_track_leaves_no_artifact_when_the_run_is_too_short(tmp_path, capsys, duration):
+    root = tmp_path / "root"
+    code = cli.main(["track", "--model", str(_model_file(tmp_path)), "--duration", duration,
+                     "--out", str(root)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not [p for p in root.rglob("*") if p.is_file()]
+
+
 @pytest.mark.parametrize("gust", ["shedding", "off"])
 def test_track_rejects_nan_speed(tmp_path, capsys, gust):
     import numpy as np

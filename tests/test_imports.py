@@ -95,3 +95,25 @@ def test_no_module_imports_scipy_at_module_level():
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.append(path.name)
     assert importers == []
+
+
+def _bound_names(node):
+    """The names a module-level import statement binds."""
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names]
+    return []
+
+
+def test_no_module_keeps_an_unused_import():
+    # __init__ imports to re-export; every other module must use what it imports
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in _module_level(tree):
+            unused += [f"{path.name}: {name}" for name in _bound_names(node) if name not in used]
+    assert unused == []

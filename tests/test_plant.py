@@ -222,13 +222,25 @@ def test_true_wrench_exactly_affine_in_control(seed, alpha, beta):
 
 def test_true_wrench_matches_affine_terms(params, rng):
     cond = TunnelCondition(9.0, 4.0, -3.0, gust=GustState(mode="shear", yaw_deg=2.0))
-    a, b = true_affine_terms(cond, params)
+    d_alpha, d_beta = plant.wing_gust_angles(cond, params)
+    a, b = true_affine_terms(9.0, 4.0 + d_alpha, -3.0 + d_beta, params)
     q_s = dynamic_pressure(9.0, params) * params.wing_area
     assert np.allclose(b, q_s * params.control_matrix())
     for _ in range(5):
         u = rng.uniform(-10, 10, size=4)
         y = true_wrench(cond, u, params)
         assert np.allclose(y, a + b @ u, atol=1e-12)
+
+
+def test_true_affine_terms_rows_match_single_angles(params, rng):
+    # one call over a schedule gives the per-pair terms bit for bit
+    alpha, beta = rng.uniform(-10.0, 10.0, size=(2, 50))
+    a_rows, b = true_affine_terms(12.5, alpha, beta, params)
+    assert a_rows.shape == (50, 6)
+    for k in range(50):
+        a_k, b_k = true_affine_terms(12.5, float(alpha[k]), float(beta[k]), params)
+        assert np.array_equal(a_rows[k], a_k)
+        assert np.array_equal(b, b_k)
 
 
 def test_true_wrench_envelope_guard(params):

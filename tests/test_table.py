@@ -52,7 +52,8 @@ def test_only_the_table_module_imports_csv():
 LOADERS = {
     "dynamics": (dynamics.load_dynamics_csv, dynamics.DYNAMICS_CSV_HEADER, lambda r: len(r[0])),
     "calibration": (probe.load_calibration_csv, probe.CALIBRATION_CSV_HEADER, len),
-    "tracking": (allocator.load_tracking_csv, allocator.TRACKING_CSV_HEADER, lambda r: r.t.size),
+    "tracking": (lambda p: read_table(p, allocator.TRACKING_CSV_HEADER),
+                 allocator.TRACKING_CSV_HEADER, len),
 }
 
 
