@@ -522,7 +522,7 @@ def affine_at(model: UnstructuredModel, obs, u_ref) -> tuple[np.ndarray, np.ndar
         raise ValueError("affine_at linearizes around a single observation")
     u_vec = np.asarray(u_ref, dtype=float)
     x = (np.concatenate([feats[0], u_vec]) - model.in_mean) / model.in_std
-    acts = forward(model.net, np.tile(x, (WRENCH_DIM, 1)), activations=True)
+    acts = forward(model.net, np.repeat(x[None], WRENCH_DIM, axis=0), activations=True)
     grad = nncore.input_grad(model.net, _EYE_WRENCH, acts)
     jac = grad[:, -CONTROL_DIM:] / model.in_std[-CONTROL_DIM:]
     # A 1-row pass for y0: reading it off the 6-row pass would move C7, as the two

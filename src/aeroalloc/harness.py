@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
         if not 0.0 < self.duration_s < np.inf:
             raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
+        if not 0.0 < self.holdout_fraction < 1.0:  # NaN fails the comparison as well
+            raise ValueError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
 
     def train_config(self, variant: str) -> DynamicsTrainConfig:
         if variant not in VARIANTS:
@@ -553,9 +555,11 @@ def closed_loop_run(
     """Track a seeded target sequence against the plant at one speed.
 
     The observation stream is regenerated each step from the plant with the
-    previously applied command, so wing-tap feedback is closed-loop. Two runs
-    with the same seed see identical conditions, targets, and sensor noise
-    regardless of the model, which makes paired comparisons meaningful.
+    previously applied command, so wing-tap feedback is closed-loop. The gust
+    at each sensing location does not depend on the command, so it is
+    evaluated once per run (`plant.gust_field`). Two runs with the same seed
+    see identical conditions, targets, and sensor noise regardless of the
+    model, which makes paired comparisons meaningful.
     """
     params = params or PlantParams()
     tracking = tracking or TrackingConfig(lambda0=cfg.lambda0, lambda1=cfg.lambda1)
@@ -575,14 +579,13 @@ def closed_loop_run(
         params, speed, t, int(rng_targets.integers(2**32)), alpha_deg=alpha, beta_deg=beta
     )
 
-    wing_gusts = {}  # step -> its wing gust, evaluated once for observe and achieved
+    gusts = plant_mod.gust_field(gust, t, speed, params)  # (n, 3, 2); none depends on u
 
     def observe(k: int, u_prev: np.ndarray):
-        wing_gusts[k] = plant_mod.wing_gust_angles(conds[k], params)
         return plant_mod.make_observation(conds[k], u_prev, params, rng_noise,
-                                          wing_gust=wing_gusts[k])
+                                          gusts=gusts[k].tolist())
 
     def achieved(k: int, u: np.ndarray):
-        return plant_mod.true_wrench(conds[k], u, params, rng_noise, wing_gusts.pop(k))
+        return plant_mod.true_wrench(conds[k], u, params, rng_noise, gusts[k, 2].tolist())
 
     return track_sequence(model, targets, observe, tracking, achieved_fn=achieved)

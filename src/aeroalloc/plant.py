@@ -108,9 +108,14 @@ def _is_finite_number(value) -> bool:
     return _is_number(value) and math.isfinite(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlantParams:
-    """Geometry, aerodynamic derivatives, sensor layout, and noise levels."""
+    """Geometry, aerodynamic derivatives, sensor layout, and noise levels.
+
+    Frozen: construction checks every field and then builds the constant
+    tables the per-step functions read (the wing-tap coefficient arrays, the
+    control matrix, the probe tap axes), once and read-only.
+    """
 
     rho: float = RHO            # kg/m^3
     wing_area: float = 0.30     # m^2
@@ -205,16 +210,8 @@ class PlantParams:
                     and all(_is_finite_number(table.get(loc)) for loc in LOCATIONS)):
                 raise ValueError(f"{name} needs a finite value for each of {LOCATIONS}, "
                                  f"got {table!r}")
-
-    def control_matrix(self) -> np.ndarray:
-        """True 6x4 control sensitivity in coefficient form.
-
-        Moment rows carry their reference lengths, so q*S*(D @ u) is a wrench.
-        Column order (left flaperon, right flaperon, elevator, rudder); the
-        flaperon columns satisfy the mirror pattern exactly by construction.
-        """
         b, c = self.span, self.chord
-        return np.array(
+        control = np.array(
             [
                 [-self.flap_cfx, self.flap_cfx, -self.elev_cfx, -self.rud_cfx],
                 [self.flap_cfy, self.flap_cfy, 0.0, self.rud_cfy],
@@ -224,6 +221,33 @@ class PlantParams:
                 [self.flap_cn * b, self.flap_cn * b, 0.0, self.rud_cn * b],
             ]
         )
+        cone = np.radians(self.probe_cone_deg)
+        cos_c, sin_c = np.cos(cone), np.sin(cone)
+        tap_axes = np.array(
+            [
+                [1.0, 0.0, 0.0],            # center
+                [cos_c, 0.0, -sin_c],       # up (-z body)
+                [cos_c, 0.0, sin_c],        # down
+                [cos_c, -sin_c, 0.0],       # left (-y body)
+                [cos_c, sin_c, 0.0],        # right
+            ]
+        )
+        wing_taps = tuple(np.array(getattr(self, name), dtype=float)
+                          for name in ("wing_tap_a", "wing_tap_b", "wing_tap_c", "wing_tap_d"))
+        for table in (control, tap_axes, *wing_taps):
+            table.flags.writeable = False
+        object.__setattr__(self, "_control", control)
+        object.__setattr__(self, "_probe_tap_axes", tap_axes)
+        object.__setattr__(self, "_wing_taps", wing_taps)
+
+    def control_matrix(self) -> np.ndarray:
+        """True 6x4 control sensitivity in coefficient form (a read-only table).
+
+        Moment rows carry their reference lengths, so q*S*(D @ u) is a wrench.
+        Column order (left flaperon, right flaperon, elevator, rudder); the
+        flaperon columns satisfy the mirror pattern exactly by construction.
+        """
+        return self._control
 
     def baseline_coefficients(self, alpha_deg, beta_deg) -> np.ndarray:
         """Zero-deflection wrench coefficients at the flow angles, (6,) or (6, n)."""
@@ -243,37 +267,47 @@ def dynamic_pressure(va: float, params: PlantParams) -> float:
     return 0.5 * params.rho * va * va
 
 
-def gust_perturbation(
-    gust: GustState, time: float, location: str, va: float, params: PlantParams
-) -> tuple[float, float]:
+def gust_perturbation(gust: GustState, time, location: str, va: float, params: PlantParams):
     """Gust-induced (d_alpha, d_beta) in degrees at a sensing location.
 
-    Shedding advects with the freestream: a location `x` meters downstream
-    sees the signal delayed by x/Va.
+    `time` is a float, which gives two floats, or an array of times, which
+    gives two arrays of its shape; each element equals the float call at
+    that time bit for bit. Shedding advects with the freestream: a location
+    `x` meters downstream sees the signal delayed by x/Va.
     """
     if location not in LOCATIONS:
         raise ValueError(f"location must be one of {LOCATIONS}, got {location!r}")
     weight = params.gust_weight[location]
-    if gust.mode == "off":
-        return 0.0, 0.0
+    shape = np.shape(time)  # () for a float time; [()] below then makes a 0-d array a scalar
     if gust.mode == "shear":
-        return 0.0, weight * params.shear_beta_per_yaw * gust.yaw_deg
-    if gust.amplitude == 0.0:
-        return 0.0, 0.0
+        d_beta = weight * params.shear_beta_per_yaw * gust.yaw_deg
+        return np.zeros(shape)[()], np.full(shape, d_beta)[()]
+    if gust.mode == "off" or gust.amplitude == 0.0:
+        return np.zeros(shape)[()], np.zeros(shape)[()]
     speed = max(va, 0.1)
     angle_amp = np.degrees(np.arctan2(gust.amplitude, speed))
     lag = params.streamwise_offset_m[location] / speed
     ph = 2.0 * np.pi * gust.frequency_hz * (time - lag) + gust.phase
-    return weight * angle_amp * float(np.sin(ph)), weight * angle_amp * float(np.cos(ph))
+    return weight * angle_amp * np.sin(ph), weight * angle_amp * np.cos(ph)
+
+
+def gust_field(gust: GustState, times: np.ndarray, va: float, params: PlantParams) -> np.ndarray:
+    """The gust at every sensing location over a run, (n, 3, 2) for n times.
+
+    Row k holds the (d_alpha, d_beta) pairs of `LOCATIONS` (probe0, probe1,
+    wing) at times[k], which `make_observation` takes as `gusts=` and whose
+    last pair `wing_pressures` and `true_wrench` take as `wing_gust=`; a
+    per-step caller passes them `.tolist()`, as arithmetic on Python floats
+    costs less than on numpy scalars and gives the same bits. Makes one
+    `gust_perturbation` call per location.
+    """
+    return np.stack([np.column_stack(gust_perturbation(gust, times, loc, va, params))
+                     for loc in LOCATIONS], axis=1)
 
 
 def wing_gust_angles(cond: TunnelCondition, params: PlantParams) -> tuple[float, float]:
-    """The condition's gust (d_alpha, d_beta) at the wing.
-
-    `wing_pressures`, `true_wrench` and `make_observation` take it as
-    `wing_gust=`, so a caller that needs it more than once per condition
-    evaluates it once; without it they evaluate it themselves.
-    """
+    """The condition's gust (d_alpha, d_beta) at the wing; `wing_pressures` and
+    `true_wrench` evaluate it themselves unless given it as `wing_gust=`."""
     return gust_perturbation(cond.gust, cond.time, "wing", cond.va, params)
 
 
@@ -297,17 +331,7 @@ def probe_pressures(
     a = np.radians(flow.alpha_deg)
     b = np.radians(flow.beta_deg)
     flow_dir = np.array([np.cos(a) * np.cos(b), np.sin(b), np.sin(a) * np.cos(b)])
-    c, s = np.cos(np.radians(params.probe_cone_deg)), np.sin(np.radians(params.probe_cone_deg))
-    tap_axes = np.array(
-        [
-            [1.0, 0.0, 0.0],   # center
-            [c, 0.0, -s],      # up (-z body)
-            [c, 0.0, s],       # down
-            [c, -s, 0.0],      # left (-y body)
-            [c, s, 0.0],       # right
-        ]
-    )
-    cos_gamma = tap_axes @ flow_dir
+    cos_gamma = params._probe_tap_axes @ flow_dir
     q = dynamic_pressure(flow.va, params)
     taps = params.probe_static_pa + q * (
         1.0 - params.probe_sensitivity * (1.0 - cos_gamma**2)
@@ -330,14 +354,10 @@ def wing_pressures(
     the leading-edge taps (0 and 4) carry the largest gust sensitivity.
     """
     d_alpha, d_beta = wing_gust_angles(cond, params) if wing_gust is None else wing_gust
-    gust_term = d_alpha + d_beta
+    tap_a, tap_b, tap_c, tap_d = params._wing_taps
     q = dynamic_pressure(cond.va, params)
-    taps = q * (
-        np.asarray(params.wing_tap_a)
-        + np.asarray(params.wing_tap_b) * (cond.alpha_deg + d_alpha)
-        + np.asarray(params.wing_tap_c) * u[1]
-        + np.asarray(params.wing_tap_d) * gust_term
-    )
+    taps = q * (tap_a + tap_b * (cond.alpha_deg + d_alpha) + tap_c * u[1]
+                + tap_d * (d_alpha + d_beta))
     if rng is not None:
         taps = taps + rng.normal(0.0, params.wing_noise_pa, size=7)
     return taps
@@ -390,32 +410,35 @@ def make_observation(
     params: PlantParams,
     rng: np.random.Generator | None = None,
     probe_models=None,
-    wing_gust: tuple[float, float] | None = None,
+    gusts=None,
 ) -> np.ndarray:
     """Assemble the (13,) observation the wrench model consumes.
 
-    With `probe_models` (a pair of calibration networks) the probe features go
-    through the full sensing chain: simulated tap pressures -> normalize ->
-    network -> airspeed reconstruction. Without them, "ideal" mode returns the
-    true local flow at each probe plus a small residual mimicking calibration
-    error.
+    `gusts` holds the condition's three gust (d_alpha, d_beta) pairs in
+    `LOCATIONS` order (probe0, probe1, wing), such as a row of `gust_field`;
+    without it they are evaluated here. With `probe_models` (a pair of
+    calibration networks) the probe features go through the full sensing
+    chain: simulated tap pressures -> normalize -> network -> airspeed
+    reconstruction. Without them, "ideal" mode returns the true local flow at
+    each probe plus a small residual mimicking calibration error.
     """
-    flows = [local_flow(cond, loc, params) for loc in ("probe0", "probe1")]
+    if gusts is None:
+        gusts = [gust_perturbation(cond.gust, cond.time, loc, cond.va, params)
+                 for loc in LOCATIONS]
     feats = []
-    if probe_models is not None:
-        for model, flow in zip(probe_models, flows):
-            taps = probe_pressures(flow, params, rng)
-            est = probe_mod.estimate_flow(model, taps, params.rho)
+    for i, (d_alpha, d_beta) in enumerate(gusts[:2]):
+        va, al, be = cond.va, cond.alpha_deg + d_alpha, cond.beta_deg + d_beta
+        if probe_models is not None:
+            taps = probe_pressures(FlowState(va, al, be), params, rng)
+            est = probe_mod.estimate_flow(probe_models[i], taps, params.rho)
             feats.extend([est.va, est.alpha_deg, est.beta_deg])
-    else:
-        for flow in flows:
-            va, al, be = flow.va, flow.alpha_deg, flow.beta_deg
+        else:
             if rng is not None:
                 va += rng.normal(0.0, params.est_noise_va)
                 al += rng.normal(0.0, params.est_noise_angle_deg)
                 be += rng.normal(0.0, params.est_noise_angle_deg)
             feats.extend([max(va, 0.0), al, be])
-    ps = wing_pressures(cond, u, params, rng, wing_gust)
+    ps = wing_pressures(cond, u, params, rng, gusts[2])
     return np.concatenate([feats, ps])
 
 
@@ -597,16 +620,15 @@ def generate_dynamics_data(
     controls = band_limited_walk(rng, t.size, **excitation)
     gust = gust_from_spec(protocol.get("gust"), speed, params)
 
+    gusts = gust_field(gust, t, speed, params)
     obs_rows = np.empty((t.size, OBS_DIM))
     y_rows = np.empty((t.size, WRENCH_DIM))
-    cond_rows = np.empty((t.size, 5))  # t, alpha, beta, and the wing's gust angles
     for k in range(t.size):
         cond = TunnelCondition(speed, float(alpha[k]), float(beta[k]), gust=gust, time=float(t[k]))
         u = controls[k]
-        gust_w = wing_gust_angles(cond, params)
-        obs_rows[k] = make_observation(cond, u, params, rng, probe_models, wing_gust=gust_w)
-        y_rows[k] = true_wrench(cond, u, params, rng, gust_w)
-        cond_rows[k] = (cond.time, cond.alpha_deg, cond.beta_deg, *gust_w)
+        obs_rows[k] = make_observation(cond, u, params, rng, probe_models, gusts[k].tolist())
+        y_rows[k] = true_wrench(cond, u, params, rng, gusts[k, 2].tolist())
+    cond_rows = np.column_stack([t, alpha, beta, gusts[:, 2]])  # and the wing's gust angles
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -629,7 +651,11 @@ def generate_dataset(
 ) -> list[Path]:
     """Dispatch on the protocol's `kind`; accepts a dict or a JSON file path."""
     if not isinstance(protocol, dict):
-        protocol = json.loads(Path(protocol).read_text())
+        path = protocol
+        protocol = json.loads(Path(path).read_text())
+        if not isinstance(protocol, dict):
+            raise ValueError(f"protocol {path} must hold a JSON object, "
+                             f"got {type(protocol).__name__}")
     kind = protocol.get("kind")
     if kind == "calibration":
         return generate_calibration_data(protocol, params, seed, out_dir)

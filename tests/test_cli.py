@@ -135,6 +135,9 @@ CAL = {"kind": "calibration", "name": "bad", "repeats": 1}
     ({**DYN, "duration_s": 0.001}, "schedule has no steps"),
     ({**DYN, "stage": "II", "hold_s": 0.001}, "schedule has no steps"),
     ({**CAL, "speeds": []}, "calibration protocol produces no rows"),
+    ([1, 2], "proto.json must hold a JSON object, got list"),
+    ("dynamics", "proto.json must hold a JSON object, got str"),
+    (None, "proto.json must hold a JSON object, got NoneType"),
 ])
 def test_gen_data_rejects_unusable_protocols_before_writing(tmp_path, capsys, protocol, message):
     proto = tmp_path / "proto.json"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import aeroalloc
 from aeroalloc import harness, nncore, plant
-from aeroalloc.allocator import TrackingConfig
+from aeroalloc.allocator import TrackingConfig, track_sequence
 from aeroalloc.dynamics import AffineModel, model_flat_params
 from aeroalloc.harness import (
     ExperimentConfig,
@@ -121,6 +121,14 @@ def test_experiment_config_rejects_unusable_duration(duration):
         ExperimentConfig(duration_s=duration)
 
 
+@pytest.mark.parametrize("fraction", [1.5, 1.0, 0.0, -0.25, float("nan")])
+def test_unusable_holdout_fraction_fails_before_the_suite_writes(tmp_path, fraction):
+    with pytest.raises(ValueError, match=r"holdout_fraction must be in \(0, 1\)"):
+        run_ablation_suite(ExperimentConfig(holdout_fraction=fraction, duration_s=2.0, epochs=1),
+                           tmp_path)
+    assert not (tmp_path / "datasets").exists()
+
+
 def test_train_config_wiring():
     cfg = ExperimentConfig(lambda_sym=0.25)
     assert cfg.train_config("affine_sym").sym.lambda_sym == 0.25
@@ -216,7 +224,7 @@ def test_closed_loop_run_is_seed_deterministic():
     assert not np.array_equal(a.controls, c.controls)
 
 
-def test_closed_loop_evaluates_the_wing_gust_once_per_step(monkeypatch):
+def test_closed_loop_evaluates_each_gust_once_per_run(monkeypatch):
     model = constant_affine_model(
         np.zeros(6), np.vstack([np.eye(4) * 0.3, np.zeros((2, 4))])
     )
@@ -224,13 +232,58 @@ def test_closed_loop_evaluates_the_wing_gust_once_per_step(monkeypatch):
     reference = closed_loop_run(model, cfg, 10.0, seed=5)
     calls = count_gust_calls(monkeypatch)
     tlog = closed_loop_run(model, cfg, 10.0, seed=5)
-    # per step: both probes and the wing once; the gust-free target baseline
-    # is closed-form and evaluates no gust
-    assert calls.count(("shedding", "wing")) == 100
-    assert calls.count(("shedding", "probe0")) == calls.count(("shedding", "probe1")) == 100
-    assert len(calls) == 300
+    # one evaluation over all the run's times per location, not one per step;
+    # the gust-free target baseline is closed-form and evaluates no gust
+    assert calls == [("shedding", loc) for loc in plant.LOCATIONS]
     assert np.array_equal(tlog.controls, reference.controls)
     assert np.array_equal(tlog.achieved, reference.achieved)
+
+
+@pytest.fixture(scope="module")
+def flown_models(tmp_path_factory):
+    """Two small trained models whose output depends on the observation."""
+    cfg = tiny_cfg(duration_s=2.0, epochs=2)
+    data = generate_speed_datasets(cfg, (10.0,), plant.PlantParams(),
+                                   tmp_path_factory.mktemp("flown"))[10.0]
+    return {v: harness.train_variant(v, data, cfg) for v in ("affine", "unstructured")}
+
+
+@pytest.mark.parametrize("gust_mode", harness.GUST_MODES)
+@pytest.mark.parametrize("variant", ["affine", "unstructured"])
+def test_closed_loop_matches_per_step_plant_closures_bit_for_bit(flown_models, variant,
+                                                                 gust_mode):
+    model, speed, seed = flown_models[variant], 13.5, 5
+    cfg = tiny_cfg(duration_s=2.0, gust_mode=gust_mode)  # 100 steps
+    params = plant.PlantParams()
+    tlog = closed_loop_run(model, cfg, speed, params=params, seed=seed)
+
+    # The reference: closed_loop_run's set-up, flown through closures that
+    # evaluate every gust per condition, as the plant step did before gusts
+    # were evaluated once per run.
+    tracking = TrackingConfig(lambda0=cfg.lambda0, lambda1=cfg.lambda1)
+    rng_sched, rng_targets, rng_noise = [
+        np.random.default_rng(int(c.generate_state(1)[0]))
+        for c in np.random.SeedSequence(seed).spawn(3)
+    ]
+    protocol = {"stage": "I", "duration_s": cfg.duration_s, "dt": tracking.dt}
+    t, alpha, beta = plant.stage_schedule(protocol, params, rng_sched)
+    gust = plant.gust_from_spec(harness._gust_spec(cfg), speed, params)
+    conds = [plant.TunnelCondition(speed, float(a), float(b), gust=gust, time=float(tk))
+             for tk, a, b in zip(t, alpha, beta)]
+    targets = make_target_sequence(params, speed, t, int(rng_targets.integers(2**32)),
+                                   alpha_deg=alpha, beta_deg=beta)
+
+    def observe(k, u_prev):
+        return plant.make_observation(conds[k], u_prev, params, rng_noise)
+
+    def achieved(k, u):
+        wing_gust = plant.wing_gust_angles(conds[k], params)
+        return plant.true_wrench(conds[k], u, params, rng_noise, wing_gust)
+
+    reference = track_sequence(model, targets, observe, tracking, achieved_fn=achieved)
+    assert tlog.controls.shape == (100, 4)
+    for name in ("controls", "predicted", "achieved"):
+        assert np.array_equal(getattr(tlog, name), getattr(reference, name)), name
 
 
 def test_closed_loop_metrics_block():

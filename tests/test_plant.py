@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aeroalloc import plant, probe as probe_mod
+from aeroalloc import nncore, plant, probe as probe_mod
 from aeroalloc.dynamics import load_dynamics_csv
 from aeroalloc.plant import (
     ENVELOPE_DEG,
@@ -132,6 +132,27 @@ def test_gust_perturbation_modes(params):
     ) == (0.0, 0.0)
     with pytest.raises(ValueError):
         gust_perturbation(GustState(), 0.0, "tail", 10.0, params)
+
+
+ARRAY_GUSTS = [
+    GustState(),
+    GustState(mode="shear", yaw_deg=4.0),
+    GustState(mode="shedding", amplitude=0.4, frequency_hz=10.8, phase=0.3),  # 13.5 m/s rule
+    GustState(mode="shedding", amplitude=0.0),
+]
+
+
+@pytest.mark.parametrize("location", plant.LOCATIONS)
+@pytest.mark.parametrize("gust", ARRAY_GUSTS, ids=lambda g: f"{g.mode}-{g.amplitude:g}")
+def test_gust_perturbation_over_times_equals_scalar_calls(params, gust, location):
+    times = np.concatenate([np.arange(6000) * 0.02, [0.013, 7.77, 123.456]])
+    d_alpha, d_beta = gust_perturbation(gust, times, location, 13.5, params)
+    assert d_alpha.shape == d_beta.shape == times.shape
+    scalar = [gust_perturbation(gust, float(t), location, 13.5, params) for t in times]
+    assert all(np.ndim(a) == np.ndim(b) == 0 for a, b in scalar)
+    # bit for bit, signed zeros included
+    assert d_alpha.tobytes() == np.array([a for a, _ in scalar]).tobytes()
+    assert d_beta.tobytes() == np.array([b for _, b in scalar]).tobytes()
 
 
 def test_shedding_advects_downstream(params):
@@ -371,7 +392,7 @@ def test_generate_dynamics_dataset(tmp_path, params):
     assert header == plant.CONDITIONS_CSV_HEADER
 
 
-def test_dynamics_run_evaluates_the_wing_gust_once_per_step(tmp_path, params, monkeypatch):
+def test_dynamics_run_evaluates_each_gust_once_per_run(tmp_path, params, monkeypatch):
     proto = {
         "kind": "dynamics", "speed": 10.0, "stage": "I", "duration_s": 2.0,
         "gust": {"mode": "shedding", "amplitude": 0.4}, "name": "count",
@@ -379,9 +400,8 @@ def test_dynamics_run_evaluates_the_wing_gust_once_per_step(tmp_path, params, mo
     reference = generate_dataset(proto, params, seed=3, out_dir=tmp_path / "a")
     calls = count_gust_calls(monkeypatch)
     paths = generate_dataset(proto, params, seed=3, out_dir=tmp_path / "b")
-    # 100 steps: one evaluation per probe and one at the wing
-    assert calls.count(("shedding", "wing")) == 100
-    assert len(calls) == 300
+    # 100 steps: one evaluation over all the run's times per location, not one per step
+    assert calls == [("shedding", loc) for loc in plant.LOCATIONS]
     for pa, pb in zip(reference, paths):
         assert pa.read_bytes() == pb.read_bytes()
 
@@ -393,11 +413,34 @@ def test_plant_step_takes_the_wing_gust_it_was_given(params, rng):
     given = plant.wing_gust_angles(cond, params)
     assert np.array_equal(true_wrench(cond, u, params, wing_gust=given),
                           true_wrench(cond, u, params))
-    assert np.array_equal(make_observation(cond, u, params, wing_gust=given),
-                          make_observation(cond, u, params))
-    zero = make_observation(cond, u, params, wing_gust=(0.0, 0.0))
-    assert np.array_equal(zero[6:], wing_pressures(
-        TunnelCondition(10.0, 3.0, -2.0), u, params))
+    gusts = plant.gust_field(gust, np.array([cond.time]), cond.va, params)[0]
+    assert np.array_equal(gusts[2], given)
+    obs = make_observation(cond, u, params, gusts=gusts)
+    assert np.array_equal(obs, make_observation(cond, u, params))
+    zero = make_observation(cond, u, params, gusts=np.zeros((3, 2)))
+    assert np.array_equal(zero, make_observation(TunnelCondition(10.0, 3.0, -2.0), u, params))
+    # each location's gust reaches its own features: the probes' flows and the wing taps
+    flows = [local_flow(cond, loc, params) for loc in ("probe0", "probe1")]
+    assert np.array_equal(obs[:6], [x for f in flows for x in (f.va, f.alpha_deg, f.beta_deg)])
+    assert np.array_equal(obs[6:], wing_pressures(cond, u, params))
+
+
+def test_calibrated_observation_takes_the_gusts_it_was_given(params, rng):
+    nets = [nncore.init_network([5, 4, 3], seed=i) for i in (1, 2)]
+    for net in nets:  # a constant, positive dynamic-pressure correction
+        net.layers[-1].weight[0] = 0.0
+        net.layers[-1].bias[0] = 1.0
+    gust = GustState(mode="shedding", amplitude=0.4, frequency_hz=8.0)
+    cond = TunnelCondition(10.0, 3.0, -2.0, gust=gust, time=0.37)
+    u = rng.uniform(-20.0, 20.0, size=4)
+    gusts = plant.gust_field(gust, np.array([cond.time]), cond.va, params)[0]
+    obs = make_observation(cond, u, params, np.random.default_rng(4), nets, gusts)
+    assert np.array_equal(obs, make_observation(cond, u, params, np.random.default_rng(4), nets))
+    flows = [local_flow(cond, loc, params) for loc in ("probe0", "probe1")]
+    taps_rng = np.random.default_rng(4)
+    for net, flow, feats in zip(nets, flows, (obs[:3], obs[3:6])):
+        est = probe_mod.estimate_flow(net, probe_pressures(flow, params, taps_rng), params.rho)
+        assert np.array_equal(feats, [est.va, est.alpha_deg, est.beta_deg])
 
 
 def test_dataset_generation_is_byte_deterministic(tmp_path, params):
