@@ -22,11 +22,11 @@ Each value is checked once, where it enters: AllocationProblem its parts,
 TrackingConfig (frozen) the penalties, dt and the trim and initial commands
 (4 finite entries within the actuator limits), `track_sequence` its targets.
 Inside the loop, where commands pass as plain (4,) arrays, only the model's
-(A, B) and the achieved wrench are checked to be finite. In a traced seed-0 C7
-loop a step's time is then mostly the model pass (about two fifths), the
-plant's observation and response (about a quarter), the small numpy
-operations of the solve (about a fifth) and the loop's own bookkeeping (about
-a sixth).
+(A, B) and the achieved wrench are checked to be finite, and the clamp flags
+are reduced for the debug log only when it is enabled. In a traced seed-0 C7
+loop a step's time is then mostly the model pass (about half), the small
+numpy operations of the solve (about a quarter), the loop's own bookkeeping
+(about a sixth) and the plant's observation and response (about a tenth).
 """
 from __future__ import annotations
 
@@ -171,7 +171,7 @@ def solve(p: AllocationProblem) -> AllocationSolution:
         raise ArithmeticError(f"normal equations not solvable (LAPACK info {info})")
     u_star = u.clip(-CONTROL_LIMIT_DEG, CONTROL_LIMIT_DEG)
     clamped = np.abs(u) > np.abs(u_star) + 1e-12
-    if clamped.any():
+    if log.isEnabledFor(logging.DEBUG) and clamped.any():
         log.debug("clamped surfaces: %s", clamped.nonzero()[0].tolist())
     return AllocationSolution(u_star=u_star, u_unconstrained=u, clamped=clamped)
 

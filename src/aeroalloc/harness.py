@@ -43,7 +43,7 @@ from .dynamics import (
     train_dynamics,
     train_unstructured,
 )
-from .plant import PlantParams, TunnelCondition
+from .plant import PlantParams
 from .table import write_table
 
 log = logging.getLogger(__name__)
@@ -555,11 +555,12 @@ def closed_loop_run(
     """Track a seeded target sequence against the plant at one speed.
 
     The observation stream is regenerated each step from the plant with the
-    previously applied command, so wing-tap feedback is closed-loop. The gust
-    at each sensing location does not depend on the command, so it is
-    evaluated once per run (`plant.gust_field`). Two runs with the same seed
-    see identical conditions, targets, and sensor noise regardless of the
-    model, which makes paired comparisons meaningful.
+    previously applied command, so wing-tap feedback is closed-loop. What
+    does not depend on the command (the gusts, the probe features, the
+    sensor noise, the wing-tap and wrench baselines) is built once per run
+    (`plant.run_terms`), and each step adds only the command's share. Two
+    runs with the same seed see identical conditions, targets, and sensor
+    noise regardless of the model, which makes paired comparisons meaningful.
     """
     params = params or PlantParams()
     tracking = tracking or TrackingConfig(lambda0=cfg.lambda0, lambda1=cfg.lambda1)
@@ -571,21 +572,15 @@ def closed_loop_run(
     protocol = {"stage": "I", "duration_s": cfg.duration_s, "dt": tracking.dt}
     t, alpha, beta = plant_mod.stage_schedule(protocol, params, rng_sched)
     gust = plant_mod.gust_from_spec(_gust_spec(cfg), speed, params)
-    conds = [
-        TunnelCondition(speed, float(alpha[k]), float(beta[k]), gust=gust, time=float(t[k]))
-        for k in range(t.size)
-    ]
+    terms = plant_mod.run_terms(params, speed, t, alpha, beta, gust, rng_noise)
     targets = make_target_sequence(
         params, speed, t, int(rng_targets.integers(2**32)), alpha_deg=alpha, beta_deg=beta
     )
 
-    gusts = plant_mod.gust_field(gust, t, speed, params)  # (n, 3, 2); none depends on u
-
     def observe(k: int, u_prev: np.ndarray):
-        return plant_mod.make_observation(conds[k], u_prev, params, rng_noise,
-                                          gusts=gusts[k].tolist())
+        return plant_mod.make_observation(terms, k, u_prev)
 
     def achieved(k: int, u: np.ndarray):
-        return plant_mod.true_wrench(conds[k], u, params, rng_noise, gusts[k, 2].tolist())
+        return plant_mod.true_wrench(terms, k, u)
 
     return track_sequence(model, targets, observe, tracking, achieved_fn=achieved)

@@ -113,7 +113,7 @@ class PlantParams:
     """Geometry, aerodynamic derivatives, sensor layout, and noise levels.
 
     Frozen: construction checks every field and then builds the constant
-    tables the per-step functions read (the wing-tap coefficient arrays, the
+    tables the plant functions read (the wing-tap coefficient arrays, the
     control matrix, the probe tap axes), once and read-only.
     """
 
@@ -295,20 +295,10 @@ def gust_field(gust: GustState, times: np.ndarray, va: float, params: PlantParam
     """The gust at every sensing location over a run, (n, 3, 2) for n times.
 
     Row k holds the (d_alpha, d_beta) pairs of `LOCATIONS` (probe0, probe1,
-    wing) at times[k], which `make_observation` takes as `gusts=` and whose
-    last pair `wing_pressures` and `true_wrench` take as `wing_gust=`; a
-    per-step caller passes them `.tolist()`, as arithmetic on Python floats
-    costs less than on numpy scalars and gives the same bits. Makes one
-    `gust_perturbation` call per location.
+    wing) at times[k]. Makes one `gust_perturbation` call per location.
     """
     return np.stack([np.column_stack(gust_perturbation(gust, times, loc, va, params))
                      for loc in LOCATIONS], axis=1)
-
-
-def wing_gust_angles(cond: TunnelCondition, params: PlantParams) -> tuple[float, float]:
-    """The condition's gust (d_alpha, d_beta) at the wing; `wing_pressures` and
-    `true_wrench` evaluate it themselves unless given it as `wing_gust=`."""
-    return gust_perturbation(cond.gust, cond.time, "wing", cond.va, params)
 
 
 def local_flow(cond: TunnelCondition, location: str, params: PlantParams) -> FlowState:
@@ -341,105 +331,151 @@ def probe_pressures(
     return ProbePressures(taps)
 
 
-def wing_pressures(
-    cond: TunnelCondition,
-    u: np.ndarray,
-    params: PlantParams,
-    rng: np.random.Generator | None = None,
-    wing_gust: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """Seven wing-surface tap pressures in Pa for the (4,) command `u`.
-
-    All taps sit on the right wing, so they couple to the right flaperon only;
-    the leading-edge taps (0 and 4) carry the largest gust sensitivity.
-    """
-    d_alpha, d_beta = wing_gust_angles(cond, params) if wing_gust is None else wing_gust
-    tap_a, tap_b, tap_c, tap_d = params._wing_taps
-    q = dynamic_pressure(cond.va, params)
-    taps = q * (tap_a + tap_b * (cond.alpha_deg + d_alpha) + tap_c * u[1]
-                + tap_d * (d_alpha + d_beta))
-    if rng is not None:
-        taps = taps + rng.normal(0.0, params.wing_noise_pa, size=7)
-    return taps
-
-
-def true_wrench(
-    cond: TunnelCondition,
-    u: np.ndarray,
-    params: PlantParams,
-    rng: np.random.Generator | None = None,
-    wing_gust: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """Ground-truth (6,) forces and torques: q*S*(C0(local flow) + D u) plus noise.
-
-    Exactly affine in u for a fixed condition. The gust enters through the
-    wing-local flow angles in the baseline term.
-    """
-    if abs(cond.alpha_deg) > ENVELOPE_DEG or abs(cond.beta_deg) > ENVELOPE_DEG:
-        raise OutOfEnvelopeError(
-            f"|alpha|={abs(cond.alpha_deg):.1f}, |beta|={abs(cond.beta_deg):.1f} "
-            f"outside the +-{ENVELOPE_DEG:.0f} deg envelope"
-        )
-    d_alpha, d_beta = wing_gust_angles(cond, params) if wing_gust is None else wing_gust
-    q_s = dynamic_pressure(cond.va, params) * params.wing_area
-    y = q_s * (
-        params.baseline_coefficients(cond.alpha_deg + d_alpha, cond.beta_deg + d_beta)
-        + params.control_matrix() @ u
-    )
-    if rng is not None:
-        y = y + np.concatenate(
-            [
-                rng.normal(0.0, params.force_noise_n, size=3),
-                rng.normal(0.0, params.torque_noise_nm, size=3),
-            ]
-        )
-    return y
-
-
 def true_affine_terms(va: float, alpha_deg, beta_deg, params: PlantParams):
     """Noise-free (A, B), y = A + B u, at airspeed va and the wing's flow angles (a
-    gusty condition adds `wing_gust_angles`); A is (6,) for floats, (n, 6) for arrays."""
+    gusty condition adds its wing gust); A is (6,) for floats, (n, 6) for arrays."""
     q_s = dynamic_pressure(va, params) * params.wing_area
     a = q_s * params.baseline_coefficients(alpha_deg, beta_deg)
     return np.moveaxis(a, 0, -1), q_s * params.control_matrix()
 
 
-def make_observation(
-    cond: TunnelCondition,
-    u: np.ndarray,
+@dataclass(frozen=True)
+class RunTerms:
+    """A run's command-independent plant terms, one row per step (`run_terms`).
+
+    Noise columns hold each step's sensor noise in the order the plant draws
+    it; the probe features already carry theirs.
+    """
+
+    q: float                  # dynamic pressure, Pa
+    q_s: float                # q times the wing area
+    tap_c: np.ndarray         # (7,) wing-tap coupling to the right flaperon
+    control: np.ndarray       # (6, 4) control matrix
+    gusts: np.ndarray         # (n, 3, 2) gust pairs at `LOCATIONS`
+    features: np.ndarray      # (n, 6) probe features
+    wing_base: np.ndarray     # (n, 7) tap_a + tap_b * wing alpha
+    wing_gust: np.ndarray     # (n, 7) tap_d * (d_alpha + d_beta) at the wing
+    wing_noise: np.ndarray    # (n, 7)
+    c0: np.ndarray            # (n, 6) baseline coefficients at the wing's flow angles
+    wrench_noise: np.ndarray  # (n, 6)
+
+
+def _noise_scales(params: PlantParams, calibrated: bool) -> np.ndarray:
+    """One step's noise sigmas in draw order: both probes (five taps each when
+    calibrated, else the airspeed and two angles), seven wing taps, three
+    forces and three torques."""
+    probe = ((params.probe_noise_pa,) * 5 if calibrated
+             else (params.est_noise_va, params.est_noise_angle_deg, params.est_noise_angle_deg))
+    return np.array([*probe, *probe, *(params.wing_noise_pa,) * 7,
+                     *(params.force_noise_n,) * 3, *(params.torque_noise_nm,) * 3])
+
+
+def run_terms(
     params: PlantParams,
+    va: float,
+    t: np.ndarray,
+    alpha_deg: np.ndarray,
+    beta_deg: np.ndarray,
+    gust: GustState = GustState(),
     rng: np.random.Generator | None = None,
     probe_models=None,
-    gusts=None,
-) -> np.ndarray:
-    """Assemble the (13,) observation the wrench model consumes.
+) -> RunTerms:
+    """Everything about a run at airspeed va over the commanded schedule (t,
+    alpha, beta) that does not depend on the command.
 
-    `gusts` holds the condition's three gust (d_alpha, d_beta) pairs in
-    `LOCATIONS` order (probe0, probe1, wing), such as a row of `gust_field`;
-    without it they are evaluated here. With `probe_models` (a pair of
-    calibration networks) the probe features go through the full sensing
-    chain: simulated tap pressures -> normalize -> network -> airspeed
-    reconstruction. Without them, "ideal" mode returns the true local flow at
-    each probe plus a small residual mimicking calibration error.
+    Checks the schedule first: every time and angle finite, and the commanded
+    angles inside the +-15 deg envelope (`OutOfEnvelopeError` names the first
+    step outside it). The sensor noise of all steps comes from one
+    `rng.standard_normal((n, k))` call scaled per column, the same numbers as
+    per-step `rng.normal` draws in the plant's order (k = 19 in ideal mode,
+    23 with `probe_models`); without `rng` the run is noise-free. With
+    `probe_models` (a pair of calibration networks) the probe features go
+    through the full sensing chain, one `probe_pressures` and one
+    `estimate_flow` call per probe and step: simulated tap pressures ->
+    normalize -> network -> airspeed reconstruction. Without them, "ideal"
+    mode takes the true local flow at each probe plus a small residual
+    mimicking calibration error.
     """
-    if gusts is None:
-        gusts = [gust_perturbation(cond.gust, cond.time, loc, cond.va, params)
-                 for loc in LOCATIONS]
-    feats = []
-    for i, (d_alpha, d_beta) in enumerate(gusts[:2]):
-        va, al, be = cond.va, cond.alpha_deg + d_alpha, cond.beta_deg + d_beta
-        if probe_models is not None:
-            taps = probe_pressures(FlowState(va, al, be), params, rng)
-            est = probe_mod.estimate_flow(probe_models[i], taps, params.rho)
-            feats.extend([est.va, est.alpha_deg, est.beta_deg])
+    _check_airspeed(va)
+    va = float(va)
+    t, alpha, beta = (np.asarray(x, dtype=float) for x in (t, alpha_deg, beta_deg))
+    if not (np.isfinite(t).all() and np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise ValueError("schedule times and flow angles must be finite")
+    outside = np.flatnonzero((np.abs(alpha) > ENVELOPE_DEG) | (np.abs(beta) > ENVELOPE_DEG))
+    if outside.size:
+        k = outside[0]
+        raise OutOfEnvelopeError(
+            f"alpha={alpha[k]:.1f}, beta={beta[k]:.1f} deg at t={t[k]:g} s "
+            f"outside the +-{ENVELOPE_DEG:.0f} deg envelope"
+        )
+
+    calibrated = probe_models is not None
+    scales = _noise_scales(params, calibrated)
+    if rng is None:
+        noise = np.full((t.size, scales.size), -0.0)  # x + -0.0 is x, bit for bit
+    else:
+        noise = rng.standard_normal((t.size, scales.size))
+        noise *= scales
+        noise += 0.0  # rng.normal(0.0, s) gives 0.0 + s*z, which has no -0.0
+    n_probe = 5 if calibrated else 3
+
+    gusts = gust_field(gust, t, va, params)
+    features = np.empty((t.size, 6))
+    for i in (0, 1):
+        al, be = alpha + gusts[:, i, 0], beta + gusts[:, i, 1]
+        probe_noise = noise[:, n_probe * i:n_probe * (i + 1)]
+        if calibrated:
+            for k, (a, b) in enumerate(zip(al.tolist(), be.tolist())):
+                taps = probe_pressures(FlowState(va, a, b), params).p + probe_noise[k]
+                est = probe_mod.estimate_flow(probe_models[i], ProbePressures(taps), params.rho)
+                features[k, 3 * i:3 * i + 3] = est.va, est.alpha_deg, est.beta_deg
         else:
-            if rng is not None:
-                va += rng.normal(0.0, params.est_noise_va)
-                al += rng.normal(0.0, params.est_noise_angle_deg)
-                be += rng.normal(0.0, params.est_noise_angle_deg)
-            feats.extend([max(va, 0.0), al, be])
-    ps = wing_pressures(cond, u, params, rng, gusts[2])
-    return np.concatenate([feats, ps])
+            v = va + probe_noise[:, 0]
+            features[:, 3 * i] = np.where(0.0 > v, 0.0, v)  # max(v, 0.0), as for a float
+            features[:, 3 * i + 1] = al + probe_noise[:, 1]
+            features[:, 3 * i + 2] = be + probe_noise[:, 2]
+
+    tap_a, tap_b, tap_c, tap_d = params._wing_taps
+    d_alpha, d_beta = gusts[:, 2, 0], gusts[:, 2, 1]
+    wing_alpha, wing_beta = alpha + d_alpha, beta + d_beta
+    q = dynamic_pressure(va, params)
+    return RunTerms(
+        q=q,
+        q_s=q * params.wing_area,
+        tap_c=tap_c,
+        control=params.control_matrix(),
+        gusts=gusts,
+        features=features,
+        wing_base=tap_a + tap_b * wing_alpha[:, None],
+        wing_gust=tap_d * (d_alpha + d_beta)[:, None],
+        wing_noise=noise[:, 2 * n_probe:2 * n_probe + 7],
+        c0=np.ascontiguousarray(params.baseline_coefficients(wing_alpha, wing_beta).T),
+        wrench_noise=noise[:, 2 * n_probe + 7:],
+    )
+
+
+def make_observation(terms: RunTerms, k: int, u: np.ndarray) -> np.ndarray:
+    """The (13,) observation at step k of a run under the (4,) command `u`:
+    the probe features, then seven wing-surface tap pressures in Pa.
+
+    All taps sit on the right wing, so they couple to the right flaperon
+    only; the leading-edge taps (0 and 4) carry the largest gust sensitivity.
+    Each tap reads q*(a + b*alpha_wing + c*u[1] + d*(d_alpha + d_beta)) plus
+    noise, summed in that order.
+    """
+    wing = (terms.q * ((terms.wing_base[k] + terms.tap_c * u[1]) + terms.wing_gust[k])
+            + terms.wing_noise[k])
+    return np.concatenate((terms.features[k], wing))
+
+
+def true_wrench(terms: RunTerms, k: int, u: np.ndarray) -> np.ndarray:
+    """Ground-truth (6,) forces and torques at step k of a run under the (4,)
+    command `u`: q*S*(C0(wing flow) + D u) plus noise.
+
+    Exactly affine in u at each step. The gust enters through the wing-local
+    flow angles in the baseline term.
+    """
+    return terms.q_s * (terms.c0[k] + terms.control @ u) + terms.wrench_noise[k]
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +545,9 @@ def gust_from_spec(spec: dict | None, va: float, params: PlantParams) -> GustSta
     spec = dict(spec)
     mode = spec.pop("mode")
     if mode == "shedding" and "frequency_hz" not in spec:
+        if va == 0.0:
+            raise ValueError("a shedding gust takes its frequency from the airspeed, "
+                             f"which must be positive, got {va:g} m/s")
         # Strouhal-like rule for the generator wing's shedding frequency.
         spec["frequency_hz"] = 0.2 * va / params.chord
     return GustState(mode=mode, **spec)
@@ -620,15 +659,13 @@ def generate_dynamics_data(
     controls = band_limited_walk(rng, t.size, **excitation)
     gust = gust_from_spec(protocol.get("gust"), speed, params)
 
-    gusts = gust_field(gust, t, speed, params)
+    terms = run_terms(params, speed, t, alpha, beta, gust, rng, probe_models)
     obs_rows = np.empty((t.size, OBS_DIM))
     y_rows = np.empty((t.size, WRENCH_DIM))
-    for k in range(t.size):
-        cond = TunnelCondition(speed, float(alpha[k]), float(beta[k]), gust=gust, time=float(t[k]))
-        u = controls[k]
-        obs_rows[k] = make_observation(cond, u, params, rng, probe_models, gusts[k].tolist())
-        y_rows[k] = true_wrench(cond, u, params, rng, gusts[k, 2].tolist())
-    cond_rows = np.column_stack([t, alpha, beta, gusts[:, 2]])  # and the wing's gust angles
+    for k, u in enumerate(controls):
+        obs_rows[k] = make_observation(terms, k, u)
+        y_rows[k] = true_wrench(terms, k, u)
+    cond_rows = np.column_stack([t, alpha, beta, terms.gusts[:, 2]])  # and the wing's gust
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -54,3 +54,50 @@ def count_gust_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(plant, "gust_perturbation", counted)
     return calls
+
+
+def reference_observation(params, cond, u, rng=None, probe_models=None):
+    """The (13,) observation of one `plant.TunnelCondition`, computed the way the
+    plant step did before its command-independent terms moved into a per-run
+    table: every gust evaluated for the condition, every noise value drawn
+    with `rng.normal` in the step's order."""
+    from aeroalloc import plant, probe
+
+    gusts = [plant.gust_perturbation(cond.gust, cond.time, loc, cond.va, params)
+             for loc in plant.LOCATIONS]
+    feats = []
+    for i, (d_alpha, d_beta) in enumerate(gusts[:2]):
+        va, al, be = cond.va, cond.alpha_deg + d_alpha, cond.beta_deg + d_beta
+        if probe_models is not None:
+            taps = plant.probe_pressures(probe.FlowState(va, al, be), params, rng)
+            est = probe.estimate_flow(probe_models[i], taps, params.rho)
+            feats.extend([est.va, est.alpha_deg, est.beta_deg])
+        else:
+            if rng is not None:
+                va += rng.normal(0.0, params.est_noise_va)
+                al += rng.normal(0.0, params.est_noise_angle_deg)
+                be += rng.normal(0.0, params.est_noise_angle_deg)
+            feats.extend([max(va, 0.0), al, be])
+    d_alpha, d_beta = gusts[2]
+    tap_a, tap_b, tap_c, tap_d = (np.array(getattr(params, f"wing_tap_{x}"), dtype=float)
+                                  for x in "abcd")
+    q = 0.5 * params.rho * cond.va * cond.va
+    taps = q * (tap_a + tap_b * (cond.alpha_deg + d_alpha) + tap_c * u[1]
+                + tap_d * (d_alpha + d_beta))
+    if rng is not None:
+        taps = taps + rng.normal(0.0, params.wing_noise_pa, size=7)
+    return np.concatenate([feats, taps])
+
+
+def reference_wrench(params, cond, u, rng=None):
+    """The (6,) wrench of one condition, computed as `reference_observation` is."""
+    from aeroalloc import plant
+
+    d_alpha, d_beta = plant.gust_perturbation(cond.gust, cond.time, "wing", cond.va, params)
+    q_s = 0.5 * params.rho * cond.va * cond.va * params.wing_area
+    y = q_s * (params.baseline_coefficients(cond.alpha_deg + d_alpha, cond.beta_deg + d_beta)
+               + params.control_matrix() @ u)
+    if rng is not None:
+        y = y + np.concatenate([rng.normal(0.0, params.force_noise_n, size=3),
+                                rng.normal(0.0, params.torque_noise_nm, size=3)])
+    return y

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from aeroalloc import cli, harness
+from aeroalloc import cli, harness, plant
 from aeroalloc.harness import MetricsReport
 
 
@@ -118,6 +118,21 @@ def test_gen_data_rejects_bad_excitation_before_writing(tmp_path, capsys, excita
     assert not list(root.rglob("*.csv"))
 
 
+def test_gen_data_outside_the_envelope_fails_before_the_first_step(tmp_path, capsys,
+                                                                   monkeypatch):
+    steps = []
+    observe = plant.make_observation
+    monkeypatch.setattr(plant, "make_observation", lambda *a: steps.append(a) or observe(*a))
+    proto = tmp_path / "proto.json"
+    proto.write_text(json.dumps({"kind": "dynamics", "name": "wide", "speed": 9.0,
+                                 "duration_s": 2.0, "alpha_range": [-30, 30]}))
+    root = tmp_path / "root"
+    assert cli.main(["gen-data", "--protocol", str(proto), "--out", str(root)]) == 1
+    assert "outside the +-15 deg envelope" in capsys.readouterr().err
+    assert steps == []
+    assert not root.exists()
+
+
 DYN = {"kind": "dynamics", "name": "bad", "speed": 9.0, "duration_s": 2.0}
 CAL = {"kind": "calibration", "name": "bad", "repeats": 1}
 
@@ -177,6 +192,18 @@ def test_track_rejects_nan_speed(tmp_path, capsys, gust):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "airspeed" in err
+
+
+def test_track_at_zero_speed_names_the_airspeed(tmp_path, capsys):
+    # the default shedding gust derives its frequency from the airspeed
+    root = tmp_path / "root"
+    code = cli.main(["track", "--model", str(_model_file(tmp_path)), "--speed", "0",
+                     "--duration", "1", "--out", str(root)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: a shedding gust takes its frequency from the airspeed, "
+        "which must be positive, got 0 m/s\n")
+    assert not [p for p in root.rglob("*") if p.is_file()]
 
 
 def test_train_calib_labels_at_the_params_air_density(tmp_path):

@@ -29,7 +29,12 @@ from aeroalloc.harness import (
     write_report_json,
 )
 
-from conftest import constant_affine_model, count_gust_calls
+from conftest import (
+    constant_affine_model,
+    count_gust_calls,
+    reference_observation,
+    reference_wrench,
+)
 
 
 def tiny_cfg(**overrides) -> ExperimentConfig:
@@ -258,8 +263,9 @@ def test_closed_loop_matches_per_step_plant_closures_bit_for_bit(flown_models, v
     tlog = closed_loop_run(model, cfg, speed, params=params, seed=seed)
 
     # The reference: closed_loop_run's set-up, flown through closures that
-    # evaluate every gust per condition, as the plant step did before gusts
-    # were evaluated once per run.
+    # compute each step per condition, every gust evaluated and every noise
+    # value drawn in the step, as the plant did before it built its
+    # command-independent terms once per run.
     tracking = TrackingConfig(lambda0=cfg.lambda0, lambda1=cfg.lambda1)
     rng_sched, rng_targets, rng_noise = [
         np.random.default_rng(int(c.generate_state(1)[0]))
@@ -274,16 +280,28 @@ def test_closed_loop_matches_per_step_plant_closures_bit_for_bit(flown_models, v
                                    alpha_deg=alpha, beta_deg=beta)
 
     def observe(k, u_prev):
-        return plant.make_observation(conds[k], u_prev, params, rng_noise)
+        return reference_observation(params, conds[k], u_prev, rng_noise)
 
     def achieved(k, u):
-        wing_gust = plant.wing_gust_angles(conds[k], params)
-        return plant.true_wrench(conds[k], u, params, rng_noise, wing_gust)
+        return reference_wrench(params, conds[k], u, rng_noise)
 
     reference = track_sequence(model, targets, observe, tracking, achieved_fn=achieved)
     assert tlog.controls.shape == (100, 4)
     for name in ("controls", "predicted", "achieved"):
         assert np.array_equal(getattr(tlog, name), getattr(reference, name)), name
+
+
+def test_out_of_envelope_schedule_fails_before_the_first_step(monkeypatch):
+    model = constant_affine_model(
+        np.zeros(6), np.vstack([np.eye(4) * 0.3, np.zeros((2, 4))])
+    )
+    steps = []
+    observe = plant.make_observation
+    monkeypatch.setattr(plant, "make_observation", lambda *a: steps.append(a) or observe(*a))
+    monkeypatch.setattr(plant, "ENVELOPE_DEG", 0.0)  # the +-10 deg sweep leaves it
+    with pytest.raises(plant.OutOfEnvelopeError, match="at t=0 s outside the \\+-0 deg"):
+        closed_loop_run(model, tiny_cfg(duration_s=2.0), 10.0, seed=5)
+    assert steps == []
 
 
 def test_closed_loop_metrics_block():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aeroalloc import nncore, plant, probe as probe_mod
-from aeroalloc.dynamics import load_dynamics_csv
+from aeroalloc.dynamics import load_dynamics_csv, save_dynamics_csv
 from aeroalloc.plant import (
     ENVELOPE_DEG,
     GustState,
@@ -19,14 +19,15 @@ from aeroalloc.plant import (
     local_flow,
     make_observation,
     probe_pressures,
+    run_terms,
     stage_schedule,
     true_affine_terms,
     true_wrench,
-    wing_pressures,
 )
 from aeroalloc.probe import FlowState
+from aeroalloc.table import write_table
 
-from conftest import count_gust_calls
+from conftest import count_gust_calls, reference_observation, reference_wrench
 
 SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
@@ -36,6 +37,20 @@ angles = st.floats(-12.0, 12.0)
 @pytest.fixture
 def params():
     return PlantParams()
+
+
+def one_step(params, va, alpha, beta, gust=GustState(), time=0.0, rng=None, probe_models=None):
+    """The run terms of a one-step run at a single condition."""
+    return run_terms(params, va, [time], [alpha], [beta], gust, rng, probe_models)
+
+
+def tiny_calibration_nets():
+    """Two untrained 5-4-3 nets with a constant, positive dynamic-pressure correction."""
+    nets = [nncore.init_network([5, 4, 3], seed=i) for i in (1, 2)]
+    for net in nets:
+        net.layers[-1].weight[0] = 0.0
+        net.layers[-1].bias[0] = 1.0
+    return nets
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +224,12 @@ def test_gust_from_spec(params):
     assert g2.frequency_hz == 3.0
     g3 = gust_from_spec({"mode": "shear", "yaw_deg": 2.0}, 10.0, params)
     assert g3.yaw_deg == 2.0
+    # a shedding frequency derived from a still tunnel names the airspeed
+    with pytest.raises(ValueError, match="^a shedding gust takes its frequency from the "
+                                         "airspeed, which must be positive, got 0 m/s$"):
+        gust_from_spec({"mode": "shedding", "amplitude": 0.4}, 0.0, params)
+    assert gust_from_spec({"mode": "shedding", "frequency_hz": 3.0}, 0.0, params).mode == "shedding"
+    assert gust_from_spec({"mode": "off"}, 0.0, params).mode == "off"
 
 
 def test_local_flow_applies_perturbation(params):
@@ -231,25 +252,26 @@ def test_local_flow_applies_perturbation(params):
 @settings(max_examples=40, deadline=None)
 def test_true_wrench_exactly_affine_in_control(seed, alpha, beta):
     params = PlantParams()
-    cond = TunnelCondition(11.0, alpha, beta)
+    terms = one_step(params, 11.0, alpha, beta)
     rng = np.random.default_rng(seed)
     u1, u2 = rng.uniform(-12.0, 12.0, size=(2, 4))
-    y0 = true_wrench(cond, np.zeros(4), params)
-    y1 = true_wrench(cond, u1, params)
-    y2 = true_wrench(cond, u2, params)
-    y12 = true_wrench(cond, 0.5 * (u1 + u2), params)
+    y0 = true_wrench(terms, 0, np.zeros(4))
+    y1 = true_wrench(terms, 0, u1)
+    y2 = true_wrench(terms, 0, u2)
+    y12 = true_wrench(terms, 0, 0.5 * (u1 + u2))
     assert np.allclose(y12 - y0, 0.5 * ((y1 - y0) + (y2 - y0)), atol=1e-9)
 
 
 def test_true_wrench_matches_affine_terms(params, rng):
-    cond = TunnelCondition(9.0, 4.0, -3.0, gust=GustState(mode="shear", yaw_deg=2.0))
-    d_alpha, d_beta = plant.wing_gust_angles(cond, params)
+    gust = GustState(mode="shear", yaw_deg=2.0)
+    terms = one_step(params, 9.0, 4.0, -3.0, gust)
+    d_alpha, d_beta = gust_perturbation(gust, 0.0, "wing", 9.0, params)
     a, b = true_affine_terms(9.0, 4.0 + d_alpha, -3.0 + d_beta, params)
     q_s = dynamic_pressure(9.0, params) * params.wing_area
     assert np.allclose(b, q_s * params.control_matrix())
     for _ in range(5):
         u = rng.uniform(-10, 10, size=4)
-        y = true_wrench(cond, u, params)
+        y = true_wrench(terms, 0, u)
         assert np.allclose(y, a + b @ u, atol=1e-12)
 
 
@@ -265,17 +287,60 @@ def test_true_affine_terms_rows_match_single_angles(params, rng):
 
 
 def test_true_wrench_envelope_guard(params):
-    with pytest.raises(OutOfEnvelopeError):
-        true_wrench(TunnelCondition(10.0, ENVELOPE_DEG + 1.0, 0.0), np.zeros(4), params)
-    with pytest.raises(OutOfEnvelopeError):
-        true_wrench(TunnelCondition(10.0, 0.0, -ENVELOPE_DEG - 0.5), np.zeros(4), params)
+    # the whole schedule is checked once, before any step, naming the first step outside
+    t = np.arange(5) * 0.02
+    alpha = np.array([0.0, 14.0, ENVELOPE_DEG + 1.0, 30.0, 0.0])
+    with pytest.raises(OutOfEnvelopeError, match=r"^alpha=16\.0, beta=0\.0 deg at t=0\.04 s "
+                                                 r"outside the \+-15 deg envelope$"):
+        run_terms(params, 10.0, t, alpha, np.zeros(5))
+    with pytest.raises(OutOfEnvelopeError, match=r"beta=-15\.5 deg at t=0 s"):
+        one_step(params, 10.0, 0.0, -ENVELOPE_DEG - 0.5)
+    run_terms(params, 10.0, t, np.clip(alpha, -ENVELOPE_DEG, ENVELOPE_DEG), np.zeros(5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_run_terms_reject_a_non_finite_schedule(params, bad, column):
+    schedule = [np.arange(3) * 0.02, np.zeros(3), np.zeros(3)]
+    schedule[column][1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        run_terms(params, 10.0, *schedule)
+    with pytest.raises(ValueError, match="airspeed must be finite"):
+        run_terms(params, bad, np.zeros(1), np.zeros(1), np.zeros(1))
 
 
 def test_true_wrench_noise_determinism(params):
-    cond = TunnelCondition(10.0, 1.0, 0.0)
-    y1 = true_wrench(cond, np.zeros(4), params, np.random.default_rng(3))
-    y2 = true_wrench(cond, np.zeros(4), params, np.random.default_rng(3))
+    y1 = true_wrench(one_step(params, 10.0, 1.0, 0.0, rng=np.random.default_rng(3)), 0,
+                     np.zeros(4))
+    y2 = true_wrench(one_step(params, 10.0, 1.0, 0.0, rng=np.random.default_rng(3)), 0,
+                     np.zeros(4))
     assert np.array_equal(y1, y2)
+    assert not np.array_equal(y1, true_wrench(one_step(params, 10.0, 1.0, 0.0), 0, np.zeros(4)))
+
+
+@pytest.mark.parametrize("calibrated", [False, True])
+def test_noise_table_equals_per_step_draws(params, calibrated):
+    # one (n, k) draw scaled per column gives the per-step rng.normal draws bit for bit
+    scales = plant._noise_scales(params, calibrated)
+    n, k = 500, scales.size
+    assert k == (23 if calibrated else 19)
+    noise = np.random.default_rng(8).standard_normal((n, k))
+    noise *= scales
+    noise += 0.0
+    rng = np.random.default_rng(8)
+    per_step = []
+    for _ in range(n):
+        if calibrated:
+            row = [*rng.normal(0.0, params.probe_noise_pa, size=5),
+                   *rng.normal(0.0, params.probe_noise_pa, size=5)]
+        else:
+            row = [rng.normal(0.0, s) for s in (params.est_noise_va, params.est_noise_angle_deg,
+                                                 params.est_noise_angle_deg) * 2]
+        row += [*rng.normal(0.0, params.wing_noise_pa, size=7),
+                *rng.normal(0.0, params.force_noise_n, size=3),
+                *rng.normal(0.0, params.torque_noise_nm, size=3)]
+        per_step.append(row)
+    assert noise.tobytes() == np.array(per_step).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -284,49 +349,60 @@ def test_true_wrench_noise_determinism(params):
 
 
 def test_wing_taps_couple_to_right_flaperon_only(params):
-    cond = TunnelCondition(10.0, 2.0, 0.0)
-    base = wing_pressures(cond, np.zeros(4), params)
-    left = wing_pressures(cond, np.array([10.0, 0.0, 0.0, 0.0]), params)
-    right = wing_pressures(cond, np.array([0.0, 10.0, 0.0, 0.0]), params)
+    terms = one_step(params, 10.0, 2.0, 0.0)
+    base = make_observation(terms, 0, np.zeros(4))[6:]
+    left = make_observation(terms, 0, np.array([10.0, 0.0, 0.0, 0.0]))[6:]
+    right = make_observation(terms, 0, np.array([0.0, 10.0, 0.0, 0.0]))[6:]
     assert np.array_equal(base, left)
     q = dynamic_pressure(10.0, params)
     assert np.allclose(right - base, q * 10.0 * np.asarray(params.wing_tap_c))
 
 
 def test_wing_taps_see_gust(params):
-    quiet = TunnelCondition(10.0, 0.0, 0.0)
-    gusty = TunnelCondition(
-        10.0, 0.0, 0.0, gust=GustState(mode="shedding", amplitude=0.6, frequency_hz=5.0),
-        time=0.02,
-    )
-    assert not np.array_equal(
-        wing_pressures(quiet, np.zeros(4), params), wing_pressures(gusty, np.zeros(4), params)
-    )
+    quiet = one_step(params, 10.0, 0.0, 0.0)
+    gusty = one_step(params, 10.0, 0.0, 0.0,
+                     GustState(mode="shedding", amplitude=0.6, frequency_hz=5.0), time=0.02)
+    assert not np.array_equal(make_observation(quiet, 0, np.zeros(4))[6:],
+                              make_observation(gusty, 0, np.zeros(4))[6:])
 
 
 def test_ideal_observation_reports_true_flow(params):
-    cond = TunnelCondition(10.0, 3.0, -2.0)
-    obs = make_observation(cond, np.zeros(4), params)
+    obs = make_observation(one_step(params, 10.0, 3.0, -2.0), 0, np.zeros(4))
     assert np.allclose(obs[:6], [10.0, 3.0, -2.0, 10.0, 3.0, -2.0])
-    assert np.allclose(obs[6:], wing_pressures(cond, np.zeros(4), params))
+    cond = TunnelCondition(10.0, 3.0, -2.0)
+    assert obs.tobytes() == reference_observation(params, cond, np.zeros(4)).tobytes()
+
+
+def test_ideal_probe_airspeed_is_clamped_at_zero(params):
+    # in a still tunnel half the noisy airspeed readings would fall below zero
+    t = np.arange(40) * 0.02
+    terms = run_terms(params, 0.0, t, np.zeros(40), np.zeros(40), rng=np.random.default_rng(2))
+    rng = np.random.default_rng(2)
+    u = np.zeros(4)
+    for k, tk in enumerate(t.tolist()):
+        obs = make_observation(terms, k, u)
+        assert obs.tobytes() == reference_observation(
+            params, TunnelCondition(0.0, 0.0, 0.0, time=tk), u, rng).tobytes()
+        reference_wrench(params, TunnelCondition(0.0, 0.0, 0.0, time=tk), u, rng)
+    assert terms.features[:, [0, 3]].min() == 0.0
 
 
 @pytest.mark.parametrize("noisy", [False, True])
 def test_plant_step_returns_float_arrays(params, noisy):
     rng = np.random.default_rng(0) if noisy else None
-    cond = TunnelCondition(10.0, 1.0, -1.0)
+    terms = one_step(params, 10.0, 1.0, -1.0, rng=rng)
     u = np.array([1.0, -2.0, 3.0, 0.5])
-    obs = make_observation(cond, u, params, rng)
-    y = true_wrench(cond, u, params, rng)
+    obs = make_observation(terms, 0, u)
+    y = true_wrench(terms, 0, u)
     assert isinstance(obs, np.ndarray) and obs.dtype == float and obs.shape == (13,)
     assert isinstance(y, np.ndarray) and y.dtype == float and y.shape == (6,)
 
 
 def test_observation_probe_features_independent_of_controls(params):
     # deflections act on the wing taps, never on the probe flow estimates
-    cond = TunnelCondition(10.0, 1.0, 1.0)
-    a = make_observation(cond, np.zeros(4), params)
-    b = make_observation(cond, np.array([5.0, -5.0, 3.0, 0.0]), params)
+    terms = one_step(params, 10.0, 1.0, 1.0)
+    a = make_observation(terms, 0, np.zeros(4))
+    b = make_observation(terms, 0, np.array([5.0, -5.0, 3.0, 0.0]))
     assert np.array_equal(a[:6], b[:6])
     assert not np.array_equal(a[6:], b[6:])
 
@@ -406,41 +482,73 @@ def test_dynamics_run_evaluates_each_gust_once_per_run(tmp_path, params, monkeyp
         assert pa.read_bytes() == pb.read_bytes()
 
 
-def test_plant_step_takes_the_wing_gust_it_was_given(params, rng):
+def test_run_terms_route_each_location_gust_to_its_own_features(params, rng):
     gust = GustState(mode="shedding", amplitude=0.4, frequency_hz=8.0)
     cond = TunnelCondition(10.0, 3.0, -2.0, gust=gust, time=0.37)
+    terms = one_step(params, 10.0, 3.0, -2.0, gust, time=0.37)
+    gusts = plant.gust_field(gust, np.array([cond.time]), cond.va, params)
+    assert np.array_equal(terms.gusts, gusts)
     u = rng.uniform(-20.0, 20.0, size=4)
-    given = plant.wing_gust_angles(cond, params)
-    assert np.array_equal(true_wrench(cond, u, params, wing_gust=given),
-                          true_wrench(cond, u, params))
-    gusts = plant.gust_field(gust, np.array([cond.time]), cond.va, params)[0]
-    assert np.array_equal(gusts[2], given)
-    obs = make_observation(cond, u, params, gusts=gusts)
-    assert np.array_equal(obs, make_observation(cond, u, params))
-    zero = make_observation(cond, u, params, gusts=np.zeros((3, 2)))
-    assert np.array_equal(zero, make_observation(TunnelCondition(10.0, 3.0, -2.0), u, params))
+    obs = make_observation(terms, 0, u)
     # each location's gust reaches its own features: the probes' flows and the wing taps
     flows = [local_flow(cond, loc, params) for loc in ("probe0", "probe1")]
     assert np.array_equal(obs[:6], [x for f in flows for x in (f.va, f.alpha_deg, f.beta_deg)])
-    assert np.array_equal(obs[6:], wing_pressures(cond, u, params))
+    assert obs.tobytes() == reference_observation(params, cond, u).tobytes()
+    assert true_wrench(terms, 0, u).tobytes() == reference_wrench(params, cond, u).tobytes()
 
 
-def test_calibrated_observation_takes_the_gusts_it_was_given(params, rng):
-    nets = [nncore.init_network([5, 4, 3], seed=i) for i in (1, 2)]
-    for net in nets:  # a constant, positive dynamic-pressure correction
-        net.layers[-1].weight[0] = 0.0
-        net.layers[-1].bias[0] = 1.0
+def test_calibrated_run_terms_route_the_probe_gusts_through_the_nets(params, rng):
+    nets = tiny_calibration_nets()
     gust = GustState(mode="shedding", amplitude=0.4, frequency_hz=8.0)
     cond = TunnelCondition(10.0, 3.0, -2.0, gust=gust, time=0.37)
     u = rng.uniform(-20.0, 20.0, size=4)
-    gusts = plant.gust_field(gust, np.array([cond.time]), cond.va, params)[0]
-    obs = make_observation(cond, u, params, np.random.default_rng(4), nets, gusts)
-    assert np.array_equal(obs, make_observation(cond, u, params, np.random.default_rng(4), nets))
+    terms = one_step(params, 10.0, 3.0, -2.0, gust, 0.37, np.random.default_rng(4), nets)
+    obs = make_observation(terms, 0, u)
     flows = [local_flow(cond, loc, params) for loc in ("probe0", "probe1")]
     taps_rng = np.random.default_rng(4)
     for net, flow, feats in zip(nets, flows, (obs[:3], obs[3:6])):
         est = probe_mod.estimate_flow(net, probe_pressures(flow, params, taps_rng), params.rho)
         assert np.array_equal(feats, [est.va, est.alpha_deg, est.beta_deg])
+    reference = reference_observation(params, cond, u, np.random.default_rng(4), nets)
+    assert obs.tobytes() == reference.tobytes()
+
+
+def reference_dynamics_files(protocol, params, seed, out_dir, probe_models=None):
+    """`generate_dynamics_data`'s files, each step computed per condition by
+    the conftest reference; the set-up and writers are the generator's."""
+    rng = np.random.default_rng(seed)
+    speed = float(protocol["speed"])
+    t, alpha, beta = stage_schedule(protocol, params, rng)
+    controls = band_limited_walk(rng, t.size, **plant._excitation_args({}))
+    gust = gust_from_spec(protocol.get("gust"), speed, params)
+    obs, y, wing = [], [], []
+    for tk, a, b, u in zip(t.tolist(), alpha.tolist(), beta.tolist(), controls):
+        cond = TunnelCondition(speed, a, b, gust=gust, time=tk)
+        obs.append(reference_observation(params, cond, u, rng, probe_models))
+        y.append(reference_wrench(params, cond, u, rng))
+        wing.append(gust_perturbation(gust, tk, "wing", speed, params))
+    out_dir.mkdir()
+    data_path, cond_path = out_dir / "ref.csv", out_dir / "ref_conditions.csv"
+    save_dynamics_csv(data_path, (np.array(obs), controls, np.array(y)))
+    write_table(cond_path, plant.CONDITIONS_CSV_HEADER, (
+        [tk, speed, a, b, gust.mode, d_alpha, d_beta]
+        for tk, a, b, (d_alpha, d_beta) in zip(t.tolist(), alpha.tolist(), beta.tolist(), wing)
+    ))
+    return [data_path, cond_path]
+
+
+@pytest.mark.parametrize("calibrated", [False, True], ids=["ideal", "calibrated"])
+@pytest.mark.parametrize("gust", [{"mode": "off"}, {"mode": "shedding", "amplitude": 0.4},
+                                  {"mode": "shear", "yaw_deg": 3.0}], ids=lambda g: g["mode"])
+def test_dynamics_data_matches_the_per_condition_reference_byte_for_byte(
+        tmp_path, params, gust, calibrated):
+    nets = tiny_calibration_nets() if calibrated else None
+    proto = {"kind": "dynamics", "speed": 11.0, "stage": "I", "duration_s": 3.0,
+             "gust": gust, "name": "run"}
+    paths = generate_dataset(proto, params, seed=5, out_dir=tmp_path / "run", probe_models=nets)
+    reference = reference_dynamics_files(proto, params, 5, tmp_path / "ref", nets)
+    for path, ref in zip(paths, reference):
+        assert path.read_bytes() == ref.read_bytes(), path.name
 
 
 def test_dataset_generation_is_byte_deterministic(tmp_path, params):
