@@ -32,7 +32,7 @@ from .dynamics import (
     training_loss,
 )
 from .harness import ExperimentConfig, MetricsReport, VARIANTS, rmssd, run_ablation_suite
-from .plant import GustState, PlantParams, TunnelCondition, generate_dataset, true_wrench
+from .plant import GustState, PlantParams, generate_dataset, true_wrench
 from .probe import (
     CalibrationTrainConfig,
     FlowState,

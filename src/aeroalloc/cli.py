@@ -17,7 +17,6 @@ with the same arguments rewrites byte-identical files.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import sys
@@ -40,17 +39,6 @@ def _speeds(text: str) -> tuple[float, ...]:
     if len(set(values)) != len(values):
         raise argparse.ArgumentTypeError(f"speed list {text!r} repeats a speed")
     return values
-
-
-def _one_blas_thread(command):
-    """Run a training command with numpy's OpenBLAS on one thread
-    (`harness._one_blas_thread`). Its matrices are small: on a 2-vCPU VM,
-    one thread trained affine_sym in 4.6 s where two took 7.3 s."""
-    @functools.wraps(command)
-    def run(args) -> int:
-        with harness._one_blas_thread():
-            return command(args)
-    return run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,7 +142,6 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-@_one_blas_thread
 def _cmd_train_calib(args) -> int:
     root = harness.resolve_out_root(args.out)
     dirs = _dirs(root)
@@ -169,7 +156,6 @@ def _cmd_train_calib(args) -> int:
     return 0
 
 
-@_one_blas_thread
 def _cmd_train_dyn(args) -> int:
     root = harness.resolve_out_root(args.out)
     dirs = _dirs(root)
@@ -203,7 +189,7 @@ def _cmd_eval(args) -> int:
         for speed, eval_set in eval_sets.items():
             results[f"va{speed:g}"] = dynamics.eval_rmse(model, eval_set)
 
-    doc = {"model": str(args.model), "rmse": results}
+    doc = {"model": args.model.name, "rmse": results}
     out_path = dirs["reports"] / f"eval_{args.model.stem}.json"
     out_path.write_text(json.dumps(doc, sort_keys=True, indent=1))
     width = max(len(k) for k in ["dataset", *results])
@@ -214,7 +200,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-@_one_blas_thread
 def _cmd_track(args) -> int:
     root = harness.resolve_out_root(args.out)
     dirs = _dirs(root)
@@ -274,7 +259,9 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return _COMMANDS[args.command](args)
+        # small matrices: on 2 vCPUs, affine_sym trained in 4.6 s on one thread, 7.3 s on two
+        with harness._one_blas_thread():
+            return _COMMANDS[args.command](args)
     except (OSError, ValueError, ArithmeticError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

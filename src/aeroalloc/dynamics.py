@@ -565,13 +565,20 @@ def dynamics_model_from_dict(doc: dict):
     if doc.get("format") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
     kind = doc.get("kind")
+
+    def network(key: str) -> Network:
+        if not isinstance(doc[key], dict):
+            raise ValueError(f"the model's {key!r} must be a JSON object, "
+                             f"got {type(doc[key]).__name__}")
+        return nncore.network_from_dict(doc[key])
+
     if kind == "affine":
         # older files also carry "signs", which MIRROR_SIGNS now fixes
         sym = SymmetryConfig(float(doc["sym"]["lambda"]), tuple(doc["sym"]["delta"]))
         return AffineModel(
-            nncore.network_from_dict(doc["backbone"]),
-            nncore.network_from_dict(doc["a_head"]),
-            nncore.network_from_dict(doc["b_head"]),
+            network("backbone"),
+            network("a_head"),
+            network("b_head"),
             np.asarray(doc["obs_mean"], dtype=float),
             np.asarray(doc["obs_std"], dtype=float),
             sym=sym,
@@ -579,7 +586,7 @@ def dynamics_model_from_dict(doc: dict):
         )
     if kind == "unstructured":
         return UnstructuredModel(
-            nncore.network_from_dict(doc["net"]),
+            network("net"),
             np.asarray(doc["in_mean"], dtype=float),
             np.asarray(doc["in_std"], dtype=float),
             wing_sensors=bool(doc["wing_sensors"]),
@@ -592,7 +599,7 @@ def save_dynamics_model(model, path: str | Path) -> None:
 
 
 def load_dynamics_model(path: str | Path):
-    return dynamics_model_from_dict(json.loads(Path(path).read_text()))
+    return nncore.load_json(path, dynamics_model_from_dict, "model")
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .dynamics import (
     train_dynamics,
     train_unstructured,
 )
+from .nncore import load_json
 from .plant import PlantParams
 from .table import write_table
 
@@ -464,7 +465,7 @@ def write_report_json(report: MetricsReport, path: str | Path) -> None:
 
 
 def load_report_json(path: str | Path) -> MetricsReport:
-    return MetricsReport.from_dict(json.loads(Path(path).read_text()))
+    return load_json(path, MetricsReport.from_dict, "suite report")
 
 
 def write_report_csv(report: MetricsReport, path: str | Path) -> None:

@@ -375,5 +375,19 @@ def save_network(net: Network, path: str | Path) -> None:
     Path(path).write_text(json.dumps(network_to_dict(net), sort_keys=True))
 
 
+def load_json(path: str | Path, from_dict: Callable, what: str):
+    """`from_dict` of the JSON object in `path`; a file that does not parse, or
+    is not an object with the keys and types it needs, raises ValueError naming it."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"a {what} must be a JSON object, got {type(doc).__name__}")
+        return from_dict(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: the {what} has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_network(path: str | Path) -> Network:
-    return network_from_dict(json.loads(Path(path).read_text()))
+    return load_json(path, network_from_dict, "network")

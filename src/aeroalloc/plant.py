@@ -33,7 +33,7 @@ import numpy as np
 
 from . import probe as probe_mod
 from .probe import RHO, FlowState, ProbePressures
-from .dynamics import CONTROL_LIMIT_DEG, OBS_DIM, WRENCH_DIM, save_dynamics_csv
+from .dynamics import CONTROL_DIM, CONTROL_LIMIT_DEG, save_dynamics_csv
 from .table import write_table
 
 log = logging.getLogger(__name__)
@@ -82,21 +82,6 @@ class GustState:
             raise ValueError(f"gust yaw and phase must be finite, got {self!r}")
         if self.mode == "shedding" and not 0.0 < self.frequency_hz < math.inf:
             raise ValueError(f"shedding requires a positive finite frequency, got {self!r}")
-
-
-@dataclass(frozen=True)
-class TunnelCondition:
-    va: float
-    alpha_deg: float
-    beta_deg: float
-    gust: GustState = GustState()
-    time: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_airspeed(self.va)
-        if not (math.isfinite(self.alpha_deg) and math.isfinite(self.beta_deg)
-                and math.isfinite(self.time)):
-            raise ValueError(f"flow angles and time must be finite, got {self!r}")
 
 
 def _is_number(value) -> bool:
@@ -301,18 +286,8 @@ def gust_field(gust: GustState, times: np.ndarray, va: float, params: PlantParam
                      for loc in LOCATIONS], axis=1)
 
 
-def local_flow(cond: TunnelCondition, location: str, params: PlantParams) -> FlowState:
-    """Freestream plus the location's gust perturbation."""
-    d_alpha, d_beta = gust_perturbation(cond.gust, cond.time, location, cond.va, params)
-    return FlowState(
-        va=cond.va, alpha_deg=cond.alpha_deg + d_alpha, beta_deg=cond.beta_deg + d_beta
-    )
-
-
-def probe_pressures(
-    flow: FlowState, params: PlantParams, rng: np.random.Generator | None = None
-) -> ProbePressures:
-    """Five tap pressures for the given local flow.
+def probe_pressures(flow: FlowState, params: PlantParams) -> ProbePressures:
+    """Noise-free five tap pressures for the given local flow.
 
     Each tap reads q*(1 - k*sin^2(angle between flow and tap axis)) above
     static; with k=2 and a 45 degree cone the center tap spread equals q at
@@ -326,8 +301,6 @@ def probe_pressures(
     taps = params.probe_static_pa + q * (
         1.0 - params.probe_sensitivity * (1.0 - cos_gamma**2)
     )
-    if rng is not None:
-        taps = taps + rng.normal(0.0, params.probe_noise_pa, size=5)
     return ProbePressures(taps)
 
 
@@ -368,6 +341,14 @@ def _noise_scales(params: PlantParams, calibrated: bool) -> np.ndarray:
              else (params.est_noise_va, params.est_noise_angle_deg, params.est_noise_angle_deg))
     return np.array([*probe, *probe, *(params.wing_noise_pa,) * 7,
                      *(params.force_noise_n,) * 3, *(params.torque_noise_nm,) * 3])
+
+
+def _normal_table(rng: np.random.Generator, n: int, scales: np.ndarray) -> np.ndarray:
+    """(n, k) normals with column sigmas `scales`: the numbers of n rows of `rng.normal` draws."""
+    noise = rng.standard_normal((n, scales.size))
+    noise *= scales
+    noise += 0.0  # rng.normal(0.0, s) gives 0.0 + s*z, which has no -0.0
+    return noise
 
 
 def run_terms(
@@ -411,12 +392,8 @@ def run_terms(
 
     calibrated = probe_models is not None
     scales = _noise_scales(params, calibrated)
-    if rng is None:
-        noise = np.full((t.size, scales.size), -0.0)  # x + -0.0 is x, bit for bit
-    else:
-        noise = rng.standard_normal((t.size, scales.size))
-        noise *= scales
-        noise += 0.0  # rng.normal(0.0, s) gives 0.0 + s*z, which has no -0.0
+    noise = (np.full((t.size, scales.size), -0.0) if rng is None  # x + -0.0 is x, bit for bit
+             else _normal_table(rng, t.size, scales))
     n_probe = 5 if calibrated else 3
 
     gusts = gust_field(gust, t, va, params)
@@ -454,28 +431,31 @@ def run_terms(
     )
 
 
-def make_observation(terms: RunTerms, k: int, u: np.ndarray) -> np.ndarray:
-    """The (13,) observation at step k of a run under the (4,) command `u`:
-    the probe features, then seven wing-surface tap pressures in Pa.
+def make_observation(terms: RunTerms, k: int | slice, u: np.ndarray) -> np.ndarray:
+    """The probe features, then seven wing-surface tap pressures in Pa, at step
+    k of a run under the command `u`: (13,) for a step index and a (4,) `u`,
+    or, for a slice of n steps and an (n, 4) `u`, the n one-step results.
 
     All taps sit on the right wing, so they couple to the right flaperon
     only; the leading-edge taps (0 and 4) carry the largest gust sensitivity.
     Each tap reads q*(a + b*alpha_wing + c*u[1] + d*(d_alpha + d_beta)) plus
     noise, summed in that order.
     """
-    wing = (terms.q * ((terms.wing_base[k] + terms.tap_c * u[1]) + terms.wing_gust[k])
+    wing = (terms.q * ((terms.wing_base[k] + terms.tap_c * u[..., 1, None]) + terms.wing_gust[k])
             + terms.wing_noise[k])
-    return np.concatenate((terms.features[k], wing))
+    return np.concatenate((terms.features[k], wing), axis=-1)
 
 
-def true_wrench(terms: RunTerms, k: int, u: np.ndarray) -> np.ndarray:
-    """Ground-truth (6,) forces and torques at step k of a run under the (4,)
-    command `u`: q*S*(C0(wing flow) + D u) plus noise.
+def true_wrench(terms: RunTerms, k: int | slice, u: np.ndarray) -> np.ndarray:
+    """Ground-truth forces and torques q*S*(C0(wing flow) + D u) plus noise at
+    step k, shaped as `make_observation`'s result, (6,) or (n, 6).
 
     Exactly affine in u at each step. The gust enters through the wing-local
-    flow angles in the baseline term.
+    flow angles in the baseline term. D u is one matrix-vector product per
+    row, which keeps a slice's rows the one-step results bit for bit.
     """
-    return terms.q_s * (terms.c0[k] + terms.control @ u) + terms.wrench_noise[k]
+    d_u = (terms.control @ u[..., None])[..., 0]
+    return terms.q_s * (terms.c0[k] + d_u) + terms.wrench_noise[k]
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +464,14 @@ def true_wrench(terms: RunTerms, k: int, u: np.ndarray) -> np.ndarray:
 
 
 def band_limited_walk(
-    rng: np.random.Generator,
-    n_steps: int,
-    n_channels: int = 4,
-    ar: float = 0.95,
-    sigma: float = 1.2,
-    limit: float = 25.0,
+    rng: np.random.Generator, n_steps: int, ar: float, sigma: float, limit: float
 ) -> np.ndarray:
-    """Seeded AR(1) excitation clipped to actuator limits, (n_steps, n_channels)."""
-    x = np.zeros(n_channels)
-    out = np.empty((n_steps, n_channels))
+    """Seeded AR(1) excitation clipped to +-limit, (n_steps, CONTROL_DIM); a
+    protocol's settings come from `_excitation_args`."""
+    x = np.zeros(CONTROL_DIM)
+    out = np.empty((n_steps, CONTROL_DIM))
     for t in range(n_steps):
-        x = ar * x + rng.normal(0.0, sigma, size=n_channels)
+        x = ar * x + rng.normal(0.0, sigma, size=CONTROL_DIM)
         out[t] = np.clip(x, -limit, limit)
     return out
 
@@ -564,13 +540,26 @@ def _smooth_trajectory(
     return center + half * raw
 
 
+def _excluded_points(entries, grid: set) -> set:
+    """`exclude_points`, each checked to be (speed, alpha, beta) of a grid point."""
+    for entry in entries:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                and all(map(_is_number, entry))):
+            raise ValueError(f"exclude_points entry {entry!r} is not 3 numbers")
+        if tuple(entry) not in grid:
+            raise ValueError(f"exclude_points entry {entry!r} is not a point of the grid")
+    return {tuple(entry) for entry in entries}
+
+
 def generate_calibration_data(
     protocol: dict, params: PlantParams, seed: int, out_dir: str | Path
 ) -> list[Path]:
     """Grid calibration runs for both probes; one CSV per probe.
 
-    Labels are the true local flow at each probe, which equals the commanded
-    grid point whenever the gust is off.
+    Rows go by speed, alpha, beta, each point `repeats` times `dt` apart, with
+    one `gust_field` call per speed and all probe noise from one draw (probe0's
+    five taps, then probe1's, per row). Labels are the true local flow at each
+    probe, which equals the commanded grid point whenever the gust is off.
     """
     _check_keys(protocol, CALIBRATION_KEYS, "calibration protocol")
     speeds = protocol.get("speeds", [8.0, 10.0, 12.0])
@@ -581,33 +570,35 @@ def generate_calibration_data(
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     dt = _seconds(protocol, "dt", 0.02)
     name = protocol.get("name", "calib")
-    exclude = {tuple(pt) for pt in protocol.get("exclude_points", [])}
+    points = {(va, alpha, beta) for va in speeds for alpha in alphas for beta in betas}
+    exclude = _excluded_points(protocol.get("exclude_points", []), points)
+    blocks = []  # per speed: its gust and the (alpha, beta) of its rows
+    for va in speeds:
+        angles = [(a, b) for a in alphas for b in betas if (va, a, b) not in exclude]
+        blocks.append((va, gust_from_spec(protocol.get("gust"), va, params),
+                       np.repeat(np.reshape(angles, (-1, 2)), repeats, axis=0)))
+    n = sum(len(angles) for *_, angles in blocks)
+    if n == 0:
+        raise ValueError("calibration protocol produces no rows")
 
-    rng = np.random.default_rng(seed)
+    noise = _normal_table(np.random.default_rng(seed), n, np.full(10, params.probe_noise_pa))
+    noise = noise.reshape(n, 2, 5)  # row, probe, tap
+    rows: tuple[list, list] = ([], [])
+    start = 0
+    for va, gust, angles in blocks:
+        stop = start + len(angles)
+        local = gust_field(gust, np.arange(start, stop) * dt, va, params)
+        for i in (0, 1):
+            for (a, b), tap_noise in zip((angles + local[:, i]).tolist(), noise[start:stop, i]):
+                flow = FlowState(va, a, b)
+                rows[i].append((ProbePressures(probe_pressures(flow, params).p + tap_noise), flow))
+        start = stop
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows: dict[str, list] = {"probe0": [], "probe1": []}
-    tick = 0
-    for va in speeds:
-        gust = gust_from_spec(protocol.get("gust"), va, params)
-        for alpha in alphas:
-            for beta in betas:
-                if (va, alpha, beta) in exclude:
-                    continue
-                for _ in range(repeats):
-                    cond = TunnelCondition(va, alpha, beta, gust=gust, time=tick * dt)
-                    tick += 1
-                    for loc in ("probe0", "probe1"):
-                        flow = local_flow(cond, loc, params)
-                        taps = probe_pressures(flow, params, rng)
-                        rows[loc].append((taps, flow))
-    if not rows["probe0"]:
-        raise ValueError("calibration protocol produces no rows")
-    paths = []
-    for loc in ("probe0", "probe1"):
-        path = out_dir / f"{name}_{loc}.csv"
-        probe_mod.save_calibration_csv(path, rows[loc])
-        paths.append(path)
+    paths = [out_dir / f"{name}_{loc}.csv" for loc in ("probe0", "probe1")]
+    for path, probe_rows in zip(paths, rows):
+        probe_mod.save_calibration_csv(path, probe_rows)
     return paths
 
 
@@ -646,6 +637,8 @@ def generate_dynamics_data(
 ) -> list[Path]:
     """One closed excitation run at a fixed tunnel speed -> dynamics CSV.
 
+    The run's terms come from `run_terms`, and its observations and wrenches
+    from one `make_observation` and one `true_wrench` call over all steps.
     Also writes a `<name>_conditions.csv` companion with the commanded
     schedule, so held-setpoint protocols are auditable even though the
     observation columns carry gust- and noise-perturbed values.
@@ -660,11 +653,8 @@ def generate_dynamics_data(
     gust = gust_from_spec(protocol.get("gust"), speed, params)
 
     terms = run_terms(params, speed, t, alpha, beta, gust, rng, probe_models)
-    obs_rows = np.empty((t.size, OBS_DIM))
-    y_rows = np.empty((t.size, WRENCH_DIM))
-    for k, u in enumerate(controls):
-        obs_rows[k] = make_observation(terms, k, u)
-        y_rows[k] = true_wrench(terms, k, u)
+    obs_rows = make_observation(terms, slice(None), controls)  # every step at once
+    y_rows = true_wrench(terms, slice(None), controls)
     cond_rows = np.column_stack([t, alpha, beta, terms.gusts[:, 2]])  # and the wing's gust
 
     out_dir = Path(out_dir)

@@ -1,5 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+
+from aeroalloc.plant import GustState
 
 
 @pytest.fixture
@@ -56,9 +60,57 @@ def count_gust_calls(monkeypatch) -> list:
     return calls
 
 
+@dataclass(frozen=True)
+class Condition:
+    """One tunnel condition of the per-condition references below."""
+
+    va: float
+    alpha_deg: float
+    beta_deg: float
+    gust: GustState = GustState()
+    time: float = 0.0
+
+
+def reference_probe_taps(params, flow, rng=None):
+    """A probe's five tap pressures in `flow`, plus `rng.normal` noise when given an rng."""
+    from aeroalloc import plant, probe
+
+    taps = plant.probe_pressures(flow, params)
+    if rng is None:
+        return taps
+    return probe.ProbePressures(taps.p + rng.normal(0.0, params.probe_noise_pa, size=5))
+
+
+def reference_calibration_rows(protocol, params, seed):
+    """The (probe0, probe1) rows of a calibration grid protocol that gives its
+    speeds, alphas, betas, repeats and dt, built the way the plant did before
+    it drew a grid's gusts and noise as tables: one condition per row, scalar
+    `gust_perturbation` calls, and per-row `rng.normal` draws."""
+    from aeroalloc import plant, probe
+
+    rng = np.random.default_rng(seed)
+    exclude = {tuple(pt) for pt in protocol.get("exclude_points", [])}
+    rows, tick = ([], []), 0
+    for va in protocol["speeds"]:
+        gust = plant.gust_from_spec(protocol.get("gust"), va, params)
+        for alpha in protocol["alphas"]:
+            for beta in protocol["betas"]:
+                if (va, alpha, beta) in exclude:
+                    continue
+                for _ in range(protocol["repeats"]):
+                    cond = Condition(va, alpha, beta, gust, tick * protocol["dt"])
+                    tick += 1
+                    for i, loc in enumerate(("probe0", "probe1")):
+                        d_alpha, d_beta = plant.gust_perturbation(gust, cond.time, loc, va,
+                                                                  params)
+                        flow = probe.FlowState(va, alpha + d_alpha, beta + d_beta)
+                        rows[i].append((reference_probe_taps(params, flow, rng), flow))
+    return rows
+
+
 def reference_observation(params, cond, u, rng=None, probe_models=None):
-    """The (13,) observation of one `plant.TunnelCondition`, computed the way the
-    plant step did before its command-independent terms moved into a per-run
+    """The (13,) observation of one `Condition`, computed the way the plant
+    step did before its command-independent terms moved into a per-run
     table: every gust evaluated for the condition, every noise value drawn
     with `rng.normal` in the step's order."""
     from aeroalloc import plant, probe
@@ -69,7 +121,7 @@ def reference_observation(params, cond, u, rng=None, probe_models=None):
     for i, (d_alpha, d_beta) in enumerate(gusts[:2]):
         va, al, be = cond.va, cond.alpha_deg + d_alpha, cond.beta_deg + d_beta
         if probe_models is not None:
-            taps = plant.probe_pressures(probe.FlowState(va, al, be), params, rng)
+            taps = reference_probe_taps(params, probe.FlowState(va, al, be), rng)
             est = probe.estimate_flow(probe_models[i], taps, params.rho)
             feats.extend([est.va, est.alpha_deg, est.beta_deg])
         else:

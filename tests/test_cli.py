@@ -153,6 +153,10 @@ CAL = {"kind": "calibration", "name": "bad", "repeats": 1}
     ([1, 2], "proto.json must hold a JSON object, got list"),
     ("dynamics", "proto.json must hold a JSON object, got str"),
     (None, "proto.json must hold a JSON object, got NoneType"),
+    ({**CAL, "speeds": [10], "alphas": [0], "betas": [0], "exclude_points": [[99, 0, 0]]},
+     "exclude_points entry [99, 0, 0] is not a point of the grid"),
+    ({**CAL, "exclude_points": [[10.0, 0.0]]}, "entry [10.0, 0.0] is not 3 numbers"),
+    ({**CAL, "exclude_points": [["10", 0, 0]]}, "entry ['10', 0, 0] is not 3 numbers"),
 ])
 def test_gen_data_rejects_unusable_protocols_before_writing(tmp_path, capsys, protocol, message):
     proto = tmp_path / "proto.json"
@@ -387,9 +391,9 @@ def test_cli_hands_the_config_defaults_to_the_harness(
 
 
 @pytest.mark.skipif(harness._openblas_threads() is None, reason="numpy without OpenBLAS")
-@pytest.mark.parametrize("command", ["train-dyn", "train-calib", "track"])
-def test_training_commands_run_on_one_blas_thread(tmp_path, monkeypatch, command):
-    from aeroalloc import probe
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_command_runs_on_one_blas_thread(tmp_path, monkeypatch, command):
+    from aeroalloc import dynamics, probe
 
     get, set_ = harness._openblas_threads()
     seen = []
@@ -398,15 +402,17 @@ def test_training_commands_run_on_one_blas_thread(tmp_path, monkeypatch, command
         seen.append(get())
         raise _Captured
 
-    if command == "train-dyn":
-        monkeypatch.setattr(harness, "train_variant", capture)
-        argv = ["train-dyn", "--data", str(_dynamics_csv(tmp_path))]
-    elif command == "train-calib":
-        monkeypatch.setattr(probe, "train_calibration", capture)
-        argv = ["train-calib", "--data", str(_calibration_csv(tmp_path))]
-    else:
-        monkeypatch.setattr(harness, "closed_loop_run", capture)
-        argv = ["track", "--model", str(_model_file(tmp_path))]
+    module, target, argv = {
+        "gen-data": (plant, "generate_dataset", ["--protocol", "p.json"]),
+        "train-calib": (probe, "train_calibration",
+                        ["--data", str(_calibration_csv(tmp_path))]),
+        "train-dyn": (harness, "train_variant", ["--data", str(_dynamics_csv(tmp_path))]),
+        "eval": (dynamics, "load_dynamics_model", ["--model", "m.json", "--speeds", "10"]),
+        "track": (harness, "closed_loop_run", ["--model", str(_model_file(tmp_path))]),
+        "report": (harness, "load_report_json", ["--suite", "suite.json"]),
+    }[command]
+    monkeypatch.setattr(module, target, capture)
+    argv = [command, *argv]
     previous = get()
     set_(2)
     try:
@@ -416,3 +422,40 @@ def test_training_commands_run_on_one_blas_thread(tmp_path, monkeypatch, command
         assert get() == 2  # restored, also when the command raises
     finally:
         set_(previous)
+
+
+@pytest.mark.parametrize("command, flag, doc, message", [
+    ("eval", "--model", {"format": "dynmodel-v1", "kind": "affine"},
+     "the model has no key 'sym'"),
+    ("eval", "--model", [1, 2], "a model must be a JSON object, got list"),
+    ("track", "--model", {"format": "dynmodel-v1", "kind": "unstructured", "net": [1],
+                          "in_mean": [0.0] * 17, "in_std": [1.0] * 17, "wing_sensors": True},
+     "the model's 'net' must be a JSON object, got list"),
+    ("gen-data", "--calib", {"version": "nncore-v1", "widths": [5, 3]},
+     "the network has no key 'activations'"),
+    ("report", "--suite", {"seed": 0}, "the suite report has no key 'train_speeds'"),
+])
+def test_a_malformed_artifact_fails_with_one_error_line(tmp_path, capsys, command, flag, doc,
+                                                        message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    proto = tmp_path / "proto.json"
+    proto.write_text(json.dumps({"kind": "dynamics", "duration_s": 1.0}))
+    argv = {"eval": ["--data", "data.csv"], "gen-data": [str(bad), "--protocol", str(proto)],
+            "track": [], "report": []}[command]
+    root = tmp_path / "root"
+    assert cli.main([command, flag, str(bad), *argv, "--out", str(root)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not [p for p in root.rglob("*") if p.is_file()]
+
+
+def test_eval_reports_do_not_depend_on_the_output_root(tmp_path):
+    data = _dynamics_csv(tmp_path)
+    model = _model_file(tmp_path)
+    reports = []
+    for root in (tmp_path / "one", tmp_path / "elsewhere" / "two"):
+        assert cli.main(["eval", "--model", str(model), "--data", str(data),
+                         "--out", str(root)]) == 0
+        reports.append((root / "reports" / "eval_m.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["model"] == "m.json"

@@ -30,6 +30,7 @@ from aeroalloc.harness import (
 )
 
 from conftest import (
+    Condition,
     constant_affine_model,
     count_gust_calls,
     reference_observation,
@@ -274,7 +275,7 @@ def test_closed_loop_matches_per_step_plant_closures_bit_for_bit(flown_models, v
     protocol = {"stage": "I", "duration_s": cfg.duration_s, "dt": tracking.dt}
     t, alpha, beta = plant.stage_schedule(protocol, params, rng_sched)
     gust = plant.gust_from_spec(harness._gust_spec(cfg), speed, params)
-    conds = [plant.TunnelCondition(speed, float(a), float(b), gust=gust, time=float(tk))
+    conds = [Condition(speed, float(a), float(b), gust, float(tk))
              for tk, a, b in zip(t, alpha, beta)]
     targets = make_target_sequence(params, speed, t, int(rng_targets.integers(2**32)),
                                    alpha_deg=alpha, beta_deg=beta)

@@ -10,13 +10,11 @@ from aeroalloc.plant import (
     GustState,
     OutOfEnvelopeError,
     PlantParams,
-    TunnelCondition,
     band_limited_walk,
     dynamic_pressure,
     generate_dataset,
     gust_from_spec,
     gust_perturbation,
-    local_flow,
     make_observation,
     probe_pressures,
     run_terms,
@@ -27,7 +25,14 @@ from aeroalloc.plant import (
 from aeroalloc.probe import FlowState
 from aeroalloc.table import write_table
 
-from conftest import count_gust_calls, reference_observation, reference_wrench
+from conftest import (
+    Condition,
+    count_gust_calls,
+    reference_calibration_rows,
+    reference_observation,
+    reference_probe_taps,
+    reference_wrench,
+)
 
 SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
@@ -122,12 +127,16 @@ def test_positive_alpha_loads_down_tap(params):
     assert p[2] > p[1]  # flow from below hits the down-looking tap
 
 
-def test_probe_noise_is_seed_deterministic(params):
-    flow = FlowState(10.0, 3.0, -2.0)
-    a = probe_pressures(flow, params, np.random.default_rng(5)).p
-    b = probe_pressures(flow, params, np.random.default_rng(5)).p
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, probe_pressures(flow, params).p)
+def test_probe_noise_is_seed_deterministic(tmp_path, params):
+    proto = {"kind": "calibration", "speeds": [8.0, 10.0], "alphas": [3.0], "betas": [-2.0],
+             "repeats": 2}
+    a, b = (generate_dataset(proto, params, 5, tmp_path / d) for d in "ab")
+    assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
+    quiet = generate_dataset(proto, PlantParams(probe_noise_pa=0.0), 5, tmp_path / "quiet")
+    for noisy, path in zip(a, quiet):
+        assert noisy.read_bytes() != path.read_bytes()
+        for taps, flow in probe_mod.load_calibration_csv(path):
+            assert np.array_equal(taps.p, probe_pressures(flow, params).p)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +217,10 @@ def test_gust_state_rejects_non_finite(field, bad):
     (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (-1.0, 0.0, 0.0), (10.0, np.inf, 0.0),
     (10.0, 0.0, np.nan), (10.0, 0.0, 0.0, GustState(), np.nan),
 ])
-def test_tunnel_condition_rejects_non_finite_or_negative(args):
+def test_tunnel_condition_rejects_non_finite_or_negative(params, args):
+    # (va, alpha, beta[, gust, time]) of a one-step run
     with pytest.raises(ValueError, match="finite"):
-        TunnelCondition(*args)
+        one_step(params, *args)
 
 
 def test_gust_from_spec(params):
@@ -232,11 +242,12 @@ def test_gust_from_spec(params):
     assert gust_from_spec({"mode": "off"}, 0.0, params).mode == "off"
 
 
-def test_local_flow_applies_perturbation(params):
-    cond = TunnelCondition(10.0, 2.0, 1.0, gust=GustState(mode="shear", yaw_deg=3.0))
-    flow = local_flow(cond, "wing", params)
-    assert flow.alpha_deg == 2.0
-    assert flow.beta_deg == pytest.approx(1.0 + 0.7 * 0.3 * 3.0)
+def test_run_terms_apply_the_wing_gust(params):
+    terms = one_step(params, 10.0, 2.0, 1.0, GustState(mode="shear", yaw_deg=3.0))
+    d_beta = 0.7 * 0.3 * 3.0
+    assert terms.gusts[0, 2, 0] == 0.0
+    assert terms.gusts[0, 2, 1] == pytest.approx(d_beta)
+    assert np.allclose(terms.c0[0], params.baseline_coefficients(2.0, 1.0 + d_beta))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +380,7 @@ def test_wing_taps_see_gust(params):
 def test_ideal_observation_reports_true_flow(params):
     obs = make_observation(one_step(params, 10.0, 3.0, -2.0), 0, np.zeros(4))
     assert np.allclose(obs[:6], [10.0, 3.0, -2.0, 10.0, 3.0, -2.0])
-    cond = TunnelCondition(10.0, 3.0, -2.0)
+    cond = Condition(10.0, 3.0, -2.0)
     assert obs.tobytes() == reference_observation(params, cond, np.zeros(4)).tobytes()
 
 
@@ -382,8 +393,8 @@ def test_ideal_probe_airspeed_is_clamped_at_zero(params):
     for k, tk in enumerate(t.tolist()):
         obs = make_observation(terms, k, u)
         assert obs.tobytes() == reference_observation(
-            params, TunnelCondition(0.0, 0.0, 0.0, time=tk), u, rng).tobytes()
-        reference_wrench(params, TunnelCondition(0.0, 0.0, 0.0, time=tk), u, rng)
+            params, Condition(0.0, 0.0, 0.0, time=tk), u, rng).tobytes()
+        reference_wrench(params, Condition(0.0, 0.0, 0.0, time=tk), u, rng)
     assert terms.features[:, [0, 3]].min() == 0.0
 
 
@@ -413,8 +424,8 @@ def test_observation_probe_features_independent_of_controls(params):
 
 
 def test_band_limited_walk_shape_limits_determinism():
-    w1 = band_limited_walk(np.random.default_rng(2), 500, limit=5.0)
-    w2 = band_limited_walk(np.random.default_rng(2), 500, limit=5.0)
+    w1 = band_limited_walk(np.random.default_rng(2), 500, ar=0.95, sigma=1.2, limit=5.0)
+    w2 = band_limited_walk(np.random.default_rng(2), 500, ar=0.95, sigma=1.2, limit=5.0)
     assert w1.shape == (500, 4)
     assert np.max(np.abs(w1)) <= 5.0
     assert np.array_equal(w1, w2)
@@ -454,6 +465,48 @@ def test_generate_calibration_dataset(tmp_path, params):
     assert all(f.va in (8.0, 10.0) for _, f in rows)
 
 
+@pytest.mark.parametrize("gust", [{"mode": "off"}, {"mode": "shedding", "amplitude": 0.4},
+                                  {"mode": "shear", "yaw_deg": 3.0}], ids=lambda g: g["mode"])
+def test_calibration_grid_matches_the_per_condition_reference_byte_for_byte(
+        tmp_path, params, gust):
+    # a repeated speed is its own block of rows, with its own times
+    proto = {"kind": "calibration", "name": "grid", "speeds": [10, 12.0, 10],
+             "alphas": [-5.0, 0, 5.0], "betas": [0.0, 4.0], "repeats": 3, "dt": 0.013,
+             "exclude_points": [[12.0, 0, 4.0], [10, -5.0, 0.0]], "gust": gust}
+    paths = generate_dataset(proto, params, seed=7, out_dir=tmp_path)
+    # 18 grid points, less one at 12 m/s and one in each 10 m/s block, 3 repeats each
+    assert len(probe_mod.load_calibration_csv(paths[0])) == 15 * 3
+    for path, rows in zip(paths, reference_calibration_rows(proto, params, 7)):
+        probe_mod.save_calibration_csv(tmp_path / "ref.csv", rows)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), path.name
+
+
+def test_calibration_grid_evaluates_each_gust_once_per_speed(tmp_path, params, monkeypatch):
+    proto = {"kind": "calibration", "speeds": [8.0, 10.0], "alphas": [0.0, 5.0],
+             "betas": [0.0], "repeats": 4, "gust": {"mode": "shedding", "amplitude": 0.4}}
+    calls = count_gust_calls(monkeypatch)
+    generate_dataset(proto, params, seed=0, out_dir=tmp_path)
+    assert calls == [("shedding", loc) for _ in range(2) for loc in plant.LOCATIONS]
+
+
+@pytest.mark.parametrize("calibrated", [False, True], ids=["ideal", "calibrated"])
+def test_step_functions_over_a_slice_equal_the_one_step_results(params, calibrated):
+    nets = tiny_calibration_nets() if calibrated else None
+    rng = np.random.default_rng(6)
+    t = np.arange(60) * 0.02
+    alpha, beta = rng.uniform(-10.0, 10.0, size=(2, 60))
+    gust = GustState(mode="shedding", amplitude=0.4, frequency_hz=8.0)
+    terms = run_terms(params, 12.0, t, alpha, beta, gust, np.random.default_rng(1), nets)
+    u = rng.uniform(-25.0, 25.0, size=(60, 4))
+    for run in (slice(None), slice(7, 41)):
+        steps = range(60)[run]
+        obs, y = make_observation(terms, run, u[run]), true_wrench(terms, run, u[run])
+        assert obs.shape == (len(steps), 13) and y.shape == (len(steps), 6)
+        one_step_obs = [make_observation(terms, k, u[k]) for k in steps]
+        assert obs.tobytes() == np.array(one_step_obs).tobytes()
+        assert y.tobytes() == np.array([true_wrench(terms, k, u[k]) for k in steps]).tobytes()
+
+
 def test_generate_dynamics_dataset(tmp_path, params):
     proto = {
         "kind": "dynamics", "speed": 10.0, "stage": "I", "duration_s": 2.0,
@@ -484,15 +537,15 @@ def test_dynamics_run_evaluates_each_gust_once_per_run(tmp_path, params, monkeyp
 
 def test_run_terms_route_each_location_gust_to_its_own_features(params, rng):
     gust = GustState(mode="shedding", amplitude=0.4, frequency_hz=8.0)
-    cond = TunnelCondition(10.0, 3.0, -2.0, gust=gust, time=0.37)
+    cond = Condition(10.0, 3.0, -2.0, gust, 0.37)
     terms = one_step(params, 10.0, 3.0, -2.0, gust, time=0.37)
     gusts = plant.gust_field(gust, np.array([cond.time]), cond.va, params)
     assert np.array_equal(terms.gusts, gusts)
     u = rng.uniform(-20.0, 20.0, size=4)
     obs = make_observation(terms, 0, u)
     # each location's gust reaches its own features: the probes' flows and the wing taps
-    flows = [local_flow(cond, loc, params) for loc in ("probe0", "probe1")]
-    assert np.array_equal(obs[:6], [x for f in flows for x in (f.va, f.alpha_deg, f.beta_deg)])
+    flows = [(10.0, 3.0 + d_alpha, -2.0 + d_beta) for d_alpha, d_beta in gusts[0, :2]]
+    assert np.array_equal(obs[:6], np.ravel(flows))
     assert obs.tobytes() == reference_observation(params, cond, u).tobytes()
     assert true_wrench(terms, 0, u).tobytes() == reference_wrench(params, cond, u).tobytes()
 
@@ -500,14 +553,16 @@ def test_run_terms_route_each_location_gust_to_its_own_features(params, rng):
 def test_calibrated_run_terms_route_the_probe_gusts_through_the_nets(params, rng):
     nets = tiny_calibration_nets()
     gust = GustState(mode="shedding", amplitude=0.4, frequency_hz=8.0)
-    cond = TunnelCondition(10.0, 3.0, -2.0, gust=gust, time=0.37)
+    cond = Condition(10.0, 3.0, -2.0, gust, 0.37)
     u = rng.uniform(-20.0, 20.0, size=4)
     terms = one_step(params, 10.0, 3.0, -2.0, gust, 0.37, np.random.default_rng(4), nets)
     obs = make_observation(terms, 0, u)
-    flows = [local_flow(cond, loc, params) for loc in ("probe0", "probe1")]
+    flows = [FlowState(10.0, 3.0 + d_alpha, -2.0 + d_beta)
+             for d_alpha, d_beta in plant.gust_field(gust, np.array([0.37]), 10.0, params)[0, :2]]
     taps_rng = np.random.default_rng(4)
     for net, flow, feats in zip(nets, flows, (obs[:3], obs[3:6])):
-        est = probe_mod.estimate_flow(net, probe_pressures(flow, params, taps_rng), params.rho)
+        taps = reference_probe_taps(params, flow, taps_rng)
+        est = probe_mod.estimate_flow(net, taps, params.rho)
         assert np.array_equal(feats, [est.va, est.alpha_deg, est.beta_deg])
     reference = reference_observation(params, cond, u, np.random.default_rng(4), nets)
     assert obs.tobytes() == reference.tobytes()
@@ -523,7 +578,7 @@ def reference_dynamics_files(protocol, params, seed, out_dir, probe_models=None)
     gust = gust_from_spec(protocol.get("gust"), speed, params)
     obs, y, wing = [], [], []
     for tk, a, b, u in zip(t.tolist(), alpha.tolist(), beta.tolist(), controls):
-        cond = TunnelCondition(speed, a, b, gust=gust, time=tk)
+        cond = Condition(speed, a, b, gust, tk)
         obs.append(reference_observation(params, cond, u, rng, probe_models))
         y.append(reference_wrench(params, cond, u, rng))
         wing.append(gust_perturbation(gust, tk, "wing", speed, params))
@@ -580,8 +635,6 @@ def test_plant_params_validation():
         PlantParams(rho=0.0)
     with pytest.raises(ValueError):
         PlantParams(wing_tap_a=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        TunnelCondition(-1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("field", ["rho", "wing_area", "span", "chord"])
