@@ -170,12 +170,12 @@ def _cmd_train_dyn(args) -> int:
 
 def _cmd_eval(args) -> int:
     root = harness.resolve_out_root(args.out)
-    dirs = _dirs(root)
     params = _load_params(args.params)
     model = dynamics.load_dynamics_model(args.model)
     if not args.data and not args.speeds:
         print("eval needs --data or --speeds", file=sys.stderr)
         return 2
+    dirs = _dirs(root)  # once the inputs have loaded, so a bad one leaves nothing behind
 
     results = {}
     if args.data:
@@ -202,9 +202,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_track(args) -> int:
     root = harness.resolve_out_root(args.out)
-    dirs = _dirs(root)
     params = _load_params(args.params)
     model = dynamics.load_dynamics_model(args.model)
+    dirs = _dirs(root)  # once the inputs have loaded, so a bad one leaves nothing behind
     cfg = _experiment(args, lambda0=args.lambda0, lambda1=args.lambda1,
                       gust_mode=args.gust, duration_s=args.duration)
     tlog = harness.closed_loop_run(model, cfg, args.speed, params=params)

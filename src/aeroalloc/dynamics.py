@@ -231,11 +231,11 @@ def _batch_loss(err, b, sym: SymmetryConfig) -> float:
     return loss
 
 
-def _batch_tapes(nets, u, err, b, acts, sym: SymmetryConfig):
+def _batch_tapes(nets, u, err, b, acts, sym: SymmetryConfig, out=(None, None, None)):
     """(backbone, A-head, B-head) tapes of `_batch_loss`, reusing the forward pass.
 
     Upstreams carry the 1/n factors so the tapes hold gradients of the
-    mean-form loss.
+    mean-form loss. The gradients go into `out`'s three tapes, if given.
     """
     backbone, a_head, b_head = nets
     acts_bb, acts_a, acts_b = acts
@@ -248,10 +248,10 @@ def _batch_tapes(nets, u, err, b, acts, sym: SymmetryConfig):
         up_b[:, :, 0] += g
         up_b[:, :, 1] += g * MIRROR_SIGNS
     h = acts_bb[-1]
-    tape_a = backward(a_head, h, up_a, acts_a)
-    tape_b = backward(b_head, h, up_b.reshape(n, -1), acts_b)
+    tape_a = backward(a_head, h, up_a, acts_a, out=out[1])
+    tape_b = backward(b_head, h, up_b.reshape(n, -1), acts_b, out=out[2])
     tape_bb = backward(backbone, acts_bb[0], tape_a.input_grad + tape_b.input_grad, acts_bb,
-                       with_input_grad=False)
+                       with_input_grad=False, out=out[0])
     return tape_bb, tape_a, tape_b
 
 
@@ -393,18 +393,17 @@ def train_dynamics(dataset, cfg: DynamicsTrainConfig, history: list | None = Non
     us_tr = u_tr / CONTROL_LIMIT_DEG
     yt_tr = (y_tr - y_mean) / y_std
 
-    def minibatch_grads(idx):
-        u = us_tr[idx]
-        err, b, acts = _forward_heads(*nets, x_tr[idx], u, yt_tr[idx])
-        return _batch_tapes(nets, u, err, b, acts, cfg.sym)
+    def minibatch_grads(x, u, y):
+        err, b, acts = _forward_heads(*nets, x, u, y)
+        return _batch_tapes(nets, u, err, b, acts, cfg.sym, opt.tapes)
 
     def full_loss():
         err, b, _ = _forward_heads(*nets, x_tr, us_tr, yt_tr)
         return _batch_loss(err, b, cfg.sym)
 
     nncore.fit(
-        opt, x_tr.shape[0], cfg.batch_size, cfg.epochs, np.random.default_rng(seed_batch),
-        minibatch_grads, full_loss, history, cfg.log_every,
+        opt, (x_tr, us_tr, yt_tr), cfg.batch_size, cfg.epochs,
+        np.random.default_rng(seed_batch), minibatch_grads, full_loss, history, cfg.log_every,
     )
 
     nncore.fold_output_scaling(a_head, y_std, y_mean)
@@ -489,17 +488,17 @@ def train_unstructured(
     x_tr = (inputs - in_mean) / in_std
     yt_tr = (y_tr - y_mean) / y_std
 
-    def minibatch_grads(idx):
-        x = x_tr[idx]
+    def minibatch_grads(x, y):
         acts = forward(net, x, activations=True)
-        err = acts[-1] - yt_tr[idx]
-        return (backward(net, x, (2.0 / err.size) * err, acts, with_input_grad=False),)
+        err = acts[-1] - y
+        return (backward(net, x, (2.0 / err.size) * err, acts, with_input_grad=False,
+                         out=opt.tapes[0]),)
 
     def full_loss():
         return float(np.mean((forward(net, x_tr) - yt_tr) ** 2))
 
     nncore.fit(
-        opt, x_tr.shape[0], cfg.batch_size, cfg.epochs, np.random.default_rng(seed_batch),
+        opt, (x_tr, yt_tr), cfg.batch_size, cfg.epochs, np.random.default_rng(seed_batch),
         minibatch_grads, full_loss, history, cfg.log_every,
     )
 

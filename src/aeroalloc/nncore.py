@@ -6,8 +6,11 @@ so every training loss in this package is differentiable end to end without
 an autodiff framework. Networks are treated as immutable during forward and
 backward passes. `init_optimizer` moves the parameters of the networks it
 trains into one shared flat buffer, every layer's weight and bias becoming a
-view of it; `step` mutates that buffer in place with one Adam update, and
-`fit` is the minibatch loop every trainer in the package runs.
+view of it, and lays out their gradients the same way in a second buffer;
+`backward(..., out=opt.tapes[i])` writes into that one, `step` mutates the
+parameters in place with one Adam update, and `fit` is the minibatch loop
+every trainer in the package runs. Within this module a training step
+allocates only the activations and the gradients it carries between layers.
 """
 from __future__ import annotations
 
@@ -128,19 +131,31 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
 def _activations(net: Network, x_batch: np.ndarray) -> list[np.ndarray]:
     acts = [x_batch]
     for layer in net.layers:
-        z = acts[-1] @ layer.weight.T + layer.bias
-        acts.append(np.tanh(z) if layer.activation == "tanh" else z)
+        z = acts[-1] @ layer.weight.T
+        z += layer.bias
+        if layer.activation == "tanh":
+            np.tanh(z, out=z)
+        acts.append(z)
     return acts
 
 
 def forward(net: Network, x: np.ndarray, activations: bool = False):
-    """Evaluate the network on a vector (d,) or a batch (n, d).
+    """Evaluate the network on a vector (d,), a batch (n, d), or a stack
+    (n, 1, d) of one-row batches.
 
-    With `activations=True` the result is instead the batch-shaped list
-    [input, first layer output, ..., network output], which `backward` takes
-    so that it need not run the pass again.
+    A stack's products are n one-row products, so row k of its (n, 1, out)
+    result equals the call on x[k, 0] bit for bit. A batch runs one matrix
+    product per layer, which is faster but may differ from the one-row
+    results in the last bits. With `activations=True` the result is instead
+    the list [input, first layer output, ..., network output] in the input's
+    batch or stack shape, which `backward` takes so that it need not run the
+    pass again.
     """
-    batch, single = _as_batch(x, net.input_dim, "input")
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim == 3 and arr.shape[1:] == (1, net.input_dim):
+        batch, single = arr, False
+    else:
+        batch, single = _as_batch(arr, net.input_dim, "input")
     acts = _activations(net, batch)
     if activations:
         return acts
@@ -148,9 +163,17 @@ def forward(net: Network, x: np.ndarray, activations: bool = False):
     return out[0] if single else out
 
 
+def _through_tanh(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """g * (1 - out**2): an upstream carried back through a tanh layer whose
+    output is `out`, formed in one new array."""
+    d = np.square(out)
+    np.subtract(1.0, d, out=d)
+    return np.multiply(g, d, out=d)
+
+
 def backward(
     net: Network, x: np.ndarray, upstream: np.ndarray, acts: list | None = None,
-    with_input_grad: bool = True,
+    with_input_grad: bool = True, out: GradientTape | None = None,
 ) -> GradientTape:
     """Gradients of <upstream, forward(net, x)> with respect to all parameters.
 
@@ -160,7 +183,9 @@ def backward(
     without them the forward pass is recomputed. With `with_input_grad=False`
     the first layer's input gradient, which a trainer of the input-side net
     never reads, is not formed and the tape's `input_grad` is None; the
-    parameter gradients are the same bits either way.
+    parameter gradients are the same bits either way. The parameter gradients
+    are written into the arrays of `out` (a trainer passes its optimizer's
+    `tapes` entry for `net`), or into new arrays without it.
     """
     x_batch, _ = _as_batch(x, net.input_dim, "input")
     up_batch, _ = _as_batch(upstream, net.output_dim, "upstream")
@@ -170,16 +195,17 @@ def backward(
         )
     if acts is None:
         acts = _activations(net, x_batch)
-    n_layers = len(net.layers)
-    weight_grads: list[np.ndarray] = [np.empty(0)] * n_layers
-    bias_grads: list[np.ndarray] = [np.empty(0)] * n_layers
+    if out is None:
+        out = GradientTape([np.empty_like(layer.weight) for layer in net.layers],
+                           [np.empty_like(layer.bias) for layer in net.layers], None)
+    weight_grads, bias_grads = out.weight_grads, out.bias_grads
     g = up_batch
-    for i in range(n_layers - 1, -1, -1):
+    for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         if layer.activation == "tanh":
-            g = g * (1.0 - acts[i + 1] ** 2)
-        weight_grads[i] = g.T @ acts[i]
-        bias_grads[i] = g.sum(axis=0)
+            g = _through_tanh(g, acts[i + 1])
+        np.matmul(g.T, acts[i], out=weight_grads[i])
+        np.add.reduce(g, axis=0, out=bias_grads[i])
         if i == 0 and not with_input_grad:
             return GradientTape(weight_grads, bias_grads, None)
         g = g @ layer.weight
@@ -193,7 +219,7 @@ def input_grad(net: Network, upstream: np.ndarray, acts: list) -> np.ndarray:
     g = upstream
     for layer, out in zip(reversed(net.layers), reversed(acts[1:])):
         if layer.activation == "tanh":
-            g = g * (1.0 - out**2)
+            g = _through_tanh(g, out)
         g = g @ layer.weight
     return g
 
@@ -228,13 +254,17 @@ class OptimizerState:
 
     `params` is the `flat_params` vector of the networks the state was built
     for, and every weight and bias of theirs is a view into it. The moments
-    `m`, `v` and the packed gradient `grad` share that layout.
+    `m`, `v` and the packed gradient `grad` share that layout; `tapes` holds,
+    per network, its weight and bias gradients as views into `grad`, and
+    `scratch` two more vectors of that length for the update's temporaries.
     """
 
     params: np.ndarray
     m: np.ndarray
     v: np.ndarray
     grad: np.ndarray
+    tapes: tuple[GradientTape, ...]
+    scratch: np.ndarray
     lr: float = 1e-3
     count: int = 0
 
@@ -248,57 +278,88 @@ def init_optimizer(nets: Network | Sequence[Network], lr: float = 1e-3) -> Optim
 
     Moves the networks' parameters into one flat buffer and rebinds every
     layer's weight and bias to a view of it, so that `step` updates all of
-    them at once. The layout is fixed here; a layer may appear only once.
+    them at once, and builds the matching gradient views (`tapes`) once. The
+    layout is fixed here; a layer may appear only once.
     """
     nets = _as_nets(nets)
     layers = [layer for net in nets for layer in net.layers]
     if len({id(layer) for layer in layers}) != len(layers):
         raise ValueError("a layer appears more than once in the optimizer's networks")
     params = flat_params(*nets)
+    grad = np.zeros_like(params)
+    tapes = []
     offset = 0
-    for layer in layers:
-        for name in ("weight", "bias"):
-            arr = getattr(layer, name)
-            setattr(layer, name, params[offset : offset + arr.size].reshape(arr.shape))
-            offset += arr.size
-    zeros = [np.zeros_like(params) for _ in range(3)]
-    return OptimizerState(params, *zeros, lr=lr)
+    for net in nets:
+        grads: dict[str, list[np.ndarray]] = {"weight": [], "bias": []}
+        for layer in net.layers:
+            for name, views in grads.items():
+                arr = getattr(layer, name)
+                setattr(layer, name, params[offset : offset + arr.size].reshape(arr.shape))
+                views.append(grad[offset : offset + arr.size].reshape(arr.shape))
+                offset += arr.size
+        tapes.append(GradientTape(grads["weight"], grads["bias"], None))
+    return OptimizerState(params, np.zeros_like(params), np.zeros_like(params), grad,
+                          tuple(tapes), np.empty((2, params.size)), lr=lr)
 
 
 def step(opt: OptimizerState, *tapes: GradientTape) -> None:
     """One Adam update of the whole parameter buffer, in place.
 
     `tapes` hold the gradients of the optimizer's networks in the order it
-    was built with; gradients of any other total size raise ValueError.
+    was built with. Tapes that `backward` wrote into `opt.tapes` are already
+    packed in `opt.grad`; any others are copied there first, and gradients of
+    another total size raise ValueError.
     """
-    grad = flat_grads(*tapes, out=opt.grad)
+    if len(tapes) != len(opt.tapes) or any(
+        tape.weight_grads is not own.weight_grads for tape, own in zip(tapes, opt.tapes)
+    ):
+        flat_grads(*tapes, out=opt.grad)
+    grad, (s1, s2) = opt.grad, opt.scratch
     opt.count += 1
     c1 = 1.0 - ADAM_BETA1**opt.count
     c2 = 1.0 - ADAM_BETA2**opt.count
+    # m += (1-b1) g;  v += ((1-b2) g) g;  params -= (lr (m/c1)) / (sqrt(v/c2) + eps),
+    # each product and quotient in that order
     opt.m *= ADAM_BETA1
-    opt.m += (1.0 - ADAM_BETA1) * grad
+    opt.m += np.multiply(1.0 - ADAM_BETA1, grad, out=s1)
     opt.v *= ADAM_BETA2
-    opt.v += (1.0 - ADAM_BETA2) * grad * grad
-    opt.params -= opt.lr * (opt.m / c1) / (np.sqrt(opt.v / c2) + ADAM_EPS)
+    np.multiply(1.0 - ADAM_BETA2, grad, out=s1)
+    s1 *= grad
+    opt.v += s1
+    np.divide(opt.m, c1, out=s1)
+    s1 *= opt.lr
+    np.divide(opt.v, c2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += ADAM_EPS
+    s1 /= s2
+    opt.params -= s1
 
 
 def fit(
-    opt: OptimizerState, n_rows: int, batch_size: int, epochs: int, rng: np.random.Generator,
-    minibatch_grads: Callable[[np.ndarray], Sequence[GradientTape]],
+    opt: OptimizerState, arrays: Sequence[np.ndarray], batch_size: int, epochs: int,
+    rng: np.random.Generator, minibatch_grads: Callable[..., Sequence[GradientTape]],
     full_loss: Callable[[], float] | None = None, history: list | None = None, log_every: int = 0,
 ) -> None:
     """Minibatch Adam, the training loop every trainer in the package shares.
 
-    Each epoch draws one permutation of range(n_rows) from `rng` and walks
-    it in consecutive slices of `batch_size` rows; `minibatch_grads(idx)`
-    returns the tapes of the minibatch loss at rows `idx`, in the optimizer's
-    network order. After each epoch `full_loss()` is appended to `history`,
-    if one is given, and logged every `log_every` epochs.
+    `arrays` are the training arrays, one row per sample. Each epoch draws one
+    permutation of the rows from `rng`, gathers every array's rows in that
+    order once, and walks them in consecutive slices of `batch_size` rows;
+    `minibatch_grads(*slices)` returns the tapes of the minibatch loss on
+    those rows, in the optimizer's network order. After each epoch
+    `full_loss()` is appended to `history`, if one is given, and logged every
+    `log_every` epochs.
     """
+    n_rows = arrays[0].shape[0]
+    if any(arr.shape[0] != n_rows for arr in arrays):
+        raise ValueError(f"training arrays differ in rows: {[arr.shape[0] for arr in arrays]}")
+    shuffled = [np.empty_like(arr, order="C") for arr in arrays]
     for epoch in range(epochs):
         perm = rng.permutation(n_rows)
+        for arr, rows in zip(arrays, shuffled):
+            np.take(arr, perm, axis=0, out=rows, mode="clip")  # "clip": no buffered copy
         for start in range(0, n_rows, batch_size):
-            step(opt, *minibatch_grads(perm[start : start + batch_size]))
+            step(opt, *minibatch_grads(*(rows[start : start + batch_size] for rows in shuffled)))
         logged = log_every and (epoch + 1) % log_every == 0
         if history is not None or logged:
             loss = full_loss()

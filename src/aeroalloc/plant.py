@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import probe as probe_mod
+from . import nncore, probe as probe_mod
 from .probe import RHO, FlowState, ProbePressures
 from .dynamics import CONTROL_DIM, CONTROL_LIMIT_DEG, save_dynamics_csv
 from .table import write_table
@@ -286,22 +286,30 @@ def gust_field(gust: GustState, times: np.ndarray, va: float, params: PlantParam
                      for loc in LOCATIONS], axis=1)
 
 
-def probe_pressures(flow: FlowState, params: PlantParams) -> ProbePressures:
-    """Noise-free five tap pressures for the given local flow.
+def probe_taps(va: float, alpha_deg, beta_deg, params: PlantParams) -> np.ndarray:
+    """Noise-free five tap pressures at airspeed va for each of n local flow
+    angles, (n, 5); row k is the flow (alpha_deg[k], beta_deg[k]).
 
     Each tap reads q*(1 - k*sin^2(angle between flow and tap axis)) above
     static; with k=2 and a 45 degree cone the center tap spread equals q at
     zero incidence, so the dynamic-pressure correction is near 1 on-axis.
+    Each row's flow direction meets the tap axes in its own (1, 3) @ (3, 5)
+    product, so row k equals the one-row call bit for bit; one 2-D product
+    would not.
     """
-    a = np.radians(flow.alpha_deg)
-    b = np.radians(flow.beta_deg)
-    flow_dir = np.array([np.cos(a) * np.cos(b), np.sin(b), np.sin(a) * np.cos(b)])
-    cos_gamma = params._probe_tap_axes @ flow_dir
-    q = dynamic_pressure(flow.va, params)
-    taps = params.probe_static_pa + q * (
-        1.0 - params.probe_sensitivity * (1.0 - cos_gamma**2)
-    )
-    return ProbePressures(taps)
+    a = np.radians(alpha_deg)
+    b = np.radians(beta_deg)
+    cos_b = np.cos(b)
+    flow_dir = np.stack([np.cos(a) * cos_b, np.sin(b), np.sin(a) * cos_b], axis=-1)
+    cos_gamma = (flow_dir[:, None, :] @ params._probe_tap_axes.T)[:, 0]
+    q = dynamic_pressure(va, params)
+    return params.probe_static_pa + q * (1.0 - params.probe_sensitivity * (1.0 - cos_gamma**2))
+
+
+def probe_pressures(flow: FlowState, params: PlantParams) -> ProbePressures:
+    """Noise-free five tap pressures for the given local flow: the one-row
+    case of `probe_taps`."""
+    return ProbePressures(probe_taps(flow.va, [flow.alpha_deg], [flow.beta_deg], params)[0])
 
 
 def true_affine_terms(va: float, alpha_deg, beta_deg, params: PlantParams):
@@ -371,11 +379,15 @@ def run_terms(
     per-step `rng.normal` draws in the plant's order (k = 19 in ideal mode,
     23 with `probe_models`); without `rng` the run is noise-free. With
     `probe_models` (a pair of calibration networks) the probe features go
-    through the full sensing chain, one `probe_pressures` and one
-    `estimate_flow` call per probe and step: simulated tap pressures ->
-    normalize -> network -> airspeed reconstruction. Without them, "ideal"
-    mode takes the true local flow at each probe plus a small residual
-    mimicking calibration error.
+    through the full sensing chain, one `probe_taps` and one
+    `probe.estimate_flow_rows` call per probe for the whole run: simulated
+    tap pressures -> normalize -> network -> airspeed reconstruction, with
+    the network run `probe.ROWS_PER_BLOCK` rows at a time. Each step's
+    features equal the one-reading `probe_pressures` and `estimate_flow`
+    calls bit for bit, and a failed estimate raises as they do, naming the
+    probe and its row, which is the step. Without them, "ideal" mode takes
+    the true local flow at each probe plus a small residual mimicking
+    calibration error.
     """
     _check_airspeed(va)
     va = float(va)
@@ -402,10 +414,12 @@ def run_terms(
         al, be = alpha + gusts[:, i, 0], beta + gusts[:, i, 1]
         probe_noise = noise[:, n_probe * i:n_probe * (i + 1)]
         if calibrated:
-            for k, (a, b) in enumerate(zip(al.tolist(), be.tolist())):
-                taps = probe_pressures(FlowState(va, a, b), params).p + probe_noise[k]
-                est = probe_mod.estimate_flow(probe_models[i], ProbePressures(taps), params.rho)
-                features[k, 3 * i:3 * i + 3] = est.va, est.alpha_deg, est.beta_deg
+            taps = probe_taps(va, al, be, params) + probe_noise
+            try:
+                features[:, 3 * i:3 * i + 3] = probe_mod.estimate_flow_rows(
+                    probe_models[i], taps, params.rho)
+            except ValueError as exc:  # NoFlowError is one too
+                raise type(exc)(f"{LOCATIONS[i]}: {exc}") from None
         else:
             v = va + probe_noise[:, 0]
             features[:, 3 * i] = np.where(0.0 > v, 0.0, v)  # max(v, 0.0), as for a float
@@ -557,9 +571,10 @@ def generate_calibration_data(
     """Grid calibration runs for both probes; one CSV per probe.
 
     Rows go by speed, alpha, beta, each point `repeats` times `dt` apart, with
-    one `gust_field` call per speed and all probe noise from one draw (probe0's
-    five taps, then probe1's, per row). Labels are the true local flow at each
-    probe, which equals the commanded grid point whenever the gust is off.
+    one `gust_field` call per speed, one `probe_taps` call per speed and probe,
+    and all probe noise from one draw (probe0's five taps, then probe1's, per
+    row). Labels are the true local flow at each probe, which equals the
+    commanded grid point whenever the gust is off.
     """
     _check_keys(protocol, CALIBRATION_KEYS, "calibration protocol")
     speeds = protocol.get("speeds", [8.0, 10.0, 12.0])
@@ -589,9 +604,10 @@ def generate_calibration_data(
         stop = start + len(angles)
         local = gust_field(gust, np.arange(start, stop) * dt, va, params)
         for i in (0, 1):
-            for (a, b), tap_noise in zip((angles + local[:, i]).tolist(), noise[start:stop, i]):
-                flow = FlowState(va, a, b)
-                rows[i].append((ProbePressures(probe_pressures(flow, params).p + tap_noise), flow))
+            flow = angles + local[:, i]
+            taps = probe_taps(va, flow[:, 0], flow[:, 1], params) + noise[start:stop, i]
+            rows[i].extend((ProbePressures(p), FlowState(va, a, b))
+                           for p, (a, b) in zip(taps, flow.tolist()))
         start = stop
 
     out_dir = Path(out_dir)
@@ -692,5 +708,6 @@ def generate_dataset(
 
 
 def plant_params_from_json(path: str | Path) -> PlantParams:
-    doc = json.loads(Path(path).read_text())
-    return PlantParams(**doc)
+    """`PlantParams` from the JSON object in `path`; a file that does not parse
+    or holds no object raises ValueError naming it, a bad field one naming the field."""
+    return PlantParams(**nncore.load_json(path, dict, "plant parameter file"))

@@ -318,6 +318,20 @@ def test_gen_data_rejects_bad_plant_params_before_writing(tmp_path, capsys, doc,
     assert not list(root.rglob("*.csv"))
 
 
+def test_gen_data_names_a_plant_parameter_file_that_holds_no_object(tmp_path, capsys):
+    params_path = tmp_path / "params.json"
+    params_path.write_text("[1]")
+    proto = tmp_path / "proto.json"
+    proto.write_text(json.dumps({"kind": "dynamics", "duration_s": 1.0}))
+    root = tmp_path / "root"
+    code = cli.main(["gen-data", "--protocol", str(proto), "--params", str(params_path),
+                     "--out", str(root)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {params_path}: a plant parameter file must be a JSON object, got list\n")
+    assert not root.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["train-dyn", "--data", "d.csv", "--params", "p.json"],  # the plant is in the data
     ["track", "--model", "m.json", "--gust", "shear"],  # shear comes from protocol JSON
@@ -447,6 +461,17 @@ def test_a_malformed_artifact_fails_with_one_error_line(tmp_path, capsys, comman
     assert cli.main([command, flag, str(bad), *argv, "--out", str(root)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not [p for p in root.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("command", ["eval", "track"])
+def test_a_malformed_model_creates_no_directory(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    root = tmp_path / "root"
+    argv = ["--speeds", "10"] if command == "eval" else []
+    assert cli.main([command, "--model", str(bad), *argv, "--out", str(root)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: a model must be a JSON object, got list\n"
+    assert not root.exists()
 
 
 def test_eval_reports_do_not_depend_on_the_output_root(tmp_path):

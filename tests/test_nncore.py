@@ -28,12 +28,18 @@ def test_forward_matches_manual_composition(rng):
 
 
 def test_forward_batch_matches_rows(rng):
-    # batched BLAS may differ from row-at-a-time in the last ulp
+    # batched BLAS may differ from row-at-a-time in the last ulp; a stack of
+    # one-row batches may not
     net = nncore.init_network([4, 6, 3], seed=2)
     xs = rng.normal(size=(5, 4))
     batch = nncore.forward(net, xs)
     rows = np.stack([nncore.forward(net, x) for x in xs])
     assert np.allclose(batch, rows, rtol=0, atol=1e-14)
+    wide = nncore.init_network([5, 32, 32, 3], seed=2)
+    xs = rng.uniform(size=(600, 5))
+    stack = nncore.forward(wide, xs[:, None, :])
+    assert stack.shape == (600, 1, 3)
+    assert np.array_equal(stack[:, 0], np.stack([nncore.forward(wide, x) for x in xs]))
 
 
 def test_forward_pure():
@@ -261,22 +267,46 @@ def test_flat_adam_matches_per_array_adam(rng):
             assert np.array_equal(got, want)
 
 
+def test_step_on_gradients_written_in_place_matches_per_array_adam(rng):
+    widths = ([3, 6, 4], [4, 2])
+    nets = [nncore.init_network(w, seed=40 + i) for i, w in enumerate(widths)]
+    ref_nets = [nncore.init_network(w, seed=40 + i) for i, w in enumerate(widths)]
+    opt = nncore.init_optimizer(nets, lr=0.01)
+    ref_state = {}
+    for _ in range(6):
+        xs = [rng.normal(size=(5, w[0])) for w in widths]
+        ups = [rng.normal(size=(5, w[-1])) for w in widths]
+        tapes = [nncore.backward(net, x, up, out=own)
+                 for net, x, up, own in zip(nets, xs, ups, opt.tapes)]
+        assert all(np.shares_memory(t.weight_grads[0], opt.grad) for t in tapes)
+        ref_tapes = [nncore.backward(net, x, up) for net, x, up in zip(ref_nets, xs, ups)]
+        nncore.step(opt, *tapes)
+        ref_grads = [g for t in ref_tapes for pair in zip(t.weight_grads, t.bias_grads)
+                     for g in pair]
+        _reference_adam(_param_arrays(ref_nets), ref_grads, ref_state, lr=0.01)
+        for got, want in zip(_param_arrays(nets), _param_arrays(ref_nets)):
+            assert np.array_equal(got, want)
+
+
 def test_fit_reproduces_reference_minibatch_loop(rng):
     x = rng.normal(size=(37, 3))
     y = rng.normal(size=(37, 2))
     net = nncore.init_network([3, 8, 2], seed=4)
     ref = nncore.init_network([3, 8, 2], seed=4)
+    opt = nncore.init_optimizer(net, lr=0.01)
 
-    def minibatch_grads(idx):
-        acts = nncore.forward(net, x[idx], activations=True)
-        err = acts[-1] - y[idx]
-        return (nncore.backward(net, x[idx], (2.0 / err.size) * err, acts),)
+    def minibatch_grads(xb, yb):
+        acts = nncore.forward(net, xb, activations=True)
+        err = acts[-1] - yb
+        return (nncore.backward(net, xb, (2.0 / err.size) * err, acts, out=opt.tapes[0]),)
 
     history = []
     nncore.fit(
-        nncore.init_optimizer(net, lr=0.01), 37, 10, 4, np.random.default_rng(5),
+        opt, (x, y), 10, 4, np.random.default_rng(5),
         minibatch_grads, lambda: float(np.mean((nncore.forward(net, x) - y) ** 2)), history,
     )
+    with pytest.raises(ValueError, match="differ in rows"):
+        nncore.fit(opt, (x, y[:-1]), 10, 1, np.random.default_rng(5), minibatch_grads)
 
     ref_rng, ref_state, ref_history = np.random.default_rng(5), {}, []
     for _ in range(4):

@@ -568,6 +568,21 @@ def test_calibrated_run_terms_route_the_probe_gusts_through_the_nets(params, rng
     assert obs.tobytes() == reference.tobytes()
 
 
+def test_calibrated_run_terms_name_the_probe_and_step_of_a_failed_estimate(params):
+    ok = nncore.Network([nncore.Layer(np.zeros((3, 5)), np.array([1.0, 0.0, 0.0]), "identity")])
+    # Cd = cp[1] - 0.99: at zero incidence the four side taps are the coldest
+    # (cp = 1); at negative alpha the up tap is warmer, and the correction negative
+    weight = np.zeros((3, 5))
+    weight[0, 1] = 1.0
+    bad = nncore.Network([nncore.Layer(weight, np.array([-0.99, 0.0, 0.0]), "identity")])
+    alpha = np.zeros(6)
+    alpha[3] = -10.0
+    t = np.arange(6) * 0.02
+    plant.run_terms(params, 10.0, t, np.zeros(6), np.zeros(6), probe_models=(ok, bad))
+    with pytest.raises(ValueError, match=r"^probe1: dynamic-pressure correction .* at row 3$"):
+        plant.run_terms(params, 10.0, t, alpha, np.zeros(6), probe_models=(ok, bad))
+
+
 def reference_dynamics_files(protocol, params, seed, out_dir, probe_models=None):
     """`generate_dynamics_data`'s files, each step computed per condition by
     the conftest reference; the set-up and writers are the generator's."""

@@ -155,6 +155,64 @@ def test_estimate_flow_propagates_no_flow():
         estimate_flow(net, ProbePressures(np.zeros(5)))
 
 
+def _reference_estimate(net, taps, rho):
+    """One reading through the chain the way it ran before the row form: a
+    one-row network pass per reading."""
+    p_max = float(taps.max())
+    delta_p = p_max - float(taps.min())
+    cd, alpha_deg, beta_deg = nncore.forward(net, (p_max - taps) / delta_p).tolist()
+    return float(np.sqrt(2.0 * delta_p * cd / rho)), alpha_deg, beta_deg
+
+
+def test_estimate_flow_rows_equals_one_reading_calls_bit_for_bit(rng):
+    from aeroalloc import plant
+
+    params = plant.PlantParams()
+    net = nncore.init_network([5, 32, 32, 3], seed=6)
+    net.layers[-1].bias[0] = 20.0  # a positive correction on every reading
+    n = 2 * probe.ROWS_PER_BLOCK + 100  # the last block is a partial one
+    taps = plant.probe_taps(10.0, rng.uniform(-15.0, 15.0, n), rng.uniform(-15.0, 15.0, n),
+                            params) + rng.normal(0.0, 0.5, (n, 5))
+    rows = probe.estimate_flow_rows(net, taps, params.rho)
+    one = [estimate_flow(net, ProbePressures(p), params.rho) for p in taps]
+    assert np.array_equal(rows, [[e.va, e.alpha_deg, e.beta_deg] for e in one])
+    assert np.array_equal(rows, [_reference_estimate(net, p, params.rho) for p in taps])
+
+
+HEALTHY_TAPS = [100.0, 99.0, 99.0, 99.0, 0.0]  # coefficients (0, 0.01, 0.01, 0.01, 1)
+
+
+@pytest.mark.parametrize("fault,bad_taps,error,what", [
+    ("non-finite-taps", [np.nan, 99.0, 99.0, 99.0, 0.0], ValueError,
+     "tap pressures must be finite"),
+    ("no-flow", [7.0] * 5, NoFlowError, "tap spread"),
+    ("nan-net", [100.0, 0.0, 0.0, 0.0, 0.0], ValueError, "network output must be finite"),
+    ("negative-cd", [0.0, 99.0, 99.0, 99.0, 100.0], ValueError,
+     "correction must be positive and finite"),
+])
+def test_estimate_flow_rows_names_the_first_faulty_row(fault, bad_taps, error, what):
+    if fault == "nan-net":
+        # coefficients summing past 1.8 overflow the hidden layer; 0 * inf is NaN
+        net = nncore.Network([
+            nncore.Layer(np.full((4, 5), 1e308), np.zeros(4), "identity"),
+            nncore.Layer(np.zeros((3, 4)), np.array([1.0, 0.0, 0.0]), "identity"),
+        ])
+    else:
+        # Cd = 0.5 - cp[0]: negative where the center tap is the coldest
+        weight = np.zeros((3, 5))
+        weight[0, 0] = -1.0
+        net = nncore.Network([nncore.Layer(weight, np.array([0.5, 0.0, 0.0]), "identity")])
+    taps = np.tile(HEALTHY_TAPS, (600, 1))
+    assert np.isfinite(probe.estimate_flow_rows(net, taps)).all()
+    taps[300] = bad_taps
+    taps[550] = bad_taps
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(error, match=f"{what}.* at row 300$"):
+            probe.estimate_flow_rows(net, taps)
+        with pytest.raises(error, match=what):
+            estimate_flow(net, ProbePressures(taps[300]))
+
+
 def _grid_dataset(repeats=2, seed=0, speeds=(8.0, 10.0, 12.0)):
     from aeroalloc import plant
 
