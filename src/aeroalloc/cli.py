@@ -144,10 +144,10 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train_calib(args) -> int:
     root = harness.resolve_out_root(args.out)
-    dirs = _dirs(root)
     rho = _load_params(args.params).rho  # the density the taps were read in
     cfg = probe.CalibrationTrainConfig(seed=args.seed, rho=rho, **_given(epochs=args.epochs))
     rows = probe.load_calibration_csv(args.data)
+    dirs = _dirs(root)  # once the inputs have loaded, so a bad one leaves nothing behind
     model = probe.train_calibration(rows, cfg)
     name = args.name or args.data.stem
     out_path = dirs["models"] / f"calib_{name}.json"
@@ -158,9 +158,9 @@ def _cmd_train_calib(args) -> int:
 
 def _cmd_train_dyn(args) -> int:
     root = harness.resolve_out_root(args.out)
-    dirs = _dirs(root)
     cfg = _experiment(args, lambda_sym=args.lambda_sym, epochs=args.epochs)
     full = harness._concat_datasets([dynamics.load_dynamics_csv(p) for p in args.data])
+    dirs = _dirs(root)  # once the inputs have loaded, so a bad one leaves nothing behind
     model = harness.train_variant(args.variant, full, cfg)
     out_path = dirs["models"] / f"{args.variant}_seed{args.seed}.json"
     dynamics.save_dynamics_model(model, out_path)
@@ -229,6 +229,8 @@ def _cmd_report(args) -> int:
     root = harness.resolve_out_root(args.out)
     compare = [v.strip() for v in args.compare.split(",")] if args.compare else None
     if args.run:
+        # the suite trains harness.VARIANTS, so a typo is known before it runs
+        harness._check_variants(compare or (), harness.VARIANTS)
         cfg = _experiment(args, test_speeds=args.speeds, lambda_sym=args.lambda_sym,
                           epochs=args.epochs)
         report = harness.run_ablation_suite(cfg, root, params=_load_params(args.params))

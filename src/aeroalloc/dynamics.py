@@ -174,20 +174,27 @@ def _control_matrix_rows(value) -> np.ndarray:
     return mat
 
 
+def _affine_terms(model: AffineModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of an observation matrix from `_obs_matrix`. The model checked its
+    widths when it was made, so the passes run on the kernel, past `forward`'s
+    input checks."""
+    h = nncore._activations(model.backbone, (x - model.obs_mean) / model.obs_std)[-1]
+    a = nncore._activations(model.a_head, h)[-1]
+    b = nncore._activations(model.b_head, h)[-1]
+    return a, b.reshape(-1, WRENCH_DIM, CONTROL_DIM)
+
+
 def predict_batch(model: AffineModel, obs) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) for a batch: A is (n, 6), B is (n, 6, 4), physical units."""
-    x = (_obs_matrix(obs, model.n_features) - model.obs_mean) / model.obs_std
-    h = forward(model.backbone, x)
-    a = forward(model.a_head, h)
-    b = forward(model.b_head, h).reshape(-1, WRENCH_DIM, CONTROL_DIM)
-    return a, b
+    return _affine_terms(model, _obs_matrix(obs, model.n_features))
 
 
 def predict(model: AffineModel, obs) -> tuple[np.ndarray, np.ndarray]:
     """Offset vector A(o) (6,) and effectiveness matrix B(o) (6, 4)."""
-    a, b = predict_batch(model, obs)
-    if a.shape[0] != 1:
+    x = _obs_matrix(obs, model.n_features)
+    if x.shape[0] != 1:  # before the pass, so a batch costs no work
         raise ValueError("predict takes a single observation; use predict_batch")
+    a, b = _affine_terms(model, x)
     return a[0], b[0]
 
 
@@ -521,12 +528,12 @@ def affine_at(model: UnstructuredModel, obs, u_ref) -> tuple[np.ndarray, np.ndar
         raise ValueError("affine_at linearizes around a single observation")
     u_vec = np.asarray(u_ref, dtype=float)
     x = (np.concatenate([feats[0], u_vec]) - model.in_mean) / model.in_std
-    acts = forward(model.net, np.repeat(x[None], WRENCH_DIM, axis=0), activations=True)
+    acts = nncore._activations(model.net, np.repeat(x[None], WRENCH_DIM, axis=0))
     grad = nncore.input_grad(model.net, _EYE_WRENCH, acts)
     jac = grad[:, -CONTROL_DIM:] / model.in_std[-CONTROL_DIM:]
     # A 1-row pass for y0: reading it off the 6-row pass would move C7, as the two
     # differ in the last bits for 1998 of 2000 random inputs on the C7 baseline net.
-    y0 = forward(model.net, x)
+    y0 = nncore._activations(model.net, x[None])[-1][0]
     return y0 - jac @ u_vec, jac
 
 

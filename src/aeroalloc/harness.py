@@ -483,6 +483,13 @@ def write_report_csv(report: MetricsReport, path: str | Path) -> None:
     write_table(path, ["variant", "metric", "key", "value"], rows)
 
 
+def _check_variants(names, known) -> None:
+    """Raise ValueError naming the entries of `names` that are not in `known`."""
+    missing = [v for v in names if v not in known]
+    if missing:
+        raise ValueError(f"variants not in report: {missing}")
+
+
 def format_report_text(report: MetricsReport, compare=None) -> str:
     """Aligned table of the aggregate RMSE numbers.
 
@@ -490,9 +497,7 @@ def format_report_text(report: MetricsReport, compare=None) -> str:
     comparative figure between variants, not a physical error.
     """
     variants = list(compare) if compare else sorted(report.variants)
-    missing = [v for v in variants if v not in report.variants]
-    if missing:
-        raise ValueError(f"variants not in report: {missing}")
+    _check_variants(variants, report.variants)
     speed_keys = sorted(
         {k for v in variants for k in report.variants[v]["rmse"] if k != "in_dist"}
     )

@@ -128,10 +128,18 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
+def _product_for(x: np.ndarray):
+    """The layer product for a batch like `x`. On a 2-D batch of up to 32 rows
+    ndarray.dot gives `@`'s bits at half to two thirds of its call cost; on
+    more rows `@` is the faster, and a stack needs its broadcasting."""
+    return np.ndarray.dot if x.ndim == 2 and x.shape[0] <= 32 else np.matmul
+
+
 def _activations(net: Network, x_batch: np.ndarray) -> list[np.ndarray]:
+    product = _product_for(x_batch)
     acts = [x_batch]
     for layer in net.layers:
-        z = acts[-1] @ layer.weight.T
+        z = product(acts[-1], layer.weight.T)
         z += layer.bias
         if layer.activation == "tanh":
             np.tanh(z, out=z)
@@ -199,7 +207,7 @@ def backward(
         out = GradientTape([np.empty_like(layer.weight) for layer in net.layers],
                            [np.empty_like(layer.bias) for layer in net.layers], None)
     weight_grads, bias_grads = out.weight_grads, out.bias_grads
-    g = up_batch
+    g, product = up_batch, _product_for(up_batch)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         if layer.activation == "tanh":
@@ -208,7 +216,7 @@ def backward(
         np.add.reduce(g, axis=0, out=bias_grads[i])
         if i == 0 and not with_input_grad:
             return GradientTape(weight_grads, bias_grads, None)
-        g = g @ layer.weight
+        g = product(g, layer.weight)
     input_grad = g[0] if np.asarray(x).ndim == 1 else g
     return GradientTape(weight_grads, bias_grads, input_grad)
 
@@ -216,11 +224,11 @@ def backward(
 def input_grad(net: Network, upstream: np.ndarray, acts: list) -> np.ndarray:
     """`backward(net, acts[0], upstream, acts).input_grad` of a batch, without
     forming the parameter gradients; the same operations, so the same bits."""
-    g = upstream
+    g, product = upstream, _product_for(upstream)
     for layer, out in zip(reversed(net.layers), reversed(acts[1:])):
         if layer.activation == "tanh":
             g = _through_tanh(g, out)
-        g = g @ layer.weight
+        g = product(g, layer.weight)
     return g
 
 

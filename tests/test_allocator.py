@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from aeroalloc import allocator
+from aeroalloc import allocator, dynamics
 from aeroalloc.allocator import (
     TRACKING_CSV_HEADER,
     AllocationProblem,
@@ -140,21 +140,85 @@ def test_problem_rejects_non_finite_parts(part, bad):
 
 
 def test_solve_matches_scipy_cholesky_bit_for_bit(rng):
+    # solve forms Q and c in place and flags clamps against a threshold; the
+    # result is build_normal_equations through a Cholesky solve and a clip
     saturated = AllocationProblem(
         a=np.zeros(6), b=np.vstack([np.eye(4) * 0.01, np.zeros((2, 4))]),
         y_target=np.array([50.0, -50.0, 0.0, 0.0, 1.0, 2.0]), lambda0=0.0, lambda1=1e-6,
     )
-    problems = [random_problem(rng, rng.uniform(0, 1), rng.uniform(1e-3, 1)) for _ in range(50)]
+    penalties = [(rng.uniform(0, 1), rng.uniform(1e-3, 1)) for _ in range(150)]
+    penalties += [(0.0, rng.uniform(1e-3, 1)) for _ in range(25)]
+    penalties += [(rng.uniform(1e-3, 1), 0.0) for _ in range(25)]
+    problems = [random_problem(rng, lambda0, lambda1) for lambda0, lambda1 in penalties]
+    for i in range(0, len(problems), 3):  # weak surfaces, a large target and light penalties
+        p = problems[i]
+        problems[i] = dataclasses.replace(p, b=0.05 * p.b, y_target=20.0 * p.y_target,
+                                          lambda0=1e-3 * p.lambda0, lambda1=1e-3 * p.lambda1)
+    clamped = 0
     for p in problems + [saturated]:
         sol = solve(p)
         q, c = build_normal_equations(p)
         u = cho_solve(cho_factor(q, lower=True), c)
-        assert np.array_equal(sol.u_unconstrained, u)
+        assert sol.u_unconstrained.tobytes() == u.tobytes()
         resid = p.y_target - p.a - p.b @ u
         assert objective(p, sol.u_unconstrained) == objective(p, u)
         resid_sol = p.y_target - p.a - p.b @ sol.u_unconstrained
         assert np.linalg.norm(resid_sol) == np.linalg.norm(resid)
+        u_star = u.clip(-25.0, 25.0)
+        assert sol.u_star.tobytes() == u_star.tobytes()
+        assert np.array_equal(sol.clamped, np.abs(u) > np.abs(u_star) + 1e-12)
+        clamped += bool(sol.clamped.any())
     assert solve(saturated).clamped[:2].all()
+    assert 30 < clamped < 100
+    # a command less than 1e-12 beyond the limit is clipped but not flagged
+    b_eye = np.vstack([np.eye(4), np.zeros((2, 4))])
+    y = np.array([25.0 + 5e-13, 0.0, -25.0 - 5e-13, 0.0, 0.0, 0.0])
+    sol = solve(AllocationProblem(np.zeros(6), b_eye, y, lambda0=0.0, lambda1=1e-300))
+    assert 25.0 < abs(sol.u_unconstrained[0]) <= 25.0 + 1e-12
+    assert 25.0 < abs(sol.u_unconstrained[2]) <= 25.0 + 1e-12
+    assert np.array_equal(np.abs(sol.u_star), [25.0, 0.0, 25.0, 0.0])
+    assert not sol.clamped.any()
+
+
+def test_track_sequence_accepts_finite_values_near_the_float_limit():
+    # entries near 1e308 are finite, though their sum overflows; the per-step
+    # checks pass them silently, also under numpy's strictest error state
+    huge = np.full(6, 1e308)
+    a_vec = np.array([0.0, 0.0, 0.0, 0.0, 1e308, 1e308])  # rows B does not drive
+    b_mat = np.vstack([np.eye(4), np.zeros((2, 4))])
+    targets = np.tile(a_vec, (3, 1))
+    with np.errstate(all="raise"):
+        tlog = track_sequence(constant_model(a_vec, b_mat), targets, lambda k, u: np.zeros(13),
+                              TrackingConfig(), achieved_fn=lambda k, u: huge)
+    assert np.array_equal(tlog.predicted, targets) and np.array_equal(tlog.achieved[2], huge)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where, message", [
+    ("a", "non-finite model output at step 3"),
+    ("b", "non-finite model output at step 3"),
+    ("achieved", "non-finite achieved wrench at step 3"),
+])
+def test_track_sequence_names_the_step_of_a_non_finite_value(monkeypatch, bad, where, message):
+    model = constant_model(np.zeros(6), np.vstack([np.eye(4), np.zeros((2, 4))]))
+
+    def predict(model_, k):  # the observation is the step index
+        a, b = dynamics.predict(model_, np.zeros(13))
+        if k == 3 and where != "achieved":
+            a, b = a.copy(), b.copy()
+            {"a": a, "b": b}[where].flat[4] = bad
+        return a, b
+
+    def achieved(k, u):
+        row = np.ones(6)
+        if k == 3 and where == "achieved":
+            row[5] = bad
+        return row
+
+    monkeypatch.setattr(allocator, "predict", predict)
+    with pytest.raises(ArithmeticError, match=message):
+        track_sequence(model, np.zeros((6, 6)), lambda k, u: k, TrackingConfig(),
+                       achieved_fn=achieved)
 
 
 def test_solve_rejects_non_finite_normal_equations():

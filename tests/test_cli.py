@@ -484,3 +484,29 @@ def test_eval_reports_do_not_depend_on_the_output_root(tmp_path):
         reports.append((root / "reports" / "eval_m.json").read_bytes())
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["model"] == "m.json"
+
+
+@pytest.mark.parametrize("command", ["train-calib", "train-dyn"])
+@pytest.mark.parametrize("content", [None, "a,b\n1,2\n"], ids=["missing", "malformed"])
+def test_a_missing_or_malformed_data_file_creates_no_directory(tmp_path, capsys, command,
+                                                               content):
+    data = tmp_path / "data.csv"
+    if content is not None:
+        data.write_text(content)
+    root = tmp_path / "root"
+    assert cli.main([command, "--data", str(data), "--out", str(root)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not root.exists()
+
+
+def test_report_run_rejects_an_unknown_compare_variant_before_any_work(tmp_path, capsys,
+                                                                       monkeypatch):
+    monkeypatch.setattr(harness, "run_ablation_suite",
+                        lambda *args, **kwargs: pytest.fail("the suite ran"))
+    root = tmp_path / "root"
+    argv = ["report", "--run", "--compare", "affine_sym,bogus", "--epochs", "1",
+            "--out", str(root)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: variants not in report: ['bogus']\n"
+    assert not root.exists()

@@ -166,15 +166,24 @@ def test_symmetry_residual_norm_zero_weight_b_head(rng):
 
 
 def test_predict_batch_consistent_with_single(rng):
-    model = small_model(1)
-    obs = rng.normal(size=(4, 13))
-    a_b, b_b = predict_batch(model, obs)
-    for k in range(4):
-        a, b = predict(model, obs[k])
-        assert np.allclose(a, a_b[k], atol=1e-12)
-        assert np.allclose(b, b_b[k], atol=1e-12)
-    with pytest.raises(ValueError):
-        predict(model, obs)
+    for model in (small_model(1), small_model(1, wing_sensors=False)):
+        model.obs_mean = rng.normal(size=model.n_features)
+        model.obs_std = rng.uniform(0.5, 2.0, size=model.n_features)
+        obs = rng.normal(size=(4, 13))
+        a_b, b_b = predict_batch(model, obs)
+        # the kernel passes keep `forward`'s bits on the normalized observations
+        h = nncore.forward(model.backbone,
+                           (obs[:, :model.n_features] - model.obs_mean) / model.obs_std)
+        assert a_b.tobytes() == nncore.forward(model.a_head, h).tobytes()
+        assert b_b.tobytes() == nncore.forward(model.b_head, h).reshape(-1, 6, 4).tobytes()
+        for k in range(4):
+            a, b = predict(model, obs[k])
+            assert np.allclose(a, a_b[k], atol=1e-12)
+            assert np.allclose(b, b_b[k], atol=1e-12)
+            a_1, b_1 = predict_batch(model, obs[k])  # a one-row batch: the same bits
+            assert a.tobytes() == a_1[0].tobytes() and b.tobytes() == b_1[0].tobytes()
+        with pytest.raises(ValueError, match="predict takes a single observation"):
+            predict(model, obs[:2])
 
 
 def test_prediction_exactly_affine_in_control(rng):

@@ -568,3 +568,23 @@ def test_suite_caller_share_on_two_cpus(two_cpus, tmp_path, monkeypatch):
                        tmp_path)
     assert trained == ["affine_sym", "affine"]
     assert generated == [((10.0,), ""), ((10.0,), "_eval"), ((14.0,), "_eval")]
+
+
+@pytest.mark.parametrize("kind", ["affine", "unstructured"])
+def test_closed_loop_calls_each_stage_once_per_step(monkeypatch, kind):
+    # the benchmark's step clock and the tracer's per-step spans rely on it
+    from aeroalloc import allocator, dynamics
+
+    model = (constant_affine_model(np.zeros(6), np.vstack([np.eye(4), np.zeros((2, 4))]))
+             if kind == "affine" else dynamics.build_unstructured(hidden=(8,), seed=0))
+    calls = {}
+    for module, name in [(plant, "make_observation"), (plant, "true_wrench"),
+                         (allocator, "predict"), (allocator, "affine_at"), (allocator, "solve")]:
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    tlog = closed_loop_run(model, ExperimentConfig(duration_s=1.0), 10.0)
+    assert len(tlog.t) == 50
+    model_pass = "predict" if kind == "affine" else "affine_at"
+    assert calls == {"make_observation": 50, model_pass: 50, "solve": 50, "true_wrench": 50}

@@ -42,6 +42,32 @@ def test_forward_batch_matches_rows(rng):
     assert np.array_equal(stack[:, 0], np.stack([nncore.forward(wide, x) for x in xs]))
 
 
+def test_kernel_products_give_the_matmul_bits(rng):
+    # the pass and the input gradient multiply 2-D batches of up to 32 rows
+    # with ndarray.dot; a reference written with `@` must agree to the bit
+    for widths in ([13, 64, 64], [64, 24], [17, 64, 64, 6], [5, 32, 32, 3]):
+        net = nncore.init_network(widths, seed=3)
+        for n in (1, 6, 32, 33, 1000):
+            x = rng.normal(size=(n, widths[0]))
+            ref = [x]
+            for layer in net.layers:
+                z = ref[-1] @ layer.weight.T + layer.bias
+                ref.append(np.tanh(z) if layer.activation == "tanh" else z)
+            acts = nncore.forward(net, x, activations=True)
+            assert [a.tobytes() for a in acts] == [a.tobytes() for a in ref]
+            up = rng.normal(size=(n, widths[-1]))
+            assert nncore.input_grad(net, up, acts).tobytes() == _matmul_input_grad(net, up, ref)
+            assert nncore.backward(net, x, up, acts).input_grad.tobytes() == \
+                _matmul_input_grad(net, up, ref)
+
+
+def _matmul_input_grad(net, upstream, acts) -> bytes:
+    g = upstream
+    for layer, out in zip(reversed(net.layers), reversed(acts[1:])):
+        g = (g * (1.0 - out**2) if layer.activation == "tanh" else g) @ layer.weight
+    return g.tobytes()
+
+
 def test_forward_pure():
     net = nncore.init_network([4, 6, 3], seed=2)
     x = np.linspace(-1.0, 1.0, 4)
