@@ -11,23 +11,25 @@ minimizer solves the 4x4 symmetric positive-definite normal equations
 Q u = c exactly. Actuator limits are applied after the solve, keeping the
 closed form exact and making saturation observable in the logs.
 
-`solve` factors Q with LAPACK's Cholesky routines (potrf/potrs, the ones
-scipy's cho_factor/cho_solve wrap), called directly because the wrappers cost
-more than the 4x4 arithmetic. They are looked up on the first solve, so
-scipy.linalg is imported only by a process that allocates, not by importing
-the package or by a CLI command that never allocates. A solution holds only
-the commands and clamp flags; `objective(p, u)` evaluates the objective.
+`solve` factors the Q of `build_normal_equations` with LAPACK's Cholesky
+routines (potrf/potrs, the ones scipy's cho_factor/cho_solve wrap), called
+directly because the wrappers cost more than the 4x4 arithmetic. They are
+looked up on the first solve, so scipy.linalg is imported only by a process
+that allocates, not by importing the package or by a CLI command that never
+allocates. A solution holds only the commands and clamp flags;
+`objective(p, u)` evaluates the objective.
 
 Each value is checked once, where it enters: AllocationProblem its parts,
 TrackingConfig (frozen) the penalties, dt and the trim and initial commands
 (4 finite entries within the actuator limits), `track_sequence` its targets.
-Inside the loop, where commands pass as plain (4,) arrays, only the model's
-(A, B) and the achieved wrench are checked to be finite, and the clamp flags
-are reduced for the debug log only when it is enabled. In a traced seed-0 C7
-loop a step's time is then mostly the model pass (about two fifths), the
-small numpy operations of the solve (about a quarter), the loop's own
-bookkeeping (about a fifth) and the plant's observation and response (about
-an eighth).
+Inside the loop, where commands pass as plain (4,) arrays, each step's
+AllocationProblem is made without its __init__ checks (`_unchecked`), only
+the model's (A, B) and the achieved wrench are checked to be finite, and the
+clamp flags are reduced for the debug log only when it is enabled. In a
+traced seed-0 C7 loop a step's time is then mostly the model pass (about two
+fifths), the small numpy operations of the solve (about a quarter), the
+loop's own bookkeeping (about a fifth) and the plant's observation and
+response (about an eighth).
 """
 from __future__ import annotations
 
@@ -121,13 +123,6 @@ class AllocationProblem:
         object.__setattr__(self, "b", b)
         _check_penalties(self.lambda0, self.lambda1)
 
-    @classmethod
-    def _prechecked(cls, a, b, y_target, u_prev, u_trim, lambda0, lambda1) -> "AllocationProblem":
-        """A problem from float arrays of the right shapes and penalties the
-        caller has already validated; skips re-checking them."""
-        return _unchecked(cls, a=a, b=b, y_target=y_target, u_prev=u_prev, u_trim=u_trim,
-                          lambda0=lambda0, lambda1=lambda1)
-
 
 @dataclass(frozen=True)
 class AllocationSolution:
@@ -148,10 +143,17 @@ def build_normal_equations(p: AllocationProblem) -> tuple[np.ndarray, np.ndarray
     """Gradient-stationarity system Q u = c of the allocation objective.
 
     Q is positive definite because an AllocationProblem has lambda0 + lambda1 > 0.
+    Q = 2 (B^T B + (lambda0 + lambda1) I) and c = 2 (B^T (y - A) + lambda1 u_prev
+    + lambda0 u_trim) are formed in place, in that order of operations.
     """
-    lam = p.lambda0 + p.lambda1
-    q = 2.0 * (p.b.T @ p.b + lam * _EYE_CONTROL)
-    c = 2.0 * (p.b.T @ (p.y_target - p.a) + p.lambda1 * p.u_prev + p.lambda0 * p.u_trim)
+    bt = p.b.T
+    q = bt @ p.b
+    q += (p.lambda0 + p.lambda1) * _EYE_CONTROL
+    q *= 2.0
+    c = bt @ (p.y_target - p.a)
+    c += p.lambda1 * p.u_prev
+    c += p.lambda0 * p.u_trim
+    c *= 2.0
     return q, c
 
 
@@ -166,16 +168,8 @@ def objective(p: AllocationProblem, u) -> float:
 
 
 def solve(p: AllocationProblem) -> AllocationSolution:
-    """Unique minimizer via a Cholesky solve of the normal equations, formed in
-    place by the operations of `build_normal_equations` in its order (same bits)."""
-    bt, lam = p.b.T, p.lambda0 + p.lambda1
-    q = bt @ p.b
-    q += lam * _EYE_CONTROL
-    q *= 2.0
-    c = bt @ (p.y_target - p.a)
-    c += p.lambda1 * p.u_prev
-    c += p.lambda0 * p.u_trim
-    c *= 2.0
+    """Unique minimizer via a Cholesky solve of `build_normal_equations`."""
+    q, c = build_normal_equations(p)
     if not (np.isfinite(q).all() and np.isfinite(c).all()):
         raise ValueError("normal equations must be finite")
     potrf, potrs = _cholesky_routines()
@@ -270,9 +264,8 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn=Non
         a, b = predict(model, obs) if affine else affine_at(model, obs, u_prev)
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ArithmeticError(f"non-finite model output at step {k}")
-        sol = solve(AllocationProblem._prechecked(
-            a, b, target_mat[k], u_prev, u_trim, lambda0, lambda1
-        ))
+        sol = solve(_unchecked(AllocationProblem, a=a, b=b, y_target=target_mat[k],
+                               u_prev=u_prev, u_trim=u_trim, lambda0=lambda0, lambda1=lambda1))
         u_prev = sol.u_star
         rows_u[k] = u_prev
         rows_clamp[k] = sol.clamped

@@ -181,12 +181,10 @@ def _cmd_eval(args) -> int:
     if args.data:
         for path in args.data:
             results[path.stem] = dynamics.eval_rmse(model, dynamics.load_dynamics_csv(path))
-    if args.speeds:  # the suite's own eval sets: fresh runs at seed + 1000 + i
-        eval_sets = harness.generate_speed_datasets(
-            _experiment(args), args.speeds, params, dirs["datasets"],
-            seed_offset=1000, name_suffix="_eval",
-        )
-        for speed, eval_set in eval_sets.items():
+    if args.speeds:  # the eval sets that `report --run --speeds` writes for the same list
+        cfg = _experiment(args, test_speeds=args.speeds)
+        for speed in args.speeds:
+            eval_set = harness.generate_eval_set(cfg, speed, params, dirs["datasets"])
             results[f"va{speed:g}"] = dynamics.eval_rmse(model, eval_set)
 
     doc = {"model": args.model.name, "rmse": results}

@@ -51,6 +51,11 @@ VAL_FRACTION = 0.2  # trailing share of the training rows held out for validatio
 _EYE_WRENCH = np.eye(WRENCH_DIM)  # upstream of the per-output Jacobian rows
 
 
+def _feature_count(wing_sensors: bool) -> int:
+    """Observation entries a model reads: all of them, or only the probe features."""
+    return OBS_DIM if wing_sensors else PROBE_FEATURES
+
+
 def _finite_or_raise(mat: np.ndarray, what: str) -> None:
     bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
     if bad.size:
@@ -101,7 +106,7 @@ class AffineModel:
     def __post_init__(self) -> None:
         self.obs_mean = np.asarray(self.obs_mean, dtype=float)
         self.obs_std = np.asarray(self.obs_std, dtype=float)
-        n_feat = OBS_DIM if self.wing_sensors else PROBE_FEATURES
+        n_feat = self.n_features
         if self.backbone.input_dim != n_feat:
             raise ValueError(
                 f"backbone expects {self.backbone.input_dim} inputs, "
@@ -121,7 +126,7 @@ class AffineModel:
 
     @property
     def n_features(self) -> int:
-        return OBS_DIM if self.wing_sensors else PROBE_FEATURES
+        return _feature_count(self.wing_sensors)
 
 
 @dataclass
@@ -151,7 +156,7 @@ class UnstructuredModel:
 
     @property
     def n_features(self) -> int:
-        return OBS_DIM if self.wing_sensors else PROBE_FEATURES
+        return _feature_count(self.wing_sensors)
 
 
 def _obs_matrix(value, n_features: int) -> np.ndarray:
@@ -312,7 +317,6 @@ class DynamicsTrainConfig:
     lr: float = 1e-3
     sym: SymmetryConfig = field(default_factory=SymmetryConfig)
     wing_sensors: bool = True
-    log_every: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
@@ -380,7 +384,7 @@ def train_dynamics(dataset, cfg: DynamicsTrainConfig, history: list | None = Non
             "effectiveness columns are unidentifiable", stacklevel=2,
         )
 
-    n_feat = OBS_DIM if cfg.wing_sensors else PROBE_FEATURES
+    n_feat = _feature_count(cfg.wing_sensors)
     feats_tr = obs_tr[:, :n_feat]
     obs_mean, obs_std = nncore.standardize_stats(feats_tr)
     y_mean, y_std = nncore.standardize_stats(y_tr)
@@ -410,7 +414,7 @@ def train_dynamics(dataset, cfg: DynamicsTrainConfig, history: list | None = Non
 
     nncore.fit(
         opt, (x_tr, us_tr, yt_tr), cfg.batch_size, cfg.epochs,
-        np.random.default_rng(seed_batch), minibatch_grads, full_loss, history, cfg.log_every,
+        np.random.default_rng(seed_batch), minibatch_grads, full_loss, history,
     )
 
     nncore.fold_output_scaling(a_head, y_std, y_mean)
@@ -419,9 +423,13 @@ def train_dynamics(dataset, cfg: DynamicsTrainConfig, history: list | None = Non
         np.repeat(y_std, CONTROL_DIM) / CONTROL_LIMIT_DEG,
         np.zeros(WRENCH_DIM * CONTROL_DIM),
     )
-    model = AffineModel(
+    return _logged_validation(AffineModel(
         backbone, a_head, b_head, obs_mean, obs_std, sym=cfg.sym, wing_sensors=cfg.wing_sensors
-    )
+    ), val)
+
+
+def _logged_validation(model, val):
+    """`model`, its RMSE on the held-out rows `val` (if any) logged when INFO is on."""
     if val is not None and log.isEnabledFor(logging.INFO):
         log.info("validation wrench rmse %.4f", eval_rmse(model, val))
     return model
@@ -440,25 +448,25 @@ def predict_wrench_batch(model, obs, u) -> np.ndarray:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
+def _squared_errors(model, dataset) -> np.ndarray:
+    """(n, 6) squared wrench errors of the model's predictions on a dataset."""
+    obs, u, y = _dataset_arrays(dataset)
+    if obs.shape[0] == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
+    return (predict_wrench_batch(model, obs, u) - y) ** 2
+
+
 def eval_rmse(model, dataset) -> float:
     """Single RMSE over all samples and all six wrench channels.
 
     Forces and torques are pooled, so the number is a comparative aggregate
     rather than a physical quantity.
     """
-    obs, u, y = _dataset_arrays(dataset)
-    if obs.shape[0] == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    pred = predict_wrench_batch(model, obs, u)
-    return float(np.sqrt(np.mean((pred - y) ** 2)))
+    return float(np.sqrt(np.mean(_squared_errors(model, dataset))))
 
 
 def per_channel_rmse(model, dataset) -> np.ndarray:
-    obs, u, y = _dataset_arrays(dataset)
-    if obs.shape[0] == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    pred = predict_wrench_batch(model, obs, u)
-    return np.sqrt(np.mean((pred - y) ** 2, axis=0))
+    return np.sqrt(np.mean(_squared_errors(model, dataset), axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +475,7 @@ def per_channel_rmse(model, dataset) -> np.ndarray:
 
 
 def build_unstructured(hidden=(64, 64), seed: int = 0, wing_sensors: bool = True) -> UnstructuredModel:
-    n_feat = OBS_DIM if wing_sensors else PROBE_FEATURES
-    n_in = n_feat + CONTROL_DIM
+    n_in = _feature_count(wing_sensors) + CONTROL_DIM
     net = nncore.init_network((n_in, *hidden, WRENCH_DIM), seed)
     return UnstructuredModel(net, np.zeros(n_in), np.ones(n_in), wing_sensors=wing_sensors)
 
@@ -483,8 +490,7 @@ def train_unstructured(
     """
     (obs_tr, u_tr, y_tr), val = _training_rows(*_dataset_arrays(dataset))
 
-    n_feat = OBS_DIM if cfg.wing_sensors else PROBE_FEATURES
-    inputs = np.concatenate([obs_tr[:, :n_feat], u_tr], axis=1)
+    inputs = np.concatenate([obs_tr[:, :_feature_count(cfg.wing_sensors)], u_tr], axis=1)
     in_mean, in_std = nncore.standardize_stats(inputs)
     y_mean, y_std = nncore.standardize_stats(y_tr)
 
@@ -506,14 +512,12 @@ def train_unstructured(
 
     nncore.fit(
         opt, (x_tr, yt_tr), cfg.batch_size, cfg.epochs, np.random.default_rng(seed_batch),
-        minibatch_grads, full_loss, history, cfg.log_every,
+        minibatch_grads, full_loss, history,
     )
 
     nncore.fold_output_scaling(net, y_std, y_mean)
-    model = UnstructuredModel(net, in_mean, in_std, wing_sensors=cfg.wing_sensors)
-    if val is not None and log.isEnabledFor(logging.INFO):
-        log.info("validation wrench rmse %.4f", eval_rmse(model, val))
-    return model
+    return _logged_validation(UnstructuredModel(net, in_mean, in_std,
+                                                wing_sensors=cfg.wing_sensors), val)
 
 
 def affine_at(model: UnstructuredModel, obs, u_ref) -> tuple[np.ndarray, np.ndarray]:
@@ -527,6 +531,8 @@ def affine_at(model: UnstructuredModel, obs, u_ref) -> tuple[np.ndarray, np.ndar
     if feats.shape[0] != 1:
         raise ValueError("affine_at linearizes around a single observation")
     u_vec = np.asarray(u_ref, dtype=float)
+    if u_vec.shape != (CONTROL_DIM,):
+        raise ValueError(f"command u_ref must have shape ({CONTROL_DIM},), got {u_vec.shape}")
     x = (np.concatenate([feats[0], u_vec]) - model.in_mean) / model.in_std
     acts = nncore._activations(model.net, np.repeat(x[None], WRENCH_DIM, axis=0))
     grad = nncore.input_grad(model.net, _EYE_WRENCH, acts)

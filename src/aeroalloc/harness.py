@@ -300,25 +300,41 @@ def _gust_spec(cfg: ExperimentConfig) -> dict:
     return {"mode": cfg.gust_mode, "amplitude": GUST_AMPLITUDE}
 
 
-def generate_speed_datasets(
-    cfg: ExperimentConfig,
-    speeds,
-    params: PlantParams,
-    out_dir: str | Path,
-    seed_offset: int = 0,
-    name_suffix: str = "",
-) -> dict:
-    """One stage-I dynamics CSV per speed, dyn_va<S><name_suffix>.csv at seed
-    cfg.seed + seed_offset + i for the i-th speed; returns {speed: loaded arrays}.
+def _speed_run(cfg: ExperimentConfig, speed, name: str, seed: int, params: PlantParams,
+               out_dir: str | Path):
+    """One stage-I dynamics run at `speed`, written as <name>.csv; its loaded arrays."""
+    protocol = {"kind": "dynamics", "name": name, "speed": speed, "stage": "I",
+                "duration_s": cfg.duration_s, "gust": _gust_spec(cfg)}
+    return load_dynamics_csv(plant_mod.generate_dataset(protocol, params, seed, out_dir)[0])
+
+
+def generate_speed_datasets(cfg: ExperimentConfig, speeds, params: PlantParams,
+                            out_dir: str | Path) -> dict:
+    """One stage-I dynamics CSV per training speed, dyn_va<S>.csv at seed
+    cfg.seed + i for the i-th speed; returns {speed: loaded arrays}.
     A repeated speed raises ValueError."""
     _check_distinct(speeds, "speeds")
-    out = {}
-    for i, speed in enumerate(speeds):
-        protocol = {"kind": "dynamics", "name": f"dyn_va{speed:g}{name_suffix}", "speed": speed,
-                    "stage": "I", "duration_s": cfg.duration_s, "gust": _gust_spec(cfg)}
-        paths = plant_mod.generate_dataset(protocol, params, cfg.seed + seed_offset + i, out_dir)
-        out[float(speed)] = load_dynamics_csv(paths[0])
-    return out
+    return {float(speed): _speed_run(cfg, speed, f"dyn_va{speed:g}", cfg.seed + i, params, out_dir)
+            for i, speed in enumerate(speeds)}
+
+
+def eval_speeds(cfg: ExperimentConfig) -> tuple[float, ...]:
+    """The speeds of the suite's eval sets, in order: the training speeds, then
+    each test speed not among them."""
+    return cfg.train_speeds + tuple(s for s in cfg.test_speeds if s not in cfg.train_speeds)
+
+
+def generate_eval_set(cfg: ExperimentConfig, speed: float, params: PlantParams,
+                      out_dir: str | Path):
+    """The suite's eval set at `speed`: a fresh stage-I run, written as
+    dyn_va<S>_eval.csv, at seed cfg.seed + 1000 + the speed's position in
+    `eval_speeds(cfg)`; returns its loaded arrays. A speed that is not one of
+    them raises ValueError."""
+    speed, speeds = float(speed), eval_speeds(cfg)
+    if speed not in speeds:
+        raise ValueError(f"{speed:g} m/s is not an eval speed of the config, {list(speeds)}")
+    return _speed_run(cfg, speed, f"dyn_va{speed:g}_eval", cfg.seed + 1000 + speeds.index(speed),
+                      params, out_dir)
 
 
 def _concat_datasets(datasets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -429,19 +445,16 @@ def run_ablation_suite(
     full_train = _concat_datasets([train_sets[s] for s in cfg.train_speeds])
     train_split, _ = block_split(full_train, cfg.holdout_fraction)
 
-    eval_speeds = list(cfg.train_speeds)
-    eval_speeds += [s for s in cfg.test_speeds if s not in cfg.train_speeds]
+    speeds = eval_speeds(cfg)
 
     def job(key):
-        if isinstance(key, int):  # the eval set at eval_speeds[key], at seed + 1000 + key
-            speed = eval_speeds[key]
-            return generate_speed_datasets(cfg, (speed,), params, data_dir,
-                                           seed_offset=1000 + key, name_suffix="_eval")[speed]
+        if isinstance(key, int):
+            return generate_eval_set(cfg, speeds[key], params, data_dir)
         return train_variant(key, train_split, cfg)
 
-    keys = [*SUITE_JOB_ORDER, *range(1, len(eval_speeds))]
+    keys = [*SUITE_JOB_ORDER, *range(1, len(speeds))]
     done = dict(zip(keys, run_jobs(job, [(key,) for key in keys])))
-    eval_sets = {speed: done[i] for i, speed in enumerate(eval_speeds)}
+    eval_sets = {speed: done[i] for i, speed in enumerate(speeds)}
     in_dist_split = _concat_datasets([eval_sets[s] for s in cfg.train_speeds])
     split_hash = dataset_hash(train_split, *eval_sets.values())
 

@@ -9,20 +9,20 @@ trains into one shared flat buffer, every layer's weight and bias becoming a
 view of it, and lays out their gradients the same way in a second buffer;
 `backward(..., out=opt.tapes[i])` writes into that one, `step` mutates the
 parameters in place with one Adam update, and `fit` is the minibatch loop
-every trainer in the package runs. Within this module a training step
-allocates only the activations and the gradients it carries between layers.
+every trainer in the package runs; it logs nothing, and records each
+epoch's training loss only in a `history` list its caller passes. Within
+this module a training step allocates only the activations and the
+gradients it carries between layers. `_activations` is the forward kernel,
+which the wrench models in `dynamics` also run past `forward`'s checks.
 """
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 FORMAT_VERSION = "nncore-v1"
 ACTIVATIONS = ("tanh", "identity")
@@ -346,7 +346,7 @@ def step(opt: OptimizerState, *tapes: GradientTape) -> None:
 def fit(
     opt: OptimizerState, arrays: Sequence[np.ndarray], batch_size: int, epochs: int,
     rng: np.random.Generator, minibatch_grads: Callable[..., Sequence[GradientTape]],
-    full_loss: Callable[[], float] | None = None, history: list | None = None, log_every: int = 0,
+    full_loss: Callable[[], float] | None = None, history: list | None = None,
 ) -> None:
     """Minibatch Adam, the training loop every trainer in the package shares.
 
@@ -354,27 +354,22 @@ def fit(
     permutation of the rows from `rng`, gathers every array's rows in that
     order once, and walks them in consecutive slices of `batch_size` rows;
     `minibatch_grads(*slices)` returns the tapes of the minibatch loss on
-    those rows, in the optimizer's network order. After each epoch
-    `full_loss()` is appended to `history`, if one is given, and logged every
-    `log_every` epochs.
+    those rows, in the optimizer's network order. If `history` is given,
+    `full_loss()` is appended to it after each epoch; without it the loss is
+    never evaluated.
     """
     n_rows = arrays[0].shape[0]
     if any(arr.shape[0] != n_rows for arr in arrays):
         raise ValueError(f"training arrays differ in rows: {[arr.shape[0] for arr in arrays]}")
     shuffled = [np.empty_like(arr, order="C") for arr in arrays]
-    for epoch in range(epochs):
+    for _ in range(epochs):
         perm = rng.permutation(n_rows)
         for arr, rows in zip(arrays, shuffled):
             np.take(arr, perm, axis=0, out=rows, mode="clip")  # "clip": no buffered copy
         for start in range(0, n_rows, batch_size):
             step(opt, *minibatch_grads(*(rows[start : start + batch_size] for rows in shuffled)))
-        logged = log_every and (epoch + 1) % log_every == 0
-        if history is not None or logged:
-            loss = full_loss()
-            if history is not None:
-                history.append(loss)
-            if logged:
-                log.info("epoch %d/%d train loss %.6g", epoch + 1, epochs, loss)
+        if history is not None:
+            history.append(full_loss())
 
 
 def standardize_stats(mat: np.ndarray, floor: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,6 @@ fill.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 import numbers
@@ -694,11 +693,7 @@ def generate_dataset(
 ) -> list[Path]:
     """Dispatch on the protocol's `kind`; accepts a dict or a JSON file path."""
     if not isinstance(protocol, dict):
-        path = protocol
-        protocol = json.loads(Path(path).read_text())
-        if not isinstance(protocol, dict):
-            raise ValueError(f"protocol {path} must hold a JSON object, "
-                             f"got {type(protocol).__name__}")
+        protocol = nncore.load_json(protocol, dict, "protocol")
     kind = protocol.get("kind")
     if kind == "calibration":
         return generate_calibration_data(protocol, params, seed, out_dir)

@@ -194,7 +194,6 @@ class CalibrationTrainConfig:
     batch_size: int = 128
     lr: float = 3e-3
     rho: float = RHO  # kg/m^3; the Cd labels hold only at the density the taps were read in
-    log_every: int = 0  # epochs between loss log lines; 0 disables
 
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
@@ -262,7 +261,7 @@ def train_calibration(
 
     nncore.fit(
         opt, (x, t_norm), cfg.batch_size, cfg.epochs, np.random.default_rng(cfg.seed),
-        minibatch_grads, full_loss, history, cfg.log_every,
+        minibatch_grads, full_loss, history,
     )
 
     nncore.fold_output_scaling(net, t_std, t_mean)

@@ -150,17 +150,18 @@ CAL = {"kind": "calibration", "name": "bad", "repeats": 1}
     ({**DYN, "duration_s": 0.001}, "schedule has no steps"),
     ({**DYN, "stage": "II", "hold_s": 0.001}, "schedule has no steps"),
     ({**CAL, "speeds": []}, "calibration protocol produces no rows"),
-    ([1, 2], "proto.json must hold a JSON object, got list"),
-    ("dynamics", "proto.json must hold a JSON object, got str"),
-    (None, "proto.json must hold a JSON object, got NoneType"),
+    ([1, 2], "proto.json: a protocol must be a JSON object, got list"),
+    ("dynamics", "proto.json: a protocol must be a JSON object, got str"),
+    (None, "proto.json: a protocol must be a JSON object, got NoneType"),
     ({**CAL, "speeds": [10], "alphas": [0], "betas": [0], "exclude_points": [[99, 0, 0]]},
      "exclude_points entry [99, 0, 0] is not a point of the grid"),
     ({**CAL, "exclude_points": [[10.0, 0.0]]}, "entry [10.0, 0.0] is not 3 numbers"),
     ({**CAL, "exclude_points": [["10", 0, 0]]}, "entry ['10', 0, 0] is not 3 numbers"),
+    (b'{"kind": "dynamics", ', "proto.json: Expecting property name enclosed in double quotes"),
 ])
 def test_gen_data_rejects_unusable_protocols_before_writing(tmp_path, capsys, protocol, message):
-    proto = tmp_path / "proto.json"
-    proto.write_text(json.dumps(protocol))
+    proto = tmp_path / "proto.json"  # bytes are the file's text as it is, not a document
+    proto.write_bytes(protocol if isinstance(protocol, bytes) else json.dumps(protocol).encode())
     root = tmp_path / "root"
     assert cli.main(["gen-data", "--protocol", str(proto), "--out", str(root)]) == 1
     err = capsys.readouterr().err
@@ -357,10 +358,8 @@ def test_eval_speeds_scores_the_suites_eval_sets(tmp_path, capsys):
     assert out.startswith("dataset  rmse\nva10     ")
 
     ref_dir = tmp_path / "ref"
-    sets = harness.generate_speed_datasets(
-        harness.ExperimentConfig(seed=3), (10.0, 14.0), plant.PlantParams(), ref_dir,
-        seed_offset=1000, name_suffix="_eval",
-    )
+    cfg = harness.ExperimentConfig(seed=3, test_speeds=(10.0, 14.0))
+    sets = {s: harness.generate_eval_set(cfg, s, plant.PlantParams(), ref_dir) for s in (10.0, 14.0)}
     for name in ("dyn_va10_eval.csv", "dyn_va14_eval.csv"):
         assert (root / "datasets" / name).read_bytes() == (ref_dir / name).read_bytes()
     model = dynamics.load_dynamics_model(model_path)
@@ -369,6 +368,24 @@ def test_eval_speeds_scores_the_suites_eval_sets(tmp_path, capsys):
         f"va{s:g}": dynamics.eval_rmse(model, sets[s]) for s in (10.0, 14.0)
     }
     assert np.isfinite(list(report["rmse"].values())).all()
+
+
+@pytest.mark.parametrize("speeds", ["14", "14,10"])
+def test_eval_speeds_writes_the_sets_report_run_writes(tmp_path, monkeypatch, speeds):
+    # the suite's eval sets for a list, whatever its order, are the ones eval scores
+    import numpy as np
+
+    from conftest import constant_affine_model
+
+    model = constant_affine_model(np.zeros(6), np.zeros((6, 4)))
+    monkeypatch.setattr(harness, "train_variant", lambda *args: model)
+    suite, scored = tmp_path / "suite", tmp_path / "eval"
+    assert cli.main(["report", "--run", "--speeds", speeds, "--out", str(suite)]) == 0
+    assert cli.main(["eval", "--model", str(_model_file(tmp_path)), "--speeds", speeds,
+                     "--out", str(scored)]) == 0
+    for speed in speeds.split(","):
+        name = f"dyn_va{speed}_eval.csv"
+        assert (scored / "datasets" / name).read_bytes() == (suite / "datasets" / name).read_bytes()
 
 
 class _Captured(Exception):

@@ -315,8 +315,7 @@ def test_epoch_loss_is_one_forward_only_pass(rng, monkeypatch, trainer, nets):
     for name in full:
         monkeypatch.setattr(dynamics, name, counting(name))
     history = []
-    trainer(data, DynamicsTrainConfig(hidden=(8,), epochs=3, batch_size=32, log_every=1),
-            history=history)
+    trainer(data, DynamicsTrainConfig(hidden=(8,), epochs=3, batch_size=32), history=history)
     assert len(history) == 3
     assert full == {"forward": 3 * nets, "backward": 0}
 
@@ -454,6 +453,13 @@ def test_affine_at_matches_reference_backward_bit_for_bit(rng):
         tape = nncore.backward(model.net, np.tile(x, (6, 1)), np.eye(6))
         assert np.array_equal(b, tape.input_grad[:, -4:] / model.in_std[-4:])
         assert np.array_equal(a, nncore.forward(model.net, x) - b @ u_ref)
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (1, 4)])
+def test_affine_at_names_a_command_of_the_wrong_shape(shape):
+    model = build_unstructured(hidden=(8,), seed=0)
+    with pytest.raises(ValueError, match=rf"command u_ref must have shape \(4,\), got \({shape[0]},"):
+        affine_at(model, np.zeros(13), np.zeros(shape))
 
 
 def test_affine_at_jacobian_matches_finite_differences(rng):

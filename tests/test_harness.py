@@ -19,7 +19,9 @@ from aeroalloc.harness import (
     closed_loop_metrics,
     closed_loop_run,
     dataset_hash,
+    eval_speeds,
     format_report_text,
+    generate_eval_set,
     generate_speed_datasets,
     load_report_json,
     make_target_sequence,
@@ -551,23 +553,42 @@ def test_suite_caller_share_on_two_cpus(two_cpus, tmp_path, monkeypatch):
     # the fixed shares are balanced by the job order: a reorder that moves a
     # training or an eval set to the other process fails here
     train, generate = harness.train_variant, harness.generate_speed_datasets
+    generate_eval = harness.generate_eval_set
     trained, generated = [], []  # appended to in this process only
 
     def train_here(variant, dataset, cfg):
         trained.append(variant)
         return train(variant, dataset, cfg)
 
-    def generate_here(cfg, speeds, *args, **kwargs):
-        generated.append((tuple(speeds), kwargs.get("name_suffix", "")))
-        return generate(cfg, speeds, *args, **kwargs)
+    def generate_here(cfg, speeds, *args):
+        generated.append(("train", tuple(speeds)))
+        return generate(cfg, speeds, *args)
+
+    def generate_eval_here(cfg, speed, *args):
+        generated.append(("eval", speed))
+        return generate_eval(cfg, speed, *args)
 
     monkeypatch.setattr(harness, "train_variant", train_here)
     monkeypatch.setattr(harness, "generate_speed_datasets", generate_here)
+    monkeypatch.setattr(harness, "generate_eval_set", generate_eval_here)
     # two eval speeds, as in the default suite
     run_ablation_suite(tiny_cfg(epochs=2, train_speeds=(10.0,), test_speeds=(10.0, 14.0)),
                        tmp_path)
     assert trained == ["affine_sym", "affine"]
-    assert generated == [((10.0,), ""), ((10.0,), "_eval"), ((14.0,), "_eval")]
+    assert generated == [("train", (10.0,)), ("eval", 10.0), ("eval", 14.0)]
+
+
+def test_suite_writes_the_eval_sets_of_generate_eval_set(tmp_path):
+    cfg = tiny_cfg(epochs=1, duration_s=2.0, train_speeds=(10.0,), test_speeds=(14.0, 10.0, 12.0))
+    assert eval_speeds(cfg) == (10.0, 14.0, 12.0)
+    run_ablation_suite(cfg, tmp_path / "suite")
+    for speed in eval_speeds(cfg):
+        generate_eval_set(cfg, speed, plant.PlantParams(), tmp_path / "direct")
+        name = f"dyn_va{speed:g}_eval.csv"
+        assert ((tmp_path / "suite" / "datasets" / name).read_bytes()
+                == (tmp_path / "direct" / name).read_bytes()), name
+    with pytest.raises(ValueError, match="9 m/s is not an eval speed"):
+        generate_eval_set(cfg, 9.0, plant.PlantParams(), tmp_path / "direct")
 
 
 @pytest.mark.parametrize("kind", ["affine", "unstructured"])

@@ -1,5 +1,6 @@
 """Import cost: SciPy is loaded by the first allocation solve, and the
-process-pool modules by a suite run on more than one CPU, not by import."""
+process-pool modules by a suite run on more than one CPU, not by import.
+Every module-level import and private definition in the package is used."""
 import ast
 import os
 import subprocess
@@ -116,4 +117,31 @@ def test_no_module_keeps_an_unused_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in _module_level(tree):
             unused += [f"{path.name}: {name}" for name in _bound_names(node) if name not in used]
+    assert unused == []
+
+
+def _private_definitions(tree):
+    """The `_name`s a module defines at its top level: functions, classes, constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_no_module_keeps_an_unused_private_definition():
+    # a leftover `_helper` after a fold is dead code no caller can reach
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = [f"{name}: {defined}" for name, tree in trees.items()
+              for defined in _private_definitions(tree)
+              if defined.startswith("_") and not defined.startswith("__") and defined not in read]
     assert unused == []
