@@ -11,13 +11,15 @@ minimizer solves the 4x4 symmetric positive-definite normal equations
 Q u = c exactly. Actuator limits are applied after the solve, keeping the
 closed form exact and making saturation observable in the logs.
 
-`solve` factors the Q of `build_normal_equations` with LAPACK's Cholesky
-routines (potrf/potrs, the ones scipy's cho_factor/cho_solve wrap), called
-directly because the wrappers cost more than the 4x4 arithmetic. They are
-looked up on the first solve, so scipy.linalg is imported only by a process
-that allocates, not by importing the package or by a CLI command that never
-allocates. A solution holds only the commands and clamp flags;
-`objective(p, u)` evaluates the objective.
+`solve` solves the Q u = c of `build_normal_equations` with one call of
+LAPACK's Cholesky solver dposv (potrf then potrs), in the LAPACK numpy itself
+links (`blas.numpy_blas_function`), so no process of the pipeline loads
+SciPy. It is handed what SciPy's wrapper hands it: Q copied in column-major
+order and the lower triangle, so its bits are SciPy's. Only where numpy's
+LAPACK has no such symbol (a numpy built on MKL or Accelerate) does the first
+solve import SciPy's posv wrapper, which runs the same two routines. A
+solution holds only the commands and clamp flags; `objective(p, u)`
+evaluates the objective.
 
 Each value is checked once, where it enters: AllocationProblem its parts,
 TrackingConfig (frozen) the penalties, dt and the trim and initial commands
@@ -33,8 +35,10 @@ response (about an eighth).
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 import logging
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +53,7 @@ from .dynamics import (
     affine_at,
     predict,
 )
+from .blas import numpy_blas_function
 from .table import write_table
 
 log = logging.getLogger(__name__)
@@ -64,11 +69,42 @@ TRACKING_CSV_HEADER = (
 
 
 @functools.cache
-def _cholesky_routines():
-    """LAPACK (potrf, potrs) for float64 matrices, looked up on first use."""
-    from scipy.linalg import get_lapack_funcs
+def _posv():
+    """posv(q, c) -> (u, info): LAPACK dposv on the 4x4 Q, lower triangle, bound on first use.
 
-    return get_lapack_funcs(("potrf", "potrs"), (np.empty((CONTROL_DIM, CONTROL_DIM)),))
+    numpy's own dposv is called through ctypes on per-process buffers, which
+    a lock keeps to one call at a time, and u is returned as a fresh array.
+    """
+    dposv = numpy_blas_function("dposv_")
+    if dposv is None:  # numpy on another LAPACK: SciPy's wrapper runs the same routines
+        from scipy.linalg.lapack import dposv as scipy_dposv
+
+        def posv(q, c):
+            _, u, info = scipy_dposv(q, c, lower=1)
+            return u, info
+
+        return posv
+    lapack_int = ctypes.c_int64 if dposv.__name__.endswith("64_") else ctypes.c_int
+    # uplo, n, nrhs, a, lda, b, ldb, info, and the hidden length of the uplo string
+    dposv.argtypes, dposv.restype = [ctypes.c_void_p] * 8 + [ctypes.c_size_t], None
+    uplo, n, nrhs, info = ctypes.c_char(b"L"), lapack_int(CONTROL_DIM), lapack_int(1), lapack_int()
+    a, b = np.empty((CONTROL_DIM, CONTROL_DIM)), np.empty(CONTROL_DIM)
+    # plain addresses convert about half a microsecond faster per call than byref()
+    at = ctypes.addressof
+    args = [ctypes.c_void_p(address) for address in (
+        at(uplo), at(n), at(nrhs), a.ctypes.data, at(n), b.ctypes.data, at(n), at(info))]
+    args.append(ctypes.c_size_t(1))
+    lock = threading.Lock()
+
+    def posv(q, c):
+        with lock:
+            a[...] = q.T  # column-major Q, the copy SciPy's wrapper makes
+            b[...] = c
+            dposv(*args)
+            return b.copy(), info.value
+
+    posv.buffers = uplo, n, nrhs  # `args` holds only their addresses
+    return posv
 
 
 class NotStrictlyConvexError(ValueError):
@@ -172,10 +208,7 @@ def solve(p: AllocationProblem) -> AllocationSolution:
     q, c = build_normal_equations(p)
     if not (np.isfinite(q).all() and np.isfinite(c).all()):
         raise ValueError("normal equations must be finite")
-    potrf, potrs = _cholesky_routines()
-    factor, info = potrf(q, lower=1, clean=0)
-    if info == 0:
-        u, info = potrs(factor, c, lower=1)
+    u, info = _posv()(q, c)
     if info != 0:
         raise ArithmeticError(f"normal equations not solvable (LAPACK info {info})")
     u_star = u.clip(-CONTROL_LIMIT_DEG, CONTROL_LIMIT_DEG)

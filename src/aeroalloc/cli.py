@@ -175,14 +175,15 @@ def _cmd_eval(args) -> int:
     if not args.data and not args.speeds:
         print("eval needs --data or --speeds", file=sys.stderr)
         return 2
+    # the eval sets that `report --run --speeds` writes for the same list
+    cfg = _experiment(args, test_speeds=args.speeds) if args.speeds else None
     dirs = _dirs(root)  # once the inputs have loaded, so a bad one leaves nothing behind
 
     results = {}
     if args.data:
         for path in args.data:
             results[path.stem] = dynamics.eval_rmse(model, dynamics.load_dynamics_csv(path))
-    if args.speeds:  # the eval sets that `report --run --speeds` writes for the same list
-        cfg = _experiment(args, test_speeds=args.speeds)
+    if cfg is not None:
         for speed in args.speeds:
             eval_set = harness.generate_eval_set(cfg, speed, params, dirs["datasets"])
             results[f"va{speed:g}"] = dynamics.eval_rmse(model, eval_set)

@@ -18,6 +18,7 @@ models; the results do not depend on how many CPUs there are.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import logging
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import __version__, plant as plant_mod
 from .allocator import TrackingConfig, TrackingLog, track_sequence
+from .blas import numpy_blas_function
 from .dynamics import (
     CONTROL_DIM,
     DynamicsTrainConfig,
@@ -95,6 +97,10 @@ class ExperimentConfig:
         _check_distinct(self.test_speeds, "test_speeds")
         if self.gust_mode not in GUST_MODES:
             raise ValueError(f"gust_mode must be one of {GUST_MODES}, got {self.gust_mode!r}")
+        for speed in self.train_speeds + self.test_speeds:  # before any job writes or trains
+            plant_mod._check_airspeed(speed)
+            if self.gust_mode == "shedding":
+                plant_mod._check_shedding_airspeed(speed)
         if self.epochs <= 0:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
         if not 0.0 < self.duration_s < np.inf:
@@ -193,21 +199,12 @@ def _reissue(message, category, filename: str, lineno: int) -> None:
 
 def _openblas_threads():
     """(get, set) of the thread count of numpy's OpenBLAS, or None without one."""
-    import ctypes
-
-    try:
-        from numpy._core import _multiarray_umath as core
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as core
-    lib = ctypes.CDLL(core.__file__)  # a lookup in it also searches the BLAS it links
-    for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-        get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
-        if get and set_:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
+    get, set_ = (numpy_blas_function(f"openblas_{op}_num_threads") for op in ("get", "set"))
+    if get is None or set_ is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 @contextlib.contextmanager

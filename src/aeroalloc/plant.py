@@ -57,6 +57,13 @@ def _check_airspeed(va: float) -> None:
         raise ValueError(f"tunnel airspeed must be finite and >= 0, got {va}")
 
 
+def _check_shedding_airspeed(va: float) -> None:
+    """A shedding gust with no set frequency takes it from the (checked) airspeed."""
+    if va == 0.0:
+        raise ValueError("a shedding gust takes its frequency from the airspeed, "
+                         f"which must be positive, got {va:g} m/s")
+
+
 @dataclass(frozen=True)
 class GustState:
     """Upstream gust-generator state.
@@ -534,9 +541,7 @@ def gust_from_spec(spec: dict | None, va: float, params: PlantParams) -> GustSta
     spec = dict(spec)
     mode = spec.pop("mode")
     if mode == "shedding" and "frequency_hz" not in spec:
-        if va == 0.0:
-            raise ValueError("a shedding gust takes its frequency from the airspeed, "
-                             f"which must be positive, got {va:g} m/s")
+        _check_shedding_airspeed(va)
         # Strouhal-like rule for the generator wing's shedding frequency.
         spec["frequency_hz"] = 0.2 * va / params.chord
     return GustState(mode=mode, **spec)

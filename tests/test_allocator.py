@@ -1,5 +1,8 @@
 """Allocation QP: normal equations, solver optimality, clamping, tracking loop."""
 import dataclasses
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from aeroalloc.allocator import (
     solve,
     track_sequence,
 )
+from aeroalloc.blas import numpy_blas_function
 from aeroalloc.table import read_table
 
 from conftest import constant_affine_model as constant_model, finite_difference_grads
@@ -139,13 +143,14 @@ def test_problem_rejects_non_finite_parts(part, bad):
         AllocationProblem(b=np.zeros((6, 4)), **parts)
 
 
-def test_solve_matches_scipy_cholesky_bit_for_bit(rng):
-    # solve forms Q and c in place and flags clamps against a threshold; the
-    # result is build_normal_equations through a Cholesky solve and a clip
-    saturated = AllocationProblem(
-        a=np.zeros(6), b=np.vstack([np.eye(4) * 0.01, np.zeros((2, 4))]),
-        y_target=np.array([50.0, -50.0, 0.0, 0.0, 1.0, 2.0]), lambda0=0.0, lambda1=1e-6,
-    )
+SATURATED = AllocationProblem(
+    a=np.zeros(6), b=np.vstack([np.eye(4) * 0.01, np.zeros((2, 4))]),
+    y_target=np.array([50.0, -50.0, 0.0, 0.0, 1.0, 2.0]), lambda0=0.0, lambda1=1e-6,
+)
+
+
+def reference_problems(rng):
+    """200 random problems, a third of them clamping, then SATURATED."""
     penalties = [(rng.uniform(0, 1), rng.uniform(1e-3, 1)) for _ in range(150)]
     penalties += [(0.0, rng.uniform(1e-3, 1)) for _ in range(25)]
     penalties += [(rng.uniform(1e-3, 1), 0.0) for _ in range(25)]
@@ -154,8 +159,14 @@ def test_solve_matches_scipy_cholesky_bit_for_bit(rng):
         p = problems[i]
         problems[i] = dataclasses.replace(p, b=0.05 * p.b, y_target=20.0 * p.y_target,
                                           lambda0=1e-3 * p.lambda0, lambda1=1e-3 * p.lambda1)
+    return problems + [SATURATED]
+
+
+def test_solve_matches_scipy_cholesky_bit_for_bit(rng):
+    # solve forms Q and c in place and flags clamps against a threshold; the
+    # result is build_normal_equations through a Cholesky solve and a clip
     clamped = 0
-    for p in problems + [saturated]:
+    for p in reference_problems(rng):
         sol = solve(p)
         q, c = build_normal_equations(p)
         u = cho_solve(cho_factor(q, lower=True), c)
@@ -168,7 +179,7 @@ def test_solve_matches_scipy_cholesky_bit_for_bit(rng):
         assert sol.u_star.tobytes() == u_star.tobytes()
         assert np.array_equal(sol.clamped, np.abs(u) > np.abs(u_star) + 1e-12)
         clamped += bool(sol.clamped.any())
-    assert solve(saturated).clamped[:2].all()
+    assert solve(SATURATED).clamped[:2].all()
     assert 30 < clamped < 100
     # a command less than 1e-12 beyond the limit is clipped but not flagged
     b_eye = np.vstack([np.eye(4), np.zeros((2, 4))])
@@ -178,6 +189,89 @@ def test_solve_matches_scipy_cholesky_bit_for_bit(rng):
     assert 25.0 < abs(sol.u_unconstrained[2]) <= 25.0 + 1e-12
     assert np.array_equal(np.abs(sol.u_star), [25.0, 0.0, 25.0, 0.0])
     assert not sol.clamped.any()
+
+
+def _numpy_lapack_is_openblas():
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):  # a numpy that cannot say
+        return False
+    return "openblas" in str(lapack.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _numpy_lapack_is_openblas(), reason="numpy's LAPACK is not OpenBLAS")
+def test_solve_resolves_dposv_from_numpys_own_lapack(monkeypatch):
+    # a silent fall back to SciPy would load it into every allocating process
+    looked_up = []
+
+    def lookup(name):
+        looked_up.append(numpy_blas_function(name))
+        return looked_up[-1]
+
+    monkeypatch.setattr(allocator, "numpy_blas_function", lookup)
+    allocator._posv.cache_clear()
+    try:
+        solve(SATURATED)
+    finally:
+        allocator._posv.cache_clear()
+    assert len(looked_up) == 1 and looked_up[0].__name__.endswith(("dposv_", "dposv_64_"))
+
+
+def test_scipy_fallback_equals_numpy_dposv_bit_for_bit(rng, monkeypatch):
+    problems = reference_problems(rng)
+    via_numpy = [solve(p).u_unconstrained.tobytes() for p in problems]
+    looked_up = []
+    monkeypatch.setattr(allocator, "numpy_blas_function", lambda name: looked_up.append(name))
+    allocator._posv.cache_clear()
+    try:
+        via_scipy = [solve(p).u_unconstrained.tobytes() for p in problems]
+    finally:
+        allocator._posv.cache_clear()
+    assert looked_up == ["dposv_"]  # found nothing, so the fallback ran
+    assert via_scipy == via_numpy
+
+
+def test_solve_keeps_each_threads_solution_apart(rng):
+    # the LAPACK call works in per-process buffers; more threads than cores
+    # and a short switch interval would mix their problems without the lock
+    problems = reference_problems(rng)[:40]
+    expected = [solve(p).u_unconstrained.tobytes() for p in problems]
+    n_threads = 2 * (os.cpu_count() or 1) + 1
+    mixed = []
+
+    def work(k):
+        for _ in range(50):
+            for i in range(k, len(problems), n_threads):
+                if solve(problems[i]).u_unconstrained.tobytes() != expected[i]:
+                    mixed.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mixed == []
+
+
+@pytest.mark.parametrize("lapack", ["numpy", "scipy"])
+def test_solve_names_the_lapack_info_of_a_matrix_that_is_not_positive_definite(
+        monkeypatch, lapack):
+    if lapack == "scipy":
+        monkeypatch.setattr(allocator, "numpy_blas_function", lambda name: None)
+    q = np.diag([1.0, 2.0, -1.0, 1.0])  # the leading minor of order 3 is not positive
+    monkeypatch.setattr(allocator, "build_normal_equations", lambda p: (q, np.ones(4)))
+    allocator._posv.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=r"\(LAPACK info 3\)$"):
+            solve(SATURATED)
+    finally:
+        allocator._posv.cache_clear()
 
 
 def test_track_sequence_accepts_finite_values_near_the_float_limit():

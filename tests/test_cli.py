@@ -527,3 +527,21 @@ def test_report_run_rejects_an_unknown_compare_variant_before_any_work(tmp_path,
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: variants not in report: ['bogus']\n"
     assert not root.exists()
+
+
+@pytest.mark.parametrize("speeds, message", [
+    ("nan", "tunnel airspeed must be finite and >= 0, got nan"),
+    ("10,inf", "tunnel airspeed must be finite and >= 0, got inf"),
+    ("-5", "tunnel airspeed must be finite and >= 0, got -5.0"),
+    ("0", "a shedding gust takes its frequency from the airspeed, "
+          "which must be positive, got 0 m/s"),
+])
+@pytest.mark.parametrize("command", ["report", "eval"])
+def test_an_unusable_speed_fails_before_anything_is_written(tmp_path, capsys, command, speeds,
+                                                           message):
+    argv = (["report", "--run", "--epochs", "1"] if command == "report"
+            else ["eval", "--model", str(_model_file(tmp_path))])
+    root = tmp_path / "root"
+    assert cli.main([*argv, f"--speeds={speeds}", "--out", str(root)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (root / "datasets").exists()

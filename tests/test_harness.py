@@ -123,6 +123,20 @@ def test_experiment_config_validation():
     ExperimentConfig(train_speeds=(10.0,), test_speeds=(10.0, 14.0))  # overlap is fine
 
 
+@pytest.mark.parametrize("field", ["train_speeds", "test_speeds"])
+@pytest.mark.parametrize("speed", [float("nan"), float("inf"), -5.0])
+def test_experiment_config_rejects_an_unusable_speed(field, speed):
+    with pytest.raises(ValueError, match=f"tunnel airspeed must be finite and >= 0, got {speed}"):
+        ExperimentConfig(**{field: (10.0, speed)})
+
+
+@pytest.mark.parametrize("field", ["train_speeds", "test_speeds"])
+def test_experiment_config_rejects_zero_speed_only_for_a_shedding_gust(field):
+    with pytest.raises(ValueError, match="shedding gust .* must be positive, got 0 m/s"):
+        ExperimentConfig(**{field: (0.0, 10.0)})
+    ExperimentConfig(gust_mode="off", **{field: (0.0, 10.0)})
+
+
 @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan"), float("inf")])
 def test_experiment_config_rejects_unusable_duration(duration):
     with pytest.raises(ValueError, match="duration_s must be positive and finite"):
