@@ -37,7 +37,6 @@ from .probe import (
     CalibrationTrainConfig,
     FlowState,
     ProbePressures,
-    calibrate,
     dynamic_pressure_correction,
     estimate_flow,
     normalize,

@@ -22,8 +22,8 @@ solution holds only the commands and clamp flags; `objective(p, u)`
 evaluates the objective.
 
 Each value is checked once, where it enters: AllocationProblem its parts,
-TrackingConfig (frozen) the penalties, dt and the trim and initial commands
-(4 finite entries within the actuator limits), `track_sequence` its targets.
+TrackingConfig (frozen) the penalties, dt and the trim command (4 finite
+entries within the actuator limits), `track_sequence` its targets.
 Inside the loop, where commands pass as plain (4,) arrays, each step's
 AllocationProblem is made without its __init__ checks (`_unchecked`), only
 the model's (A, B) and the achieved wrench are checked to be finite, and the
@@ -121,8 +121,8 @@ def _vec(value, dim: int, what: str) -> np.ndarray:
 
 
 def _check_penalties(lambda0: float, lambda1: float) -> None:
-    if lambda0 < 0.0 or lambda1 < 0.0:
-        raise ValueError("penalty weights must be >= 0")
+    if not (0.0 <= lambda0 < np.inf and 0.0 <= lambda1 < np.inf):  # NaN fails as well
+        raise ValueError(f"penalty weights must be finite and >= 0, got {lambda0}, {lambda1}")
     if lambda0 + lambda1 <= 0.0:
         raise NotStrictlyConvexError("lambda0 + lambda1 must be positive for a unique minimizer")
 
@@ -226,24 +226,21 @@ def solve(p: AllocationProblem) -> AllocationSolution:
 
 @dataclass(frozen=True)
 class TrackingConfig:
-    """Penalties, commands and time step of a tracking run, checked at construction."""
+    """Penalties, trim command and time step of a tracking run, checked at construction."""
 
     lambda0: float = 0.01
     lambda1: float = 0.1
     u_trim: np.ndarray = field(default_factory=lambda: np.zeros(CONTROL_DIM))
-    u_init: np.ndarray = field(default_factory=lambda: np.zeros(CONTROL_DIM))
     dt: float = 0.02
 
     def __post_init__(self) -> None:
         _check_penalties(self.lambda0, self.lambda1)
         if not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        for name in ("u_trim", "u_init"):
-            u = _vec(getattr(self, name), CONTROL_DIM, name)
-            if np.abs(u).max() > CONTROL_LIMIT_DEG:
-                raise ValueError(f"{name} {u} exceeds the +-{CONTROL_LIMIT_DEG:g} deg "
-                                 "actuator limit")
-            object.__setattr__(self, name, u)
+        u = _vec(self.u_trim, CONTROL_DIM, "u_trim")
+        if np.abs(u).max() > CONTROL_LIMIT_DEG:
+            raise ValueError(f"u_trim {u} exceeds the +-{CONTROL_LIMIT_DEG:g} deg actuator limit")
+        object.__setattr__(self, "u_trim", u)
 
 
 @dataclass
@@ -261,17 +258,16 @@ class TrackingLog:
         return float(np.sqrt(np.mean((self.achieved - self.targets) ** 2)))
 
 
-def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn=None) -> TrackingLog:
+def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn) -> TrackingLog:
     """Run the predict-allocate loop over a target wrench sequence.
 
     `observe(step, u_prev)` returns the step's observation, so a plant's
     sensors can respond to the deflections; u_prev is the (4,) command applied
-    at the previous step, cfg.u_init at step 0 (a recorded list replays as
-    `lambda k, u: obs[k]`). `achieved_fn(step, u)` returns the plant's (6,)
-    response to the (4,) command applied at this step; without it the
-    achieved column repeats the prediction. The previous command threads
-    through as the smoothness reference, using the clamped command actually
-    applied. Halts on non-finite state.
+    at the previous step, the zero command at step 0 (a recorded list replays
+    as `lambda k, u: obs[k]`). `achieved_fn(step, u)` returns the plant's (6,)
+    response to the (4,) command applied at this step. The previous command
+    threads through as the smoothness reference, using the clamped command
+    actually applied. Halts on non-finite state.
 
     The targets are validated here, once; each step then checks only that the
     model output and the achieved wrench are finite.
@@ -286,7 +282,7 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn=Non
     n = target_mat.shape[0]
 
     affine = isinstance(model, AffineModel)
-    u_trim, u_prev = cfg.u_trim, cfg.u_init
+    u_trim, u_prev = cfg.u_trim, np.zeros(CONTROL_DIM)
     lambda0, lambda1 = cfg.lambda0, cfg.lambda1
     rows_pred = np.empty((n, WRENCH_DIM))
     rows_ach = np.empty((n, WRENCH_DIM))
@@ -303,7 +299,7 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn=Non
         rows_u[k] = u_prev
         rows_clamp[k] = sol.clamped
         np.add(a, b @ u_prev, out=rows_pred[k])
-        rows_ach[k] = rows_pred[k] if achieved_fn is None else achieved_fn(k, u_prev)
+        rows_ach[k] = achieved_fn(k, u_prev)
         if not np.isfinite(rows_ach[k]).all():
             raise ArithmeticError(f"non-finite achieved wrench at step {k}")
     return TrackingLog(

@@ -120,12 +120,11 @@ def _load_params(path: Path | None) -> plant.PlantParams:
     return plant.plant_params_from_json(path) if path else plant.PlantParams()
 
 
-def _dirs(root: Path) -> dict:
-    out = {}
-    for name in ("datasets", "models", "reports", "tracking"):
-        out[name] = root / name
-        out[name].mkdir(parents=True, exist_ok=True)
-    return out
+def _new_file(path: Path) -> Path:
+    """`path` with its directory made; called just before the file is written,
+    so a command that fails earlier leaves nothing behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _cmd_gen_data(args) -> int:
@@ -147,10 +146,9 @@ def _cmd_train_calib(args) -> int:
     rho = _load_params(args.params).rho  # the density the taps were read in
     cfg = probe.CalibrationTrainConfig(seed=args.seed, rho=rho, **_given(epochs=args.epochs))
     rows = probe.load_calibration_csv(args.data)
-    dirs = _dirs(root)  # once the inputs have loaded, so a bad one leaves nothing behind
     model = probe.train_calibration(rows, cfg)
     name = args.name or args.data.stem
-    out_path = dirs["models"] / f"calib_{name}.json"
+    out_path = _new_file(root / "models" / f"calib_{name}.json")
     nncore.save_network(model, out_path)
     print(f"wrote {out_path}")
     return 0
@@ -160,9 +158,8 @@ def _cmd_train_dyn(args) -> int:
     root = harness.resolve_out_root(args.out)
     cfg = _experiment(args, lambda_sym=args.lambda_sym, epochs=args.epochs)
     full = harness._concat_datasets([dynamics.load_dynamics_csv(p) for p in args.data])
-    dirs = _dirs(root)  # once the inputs have loaded, so a bad one leaves nothing behind
     model = harness.train_variant(args.variant, full, cfg)
-    out_path = dirs["models"] / f"{args.variant}_seed{args.seed}.json"
+    out_path = _new_file(root / "models" / f"{args.variant}_seed{args.seed}.json")
     dynamics.save_dynamics_model(model, out_path)
     print(f"wrote {out_path}")
     return 0
@@ -177,7 +174,6 @@ def _cmd_eval(args) -> int:
         return 2
     # the eval sets that `report --run --speeds` writes for the same list
     cfg = _experiment(args, test_speeds=args.speeds) if args.speeds else None
-    dirs = _dirs(root)  # once the inputs have loaded, so a bad one leaves nothing behind
 
     results = {}
     if args.data:
@@ -185,11 +181,11 @@ def _cmd_eval(args) -> int:
             results[path.stem] = dynamics.eval_rmse(model, dynamics.load_dynamics_csv(path))
     if cfg is not None:
         for speed in args.speeds:
-            eval_set = harness.generate_eval_set(cfg, speed, params, dirs["datasets"])
+            eval_set = harness.generate_eval_set(cfg, speed, params, root / "datasets")
             results[f"va{speed:g}"] = dynamics.eval_rmse(model, eval_set)
 
     doc = {"model": args.model.name, "rmse": results}
-    out_path = dirs["reports"] / f"eval_{args.model.stem}.json"
+    out_path = _new_file(root / "reports" / f"eval_{args.model.stem}.json")
     out_path.write_text(json.dumps(doc, sort_keys=True, indent=1))
     width = max(len(k) for k in ["dataset", *results])
     print(f"{'dataset':<{width + 2}}rmse")
@@ -203,15 +199,14 @@ def _cmd_track(args) -> int:
     root = harness.resolve_out_root(args.out)
     params = _load_params(args.params)
     model = dynamics.load_dynamics_model(args.model)
-    dirs = _dirs(root)  # once the inputs have loaded, so a bad one leaves nothing behind
     cfg = _experiment(args, lambda0=args.lambda0, lambda1=args.lambda1,
                       gust_mode=args.gust, duration_s=args.duration)
     tlog = harness.closed_loop_run(model, cfg, args.speed, params=params)
     metrics = harness.closed_loop_metrics(tlog)  # raises before either file is written
     stem = f"track_{args.model.stem}_va{args.speed:g}_seed{args.seed}"
-    out_path = dirs["tracking"] / f"{stem}.csv"
+    out_path = _new_file(root / "tracking" / f"{stem}.csv")
     allocator.save_tracking_csv(out_path, tlog)
-    metrics_path = dirs["tracking"] / f"{stem}_metrics.json"
+    metrics_path = out_path.with_name(f"{stem}_metrics.json")
     metrics_path.write_text(json.dumps(metrics, sort_keys=True, indent=1))
     print(f"tracking rmse {metrics['tracking_rmse']:.4f}")
     per_input = np.asarray(metrics["rmssd"]["per_input"])

@@ -48,6 +48,7 @@ DYNAMICS_CSV_HEADER = (
 MIRROR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 MIRROR_SIGNS.setflags(write=False)
 VAL_FRACTION = 0.2  # trailing share of the training rows held out for validation
+BATCH_SIZE = 256  # minibatch rows of both trainers
 _EYE_WRENCH = np.eye(WRENCH_DIM)  # upstream of the per-output Jacobian rows
 
 
@@ -77,10 +78,11 @@ class SymmetryConfig:
     def __post_init__(self) -> None:
         delta = tuple(float(d) for d in self.delta)
         object.__setattr__(self, "delta", delta)
-        if len(delta) != WRENCH_DIM or any(d <= 0.0 for d in delta):
-            raise ValueError(f"delta must be {WRENCH_DIM} positive thresholds, got {delta}")
-        if self.lambda_sym < 0.0:
-            raise ValueError("lambda_sym must be >= 0")
+        # NaN fails each comparison, so it is rejected along with inf
+        if len(delta) != WRENCH_DIM or not all(0.0 < d < np.inf for d in delta):
+            raise ValueError(f"delta must be {WRENCH_DIM} positive finite thresholds, got {delta}")
+        if not 0.0 <= self.lambda_sym < np.inf:
+            raise ValueError(f"lambda_sym must be finite and >= 0, got {self.lambda_sym}")
 
     def delta_array(self) -> np.ndarray:
         return np.asarray(self.delta, dtype=float)
@@ -172,8 +174,6 @@ def _obs_matrix(value, n_features: int) -> np.ndarray:
 
 def _control_matrix_rows(value) -> np.ndarray:
     mat = np.asarray(value, dtype=float)
-    if mat.ndim == 1:
-        mat = mat[None, :]
     if mat.ndim != 2 or mat.shape[1] != CONTROL_DIM:
         raise ValueError(f"controls must have {CONTROL_DIM} columns")
     return mat
@@ -313,14 +313,13 @@ class DynamicsTrainConfig:
     seed: int = 0
     hidden: tuple = (64, 64)
     epochs: int = 200
-    batch_size: int = 256
     lr: float = 1e-3
     sym: SymmetryConfig = field(default_factory=SymmetryConfig)
     wing_sensors: bool = True
 
     def __post_init__(self) -> None:
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs and batch_size must be positive")
+        if self.epochs <= 0:
+            raise ValueError(f"epochs must be positive, got {self.epochs}")
 
 
 def _dataset_arrays(dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -351,10 +350,22 @@ def block_split(dataset, holdout_fraction: float):
     return (obs[:cut], u[:cut], y[:cut]), (obs[cut:], u[cut:], y[cut:])
 
 
-def _training_rows(obs, u, y):
-    """Training rows and the validation block, None when nothing is held out."""
+def _training_rows(dataset):
+    """A trainer's training rows and validation block, None when nothing is
+    held out. Warns, at the trainer's caller, of a dataset too small or too
+    still to pin down the model's dependence on the controls."""
+    obs, u, y = _dataset_arrays(dataset)
     if obs.shape[0] < 10:
         raise ValueError(f"dataset too small to fit ({obs.shape[0]} rows)")
+    if obs.shape[0] < 100:
+        warnings.warn(
+            f"only {obs.shape[0]} samples; expect a poorly constrained fit", stacklevel=3
+        )
+    if float(np.max(u.std(axis=0))) < 1e-9:
+        warnings.warn(
+            "control inputs are constant across the dataset; "
+            "effectiveness columns are unidentifiable", stacklevel=3,
+        )
     if obs.shape[0] >= 20:
         return block_split((obs, u, y), VAL_FRACTION)
     return (obs, u, y), None
@@ -372,17 +383,7 @@ def train_dynamics(dataset, cfg: DynamicsTrainConfig, history: list | None = Non
     linear heads, so the returned model emits newtons and newton meters.
     If `history` is given, the full-training-set loss is appended per epoch.
     """
-    obs, u, y = _dataset_arrays(dataset)
-    (obs_tr, u_tr, y_tr), val = _training_rows(obs, u, y)
-    if obs.shape[0] < 100:
-        warnings.warn(
-            f"only {obs.shape[0]} samples; expect a poorly constrained fit", stacklevel=2
-        )
-    if float(np.max(u.std(axis=0))) < 1e-9:
-        warnings.warn(
-            "control inputs are constant across the dataset; "
-            "effectiveness columns are unidentifiable", stacklevel=2,
-        )
+    (obs_tr, u_tr, y_tr), val = _training_rows(dataset)
 
     n_feat = _feature_count(cfg.wing_sensors)
     feats_tr = obs_tr[:, :n_feat]
@@ -406,14 +407,14 @@ def train_dynamics(dataset, cfg: DynamicsTrainConfig, history: list | None = Non
 
     def minibatch_grads(x, u, y):
         err, b, acts = _forward_heads(*nets, x, u, y)
-        return _batch_tapes(nets, u, err, b, acts, cfg.sym, opt.tapes)
+        _batch_tapes(nets, u, err, b, acts, cfg.sym, opt.tapes)
 
     def full_loss():
         err, b, _ = _forward_heads(*nets, x_tr, us_tr, yt_tr)
         return _batch_loss(err, b, cfg.sym)
 
     nncore.fit(
-        opt, (x_tr, us_tr, yt_tr), cfg.batch_size, cfg.epochs,
+        opt, (x_tr, us_tr, yt_tr), BATCH_SIZE, cfg.epochs,
         np.random.default_rng(seed_batch), minibatch_grads, full_loss, history,
     )
 
@@ -488,7 +489,7 @@ def train_unstructured(
     Shares the config type; the mirror penalty does not apply here and
     cfg.sym is ignored.
     """
-    (obs_tr, u_tr, y_tr), val = _training_rows(*_dataset_arrays(dataset))
+    (obs_tr, u_tr, y_tr), val = _training_rows(dataset)
 
     inputs = np.concatenate([obs_tr[:, :_feature_count(cfg.wing_sensors)], u_tr], axis=1)
     in_mean, in_std = nncore.standardize_stats(inputs)
@@ -504,14 +505,13 @@ def train_unstructured(
     def minibatch_grads(x, y):
         acts = forward(net, x, activations=True)
         err = acts[-1] - y
-        return (backward(net, x, (2.0 / err.size) * err, acts, with_input_grad=False,
-                         out=opt.tapes[0]),)
+        backward(net, x, (2.0 / err.size) * err, acts, with_input_grad=False, out=opt.tapes[0])
 
     def full_loss():
         return float(np.mean((forward(net, x_tr) - yt_tr) ** 2))
 
     nncore.fit(
-        opt, (x_tr, yt_tr), cfg.batch_size, cfg.epochs, np.random.default_rng(seed_batch),
+        opt, (x_tr, yt_tr), BATCH_SIZE, cfg.epochs, np.random.default_rng(seed_batch),
         minibatch_grads, full_loss, history,
     )
 

@@ -103,6 +103,8 @@ class ExperimentConfig:
                 plant_mod._check_shedding_airspeed(speed)
         if self.epochs <= 0:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
+        SymmetryConfig(lambda_sym=self.lambda_sym)  # the owners' rules, before anything runs
+        TrackingConfig(lambda0=self.lambda0, lambda1=self.lambda1)
         if not 0.0 < self.duration_s < np.inf:
             raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
         if not 0.0 < self.holdout_fraction < 1.0:  # NaN fails the comparison as well
@@ -436,7 +438,6 @@ def run_ablation_suite(
     out_dir = Path(out_dir)
     data_dir = out_dir / "datasets"
     report_dir = out_dir / "reports"
-    report_dir.mkdir(parents=True, exist_ok=True)
 
     train_sets = generate_speed_datasets(cfg, cfg.train_speeds, params, data_dir)
     full_train = _concat_datasets([train_sets[s] for s in cfg.train_speeds])
@@ -464,6 +465,7 @@ def run_ablation_suite(
                                                   eval_sets)
         log.info("variant %s: in-dist rmse %.4f", variant, entry["rmse"]["in_dist"])
 
+    report_dir.mkdir(parents=True, exist_ok=True)
     write_report_json(report, report_dir / "suite_report.json")
     write_report_csv(report, report_dir / "suite_report.csv")
     (report_dir / "suite_report.txt").write_text(format_report_text(report))

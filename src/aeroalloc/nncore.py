@@ -7,13 +7,14 @@ an autodiff framework. Networks are treated as immutable during forward and
 backward passes. `init_optimizer` moves the parameters of the networks it
 trains into one shared flat buffer, every layer's weight and bias becoming a
 view of it, and lays out their gradients the same way in a second buffer;
-`backward(..., out=opt.tapes[i])` writes into that one, `step` mutates the
-parameters in place with one Adam update, and `fit` is the minibatch loop
-every trainer in the package runs; it logs nothing, and records each
-epoch's training loss only in a `history` list its caller passes. Within
-this module a training step allocates only the activations and the
-gradients it carries between layers. `_activations` is the forward kernel,
-which the wrench models in `dynamics` also run past `forward`'s checks.
+`backward(..., out=opt.tapes[i])` writes into that one, `step(opt)` applies
+it to the parameters in place with one Adam update, and `fit` is the
+minibatch loop every trainer in the package runs; it logs nothing, and
+records each epoch's training loss only in a `history` list its caller
+passes. Within this module a training step allocates only the activations
+and the gradients it carries between layers. `_activations` is the forward
+kernel, which the wrench models in `dynamics` also run past `forward`'s
+checks.
 """
 from __future__ import annotations
 
@@ -118,14 +119,11 @@ def init_network(widths: Sequence[int], seed: int, output_activation: str = "ide
     return Network(layers)
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(f"{what} has shape {np.shape(x)}, expected (..., {dim})")
-    return arr, single
+        raise ValueError(f"{what} has shape {np.shape(x)}, expected (n, {dim})")
+    return arr
 
 
 def _product_for(x: np.ndarray):
@@ -148,27 +146,22 @@ def _activations(net: Network, x_batch: np.ndarray) -> list[np.ndarray]:
 
 
 def forward(net: Network, x: np.ndarray, activations: bool = False):
-    """Evaluate the network on a vector (d,), a batch (n, d), or a stack
-    (n, 1, d) of one-row batches.
+    """Evaluate the network on a batch (n, d), or a stack (n, 1, d) of one-row
+    batches.
 
     A stack's products are n one-row products, so row k of its (n, 1, out)
-    result equals the call on x[k, 0] bit for bit. A batch runs one matrix
-    product per layer, which is faster but may differ from the one-row
-    results in the last bits. With `activations=True` the result is instead
-    the list [input, first layer output, ..., network output] in the input's
-    batch or stack shape, which `backward` takes so that it need not run the
-    pass again.
+    result equals the call on x[k:k + 1] bit for bit. A batch of more rows
+    runs one matrix product per layer, which is faster but may differ from
+    the one-row results in the last bits. With `activations=True` the result
+    is instead the list [input, first layer output, ..., network output] in
+    the input's batch or stack shape, which `backward` takes so that it need
+    not run the pass again.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 3 and arr.shape[1:] == (1, net.input_dim):
-        batch, single = arr, False
-    else:
-        batch, single = _as_batch(arr, net.input_dim, "input")
-    acts = _activations(net, batch)
-    if activations:
-        return acts
-    out = acts[-1]
-    return out[0] if single else out
+    if arr.ndim != 3 or arr.shape[1:] != (1, net.input_dim):
+        arr = _as_batch(arr, net.input_dim, "input")
+    acts = _activations(net, arr)
+    return acts if activations else acts[-1]
 
 
 def _through_tanh(g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -183,10 +176,11 @@ def backward(
     net: Network, x: np.ndarray, upstream: np.ndarray, acts: list | None = None,
     with_input_grad: bool = True, out: GradientTape | None = None,
 ) -> GradientTape:
-    """Gradients of <upstream, forward(net, x)> with respect to all parameters.
+    """Gradients of <upstream, forward(net, x)> with respect to all parameters,
+    for a batch x (n, d) and its upstream (n, out).
 
-    Batched inputs sum the contraction over rows, which is exactly what a
-    mean-type loss needs once the upstream carries the 1/n factor. `acts` are
+    It sums the contraction over rows, which is exactly what a mean-type
+    loss needs once the upstream carries the 1/n factor. `acts` are
     the activations `forward(net, x, activations=True)` returned for this `x`;
     without them the forward pass is recomputed. With `with_input_grad=False`
     the first layer's input gradient, which a trainer of the input-side net
@@ -195,8 +189,8 @@ def backward(
     are written into the arrays of `out` (a trainer passes its optimizer's
     `tapes` entry for `net`), or into new arrays without it.
     """
-    x_batch, _ = _as_batch(x, net.input_dim, "input")
-    up_batch, _ = _as_batch(upstream, net.output_dim, "upstream")
+    x_batch = _as_batch(x, net.input_dim, "input")
+    up_batch = _as_batch(upstream, net.output_dim, "upstream")
     if up_batch.shape[0] != x_batch.shape[0]:
         raise ValueError(
             f"batch sizes differ: input {x_batch.shape[0]}, upstream {up_batch.shape[0]}"
@@ -217,8 +211,7 @@ def backward(
         if i == 0 and not with_input_grad:
             return GradientTape(weight_grads, bias_grads, None)
         g = product(g, layer.weight)
-    input_grad = g[0] if np.asarray(x).ndim == 1 else g
-    return GradientTape(weight_grads, bias_grads, input_grad)
+    return GradientTape(weight_grads, bias_grads, g)
 
 
 def input_grad(net: Network, upstream: np.ndarray, acts: list) -> np.ndarray:
@@ -235,15 +228,15 @@ def input_grad(net: Network, upstream: np.ndarray, acts: list) -> np.ndarray:
 def huber(e, delta):
     """Huber penalty: e^2/2 inside |e| <= delta, linear delta*(|e|-delta/2) outside.
 
-    `delta` may be a positive scalar or an array broadcastable against `e`.
+    `delta` may be a positive scalar or an array broadcastable against `e`;
+    the result is an array of their broadcast shape.
     """
     delta_arr = np.asarray(delta, dtype=np.float64)
     if np.any(delta_arr <= 0.0):
         raise ValueError("huber delta must be positive")
     e_arr = np.asarray(e, dtype=np.float64)
     a = np.abs(e_arr)
-    out = np.where(a <= delta_arr, 0.5 * e_arr * e_arr, delta_arr * (a - 0.5 * delta_arr))
-    return float(out) if np.isscalar(e) or e_arr.ndim == 0 else out
+    return np.where(a <= delta_arr, 0.5 * e_arr * e_arr, delta_arr * (a - 0.5 * delta_arr))
 
 
 def huber_grad(e, delta):
@@ -251,9 +244,7 @@ def huber_grad(e, delta):
     delta_arr = np.asarray(delta, dtype=np.float64)
     if np.any(delta_arr <= 0.0):
         raise ValueError("huber delta must be positive")
-    e_arr = np.asarray(e, dtype=np.float64)
-    out = np.clip(e_arr, -delta_arr, delta_arr)
-    return float(out) if np.isscalar(e) or e_arr.ndim == 0 else out
+    return np.clip(np.asarray(e, dtype=np.float64), -delta_arr, delta_arr)
 
 
 @dataclass
@@ -310,18 +301,9 @@ def init_optimizer(nets: Network | Sequence[Network], lr: float = 1e-3) -> Optim
                           tuple(tapes), np.empty((2, params.size)), lr=lr)
 
 
-def step(opt: OptimizerState, *tapes: GradientTape) -> None:
-    """One Adam update of the whole parameter buffer, in place.
-
-    `tapes` hold the gradients of the optimizer's networks in the order it
-    was built with. Tapes that `backward` wrote into `opt.tapes` are already
-    packed in `opt.grad`; any others are copied there first, and gradients of
-    another total size raise ValueError.
-    """
-    if len(tapes) != len(opt.tapes) or any(
-        tape.weight_grads is not own.weight_grads for tape, own in zip(tapes, opt.tapes)
-    ):
-        flat_grads(*tapes, out=opt.grad)
+def step(opt: OptimizerState) -> None:
+    """One Adam update of the whole parameter buffer, in place, from the
+    gradients `backward` wrote into `opt.tapes` (packed in `opt.grad`)."""
     grad, (s1, s2) = opt.grad, opt.scratch
     opt.count += 1
     c1 = 1.0 - ADAM_BETA1**opt.count
@@ -345,16 +327,16 @@ def step(opt: OptimizerState, *tapes: GradientTape) -> None:
 
 def fit(
     opt: OptimizerState, arrays: Sequence[np.ndarray], batch_size: int, epochs: int,
-    rng: np.random.Generator, minibatch_grads: Callable[..., Sequence[GradientTape]],
+    rng: np.random.Generator, minibatch_grads: Callable[..., None],
     full_loss: Callable[[], float] | None = None, history: list | None = None,
 ) -> None:
     """Minibatch Adam, the training loop every trainer in the package shares.
 
     `arrays` are the training arrays, one row per sample. Each epoch draws one
     permutation of the rows from `rng`, gathers every array's rows in that
-    order once, and walks them in consecutive slices of `batch_size` rows;
-    `minibatch_grads(*slices)` returns the tapes of the minibatch loss on
-    those rows, in the optimizer's network order. If `history` is given,
+    order once, and walks them in consecutive slices of `batch_size` rows:
+    `minibatch_grads(*slices)` writes the gradients of the minibatch loss on
+    those rows into `opt.tapes`, and `step` applies them. If `history` is given,
     `full_loss()` is appended to it after each epoch; without it the loss is
     never evaluated.
     """
@@ -367,14 +349,15 @@ def fit(
         for arr, rows in zip(arrays, shuffled):
             np.take(arr, perm, axis=0, out=rows, mode="clip")  # "clip": no buffered copy
         for start in range(0, n_rows, batch_size):
-            step(opt, *minibatch_grads(*(rows[start : start + batch_size] for rows in shuffled)))
+            minibatch_grads(*(rows[start : start + batch_size] for rows in shuffled))
+            step(opt)
         if history is not None:
             history.append(full_loss())
 
 
-def standardize_stats(mat: np.ndarray, floor: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and standard deviation, the deviation floored at `floor`."""
-    return mat.mean(axis=0), np.maximum(mat.std(axis=0), floor)
+def standardize_stats(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and standard deviation, the deviation floored at 1e-8."""
+    return mat.mean(axis=0), np.maximum(mat.std(axis=0), 1e-8)
 
 
 def fold_output_scaling(net: Network, scale: np.ndarray, shift: np.ndarray) -> None:
@@ -406,10 +389,10 @@ def set_flat_params(nets: Network | Sequence[Network], vec: np.ndarray) -> None:
         offset += arr.size
 
 
-def flat_grads(*tapes: GradientTape, out: np.ndarray | None = None) -> np.ndarray:
+def flat_grads(*tapes: GradientTape) -> np.ndarray:
     """The gradients of one or more tapes as one vector, in flat_params order."""
     grads = [g for t in tapes for pair in zip(t.weight_grads, t.bias_grads) for g in pair]
-    return np.concatenate([g.ravel() for g in grads], out=out)
+    return np.concatenate([g.ravel() for g in grads])
 
 
 def network_to_dict(net: Network) -> dict:

@@ -258,27 +258,27 @@ def dynamic_pressure(va: float, params: PlantParams) -> float:
     return 0.5 * params.rho * va * va
 
 
-def gust_perturbation(gust: GustState, time, location: str, va: float, params: PlantParams):
-    """Gust-induced (d_alpha, d_beta) in degrees at a sensing location.
+def gust_perturbation(gust: GustState, times: np.ndarray, location: str, va: float,
+                      params: PlantParams):
+    """Gust-induced (d_alpha, d_beta) in degrees at a sensing location over an
+    array of times: two arrays of its shape.
 
-    `time` is a float, which gives two floats, or an array of times, which
-    gives two arrays of its shape; each element equals the float call at
-    that time bit for bit. Shedding advects with the freestream: a location
-    `x` meters downstream sees the signal delayed by x/Va.
+    Shedding advects with the freestream: a location `x` meters downstream
+    sees the signal delayed by x/Va.
     """
     if location not in LOCATIONS:
         raise ValueError(f"location must be one of {LOCATIONS}, got {location!r}")
     weight = params.gust_weight[location]
-    shape = np.shape(time)  # () for a float time; [()] below then makes a 0-d array a scalar
+    shape = np.shape(times)
     if gust.mode == "shear":
         d_beta = weight * params.shear_beta_per_yaw * gust.yaw_deg
-        return np.zeros(shape)[()], np.full(shape, d_beta)[()]
+        return np.zeros(shape), np.full(shape, d_beta)
     if gust.mode == "off" or gust.amplitude == 0.0:
-        return np.zeros(shape)[()], np.zeros(shape)[()]
+        return np.zeros(shape), np.zeros(shape)
     speed = max(va, 0.1)
     angle_amp = np.degrees(np.arctan2(gust.amplitude, speed))
     lag = params.streamwise_offset_m[location] / speed
-    ph = 2.0 * np.pi * gust.frequency_hz * (time - lag) + gust.phase
+    ph = 2.0 * np.pi * gust.frequency_hz * (times - lag) + gust.phase
     return weight * angle_amp * np.sin(ph), weight * angle_amp * np.cos(ph)
 
 

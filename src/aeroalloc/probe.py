@@ -6,9 +6,9 @@ correction and the two flow angles from them, and the airspeed is recovered
 by inverting the correction definition.
 
 Each stage works on rows of taps at once, and its one-reading form
-(`normalize`, `calibrate`, `reconstruct_airspeed`, `estimate_flow`) is the
-one-row case, so a run's estimates from `estimate_flow_rows` equal per-reading
-calls bit for bit.
+(`normalize`, `reconstruct_airspeed`, `estimate_flow`) is the one-row case,
+so a run's estimates from `estimate_flow_rows` equal per-reading calls bit
+for bit.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ EPS_DP = 1e-6  # Pa; below this the probe sees no usable flow
 # raised its peak RSS by about 0.7 MB over one-reading passes; 256-row passes
 # keep it about 0.25 MB below them.
 ROWS_PER_BLOCK = 256
+BATCH_SIZE = 128  # minibatch rows of `train_calibration`
 
 CALIBRATION_CSV_HEADER = ["p1", "p2", "p3", "p4", "p5", "Va", "alpha_deg", "beta_deg"]
 
@@ -127,7 +128,8 @@ def reconstruct_airspeed(cd: float, delta_p: float, rho: float) -> float:
 
 
 def _calibrate_rows(model: Network, cp: np.ndarray) -> np.ndarray:
-    """`calibrate` of each row of cp (n, 5): (n, 3) rows of (Cd, alpha_deg, beta_deg).
+    """The calibration network on each row of cp (n, 5): (n, 3) rows of
+    (Cd, alpha_deg, beta_deg); a non-finite output raises ValueError.
 
     The network runs as a stack of one-row products, `ROWS_PER_BLOCK` rows per
     pass, so each row equals the one-row call bit for bit.
@@ -146,15 +148,6 @@ def _calibrate_rows(model: Network, cp: np.ndarray) -> np.ndarray:
             f"calibration network output must be finite, got {out[k].tolist()} at row {k}"
         )
     return out
-
-
-def calibrate(model: Network, cp: np.ndarray) -> tuple[float, float, float]:
-    """Run the calibration network on tap coefficients -> (Cd, alpha_deg, beta_deg).
-
-    Raises ValueError if the network output is not finite.
-    """
-    cd, alpha_deg, beta_deg = _calibrate_rows(model, np.reshape(cp, (1, -1)))[0].tolist()
-    return cd, alpha_deg, beta_deg
 
 
 def estimate_flow_rows(model: Network, taps: np.ndarray, rho: float = RHO) -> np.ndarray:
@@ -191,13 +184,12 @@ class CalibrationTrainConfig:
     seed: int = 0
     hidden: tuple[int, ...] = (32, 32)
     epochs: int = 2000
-    batch_size: int = 128
     lr: float = 3e-3
     rho: float = RHO  # kg/m^3; the Cd labels hold only at the density the taps were read in
 
     def __post_init__(self) -> None:
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs and batch_size must be positive")
+        if self.epochs <= 0:
+            raise ValueError(f"epochs must be positive, got {self.epochs}")
 
 
 def _to_features_targets(
@@ -252,15 +244,14 @@ def train_calibration(
     def minibatch_grads(xb, tb):
         acts = nncore.forward(net, xb, activations=True)
         upstream = 2.0 * (acts[-1] - tb) / acts[-1].size
-        return (nncore.backward(net, xb, upstream, acts, with_input_grad=False,
-                                out=opt.tapes[0]),)
+        nncore.backward(net, xb, upstream, acts, with_input_grad=False, out=opt.tapes[0])
 
     def full_loss():
         resid = nncore.forward(net, x) - t_norm
         return float((resid**2).mean())
 
     nncore.fit(
-        opt, (x, t_norm), cfg.batch_size, cfg.epochs, np.random.default_rng(cfg.seed),
+        opt, (x, t_norm), BATCH_SIZE, cfg.epochs, np.random.default_rng(cfg.seed),
         minibatch_grads, full_loss, history,
     )
 

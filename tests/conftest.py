@@ -45,6 +45,14 @@ def constant_affine_model(a_vec, b_mat):
     )
 
 
+def gust_at(gust, time: float, location: str, va: float, params) -> tuple[float, float]:
+    """`plant.gust_perturbation` at one time, as two floats."""
+    from aeroalloc import plant
+
+    d_alpha, d_beta = plant.gust_perturbation(gust, np.array([time]), location, va, params)
+    return float(d_alpha[0]), float(d_beta[0])
+
+
 def count_gust_calls(monkeypatch) -> list:
     """Patch plant.gust_perturbation to log (gust mode, location) per call."""
     from aeroalloc import plant
@@ -84,8 +92,8 @@ def reference_probe_taps(params, flow, rng=None):
 def reference_calibration_rows(protocol, params, seed):
     """The (probe0, probe1) rows of a calibration grid protocol that gives its
     speeds, alphas, betas, repeats and dt, built the way the plant did before
-    it drew a grid's gusts and noise as tables: one condition per row, scalar
-    `gust_perturbation` calls, and per-row `rng.normal` draws."""
+    it drew a grid's gusts and noise as tables: one condition per row, a
+    `gust_perturbation` call per row, and per-row `rng.normal` draws."""
     from aeroalloc import plant, probe
 
     rng = np.random.default_rng(seed)
@@ -101,8 +109,7 @@ def reference_calibration_rows(protocol, params, seed):
                     cond = Condition(va, alpha, beta, gust, tick * protocol["dt"])
                     tick += 1
                     for i, loc in enumerate(("probe0", "probe1")):
-                        d_alpha, d_beta = plant.gust_perturbation(gust, cond.time, loc, va,
-                                                                  params)
+                        d_alpha, d_beta = gust_at(gust, cond.time, loc, va, params)
                         flow = probe.FlowState(va, alpha + d_alpha, beta + d_beta)
                         rows[i].append((reference_probe_taps(params, flow, rng), flow))
     return rows
@@ -115,8 +122,7 @@ def reference_observation(params, cond, u, rng=None, probe_models=None):
     with `rng.normal` in the step's order."""
     from aeroalloc import plant, probe
 
-    gusts = [plant.gust_perturbation(cond.gust, cond.time, loc, cond.va, params)
-             for loc in plant.LOCATIONS]
+    gusts = [gust_at(cond.gust, cond.time, loc, cond.va, params) for loc in plant.LOCATIONS]
     feats = []
     for i, (d_alpha, d_beta) in enumerate(gusts[:2]):
         va, al, be = cond.va, cond.alpha_deg + d_alpha, cond.beta_deg + d_beta
@@ -143,9 +149,7 @@ def reference_observation(params, cond, u, rng=None, probe_models=None):
 
 def reference_wrench(params, cond, u, rng=None):
     """The (6,) wrench of one condition, computed as `reference_observation` is."""
-    from aeroalloc import plant
-
-    d_alpha, d_beta = plant.gust_perturbation(cond.gust, cond.time, "wing", cond.va, params)
+    d_alpha, d_beta = gust_at(cond.gust, cond.time, "wing", cond.va, params)
     q_s = 0.5 * params.rho * cond.va * cond.va * params.wing_area
     y = q_s * (params.baseline_coefficients(cond.alpha_deg + d_alpha, cond.beta_deg + d_beta)
                + params.control_matrix() @ u)

@@ -299,6 +299,7 @@ def test_airspeed_round_trip_and_grid_calibration(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_mirror_penalty_halves_flaperon_asymmetry(capsys, default_suites):
     reports, elapsed = default_suites
     ratios = {
@@ -319,6 +320,7 @@ def test_mirror_penalty_halves_flaperon_asymmetry(capsys, default_suites):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_wing_sensors_reduce_error_under_gusts(capsys, default_suites):
     reports, _ = default_suites
     gaps = []
@@ -344,6 +346,7 @@ def test_wing_sensors_reduce_error_under_gusts(capsys, default_suites):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_structure_limits_airspeed_shift_inflation(capsys, default_suites):
     reports, _ = default_suites
     pairs = [
@@ -367,6 +370,7 @@ def test_structure_limits_airspeed_shift_inflation(capsys, default_suites):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_closed_loop_smoothness_and_damping(capsys, extrapolated_loops):
     margins, sweeps = extrapolated_loops
     wins = sum(m > 0.0 for m in margins)

@@ -357,12 +357,16 @@ def test_solution_reports_unconstrained_metrics():
 def test_tracking_config_validation():
     with pytest.raises(ValueError):
         TrackingConfig(lambda0=0.0, lambda1=0.0)
+    for bad in (np.nan, np.inf, -1.0):
+        for name in ("lambda0", "lambda1"):
+            with pytest.raises(ValueError, match="penalty weights must be finite and >= 0"):
+                TrackingConfig(**{name: bad})
     for dt in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="dt"):
             TrackingConfig(dt=dt)
 
 
-@pytest.mark.parametrize("name", ["u_trim", "u_init"])
+@pytest.mark.parametrize("name", ["u_trim"])
 @pytest.mark.parametrize("value", [
     np.zeros(3), np.zeros((1, 4)), [0.0, np.nan, 0.0, 0.0], [0.0, 0.0, np.inf, 0.0],
     [25.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -30.0],
@@ -373,10 +377,10 @@ def test_tracking_config_rejects_bad_commands(name, value):
 
 
 def test_tracking_config_stores_commands_as_float_arrays():
-    cfg = TrackingConfig(u_trim=[25, 0, -25, 1], u_init=(0, 0, 0, 2))
-    for u in (cfg.u_trim, cfg.u_init):
-        assert isinstance(u, np.ndarray) and u.dtype == float and u.shape == (4,)
-    assert cfg.u_trim.tolist() == [25.0, 0.0, -25.0, 1.0]
+    cfg = TrackingConfig(u_trim=[25, 0, -25, 1])
+    u = cfg.u_trim
+    assert isinstance(u, np.ndarray) and u.dtype == float and u.shape == (4,)
+    assert u.tolist() == [25.0, 0.0, -25.0, 1.0]
 
 
 def test_track_sequence_matches_manual_iteration(rng):
@@ -385,7 +389,13 @@ def test_track_sequence_matches_manual_iteration(rng):
     model = constant_model(a_vec, b_mat)
     targets = rng.normal(scale=2.0, size=(12, 6))
     cfg = TrackingConfig(lambda0=0.02, lambda1=0.2)
-    tlog = track_sequence(model, targets, lambda k, u: np.zeros(13), cfg)
+    steps = []
+
+    def plant(k, u):
+        steps.append(k)
+        return np.full(6, float(k))
+
+    tlog = track_sequence(model, targets, lambda k, u: np.zeros(13), cfg, achieved_fn=plant)
 
     u_prev = np.zeros(4)
     for k in range(12):
@@ -396,8 +406,8 @@ def test_track_sequence_matches_manual_iteration(rng):
         u_prev = solve(p).u_star
         assert np.array_equal(tlog.controls[k], u_prev)
         assert np.allclose(tlog.predicted[k], a_vec + b_mat @ u_prev)
-    # no plant callback: achieved repeats predicted
-    assert np.array_equal(tlog.achieved, tlog.predicted)
+    assert steps == list(range(12))
+    assert np.array_equal(tlog.achieved, np.repeat(np.arange(12.0)[:, None], 6, axis=1))
     assert np.allclose(tlog.t, np.arange(12) * cfg.dt)
 
 
@@ -414,12 +424,12 @@ def test_track_sequence_callable_observations_thread_commands():
         return np.zeros(6)
 
     targets = np.tile(np.array([1.0, -2.0, 0.5, 0.0, 0.0, 0.0]), (4, 1))
-    cfg = TrackingConfig(u_init=[1.0, 2.0, 3.0, 4.0])
-    tlog = track_sequence(model, targets, obs_fn, cfg, achieved_fn=plant)
+    tlog = track_sequence(model, targets, obs_fn, TrackingConfig(), achieved_fn=plant)
     for u in observed + applied:
         assert isinstance(u, np.ndarray) and u.dtype == float and u.shape == (4,)
-    # step k observes the command applied at step k-1, and the plant sees step k's
-    assert np.array_equal(observed[0], [1.0, 2.0, 3.0, 4.0])
+    # step k observes the command applied at step k-1, step 0 the zero command,
+    # and the plant sees step k's
+    assert np.array_equal(observed[0], np.zeros(4))
     for k in range(4):
         assert np.array_equal(applied[k], tlog.controls[k])
         if k:
@@ -444,7 +454,8 @@ def test_track_sequence_names_step_of_non_finite_model_output():
     obs = [np.zeros(13)] * 5
     obs[3] = np.full(13, np.nan)  # the zero-weight backbone passes NaN through
     with pytest.raises(ArithmeticError, match="non-finite model output at step 3"):
-        track_sequence(model, np.zeros((5, 6)), lambda k, u: obs[k], TrackingConfig())
+        track_sequence(model, np.zeros((5, 6)), lambda k, u: obs[k], TrackingConfig(),
+                       achieved_fn=lambda k, u: np.zeros(6))
 
 
 def test_track_sequence_validates_targets_and_config():
@@ -452,7 +463,8 @@ def test_track_sequence_validates_targets_and_config():
     targets = np.zeros((3, 6))
     targets[1, 2] = np.inf
     with pytest.raises(ValueError, match="targets must be finite"):
-        track_sequence(model, targets, lambda k, u: np.zeros(13), TrackingConfig())
+        track_sequence(model, targets, lambda k, u: np.zeros(13), TrackingConfig(),
+                       achieved_fn=lambda k, u: np.zeros(6))
     # the configuration is checked at construction and cannot be changed after it
     cfg = TrackingConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -464,7 +476,8 @@ def test_track_sequence_validates_targets_and_config():
 
 def test_track_sequence_rejects_unknown_model():
     with pytest.raises(TypeError):
-        track_sequence(object(), np.zeros((1, 6)), lambda k, u: np.zeros(13), TrackingConfig())
+        track_sequence(object(), np.zeros((1, 6)), lambda k, u: np.zeros(13), TrackingConfig(),
+                       achieved_fn=lambda k, u: np.zeros(6))
 
 
 def test_tracking_rmse_hand_value():
@@ -481,9 +494,8 @@ def test_tracking_rmse_hand_value():
 
 def test_tracking_csv_roundtrip(tmp_path, rng):
     model = constant_model(rng.normal(size=6) * 0.1, rng.normal(size=(6, 4)) * 0.3)
-    tlog = track_sequence(
-        model, rng.normal(size=(6, 6)), lambda k, u: np.zeros(13), TrackingConfig()
-    )
+    tlog = track_sequence(model, rng.normal(size=(6, 6)), lambda k, u: np.zeros(13),
+                          TrackingConfig(), achieved_fn=lambda k, u: rng.normal(size=6))
     path = tmp_path / "track.csv"
     save_tracking_csv(path, tlog)
     loaded = read_table(path, TRACKING_CSV_HEADER)

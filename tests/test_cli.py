@@ -178,7 +178,7 @@ def test_track_leaves_no_artifact_when_the_run_is_too_short(tmp_path, capsys, du
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not [p for p in root.rglob("*") if p.is_file()]
+    assert not root.exists()
 
 
 @pytest.mark.parametrize("gust", ["shedding", "off"])
@@ -197,6 +197,7 @@ def test_track_rejects_nan_speed(tmp_path, capsys, gust):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "airspeed" in err
+    assert not (tmp_path / "root").exists()
 
 
 def test_track_at_zero_speed_names_the_airspeed(tmp_path, capsys):
@@ -208,7 +209,7 @@ def test_track_at_zero_speed_names_the_airspeed(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: a shedding gust takes its frequency from the airspeed, "
         "which must be positive, got 0 m/s\n")
-    assert not [p for p in root.rglob("*") if p.is_file()]
+    assert not root.exists()
 
 
 def test_train_calib_labels_at_the_params_air_density(tmp_path):
@@ -503,7 +504,7 @@ def test_eval_reports_do_not_depend_on_the_output_root(tmp_path):
     assert json.loads(reports[0])["model"] == "m.json"
 
 
-@pytest.mark.parametrize("command", ["train-calib", "train-dyn"])
+@pytest.mark.parametrize("command", ["train-calib", "train-dyn", "eval"])
 @pytest.mark.parametrize("content", [None, "a,b\n1,2\n"], ids=["missing", "malformed"])
 def test_a_missing_or_malformed_data_file_creates_no_directory(tmp_path, capsys, command,
                                                                content):
@@ -511,9 +512,28 @@ def test_a_missing_or_malformed_data_file_creates_no_directory(tmp_path, capsys,
     if content is not None:
         data.write_text(content)
     root = tmp_path / "root"
-    assert cli.main([command, "--data", str(data), "--out", str(root)]) == 1
+    model = ["--model", str(_model_file(tmp_path))] if command == "eval" else []
+    assert cli.main([command, *model, "--data", str(data), "--out", str(root)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command, flag", [
+    ("train-dyn", "--lambda-sym"), ("report", "--lambda-sym"),
+    ("track", "--lambda0"), ("track", "--lambda1"),
+])
+def test_an_unusable_penalty_fails_before_anything_is_written(tmp_path, capsys, command, flag,
+                                                              value):
+    argv = {"train-dyn": ["train-dyn", "--data", str(_dynamics_csv(tmp_path)), "--epochs", "2"],
+            "report": ["report", "--run", "--epochs", "1"],
+            "track": ["track", "--model", str(_model_file(tmp_path)), "--duration", "1"]}[command]
+    root = tmp_path / "root"
+    capsys.readouterr()
+    assert cli.main([*argv, f"{flag}={value}", "--out", str(root)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite and >= 0" in err and err.count("\n") == 1
     assert not root.exists()
 
 

@@ -150,6 +150,11 @@ def test_symmetry_config_validation():
         SymmetryConfig(delta=(0.0,) * 6)
     with pytest.raises(ValueError):
         SymmetryConfig(lambda_sym=-0.1)
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="lambda_sym must be finite and >= 0"):
+            SymmetryConfig(lambda_sym=bad)
+        with pytest.raises(ValueError, match="positive finite thresholds"):
+            SymmetryConfig(delta=(0.5,) * 5 + (bad,))
 
 
 def test_symmetry_residual_norm_zero_weight_b_head(rng):
@@ -300,8 +305,9 @@ def test_loss_evaluation_runs_no_backward_pass(rng, monkeypatch):
 
 @pytest.mark.parametrize("trainer, nets", [(train_dynamics, 3), (train_unstructured, 1)])
 def test_epoch_loss_is_one_forward_only_pass(rng, monkeypatch, trainer, nets):
-    data, _ = synthetic_affine_dataset(rng, n=100)
-    n_train = 80  # VAL_FRACTION 0.2 holds out the last 20 rows
+    # 400 training rows: more than one minibatch of dynamics.BATCH_SIZE (256)
+    data, _ = synthetic_affine_dataset(rng, n=500)
+    n_train = 400  # VAL_FRACTION 0.2 holds out the last 100 rows
     full = {"forward": 0, "backward": 0}
 
     def counting(name):
@@ -315,7 +321,7 @@ def test_epoch_loss_is_one_forward_only_pass(rng, monkeypatch, trainer, nets):
     for name in full:
         monkeypatch.setattr(dynamics, name, counting(name))
     history = []
-    trainer(data, DynamicsTrainConfig(hidden=(8,), epochs=3, batch_size=32), history=history)
+    trainer(data, DynamicsTrainConfig(hidden=(8,), epochs=3), history=history)
     assert len(history) == 3
     assert full == {"forward": 3 * nets, "backward": 0}
 
@@ -386,12 +392,17 @@ def test_non_finite_data_error_names_the_first_bad_row():
 
 
 def test_train_dynamics_warns_on_constant_controls(rng):
+    # either trainer: the Jacobian in u of the baseline is as unidentifiable as B
     obs = rng.normal(size=(60, 13))
     data = (obs, np.ones((60, 4)), rng.normal(size=(60, 6)))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        train_dynamics(data, DynamicsTrainConfig(epochs=1, hidden=(4,)))
-    assert any("constant" in str(w.message) for w in caught)
+    for trainer in (train_dynamics, train_unstructured):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trainer(data, DynamicsTrainConfig(epochs=1, hidden=(4,)))
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 2, messages
+        assert messages[0].startswith("only 60 samples") and "constant" in messages[1]
+        assert {w.filename for w in caught} == {__file__}  # issued at the trainer's caller
 
 
 def test_train_config_validation():
@@ -452,7 +463,7 @@ def test_affine_at_matches_reference_backward_bit_for_bit(rng):
         x = (np.concatenate([obs, u_ref]) - model.in_mean) / model.in_std
         tape = nncore.backward(model.net, np.tile(x, (6, 1)), np.eye(6))
         assert np.array_equal(b, tape.input_grad[:, -4:] / model.in_std[-4:])
-        assert np.array_equal(a, nncore.forward(model.net, x) - b @ u_ref)
+        assert np.array_equal(a, nncore.forward(model.net, x[None])[0] - b @ u_ref)
 
 
 @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4)])

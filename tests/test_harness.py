@@ -121,6 +121,12 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError, match="test_speeds repeats a speed"):
         ExperimentConfig(test_speeds=(14.0, 10.0, 14.0))
     ExperimentConfig(train_speeds=(10.0,), test_speeds=(10.0, 14.0))  # overlap is fine
+    for bad in (np.nan, np.inf, -1.0):  # the penalties follow their owners' rules
+        with pytest.raises(ValueError, match="lambda_sym must be finite and >= 0"):
+            ExperimentConfig(lambda_sym=bad)
+        for name in ("lambda0", "lambda1"):
+            with pytest.raises(ValueError, match="penalty weights must be finite and >= 0"):
+                ExperimentConfig(**{name: bad})
 
 
 @pytest.mark.parametrize("field", ["train_speeds", "test_speeds"])
@@ -520,9 +526,9 @@ def test_suite_reissues_training_warnings(two_cpus, tmp_path):
     cfg = tiny_cfg(train_speeds=(10.0,), test_speeds=(10.0,), duration_s=2.0, epochs=2)
     with pytest.warns(UserWarning, match="only 75 samples") as caught:
         run_ablation_suite(cfg, tmp_path)
-    # the three affine variants warn: affine_sym and affine in the caller,
-    # affine_no_ws in the worker
-    assert sum("only 75 samples" in str(w.message) for w in caught) == 3
+    # every variant warns: affine_sym and affine in the caller, affine_no_ws,
+    # unstructured and unstructured_no_ws in the worker
+    assert sum("only 75 samples" in str(w.message) for w in caught) == 5
 
 
 def _model_params(model) -> np.ndarray:

@@ -9,14 +9,14 @@ from conftest import finite_difference_grads, relative_error
 
 def test_forward_identity_layer():
     net = nncore.Network([nncore.Layer(np.eye(2), np.zeros(2), activation="identity")])
-    out = nncore.forward(net, np.array([1.0, 2.0]))
-    assert np.array_equal(out, [1.0, 2.0])
+    out = nncore.forward(net, np.array([[1.0, 2.0]]))
+    assert np.array_equal(out, [[1.0, 2.0]])
 
 
 def test_forward_zero_weight_tanh_gives_zero():
     net = nncore.Network([nncore.Layer(np.zeros((3, 4)), np.zeros(3), activation="tanh")])
-    out = nncore.forward(net, np.ones(4) * 7.3)
-    assert np.array_equal(out, np.zeros(3))
+    out = nncore.forward(net, np.ones((1, 4)) * 7.3)
+    assert np.array_equal(out, np.zeros((1, 3)))
 
 
 def test_forward_matches_manual_composition(rng):
@@ -24,7 +24,7 @@ def test_forward_matches_manual_composition(rng):
     x = rng.normal(size=3)
     h = np.tanh(net.layers[0].weight @ x + net.layers[0].bias)
     expected = net.layers[1].weight @ h + net.layers[1].bias
-    assert np.allclose(nncore.forward(net, x), expected, rtol=0, atol=0)
+    assert np.allclose(nncore.forward(net, x[None])[0], expected, rtol=0, atol=0)
 
 
 def test_forward_batch_matches_rows(rng):
@@ -33,13 +33,13 @@ def test_forward_batch_matches_rows(rng):
     net = nncore.init_network([4, 6, 3], seed=2)
     xs = rng.normal(size=(5, 4))
     batch = nncore.forward(net, xs)
-    rows = np.stack([nncore.forward(net, x) for x in xs])
+    rows = np.concatenate([nncore.forward(net, x[None]) for x in xs])
     assert np.allclose(batch, rows, rtol=0, atol=1e-14)
     wide = nncore.init_network([5, 32, 32, 3], seed=2)
     xs = rng.uniform(size=(600, 5))
     stack = nncore.forward(wide, xs[:, None, :])
     assert stack.shape == (600, 1, 3)
-    assert np.array_equal(stack[:, 0], np.stack([nncore.forward(wide, x) for x in xs]))
+    assert np.array_equal(stack, np.stack([nncore.forward(wide, x[None]) for x in xs]))
 
 
 def test_kernel_products_give_the_matmul_bits(rng):
@@ -70,28 +70,29 @@ def _matmul_input_grad(net, upstream, acts) -> bytes:
 
 def test_forward_pure():
     net = nncore.init_network([4, 6, 3], seed=2)
-    x = np.linspace(-1.0, 1.0, 4)
+    x = np.linspace(-1.0, 1.0, 4)[None]
     assert np.array_equal(nncore.forward(net, x), nncore.forward(net, x))
 
 
 def test_forward_rejects_bad_width():
     net = nncore.init_network([3, 2], seed=0)
-    with pytest.raises(ValueError):
-        nncore.forward(net, np.zeros(4))
+    for bad in (np.zeros((1, 4)), np.zeros((2, 1, 4)), np.zeros(3), np.zeros((1, 1, 1, 3))):
+        with pytest.raises(ValueError, match="expected"):
+            nncore.forward(net, bad)
 
 
 def test_backward_linear_scalar_case():
     # y = w*x + b with w free: d<1,y>/dw = x, d/db = 1
     net = nncore.Network([nncore.Layer(np.array([[2.0]]), np.array([0.5]), "identity")])
-    tape = nncore.backward(net, np.array([3.0]), np.array([1.0]))
+    tape = nncore.backward(net, np.array([[3.0]]), np.array([[1.0]]))
     assert tape.weight_grads[0][0, 0] == 3.0
     assert tape.bias_grads[0][0] == 1.0
-    assert tape.input_grad[0] == 2.0
+    assert tape.input_grad[0, 0] == 2.0
 
 
 def test_backward_zero_upstream_zero_tape():
     net = nncore.init_network([3, 4, 2], seed=5)
-    tape = nncore.backward(net, np.ones(3), np.zeros(2))
+    tape = nncore.backward(net, np.ones((1, 3)), np.zeros((1, 2)))
     for gw, gb in zip(tape.weight_grads, tape.bias_grads):
         assert not gw.any()
         assert not gb.any()
@@ -101,12 +102,12 @@ def test_backward_matches_finite_differences(rng):
     for trial in range(5):
         widths = [int(w) for w in rng.integers(1, 8, size=rng.integers(2, 4))]
         net = nncore.init_network(widths, seed=trial)
-        x = rng.normal(size=widths[0])
-        upstream = rng.normal(size=widths[-1])
+        x = rng.normal(size=(1, widths[0]))
+        upstream = rng.normal(size=(1, widths[-1]))
 
         def loss(vec):
             nncore.set_flat_params(net, vec)
-            return float(upstream @ nncore.forward(net, x))
+            return float(np.sum(upstream * nncore.forward(net, x)))
 
         p0 = nncore.flat_params(net)
         fd = finite_difference_grads(loss, p0)
@@ -120,11 +121,11 @@ def test_backward_batch_sums_rows(rng):
     xs = rng.normal(size=(6, 3))
     ups = rng.normal(size=(6, 2))
     batched = nncore.backward(net, xs, ups)
-    summed = [nncore.backward(net, x, u) for x, u in zip(xs, ups)]
+    summed = [nncore.backward(net, x[None], u[None]) for x, u in zip(xs, ups)]
     total_w = sum(t.weight_grads[0] for t in summed)
     assert np.allclose(batched.weight_grads[0], total_w, atol=1e-12)
     assert batched.input_grad.shape == (6, 3)
-    assert np.allclose(batched.input_grad[2], summed[2].input_grad, atol=1e-12)
+    assert np.allclose(batched.input_grad[2], summed[2].input_grad[0], atol=1e-12)
 
 
 def test_input_grad_equals_backward_input_grad(rng):
@@ -150,11 +151,12 @@ def test_backward_without_input_grad_keeps_parameter_grads(rng, widths):
 
 def test_backward_input_grad_finite_difference(rng):
     net = nncore.init_network([4, 5, 3], seed=3)
-    x = rng.normal(size=4)
-    upstream = rng.normal(size=3)
+    x = rng.normal(size=(1, 4))
+    upstream = rng.normal(size=(1, 3))
     tape = nncore.backward(net, x, upstream)
-    fd = finite_difference_grads(lambda v: float(upstream @ nncore.forward(net, v)), x.copy())
-    assert relative_error(tape.input_grad, fd) < 1e-6
+    fd = finite_difference_grads(lambda v: float(np.sum(upstream * nncore.forward(net, v[None]))),
+                                 x[0].copy())
+    assert relative_error(tape.input_grad[0], fd) < 1e-6
 
 
 def test_huber_known_values():
@@ -200,8 +202,8 @@ def test_step_zero_gradient_keeps_params():
     net = nncore.init_network([2, 2], seed=0)
     before = nncore.flat_params(net).copy()
     opt = nncore.init_optimizer(net)
-    tape = nncore.backward(net, np.zeros(2), np.zeros(2))
-    nncore.step(opt, tape)
+    nncore.backward(net, np.zeros((1, 2)), np.zeros((1, 2)), out=opt.tapes[0])
+    nncore.step(opt)
     assert opt.count == 1
     assert np.array_equal(nncore.flat_params(net), before)
 
@@ -210,8 +212,8 @@ def test_step_first_update_magnitude():
     # bias-corrected Adam moves ~lr on the first step regardless of grad scale
     net = nncore.Network([nncore.Layer(np.array([[1.0]]), np.array([0.0]), "identity")])
     opt = nncore.init_optimizer(net, lr=0.1)
-    tape = nncore.backward(net, np.array([1.0]), np.array([1.0]))
-    nncore.step(opt, tape)
+    nncore.backward(net, np.array([[1.0]]), np.array([[1.0]]), out=opt.tapes[0])
+    nncore.step(opt)
     assert net.layers[0].weight[0, 0] == pytest.approx(0.9, abs=1e-6)
 
 
@@ -223,21 +225,19 @@ def test_step_descends_quadratic():
         w = net.layers[0].weight[0, 0]
         traj.append(abs(w))
         # d(w^2)/dw = 2w corresponds to upstream 2w on input x=1
-        tape = nncore.backward(net, np.array([1.0]), np.array([2.0 * w]))
-        nncore.step(opt, tape)
+        nncore.backward(net, np.array([[1.0]]), np.array([[2.0 * w]]), out=opt.tapes[0])
+        nncore.step(opt)
     assert traj[-1] < 1e-3
     assert max(traj[50:]) <= max(traj[:50])
 
 
 def test_step_rejects_mismatched_tape():
+    # the optimizer's tapes take only the gradients of its own networks
     net = nncore.init_network([2, 2], seed=0)
     other = nncore.init_network([3, 3], seed=0)
     opt = nncore.init_optimizer(net)
-    tape = nncore.backward(other, np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
-        nncore.step(opt, tape)
-    with pytest.raises(ValueError):
-        nncore.step(opt, nncore.backward(net, np.zeros(2), np.zeros(2)), tape)
+        nncore.backward(other, np.zeros((1, 3)), np.zeros((1, 3)), out=opt.tapes[0])
     assert opt.count == 0
     with pytest.raises(ValueError):
         nncore.init_optimizer([net, net])
@@ -283,9 +283,10 @@ def test_flat_adam_matches_per_array_adam(rng):
     for _ in range(5):
         xs = [rng.normal(size=(6, w[0])) for w in widths]
         ups = [rng.normal(size=(6, w[-1])) for w in widths]
-        tapes = [nncore.backward(net, x, up) for net, x, up in zip(nets, xs, ups)]
+        for net, x, up, own in zip(nets, xs, ups, opt.tapes):
+            nncore.backward(net, x, up, out=own)
         ref_tapes = [nncore.backward(net, x, up) for net, x, up in zip(ref_nets, xs, ups)]
-        nncore.step(opt, *tapes)
+        nncore.step(opt)
         ref_grads = [g for t in ref_tapes for pair in zip(t.weight_grads, t.bias_grads)
                      for g in pair]
         _reference_adam(_param_arrays(ref_nets), ref_grads, ref_state, lr=0.01)
@@ -305,8 +306,9 @@ def test_step_on_gradients_written_in_place_matches_per_array_adam(rng):
         tapes = [nncore.backward(net, x, up, out=own)
                  for net, x, up, own in zip(nets, xs, ups, opt.tapes)]
         assert all(np.shares_memory(t.weight_grads[0], opt.grad) for t in tapes)
+        assert np.array_equal(opt.grad, nncore.flat_grads(*tapes))
         ref_tapes = [nncore.backward(net, x, up) for net, x, up in zip(ref_nets, xs, ups)]
-        nncore.step(opt, *tapes)
+        nncore.step(opt)
         ref_grads = [g for t in ref_tapes for pair in zip(t.weight_grads, t.bias_grads)
                      for g in pair]
         _reference_adam(_param_arrays(ref_nets), ref_grads, ref_state, lr=0.01)
@@ -324,7 +326,7 @@ def test_fit_reproduces_reference_minibatch_loop(rng):
     def minibatch_grads(xb, yb):
         acts = nncore.forward(net, xb, activations=True)
         err = acts[-1] - yb
-        return (nncore.backward(net, xb, (2.0 / err.size) * err, acts, out=opt.tapes[0]),)
+        nncore.backward(net, xb, (2.0 / err.size) * err, acts, out=opt.tapes[0])
 
     history = []
     nncore.fit(
@@ -389,7 +391,7 @@ def test_save_load_roundtrip(tmp_path, rng):
     loaded = nncore.load_network(path)
     assert loaded.widths == net.widths
     assert np.array_equal(nncore.flat_params(loaded), nncore.flat_params(net))
-    x = rng.normal(size=5)
+    x = rng.normal(size=(2, 5))
     assert np.array_equal(nncore.forward(loaded, x), nncore.forward(net, x))
 
 

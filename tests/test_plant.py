@@ -28,6 +28,7 @@ from aeroalloc.table import write_table
 from conftest import (
     Condition,
     count_gust_calls,
+    gust_at,
     reference_calibration_rows,
     reference_observation,
     reference_probe_taps,
@@ -145,17 +146,15 @@ def test_probe_noise_is_seed_deterministic(tmp_path, params):
 
 
 def test_gust_perturbation_modes(params):
-    assert gust_perturbation(GustState(), 0.0, "wing", 10.0, params) == (0.0, 0.0)
-    da, db = gust_perturbation(
-        GustState(mode="shear", yaw_deg=4.0), 1.0, "wing", 10.0, params
-    )
-    assert da == 0.0
-    assert db == pytest.approx(params.gust_weight["wing"] * params.shear_beta_per_yaw * 4.0)
-    assert gust_perturbation(
-        GustState(mode="shedding", amplitude=0.0), 0.0, "wing", 10.0, params
-    ) == (0.0, 0.0)
+    times = np.array([0.0, 1.0])
+    for quiet in (GustState(), GustState(mode="shedding", amplitude=0.0)):
+        da, db = gust_perturbation(quiet, times, "wing", 10.0, params)
+        assert da.tolist() == db.tolist() == [0.0, 0.0]
+    da, db = gust_perturbation(GustState(mode="shear", yaw_deg=4.0), times, "wing", 10.0, params)
+    assert da.tolist() == [0.0, 0.0]
+    assert db == pytest.approx([params.gust_weight["wing"] * params.shear_beta_per_yaw * 4.0] * 2)
     with pytest.raises(ValueError):
-        gust_perturbation(GustState(), 0.0, "tail", 10.0, params)
+        gust_perturbation(GustState(), times, "tail", 10.0, params)
 
 
 ARRAY_GUSTS = [
@@ -172,9 +171,8 @@ def test_gust_perturbation_over_times_equals_scalar_calls(params, gust, location
     times = np.concatenate([np.arange(6000) * 0.02, [0.013, 7.77, 123.456]])
     d_alpha, d_beta = gust_perturbation(gust, times, location, 13.5, params)
     assert d_alpha.shape == d_beta.shape == times.shape
-    scalar = [gust_perturbation(gust, float(t), location, 13.5, params) for t in times]
-    assert all(np.ndim(a) == np.ndim(b) == 0 for a, b in scalar)
-    # bit for bit, signed zeros included
+    scalar = [gust_at(gust, t, location, 13.5, params) for t in times.tolist()]
+    # each element equals the call at its one time bit for bit, signed zeros included
     assert d_alpha.tobytes() == np.array([a for a, _ in scalar]).tobytes()
     assert d_beta.tobytes() == np.array([b for _, b in scalar]).tobytes()
 
@@ -187,8 +185,8 @@ def test_shedding_advects_downstream(params):
     w_probe = params.gust_weight["probe0"]
     w_wing = params.gust_weight["wing"]
     for t in (0.0, 0.13, 0.4):
-        da_p, db_p = gust_perturbation(gust, t, "probe0", va, params)
-        da_w, db_w = gust_perturbation(gust, t + lag, "wing", va, params)
+        da_p, db_p = gust_at(gust, t, "probe0", va, params)
+        da_w, db_w = gust_at(gust, t + lag, "wing", va, params)
         assert da_w / w_wing == pytest.approx(da_p / w_probe)
         assert db_w / w_wing == pytest.approx(db_p / w_probe)
 
@@ -276,7 +274,7 @@ def test_true_wrench_exactly_affine_in_control(seed, alpha, beta):
 def test_true_wrench_matches_affine_terms(params, rng):
     gust = GustState(mode="shear", yaw_deg=2.0)
     terms = one_step(params, 9.0, 4.0, -3.0, gust)
-    d_alpha, d_beta = gust_perturbation(gust, 0.0, "wing", 9.0, params)
+    d_alpha, d_beta = gust_at(gust, 0.0, "wing", 9.0, params)
     a, b = true_affine_terms(9.0, 4.0 + d_alpha, -3.0 + d_beta, params)
     q_s = dynamic_pressure(9.0, params) * params.wing_area
     assert np.allclose(b, q_s * params.control_matrix())
@@ -596,7 +594,7 @@ def reference_dynamics_files(protocol, params, seed, out_dir, probe_models=None)
         cond = Condition(speed, a, b, gust, tk)
         obs.append(reference_observation(params, cond, u, rng, probe_models))
         y.append(reference_wrench(params, cond, u, rng))
-        wing.append(gust_perturbation(gust, tk, "wing", speed, params))
+        wing.append(gust_at(gust, tk, "wing", speed, params))
     out_dir.mkdir()
     data_path, cond_path = out_dir / "ref.csv", out_dir / "ref_conditions.csv"
     save_dynamics_csv(data_path, (np.array(obs), controls, np.array(y)))

@@ -108,8 +108,8 @@ def test_calibrate_zero_network_gives_bias():
         nncore.Layer(np.zeros((3, 4)), np.array([0.9, 1.0, -2.0]), "identity"),
     ]
     net = nncore.Network(layers)
-    cp, _ = normalize(ProbePressures(np.arange(5.0)))
-    assert probe.calibrate(net, cp) == (0.9, 1.0, -2.0)
+    flow = probe.estimate_flow_rows(net, np.arange(5.0)[None])  # a tap spread of 4 Pa
+    assert flow.tolist() == [[np.sqrt(2.0 * 4.0 * 0.9 / probe.RHO), 1.0, -2.0]]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -119,8 +119,8 @@ def test_calibrate_rejects_non_finite_output(monkeypatch, index, bad):
     out[index] = bad
     monkeypatch.setattr(probe.nncore, "forward", lambda net, x: out)
     net = nncore.init_network([5, 3], seed=0)
-    with pytest.raises(ValueError, match="finite"):
-        probe.calibrate(net, normalize(ProbePressures(np.arange(5.0)))[0])
+    with pytest.raises(ValueError, match="network output must be finite"):
+        probe.estimate_flow_rows(net, np.arange(5.0)[None])
 
 
 def test_estimate_flow_rejects_nan_network():
@@ -136,17 +136,19 @@ def test_estimate_flow_rejects_nan_network():
 
 def test_calibrate_rejects_wrong_widths():
     net = nncore.init_network([4, 3], seed=0)
-    with pytest.raises(ValueError):
-        probe.calibrate(net, normalize(ProbePressures(np.arange(5.0)))[0])
+    with pytest.raises(ValueError, match="must map 5 -> 3"):
+        probe.estimate_flow_rows(net, np.arange(5.0)[None])
 
 
 def test_calibrate_depends_only_on_cp(rng):
-    # scaling all taps leaves the network input, hence (Cd, alpha, beta), unchanged
+    # scaling all taps leaves the network input, hence (Cd, alpha, beta), unchanged,
+    # so the angles stay and Va = sqrt(2 dp Cd / rho) scales with sqrt of the spread
     net = nncore.init_network([5, 8, 3], seed=4)
+    net.layers[-1].bias[0] = 20.0  # a positive correction
     taps = rng.normal(80.0, 10.0, size=5)
-    a = probe.calibrate(net, normalize(ProbePressures(taps))[0])
-    b = probe.calibrate(net, normalize(ProbePressures(taps * 3.7))[0])
-    assert a == pytest.approx(b, abs=1e-9)
+    a, b = probe.estimate_flow_rows(net, np.stack([taps, taps * 3.7]))
+    assert b[1:] == pytest.approx(a[1:], abs=1e-9)
+    assert b[0] == pytest.approx(a[0] * np.sqrt(3.7), rel=1e-12)
 
 
 def test_estimate_flow_propagates_no_flow():
@@ -160,7 +162,7 @@ def _reference_estimate(net, taps, rho):
     one-row network pass per reading."""
     p_max = float(taps.max())
     delta_p = p_max - float(taps.min())
-    cd, alpha_deg, beta_deg = nncore.forward(net, (p_max - taps) / delta_p).tolist()
+    cd, alpha_deg, beta_deg = nncore.forward(net, ((p_max - taps) / delta_p)[None])[0].tolist()
     return float(np.sqrt(2.0 * delta_p * cd / rho)), alpha_deg, beta_deg
 
 
@@ -259,9 +261,9 @@ def test_train_calibration_rejects_bad_datasets():
         )
 
 
-@pytest.mark.parametrize("bad", [dict(epochs=0), dict(epochs=-2), dict(batch_size=0)])
+@pytest.mark.parametrize("bad", [dict(epochs=0), dict(epochs=-2)])
 def test_calibration_train_config_validation(bad):
-    with pytest.raises(ValueError, match="epochs and batch_size must be positive"):
+    with pytest.raises(ValueError, match="epochs must be positive"):
         CalibrationTrainConfig(**bad)
 
 
