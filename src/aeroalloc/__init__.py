@@ -23,7 +23,6 @@ from .dynamics import (
     SymmetryConfig,
     UnstructuredModel,
     affine_at,
-    build_unstructured,
     eval_rmse,
     predict,
     symmetry_loss,

@@ -12,15 +12,17 @@ flaperon columns of B that rewards the mirror relationship a symmetric
 airframe should exhibit, without forbidding bounded asymmetry.
 
 An unstructured baseline (plain feedforward net on the concatenated
-observation and control) lives here too, together with its local
-linearization used for closed-loop allocation.
+observation and control) lives here too, with its local linearization for
+closed-loop allocation. Each model family is one class of `MODEL_KINDS`: it
+checks its parts when made, its fields are its file format, and `wrench`
+predicts with it.
 """
 from __future__ import annotations
 
 import json
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +90,39 @@ class SymmetryConfig:
         return np.asarray(self.delta, dtype=float)
 
 
+def _check_network(net: Network, n_in: int, n_out: int, what: str) -> None:
+    """A model part's widths: `n_in` inputs and `n_out` outputs."""
+    if net.input_dim != n_in or net.output_dim != n_out:
+        raise ValueError(f"{what} must map {n_in} -> {n_out}, "
+                         f"got {net.input_dim} -> {net.output_dim}")
+
+
+def _scaling(mean, std, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Standardization constants of `n` values as float arrays, scales positive."""
+    mean, std = np.asarray(mean, dtype=float), np.asarray(std, dtype=float)
+    if mean.shape != (n,) or std.shape != (n,):
+        raise ValueError(f"{what} scaling constants must have {n} entries")
+    if not np.all(std > 0.0):
+        raise ValueError(f"{what} scales must be positive")
+    return mean, std
+
+
+class _WrenchModel:
+    """A model family: the `kind` its files record, whether the suite reports a
+    mirror residual of its B, the wing-tap switch, and `wrench(obs, u)`, the
+    (n, 6) wrenches of observation rows under (n, 4) command rows."""
+
+    kind: str
+    mirror_residual: bool
+    wing_sensors: bool
+
+    @property
+    def n_features(self) -> int:
+        return _feature_count(self.wing_sensors)
+
+
 @dataclass
-class AffineModel:
+class AffineModel(_WrenchModel):
     """Shared backbone with an offset head (A) and an effectiveness head (B).
 
     Observation features are standardized with constants frozen at training
@@ -97,6 +130,8 @@ class AffineModel:
     Models trained without wing sensors consume only the first six features.
     """
 
+    kind = "affine"
+    mirror_residual = True
     backbone: Network
     a_head: Network
     b_head: Network
@@ -106,59 +141,47 @@ class AffineModel:
     wing_sensors: bool = True
 
     def __post_init__(self) -> None:
-        self.obs_mean = np.asarray(self.obs_mean, dtype=float)
-        self.obs_std = np.asarray(self.obs_std, dtype=float)
-        n_feat = self.n_features
-        if self.backbone.input_dim != n_feat:
-            raise ValueError(
-                f"backbone expects {self.backbone.input_dim} inputs, "
-                f"wing_sensors={self.wing_sensors} implies {n_feat}"
-            )
         width = self.backbone.output_dim
-        if self.a_head.input_dim != width or self.b_head.input_dim != width:
-            raise ValueError("heads must consume the backbone output")
-        if self.a_head.output_dim != WRENCH_DIM:
-            raise ValueError(f"offset head must emit {WRENCH_DIM} values")
-        if self.b_head.output_dim != WRENCH_DIM * CONTROL_DIM:
-            raise ValueError(f"effectiveness head must emit {WRENCH_DIM * CONTROL_DIM} values")
-        if self.obs_mean.shape != (n_feat,) or self.obs_std.shape != (n_feat,):
-            raise ValueError("normalization constants must match the feature count")
-        if np.any(self.obs_std <= 0.0):
-            raise ValueError("feature scales must be positive")
+        _check_network(self.backbone, self.n_features, width, "backbone")
+        _check_network(self.a_head, width, WRENCH_DIM, "offset head")
+        _check_network(self.b_head, width, WRENCH_DIM * CONTROL_DIM, "effectiveness head")
+        self.obs_mean, self.obs_std = _scaling(self.obs_mean, self.obs_std, self.n_features,
+                                               "feature")
 
-    @property
-    def n_features(self) -> int:
-        return _feature_count(self.wing_sensors)
+    def wrench(self, obs, u) -> np.ndarray:
+        a, b = predict_batch(self, obs)
+        return a + np.einsum("nck,nk->nc", b, u)
 
 
 @dataclass
-class UnstructuredModel:
+class UnstructuredModel(_WrenchModel):
     """Plain feedforward baseline on the concatenated (observation, control)."""
 
+    kind = "unstructured"
+    mirror_residual = False
     net: Network
     in_mean: np.ndarray
     in_std: np.ndarray
     wing_sensors: bool = True
 
     def __post_init__(self) -> None:
-        self.in_mean = np.asarray(self.in_mean, dtype=float)
-        self.in_std = np.asarray(self.in_std, dtype=float)
         n_in = self.n_features + CONTROL_DIM
-        if self.net.input_dim != n_in:
-            raise ValueError(
-                f"network expects {self.net.input_dim} inputs, "
-                f"wing_sensors={self.wing_sensors} implies {n_in}"
-            )
-        if self.net.output_dim != WRENCH_DIM:
-            raise ValueError(f"network must emit {WRENCH_DIM} values")
-        if self.in_mean.shape != (n_in,) or self.in_std.shape != (n_in,):
-            raise ValueError("normalization constants must match the input size")
-        if np.any(self.in_std <= 0.0):
-            raise ValueError("input scales must be positive")
+        _check_network(self.net, n_in, WRENCH_DIM, "network")
+        self.in_mean, self.in_std = _scaling(self.in_mean, self.in_std, n_in, "input")
 
-    @property
-    def n_features(self) -> int:
-        return _feature_count(self.wing_sensors)
+    def wrench(self, obs, u) -> np.ndarray:
+        feats = _obs_matrix(obs, self.n_features)
+        return forward(self.net, (np.concatenate([feats, u], axis=1) - self.in_mean) / self.in_std)
+
+
+# Each model family by the `kind` its files record.
+MODEL_KINDS = {cls.kind: cls for cls in (AffineModel, UnstructuredModel)}
+
+
+def _model_class(model) -> type:
+    if type(model) not in MODEL_KINDS.values():
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    return type(model)
 
 
 def _obs_matrix(value, n_features: int) -> np.ndarray:
@@ -437,16 +460,8 @@ def _logged_validation(model, val):
 
 
 def predict_wrench_batch(model, obs, u) -> np.ndarray:
-    """(n, 6) predicted wrenches; accepts either model family."""
-    u = _control_matrix_rows(u)
-    if isinstance(model, AffineModel):
-        a, b = predict_batch(model, obs)
-        return a + np.einsum("nck,nk->nc", b, u)
-    if isinstance(model, UnstructuredModel):
-        feats = _obs_matrix(obs, model.n_features)
-        x = (np.concatenate([feats, u], axis=1) - model.in_mean) / model.in_std
-        return forward(model.net, x)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    """(n, 6) predicted wrenches of a model of any family."""
+    return _model_class(model).wrench(model, obs, _control_matrix_rows(u))
 
 
 def _squared_errors(model, dataset) -> np.ndarray:
@@ -473,12 +488,6 @@ def per_channel_rmse(model, dataset) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Unstructured baseline
 # ---------------------------------------------------------------------------
-
-
-def build_unstructured(hidden=(64, 64), seed: int = 0, wing_sensors: bool = True) -> UnstructuredModel:
-    n_in = _feature_count(wing_sensors) + CONTROL_DIM
-    net = nncore.init_network((n_in, *hidden, WRENCH_DIM), seed)
-    return UnstructuredModel(net, np.zeros(n_in), np.ones(n_in), wing_sensors=wing_sensors)
 
 
 def train_unstructured(
@@ -548,62 +557,39 @@ def affine_at(model: UnstructuredModel, obs, u_ref) -> tuple[np.ndarray, np.ndar
 # ---------------------------------------------------------------------------
 
 
+def _network_from_json(value, name: str) -> Network:
+    if not isinstance(value, dict):
+        raise ValueError(f"the model's {name!r} must be a JSON object, "
+                         f"got {type(value).__name__}")
+    return nncore.network_from_dict(value)
+
+
+# (encode, decode) of a model field by its annotation; decode also takes the field's name
+_FIELD_JSON = {
+    "Network": (nncore.network_to_dict, _network_from_json),
+    "np.ndarray": (np.ndarray.tolist, lambda value, _: np.asarray(value, dtype=float)),
+    # older files also carry "signs", which MIRROR_SIGNS now fixes
+    "SymmetryConfig": (lambda sym: {"lambda": sym.lambda_sym, "delta": list(sym.delta)},
+                       lambda value, _: SymmetryConfig(float(value["lambda"]),
+                                                       tuple(value["delta"]))),
+    "bool": (bool, lambda value, _: bool(value)),
+}
+
+
 def dynamics_model_to_dict(model) -> dict:
-    if isinstance(model, AffineModel):
-        return {
-            "format": MODEL_FORMAT_VERSION,
-            "kind": "affine",
-            "wing_sensors": model.wing_sensors,
-            "obs_mean": model.obs_mean.tolist(),
-            "obs_std": model.obs_std.tolist(),
-            "sym": {"lambda": model.sym.lambda_sym, "delta": list(model.sym.delta)},
-            "backbone": nncore.network_to_dict(model.backbone),
-            "a_head": nncore.network_to_dict(model.a_head),
-            "b_head": nncore.network_to_dict(model.b_head),
-        }
-    if isinstance(model, UnstructuredModel):
-        return {
-            "format": MODEL_FORMAT_VERSION,
-            "kind": "unstructured",
-            "wing_sensors": model.wing_sensors,
-            "in_mean": model.in_mean.tolist(),
-            "in_std": model.in_std.tolist(),
-            "net": nncore.network_to_dict(model.net),
-        }
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    doc = {"format": MODEL_FORMAT_VERSION, "kind": _model_class(model).kind}
+    for f in fields(model):
+        doc[f.name] = _FIELD_JSON[f.type][0](getattr(model, f.name))
+    return doc
 
 
 def dynamics_model_from_dict(doc: dict):
     if doc.get("format") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
-    kind = doc.get("kind")
-
-    def network(key: str) -> Network:
-        if not isinstance(doc[key], dict):
-            raise ValueError(f"the model's {key!r} must be a JSON object, "
-                             f"got {type(doc[key]).__name__}")
-        return nncore.network_from_dict(doc[key])
-
-    if kind == "affine":
-        # older files also carry "signs", which MIRROR_SIGNS now fixes
-        sym = SymmetryConfig(float(doc["sym"]["lambda"]), tuple(doc["sym"]["delta"]))
-        return AffineModel(
-            network("backbone"),
-            network("a_head"),
-            network("b_head"),
-            np.asarray(doc["obs_mean"], dtype=float),
-            np.asarray(doc["obs_std"], dtype=float),
-            sym=sym,
-            wing_sensors=bool(doc["wing_sensors"]),
-        )
-    if kind == "unstructured":
-        return UnstructuredModel(
-            network("net"),
-            np.asarray(doc["in_mean"], dtype=float),
-            np.asarray(doc["in_std"], dtype=float),
-            wing_sensors=bool(doc["wing_sensors"]),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    cls = MODEL_KINDS.get(doc.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown model kind {doc.get('kind')!r}")
+    return cls(**{f.name: _FIELD_JSON[f.type][1](doc[f.name], f.name) for f in fields(cls)})
 
 
 def save_dynamics_model(model, path: str | Path) -> None:

@@ -1,19 +1,13 @@
 """Experiment orchestration: variants, ablations, metrics, closed-loop runs.
 
-The suite trains five model variants on identical data and splits:
-
-  affine_sym          control-affine model with the mirror prior
-  affine              control-affine model, no mirror prior
-  affine_no_ws        affine without the seven wing-tap inputs
-  unstructured        plain net on (observation, control)
-  unstructured_no_ws  plain net without the wing-tap inputs
-
-and reports wrench RMSE per evaluation speed, per-channel RMSE, inflation
-under airspeed shift, and flaperon mirror residuals. Reports are written as
-JSON (for tooling), CSV (for plotting), and an aligned text table.
-The five trainings and the eval-set generations run as independent jobs
-spread over the usable CPUs (`run_jobs`), and the caller scores the trained
-models; the results do not depend on how many CPUs there are.
+The suite trains each variant of the `VARIANTS` table (a model family's
+trainer, with or without the mirror prior and the seven wing-tap inputs) on
+identical data and splits, and reports wrench RMSE per evaluation speed,
+per-channel RMSE, inflation under airspeed shift, and flaperon mirror
+residuals. Reports are written as JSON (for tooling), CSV (for plotting), and
+an aligned text table. The trainings and the eval-set generations run as
+independent jobs spread over the usable CPUs (`run_jobs`), and the caller
+scores the trained models; the results do not depend on how many CPUs there are.
 """
 from __future__ import annotations
 
@@ -25,6 +19,7 @@ import logging
 import os
 import sys
 import warnings
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -51,7 +46,16 @@ from .table import write_table
 
 log = logging.getLogger(__name__)
 
-VARIANTS = ("affine_sym", "affine", "affine_no_ws", "unstructured", "unstructured_no_ws")
+# A variant: the trainer of its model family, whether it trains with the mirror
+# prior (the config's lambda_sym, else 0), whether its model reads the wing taps.
+Variant = namedtuple("Variant", "trainer mirror_prior wing_sensors")
+VARIANTS = {
+    "affine_sym": Variant(train_dynamics, mirror_prior=True, wing_sensors=True),
+    "affine": Variant(train_dynamics, mirror_prior=False, wing_sensors=True),
+    "affine_no_ws": Variant(train_dynamics, mirror_prior=False, wing_sensors=False),
+    "unstructured": Variant(train_unstructured, mirror_prior=False, wing_sensors=True),
+    "unstructured_no_ws": Variant(train_unstructured, mirror_prior=False, wing_sensors=False),
+}
 # The suite's gusts; a shear gust, which needs a generator yaw, comes from protocol JSON.
 GUST_MODES = ("off", "shedding")
 GUST_AMPLITUDE = 0.4  # m/s, the shedding gust's velocity amplitude
@@ -112,23 +116,23 @@ class ExperimentConfig:
 
     def train_config(self, variant: str) -> DynamicsTrainConfig:
         if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        lam = self.lambda_sym if variant == "affine_sym" else 0.0
+            raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {variant!r}")
+        row = VARIANTS[variant]
         return DynamicsTrainConfig(
             seed=self.seed,
             hidden=self.hidden,
             epochs=self.epochs,
-            sym=SymmetryConfig(lambda_sym=lam),
-            wing_sensors=not variant.endswith("_no_ws"),
+            sym=SymmetryConfig(lambda_sym=self.lambda_sym if row.mirror_prior else 0.0),
+            wing_sensors=row.wing_sensors,
         )
 
 
 def train_variant(variant: str, dataset, cfg: ExperimentConfig):
     """Train one named variant; all variants share the seed and data."""
     train_cfg = cfg.train_config(variant)
-    if variant.startswith("unstructured"):
-        return train_unstructured(dataset, train_cfg)
-    return train_dynamics(dataset, train_cfg)
+    # called through this module's name for the trainer, which a wrapper
+    # (the benchmark's span tracer) may have replaced since VARIANTS was built
+    return globals()[VARIANTS[variant].trainer.__name__](dataset, train_cfg)
 
 
 def rmssd(u_series) -> tuple[np.ndarray, float]:
@@ -376,13 +380,16 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MetricsReport":
-        return cls(
+        report = cls(
             seed=int(doc["seed"]),
             train_speeds=tuple(doc["train_speeds"]),
             split_hash=str(doc["split_hash"]),
             variants=dict(doc["variants"]),
             config=dict(doc.get("config", {})),
         )
+        for entry in report.variants.values():  # what format_report_text reads of each one
+            float(entry["rmse"]["in_dist"]), dict(entry["inflation_pct"])
+        return report
 
 
 def _config_block(cfg: ExperimentConfig) -> dict:
@@ -392,7 +399,7 @@ def _config_block(cfg: ExperimentConfig) -> dict:
     return block
 
 
-def _score(variant: str, model, cfg: ExperimentConfig, in_dist_split, eval_sets: dict) -> dict:
+def _score(model, cfg: ExperimentConfig, in_dist_split, eval_sets: dict) -> dict:
     """A trained variant's entry in the suite report."""
     rmse_in = eval_rmse(model, in_dist_split)
     entry = {
@@ -405,8 +412,8 @@ def _score(variant: str, model, cfg: ExperimentConfig, in_dist_split, eval_sets:
         entry["rmse"][f"va{speed:g}"] = rmse_s
         if speed not in cfg.train_speeds:
             entry["inflation_pct"][f"va{speed:g}"] = 100.0 * (rmse_s - rmse_in) / rmse_in
-    entry["sym_residual"] = (None if variant.startswith("unstructured")
-                             else symmetry_residual_norm(model, in_dist_split[0]))
+    entry["sym_residual"] = (symmetry_residual_norm(model, in_dist_split[0])
+                             if model.mirror_residual else None)
     return entry
 
 
@@ -461,8 +468,7 @@ def run_ablation_suite(
         config=_config_block(cfg),
     )
     for variant in VARIANTS:
-        entry = report.variants[variant] = _score(variant, done[variant], cfg, in_dist_split,
-                                                  eval_sets)
+        entry = report.variants[variant] = _score(done[variant], cfg, in_dist_split, eval_sets)
         log.info("variant %s: in-dist rmse %.4f", variant, entry["rmse"]["in_dist"])
 
     report_dir.mkdir(parents=True, exist_ok=True)

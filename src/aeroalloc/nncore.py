@@ -409,6 +409,10 @@ def network_from_dict(doc: dict) -> Network:
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported network format {doc.get('version')!r}")
     widths = doc["widths"]
+    for key in ("activations", "weights", "biases"):
+        if len(doc[key]) != len(widths) - 1:
+            raise ValueError(f"the network lists {len(doc[key])} {key} for widths {widths}, "
+                             f"which need {len(widths) - 1}")
     layers = []
     for i, act in enumerate(doc["activations"]):
         fan_in, fan_out = widths[i], widths[i + 1]

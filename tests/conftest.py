@@ -45,6 +45,15 @@ def constant_affine_model(a_vec, b_mat):
     )
 
 
+def unstructured_model(hidden=(8,), seed=0):
+    """An untrained baseline net with unit input scaling."""
+    from aeroalloc import nncore
+    from aeroalloc.dynamics import UnstructuredModel
+
+    net = nncore.init_network((17, *hidden, 6), seed)
+    return UnstructuredModel(net, np.zeros(17), np.ones(17))
+
+
 def gust_at(gust, time: float, location: str, va: float, params) -> tuple[float, float]:
     """`plant.gust_perturbation` at one time, as two floats."""
     from aeroalloc import plant

@@ -456,9 +456,26 @@ def test_every_command_runs_on_one_blas_thread(tmp_path, monkeypatch, command):
         set_(previous)
 
 
+def _short_activation_model() -> dict:
+    """An affine model whose 13-8-8 backbone lists one activation for its two layers."""
+    import numpy as np
+
+    from aeroalloc import dynamics, nncore
+
+    model = dynamics.AffineModel(
+        nncore.init_network((13, 8, 8), 0, output_activation="tanh"),
+        nncore.init_network((8, 6), 1), nncore.init_network((8, 24), 2),
+        np.zeros(13), np.ones(13),
+    )
+    doc = dynamics.dynamics_model_to_dict(model)
+    doc["backbone"]["activations"].pop()
+    return doc
+
+
 @pytest.mark.parametrize("command, flag, doc, message", [
+    # the fields decode in the model class's field order, the backbone first
     ("eval", "--model", {"format": "dynmodel-v1", "kind": "affine"},
-     "the model has no key 'sym'"),
+     "the model has no key 'backbone'"),
     ("eval", "--model", [1, 2], "a model must be a JSON object, got list"),
     ("track", "--model", {"format": "dynmodel-v1", "kind": "unstructured", "net": [1],
                           "in_mean": [0.0] * 17, "in_std": [1.0] * 17, "wing_sensors": True},
@@ -466,6 +483,19 @@ def test_every_command_runs_on_one_blas_thread(tmp_path, monkeypatch, command):
     ("gen-data", "--calib", {"version": "nncore-v1", "widths": [5, 3]},
      "the network has no key 'activations'"),
     ("report", "--suite", {"seed": 0}, "the suite report has no key 'train_speeds'"),
+    ("gen-data", "--calib", {"version": "nncore-v1", "widths": [5, 3],
+                             "activations": ["identity", "identity"], "weights": [[0.0] * 15],
+                             "biases": [[0.0] * 3]},
+     "the network lists 2 activations for widths [5, 3], which need 1"),
+    ("gen-data", "--calib", {"version": "nncore-v1", "widths": [5, 4, 3],
+                             "activations": ["tanh", "identity"], "weights": [[0.0] * 20],
+                             "biases": [[0.0] * 4, [0.0] * 3]},
+     "the network lists 1 weights for widths [5, 4, 3], which need 2"),
+    ("eval", "--model", _short_activation_model(),
+     "the network lists 1 activations for widths [13, 8, 8], which need 2"),
+    ("report", "--suite", {"seed": 0, "train_speeds": [10], "split_hash": "abc",
+                           "variants": {"affine": {"rmse": {}}}},
+     "the suite report has no key 'in_dist'"),
 ])
 def test_a_malformed_artifact_fails_with_one_error_line(tmp_path, capsys, command, flag, doc,
                                                         message):

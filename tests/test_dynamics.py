@@ -1,4 +1,5 @@
 """Control-affine model: gradients, mirror penalty, training, linearization."""
+import json
 import logging
 import warnings
 
@@ -17,7 +18,6 @@ from aeroalloc.dynamics import (
     UnstructuredModel,
     affine_at,
     block_split,
-    build_unstructured,
     eval_rmse,
     model_flat_params,
     per_channel_rmse,
@@ -34,7 +34,7 @@ from aeroalloc.dynamics import (
     training_loss,
 )
 
-from conftest import finite_difference_grads, relative_error
+from conftest import finite_difference_grads, relative_error, unstructured_model
 
 
 def small_model(seed=0, wing_sensors=True, lambda_sym=0.0, delta=0.5):
@@ -214,7 +214,7 @@ def test_no_ws_model_ignores_wing_taps(rng):
 
 
 def test_predict_wrench_batch_matches_manual_forward(rng):
-    model = build_unstructured(hidden=(8,), seed=7)
+    model = unstructured_model(hidden=(8,), seed=7)
     obs = rng.normal(size=(5, 13))
     u = rng.uniform(-5, 5, size=(5, 4))
     x = np.concatenate([obs, u], axis=1)
@@ -222,6 +222,57 @@ def test_predict_wrench_batch_matches_manual_forward(rng):
     assert np.allclose(predict_wrench_batch(model, obs, u), expected)
     with pytest.raises(TypeError):
         predict_wrench_batch(object(), obs, u)
+    with pytest.raises(TypeError):
+        dynamics.dynamics_model_to_dict(object())
+
+
+# one untrained model of each family; a family added to MODEL_KINDS adds its maker here
+MODEL_MAKERS = {
+    "affine": lambda: small_model(6, wing_sensors=False, lambda_sym=0.2),
+    "unstructured": lambda: unstructured_model(hidden=(6,), seed=8),
+}
+
+
+def test_every_model_kind_has_a_maker():
+    assert sorted(MODEL_MAKERS) == sorted(dynamics.MODEL_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_MAKERS))
+def test_each_model_kind_keeps_the_contract(kind, tmp_path, rng):
+    model = MODEL_MAKERS[kind]()
+    assert type(model) is dynamics.MODEL_KINDS[kind] and model.kind == kind
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    dynamics.save_dynamics_model(model, first)
+    dynamics.save_dynamics_model(dynamics.load_dynamics_model(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    assert json.loads(first.read_text())["kind"] == kind
+    obs, u = rng.normal(size=(5, 13)), rng.uniform(-5, 5, size=(5, 4))
+    assert np.array_equal(predict_wrench_batch(model, obs, u), model.wrench(obs, u))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: AffineModel(nncore.init_network((13, 8), 0), nncore.init_network((8, 6), 1),
+                         nncore.init_network((8, 24), 2), np.zeros(13), np.ones(13),
+                         wing_sensors=False), r"backbone must map 6 -> 8, got 13 -> 8"),
+    (lambda: AffineModel(nncore.init_network((13, 8), 0), nncore.init_network((4, 6), 1),
+                         nncore.init_network((8, 24), 2), np.zeros(13), np.ones(13)),
+     r"offset head must map 8 -> 6, got 4 -> 6"),
+    (lambda: AffineModel(nncore.init_network((13, 8), 0), nncore.init_network((8, 6), 1),
+                         nncore.init_network((8, 6), 2), np.zeros(13), np.ones(13)),
+     r"effectiveness head must map 8 -> 24, got 8 -> 6"),
+    (lambda: AffineModel(nncore.init_network((13, 8), 0), nncore.init_network((8, 6), 1),
+                         nncore.init_network((8, 24), 2), np.zeros(6), np.ones(13)),
+     "feature scaling constants must have 13 entries"),
+    (lambda: UnstructuredModel(nncore.init_network((17, 6), 0), np.zeros(17), np.ones(17),
+                               wing_sensors=False), r"network must map 10 -> 6, got 17 -> 6"),
+    (lambda: UnstructuredModel(nncore.init_network((17, 6), 0), np.zeros(17),
+                               np.r_[np.ones(16), np.nan]), "input scales must be positive"),
+    (lambda: UnstructuredModel(nncore.init_network((17, 6), 0), np.zeros(17),
+                               np.r_[np.ones(16), 0.0]), "input scales must be positive"),
+])
+def test_a_model_checks_its_parts_when_made(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +479,7 @@ def test_train_unstructured_fits_and_is_deterministic(rng):
 
 
 def test_eval_rmse_hand_value():
-    model = build_unstructured(hidden=(4,), seed=0)
+    model = unstructured_model(hidden=(4,), seed=0)
     for layer in model.net.layers:
         layer.weight[...] = 0.0
         layer.bias[...] = 0.0
@@ -468,7 +519,7 @@ def test_affine_at_matches_reference_backward_bit_for_bit(rng):
 
 @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4)])
 def test_affine_at_names_a_command_of_the_wrong_shape(shape):
-    model = build_unstructured(hidden=(8,), seed=0)
+    model = unstructured_model(hidden=(8,), seed=0)
     with pytest.raises(ValueError, match=rf"command u_ref must have shape \(4,\), got \({shape[0]},"):
         affine_at(model, np.zeros(13), np.zeros(shape))
 
@@ -518,7 +569,7 @@ def test_affine_model_json_without_signs_and_with_them():
 
 
 def test_unstructured_model_json_roundtrip(tmp_path, rng):
-    model = build_unstructured(hidden=(6,), seed=8)
+    model = unstructured_model(hidden=(6,), seed=8)
     path = tmp_path / "model.json"
     dynamics.save_dynamics_model(model, path)
     loaded = dynamics.load_dynamics_model(path)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aeroalloc
-from aeroalloc import harness, nncore, plant
+from aeroalloc import dynamics, harness, nncore, plant
 from aeroalloc.allocator import TrackingConfig, track_sequence
 from aeroalloc.dynamics import AffineModel, model_flat_params
 from aeroalloc.harness import (
@@ -37,6 +37,7 @@ from conftest import (
     count_gust_calls,
     reference_observation,
     reference_wrench,
+    unstructured_model,
 )
 
 
@@ -376,6 +377,27 @@ def test_suite_entry_shape(tiny_suite):
             assert entry["sym_residual"] >= 0.0
 
 
+# the model family each variant's row trains
+VARIANT_KINDS = {"affine_sym": "affine", "affine": "affine", "affine_no_ws": "affine",
+                 "unstructured": "unstructured", "unstructured_no_ws": "unstructured"}
+
+
+@pytest.mark.parametrize("variant", list(VARIANT_KINDS))
+def test_each_variant_trains_what_its_row_says(variant, rng):
+    assert sorted(VARIANT_KINDS) == sorted(VARIANTS)
+    data = (rng.normal(size=(60, 13)), rng.uniform(-10, 10, size=(60, 4)),
+            rng.normal(size=(60, 6)))
+    row = VARIANTS[variant]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # "only 45 samples"
+        model = harness.train_variant(variant, data, tiny_cfg(epochs=1, lambda_sym=0.3))
+    assert type(model) is dynamics.MODEL_KINDS[VARIANT_KINDS[variant]]
+    assert model.wing_sensors == row.wing_sensors
+    assert model.n_features == (13 if row.wing_sensors else 6)
+    if VARIANT_KINDS[variant] == "affine":
+        assert model.sym.lambda_sym == (0.3 if row.mirror_prior else 0.0)
+
+
 def test_suite_writes_reports(tiny_suite):
     _, out = tiny_suite
     reports = out / "reports"
@@ -614,10 +636,10 @@ def test_suite_writes_the_eval_sets_of_generate_eval_set(tmp_path):
 @pytest.mark.parametrize("kind", ["affine", "unstructured"])
 def test_closed_loop_calls_each_stage_once_per_step(monkeypatch, kind):
     # the benchmark's step clock and the tracer's per-step spans rely on it
-    from aeroalloc import allocator, dynamics
+    from aeroalloc import allocator
 
     model = (constant_affine_model(np.zeros(6), np.vstack([np.eye(4), np.zeros((2, 4))]))
-             if kind == "affine" else dynamics.build_unstructured(hidden=(8,), seed=0))
+             if kind == "affine" else unstructured_model(hidden=(8,), seed=0))
     calls = {}
     for module, name in [(plant, "make_observation"), (plant, "true_wrench"),
                          (allocator, "predict"), (allocator, "affine_at"), (allocator, "solve")]:

@@ -1,6 +1,7 @@
 """Import cost: no pipeline step loads SciPy, and the process-pool modules are
 loaded by a suite run on more than one CPU, not by import. Every module-level
-import and private definition in the package is used."""
+import and private definition in the package is used, and no code outside
+`allocator.track_sequence` branches on a model's family or a variant's name."""
 import ast
 import os
 import subprocess
@@ -145,6 +146,50 @@ def test_no_module_keeps_an_unused_import():
         for node in _module_level(tree):
             unused += [f"{path.name}: {name}" for name in _bound_names(node) if name not in used]
     assert unused == []
+
+
+def _calls_in_functions(tree, outer=()):
+    """(dotted name of the enclosing function, "" at module level, call node) of each call."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _calls_in_functions(child, (*outer, child.name))
+        else:
+            if isinstance(child, ast.Call):
+                yield ".".join(outer), child
+            yield from _calls_in_functions(child, outer)
+
+
+MODEL_FAMILIES = {"AffineModel", "UnstructuredModel"}
+
+
+def test_only_track_sequence_asks_a_model_its_family():
+    # a family owns its checks, its file format and its wrench; track_sequence
+    # alone picks predict or affine_at, the two per-step passes it calls by name
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        for where, call in _calls_in_functions(ast.parse(path.read_text())):
+            if (isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+                    and {getattr(n, "id", getattr(n, "attr", None))
+                         for n in ast.walk(call.args[1])} & MODEL_FAMILIES):
+                sites.add((path.name, where))
+    assert sites == {("allocator.py", "track_sequence")}
+
+
+def test_no_variant_name_is_parsed():
+    # a variant's family, mirror prior and wing-tap use come from its VARIANTS row
+    fragments = {part for name in harness.VARIANTS for i in range(len(name) - 2)
+                 for part in (name[:i + 3], name[i:])}
+    parsed = []
+    for name in ("harness.py", "cli.py"):
+        for where, call in _calls_in_functions(ast.parse((SRC / name).read_text())):
+            if not (isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("startswith", "endswith")):
+                continue
+            tested = {n.value for arg in call.args for n in ast.walk(arg)
+                      if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+            if "variant" in ast.unparse(call.func.value) or tested & fragments:
+                parsed.append(f"{name} {where}: {ast.unparse(call)}")
+    assert parsed == []
 
 
 def _private_definitions(tree):
