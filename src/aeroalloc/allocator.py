@@ -77,7 +77,11 @@ def _posv():
     """
     dposv = numpy_blas_function("dposv_")
     if dposv is None:  # numpy on another LAPACK: SciPy's wrapper runs the same routines
-        from scipy.linalg.lapack import dposv as scipy_dposv
+        try:
+            from scipy.linalg.lapack import dposv as scipy_dposv
+        except ImportError as exc:
+            raise ImportError("numpy's LAPACK has no dposv, and the fallback needs SciPy: "
+                              "pip install 'aeroalloc[scipy]'") from exc
 
         def posv(q, c):
             _, u, info = scipy_dposv(q, c, lower=1)

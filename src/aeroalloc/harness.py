@@ -6,8 +6,9 @@ identical data and splits, and reports wrench RMSE per evaluation speed,
 per-channel RMSE, inflation under airspeed shift, and flaperon mirror
 residuals. Reports are written as JSON (for tooling), CSV (for plotting), and
 an aligned text table. The trainings and the eval-set generations run as
-independent jobs spread over the usable CPUs (`run_jobs`), and the caller
-scores the trained models; the results do not depend on how many CPUs there are.
+independent jobs, dealt longest first over the usable CPUs (`run_jobs`), and
+the caller scores the trained models; the results do not depend on how many
+CPUs there are.
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ log = logging.getLogger(__name__)
 
 # A variant: the trainer of its model family, whether it trains with the mirror
 # prior (the config's lambda_sym, else 0), whether its model reads the wing taps.
+# Rows are listed longest training first, and the suite deals its jobs in that order.
 Variant = namedtuple("Variant", "trainer mirror_prior wing_sensors")
 VARIANTS = {
     "affine_sym": Variant(train_dynamics, mirror_prior=True, wing_sensors=True),
@@ -252,18 +254,22 @@ def _run_worker_job(index: int):
 def run_jobs(fn, jobs) -> list:
     """[fn(*args) for args in jobs], the jobs spread over the usable CPUs.
 
-    With n = min(usable_cpus(), number of jobs) above 1, this process runs
-    jobs 0, n, 2n, ... itself, a fixed share, and a pool of n - 1 forked
-    processes runs the rest. The workers inherit `fn` and `jobs` through the
-    fork, so neither is pickled, and `fn` may be any callable; each result is
-    pickled back, which keeps its floats bit for bit. (A spawned worker would
-    import numpy again and take every job's inputs pickled.) The processes
-    fork before the pool starts its own thread. Warnings the jobs issue
-    are re-issued here in job order. An exception in a job re-raises here
-    with its type and message, and a worker that dies raises
-    `concurrent.futures.process.BrokenProcessPool`. With one CPU no pool is
-    made and `multiprocessing` is not imported. While jobs run in parallel,
-    numpy's OpenBLAS keeps to one thread per process (`_one_blas_thread`).
+    With n = min(usable_cpus(), number of jobs) above 1, job i goes to slot
+    i % n when i // n is even and to slot n - 1 - i % n when it is odd (a
+    snake deal). This process runs the jobs of slot n - 1 itself, a fixed
+    share, and a pool of n - 1 forked processes takes the rest from its
+    queue; with the jobs listed longest first, the caller gets the short
+    ones at the tail, whose results need no pickling back. The workers
+    inherit `fn` and `jobs` through the fork, so neither is pickled, and `fn`
+    may be any callable; each worker's result is pickled back, which keeps
+    its floats bit for bit. (A spawned worker would import numpy again and
+    take every job's inputs pickled.) The processes fork before the pool
+    starts its own thread. Warnings the jobs issue are re-issued here in job
+    order. An exception in a job re-raises here with its type and message,
+    and a worker that dies raises `concurrent.futures.process.BrokenProcessPool`.
+    With one CPU no pool is made and `multiprocessing` is not imported. While
+    jobs run in parallel, numpy's OpenBLAS keeps to one thread per process
+    (`_one_blas_thread`).
     """
     jobs = list(jobs)
     n_proc = min(usable_cpus(), len(jobs))
@@ -279,9 +285,12 @@ def run_jobs(fn, jobs) -> list:
                 initializer=_init_worker, initargs=(fn, jobs),
             )
             try:
+                # slot n - 1 of the snake deal: i % n == n - 1 in even rounds i // n, 0 in odd
+                mine = [i for i in range(len(jobs))
+                        if i % n_proc == (n_proc - 1 if i // n_proc % 2 == 0 else 0)]
                 remote = {i: pool.submit(_run_worker_job, i)
-                          for i in range(len(jobs)) if i % n_proc}
-                local = {i: _recorded(fn, jobs[i]) for i in range(0, len(jobs), n_proc)}
+                          for i in range(len(jobs)) if i not in mine}
+                local = {i: _recorded(fn, jobs[i]) for i in mine}
                 outcomes = [local[i] if i in local else remote[i].result()
                             for i in range(len(jobs))]
             finally:
@@ -387,8 +396,13 @@ class MetricsReport:
             variants=dict(doc["variants"]),
             config=dict(doc.get("config", {})),
         )
-        for entry in report.variants.values():  # what format_report_text reads of each one
-            float(entry["rmse"]["in_dist"]), dict(entry["inflation_pct"])
+        for name, entry in report.variants.items():  # what format_report_text reads of each one
+            entry["rmse"]["in_dist"]
+            for block in ("rmse", "inflation_pct"):
+                for key, value in dict(entry[block]).items():
+                    if type(value) not in (int, float):  # a JSON number, not a bool
+                        raise ValueError(f"the suite report's {name} {block} {key!r} must be "
+                                         f"a number, got {type(value).__name__}")
         return report
 
 
@@ -417,16 +431,6 @@ def _score(model, cfg: ExperimentConfig, in_dist_split, eval_sets: dict) -> dict
     return entry
 
 
-# The suite's jobs in `run_jobs` order: a variant name is its training, an
-# integer i the eval set at the i-th eval speed; eval sets past the first go
-# last. The order balances the fixed shares of a default suite, which has two
-# eval speeds: on two CPUs the caller runs affine_sym, affine and both eval
-# sets, the worker affine_no_ws, unstructured and unstructured_no_ws (5.6 s
-# and 5.4 s of jobs on seed 0, on a 2-vCPU VM).
-SUITE_JOB_ORDER = ("affine_sym", "affine_no_ws", "affine", "unstructured", 0,
-                   "unstructured_no_ws")
-
-
 def run_ablation_suite(
     cfg: ExperimentConfig, out_dir: str | Path, params: PlantParams | None = None
 ) -> MetricsReport:
@@ -437,8 +441,8 @@ def run_ablation_suite(
     generated run (fresh schedule and noise, offset seeds): in-distribution
     RMSE comes from fresh runs at the training speeds, and inflation is the
     relative RMSE increase of each other evaluation speed over that number.
-    After the training sets, one `run_jobs` call runs the five trainings and
-    one eval-set generation per eval speed, in `SUITE_JOB_ORDER`; this
+    After the training sets, one `run_jobs` call runs the trainings, in
+    `VARIANTS` order, and then one eval-set generation per eval speed; this
     process then scores the returned models on the returned eval sets.
     """
     params = params or PlantParams()
@@ -450,16 +454,14 @@ def run_ablation_suite(
     full_train = _concat_datasets([train_sets[s] for s in cfg.train_speeds])
     train_split, _ = block_split(full_train, cfg.holdout_fraction)
 
-    speeds = eval_speeds(cfg)
-
     def job(key):
-        if isinstance(key, int):
-            return generate_eval_set(cfg, speeds[key], params, data_dir)
-        return train_variant(key, train_split, cfg)
+        if key in VARIANTS:
+            return train_variant(key, train_split, cfg)
+        return generate_eval_set(cfg, key, params, data_dir)
 
-    keys = [*SUITE_JOB_ORDER, *range(1, len(speeds))]
+    keys = [*VARIANTS, *eval_speeds(cfg)]
     done = dict(zip(keys, run_jobs(job, [(key,) for key in keys])))
-    eval_sets = {speed: done[i] for i, speed in enumerate(speeds)}
+    eval_sets = {speed: done[speed] for speed in eval_speeds(cfg)}
     in_dist_split = _concat_datasets([eval_sets[s] for s in cfg.train_speeds])
     split_hash = dataset_hash(train_split, *eval_sets.values())
 

@@ -99,14 +99,12 @@ def extrapolated_loops(tmp_path_factory):
     out = tmp_path_factory.mktemp("acc_loops")
     names = ("affine_sym", "unstructured")
     cfgs, splits, trainings = {}, {}, []
-    for i, seed in enumerate(SUITE_SEEDS):
+    for seed in SUITE_SEEDS:
         cfg = cfgs[seed] = ExperimentConfig(seed=seed, train_speeds=EXTRAP_TRAIN_SPEEDS)
         sets = harness.generate_speed_datasets(cfg, cfg.train_speeds, params, out / f"d{seed}")
         full = harness._concat_datasets([sets[s] for s in cfg.train_speeds])
         splits[seed], _ = block_split(full, cfg.holdout_fraction)
-        # alternate the order per seed, so that each fixed share of run_jobs
-        # mixes the slow affine_sym and the fast unstructured trainings
-        trainings += [(seed, name) for name in (names if i % 2 == 0 else names[::-1])]
+        trainings += [(seed, name) for name in names]
     jobs = [(name, splits[seed], cfgs[seed]) for seed, name in trainings]
     models = dict(zip(trainings, harness.run_jobs(harness.train_variant, jobs)))
 

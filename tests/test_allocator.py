@@ -231,6 +231,17 @@ def test_scipy_fallback_equals_numpy_dposv_bit_for_bit(rng, monkeypatch):
     assert via_scipy == via_numpy
 
 
+def test_the_fallback_names_the_scipy_extra_where_scipy_is_missing(monkeypatch):
+    monkeypatch.setattr(allocator, "numpy_blas_function", lambda name: None)
+    monkeypatch.setitem(sys.modules, "scipy.linalg.lapack", None)  # blocks its import
+    allocator._posv.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=r"pip install 'aeroalloc\[scipy\]'$"):
+            solve(SATURATED)
+    finally:
+        allocator._posv.cache_clear()
+
+
 def test_solve_keeps_each_threads_solution_apart(rng):
     # the LAPACK call works in per-process buffers; more threads than cores
     # and a short switch interval would mix their problems without the lock

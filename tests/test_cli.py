@@ -496,6 +496,14 @@ def _short_activation_model() -> dict:
     ("report", "--suite", {"seed": 0, "train_speeds": [10], "split_hash": "abc",
                            "variants": {"affine": {"rmse": {}}}},
      "the suite report has no key 'in_dist'"),
+    ("report", "--suite", {"seed": 0, "train_speeds": [10], "split_hash": "abc",
+                           "variants": {"affine": {"rmse": {"in_dist": 1.0, "va14": "x"},
+                                                   "inflation_pct": {}}}},
+     "the suite report's affine rmse 'va14' must be a number, got str"),
+    ("report", "--suite", {"seed": 0, "train_speeds": [10], "split_hash": "abc",
+                           "variants": {"affine": {"rmse": {"in_dist": 1.0, "va14": 2.0},
+                                                   "inflation_pct": {"va14": True}}}},
+     "the suite report's affine inflation_pct 'va14' must be a number, got bool"),
 ])
 def test_a_malformed_artifact_fails_with_one_error_line(tmp_path, capsys, command, flag, doc,
                                                         message):

@@ -474,11 +474,21 @@ def test_run_jobs_keeps_job_order_and_reissues_warnings(two_cpus):
         results = harness.run_jobs(_warn_and_square, [(i,) for i in range(5)])
     assert [r for r, _ in results] == [0, 1, 4, 9, 16]
     pids = [pid for _, pid in results]
-    # the caller keeps a fixed share, jobs 0, 2 and 4; one forked worker runs 1 and 3
-    assert pids[0] == pids[2] == pids[4] == os.getpid()
-    assert pids[1] == pids[3] != os.getpid()
+    # dealt in snake order to slots 0, 1, 1, 0, 0: the caller runs slot 1,
+    # jobs 1 and 2, and one forked worker runs 0, 3 and 4
+    assert pids[1] == pids[2] == os.getpid()
+    assert pids[0] == pids[3] == pids[4] != os.getpid()
     shown = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
     assert shown == [f"job {i}" for i in range(5)]
+
+
+def test_run_jobs_runs_the_last_snake_slot_in_the_caller(monkeypatch):
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
+    with pytest.warns(UserWarning):
+        results = harness.run_jobs(_warn_and_square, [(i,) for i in range(8)])
+    assert [r for r, _ in results] == [i * i for i in range(8)]
+    # slots 0, 1, 2, 2, 1, 0, 0, 1: the caller runs slot 2, jobs 2 and 3 only
+    assert [i for i, (_, pid) in enumerate(results) if pid == os.getpid()] == [2, 3]
 
 
 def _warn_same():
@@ -515,7 +525,7 @@ def _fail_on(i, bad):
     return i
 
 
-@pytest.mark.parametrize("bad", [0, 1])  # the caller's share, then the worker's
+@pytest.mark.parametrize("bad", [0, 1])  # the worker's share, then the caller's
 def test_run_jobs_reraises_a_job_error(two_cpus, bad):
     with pytest.raises(ValueError, match=f"^job {bad} failed$"):
         harness.run_jobs(_fail_on, [(i, bad) for i in range(3)])
@@ -548,7 +558,7 @@ def test_suite_reissues_training_warnings(two_cpus, tmp_path):
     cfg = tiny_cfg(train_speeds=(10.0,), test_speeds=(10.0,), duration_s=2.0, epochs=2)
     with pytest.warns(UserWarning, match="only 75 samples") as caught:
         run_ablation_suite(cfg, tmp_path)
-    # every variant warns: affine_sym and affine in the caller, affine_no_ws,
+    # every variant warns: affine and affine_no_ws in the caller, affine_sym,
     # unstructured and unstructured_no_ws in the worker
     assert sum("only 75 samples" in str(w.message) for w in caught) == 5
 
@@ -592,8 +602,9 @@ def test_suite_is_the_same_on_one_and_two_cpus(tmp_path, monkeypatch):
 
 
 def test_suite_caller_share_on_two_cpus(two_cpus, tmp_path, monkeypatch):
-    # the fixed shares are balanced by the job order: a reorder that moves a
-    # training or an eval set to the other process fails here
+    # the snake deal of the VARIANTS order, eval sets last, balances the fixed
+    # shares: a change that moves a training or an eval set to the other
+    # process fails here
     train, generate = harness.train_variant, harness.generate_speed_datasets
     generate_eval = harness.generate_eval_set
     trained, generated = [], []  # appended to in this process only
@@ -616,8 +627,22 @@ def test_suite_caller_share_on_two_cpus(two_cpus, tmp_path, monkeypatch):
     # two eval speeds, as in the default suite
     run_ablation_suite(tiny_cfg(epochs=2, train_speeds=(10.0,), test_speeds=(10.0, 14.0)),
                        tmp_path)
-    assert trained == ["affine_sym", "affine"]
+    assert trained == ["affine", "affine_no_ws"]
     assert generated == [("train", (10.0,)), ("eval", 10.0), ("eval", 14.0)]
+
+
+def test_suite_trains_and_scores_a_sixth_variant(two_cpus, tmp_path, monkeypatch):
+    # a new variant is one VARIANTS row, with no second list to place it in
+    sixth = harness.Variant(harness.train_dynamics, mirror_prior=True, wing_sensors=False)
+    monkeypatch.setitem(VARIANTS, "affine_sym_no_ws", sixth)
+    cfg = tiny_cfg(epochs=2, duration_s=2.0, train_speeds=(10.0,), test_speeds=(10.0, 14.0))
+    with pytest.warns(UserWarning, match="only 75 samples"):
+        report = run_ablation_suite(cfg, tmp_path)
+    assert sorted(report.variants) == sorted(VARIANTS) and len(VARIANTS) == 6
+    entry = report.variants["affine_sym_no_ws"]
+    assert set(entry["rmse"]) == {"in_dist", "va10", "va14"}
+    assert entry["sym_residual"] is not None
+    assert "affine_sym_no_ws" in (tmp_path / "reports" / "suite_report.txt").read_text()
 
 
 def test_suite_writes_the_eval_sets_of_generate_eval_set(tmp_path):
