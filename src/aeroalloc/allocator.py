@@ -22,8 +22,9 @@ solution holds only the commands and clamp flags; `objective(p, u)`
 evaluates the objective.
 
 Each value is checked once, where it enters: AllocationProblem its parts,
-TrackingConfig (frozen) the penalties, dt and the trim command (4 finite
-entries within the actuator limits), `track_sequence` its targets.
+TrackingConfig (frozen) the penalties and the trim command (4 finite
+entries within the actuator limits), `track_sequence` its targets. Every
+tracking run steps at the constant `DT`.
 Inside the loop, where commands pass as plain (4,) arrays, each step's
 AllocationProblem is made without its __init__ checks (`_unchecked`), only
 the model's (A, B) and the achieved wrench are checked to be finite, and the
@@ -57,6 +58,8 @@ from .blas import numpy_blas_function
 from .table import write_table
 
 log = logging.getLogger(__name__)
+
+DT = 0.02  # s, the time step of every tracking run
 
 TRACKING_CSV_HEADER = (
     ["t"]
@@ -230,17 +233,14 @@ def solve(p: AllocationProblem) -> AllocationSolution:
 
 @dataclass(frozen=True)
 class TrackingConfig:
-    """Penalties, trim command and time step of a tracking run, checked at construction."""
+    """Penalties and trim command of a tracking run, checked at construction."""
 
     lambda0: float = 0.01
     lambda1: float = 0.1
     u_trim: np.ndarray = field(default_factory=lambda: np.zeros(CONTROL_DIM))
-    dt: float = 0.02
 
     def __post_init__(self) -> None:
         _check_penalties(self.lambda0, self.lambda1)
-        if not 0.0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         u = _vec(self.u_trim, CONTROL_DIM, "u_trim")
         if np.abs(u).max() > CONTROL_LIMIT_DEG:
             raise ValueError(f"u_trim {u} exceeds the +-{CONTROL_LIMIT_DEG:g} deg actuator limit")
@@ -307,7 +307,7 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn) ->
         if not np.isfinite(rows_ach[k]).all():
             raise ArithmeticError(f"non-finite achieved wrench at step {k}")
     return TrackingLog(
-        t=np.arange(n) * cfg.dt,
+        t=np.arange(n) * DT,
         targets=target_mat,
         predicted=rows_pred,
         achieved=rows_ach,

@@ -41,6 +41,12 @@ def _speeds(text: str) -> tuple[float, ...]:
     return values
 
 
+def _file_name(text: str) -> str:
+    if not plant._is_file_name(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a plain file name")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aeroalloc",
@@ -66,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-calib", help="train a probe calibration network from a CSV")
     p.add_argument("--data", type=Path, required=True, help="calibration CSV")
-    p.add_argument("--name", default=None, help="model name (default: data file stem)")
+    p.add_argument("--name", type=_file_name, default=None,
+                   help="model name (default: data file stem)")
     p.add_argument("--epochs", type=int, default=None)
     add_common(p)
 

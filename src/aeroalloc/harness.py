@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, plant as plant_mod
-from .allocator import TrackingConfig, TrackingLog, track_sequence
+from .allocator import DT, TrackingConfig, TrackingLog, track_sequence
 from .blas import numpy_blas_function
 from .dynamics import (
     CONTROL_DIM,
@@ -595,7 +595,7 @@ def closed_loop_run(
         np.random.default_rng(int(c.generate_state(1)[0]))
         for c in np.random.SeedSequence(seed).spawn(3)
     ]
-    protocol = {"stage": "I", "duration_s": cfg.duration_s, "dt": tracking.dt}
+    protocol = {"stage": "I", "duration_s": cfg.duration_s, "dt": DT}
     t, alpha, beta = plant_mod.stage_schedule(protocol, params, rng_sched)
     gust = plant_mod.gust_from_spec(_gust_spec(cfg), speed, params)
     terms = plant_mod.run_terms(params, speed, t, alpha, beta, gust, rng_noise)

@@ -18,7 +18,7 @@ The gust is generated upstream and advects downstream, so each sensing
 location sees it with its own strength and time lag: the nose-mounted probes
 lead the wing taps. Instantaneous probe readings therefore never fully
 determine the wing-local disturbance, which is exactly the gap the wing taps
-fill.
+fill. `gust_field` gives the gust at every location over a whole run at once.
 """
 from __future__ import annotations
 
@@ -258,38 +258,28 @@ def dynamic_pressure(va: float, params: PlantParams) -> float:
     return 0.5 * params.rho * va * va
 
 
-def gust_perturbation(gust: GustState, times: np.ndarray, location: str, va: float,
-                      params: PlantParams):
-    """Gust-induced (d_alpha, d_beta) in degrees at a sensing location over an
-    array of times: two arrays of its shape.
-
-    Shedding advects with the freestream: a location `x` meters downstream
-    sees the signal delayed by x/Va.
-    """
-    if location not in LOCATIONS:
-        raise ValueError(f"location must be one of {LOCATIONS}, got {location!r}")
-    weight = params.gust_weight[location]
-    shape = np.shape(times)
-    if gust.mode == "shear":
-        d_beta = weight * params.shear_beta_per_yaw * gust.yaw_deg
-        return np.zeros(shape), np.full(shape, d_beta)
-    if gust.mode == "off" or gust.amplitude == 0.0:
-        return np.zeros(shape), np.zeros(shape)
-    speed = max(va, 0.1)
-    angle_amp = np.degrees(np.arctan2(gust.amplitude, speed))
-    lag = params.streamwise_offset_m[location] / speed
-    ph = 2.0 * np.pi * gust.frequency_hz * (times - lag) + gust.phase
-    return weight * angle_amp * np.sin(ph), weight * angle_amp * np.cos(ph)
-
-
 def gust_field(gust: GustState, times: np.ndarray, va: float, params: PlantParams) -> np.ndarray:
-    """The gust at every sensing location over a run, (n, 3, 2) for n times.
+    """The gust-induced flow-angle change in degrees at every sensing location
+    over a run, (n, 3, 2) for n times.
 
     Row k holds the (d_alpha, d_beta) pairs of `LOCATIONS` (probe0, probe1,
-    wing) at times[k]. Makes one `gust_perturbation` call per location.
+    wing) at times[k], each location scaled by its gust weight. Shedding
+    advects with the freestream: a location `x` meters downstream sees the
+    signal delayed by x/Va.
     """
-    return np.stack([np.column_stack(gust_perturbation(gust, times, loc, va, params))
-                     for loc in LOCATIONS], axis=1)
+    out = np.zeros((len(times), len(LOCATIONS), 2))  # +0.0 wherever there is no gust
+    if gust.mode == "shear":
+        for i, loc in enumerate(LOCATIONS):
+            out[:, i, 1] = params.gust_weight[loc] * params.shear_beta_per_yaw * gust.yaw_deg
+    elif gust.mode == "shedding" and gust.amplitude != 0.0:
+        speed = max(va, 0.1)
+        angle_amp = np.degrees(np.arctan2(gust.amplitude, speed))
+        for i, loc in enumerate(LOCATIONS):
+            weight, lag = params.gust_weight[loc], params.streamwise_offset_m[loc] / speed
+            ph = 2.0 * np.pi * gust.frequency_hz * (times - lag) + gust.phase
+            out[:, i, 0] = weight * angle_amp * np.sin(ph)
+            out[:, i, 1] = weight * angle_amp * np.cos(ph)
+    return out
 
 
 def probe_taps(va: float, alpha_deg, beta_deg, params: PlantParams) -> np.ndarray:
@@ -502,16 +492,49 @@ DYNAMICS_KEYS = SCHEDULE_KEYS | {"kind", "name", "speed", "excitation", "gust"}
 CALIBRATION_KEYS = {"kind", "name", "speeds", "alphas", "betas", "repeats", "dt",
                     "exclude_points", "gust"}
 EXCITATION_KEYS = {"ar", "sigma", "limit"}
+GUST_KEYS = {f.name for f in fields(GustState)}
 
 
 def _check_keys(block: dict, known: set, what: str) -> None:
+    if not isinstance(block, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(block).__name__}")
     unknown = sorted(set(block) - known)
     if unknown:
         raise ValueError(f"{what} has unknown keys {unknown}; it reads {sorted(known)}")
 
 
+def _check_block(block: dict, known: set, what: str) -> None:
+    """The `excitation` or `gust` block of a protocol: known keys, each holding a
+    number but for the gust's `mode`."""
+    _check_keys(block, known, what)
+    for key, value in block.items():
+        if key != "mode" and not _is_number(value):
+            raise ValueError(f"{what} {key} must be a number, got {value!r}")
+
+
+def _value(protocol: dict, key: str, default, valid, what: str):
+    """protocol[key], or `default` where it is not given, for which `valid` holds."""
+    value = protocol.get(key, default)
+    if not valid(value):
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_number, value))
+
+
+def _is_pair(value) -> bool:
+    return _is_numbers(value) and len(value) == 2
+
+
+def _is_file_name(name) -> bool:
+    """A plain file name, so that every file lands in the output directory."""
+    return isinstance(name, str) and name not in ("", ".", "..") and Path(name).name == name
+
+
 def _seconds(protocol: dict, key: str, default: float) -> float:
-    value = float(protocol.get(key, default))
+    value = float(_value(protocol, key, default, _is_number, "a number"))
     probe_mod._check_positive_finite(value, key)
     return value
 
@@ -519,7 +542,7 @@ def _seconds(protocol: dict, key: str, default: float) -> float:
 def _excitation_args(spec: dict) -> dict:
     """The band_limited_walk settings of a protocol's `excitation` block, checked
     before any step runs; `limit` keeps every command inside the actuator limits."""
-    _check_keys(spec, EXCITATION_KEYS, "excitation")
+    _check_block(spec, EXCITATION_KEYS, "excitation")
     ar = float(spec.get("ar", 0.95))
     sigma = float(spec.get("sigma", 1.2))
     limit = float(spec.get("limit", CONTROL_LIMIT_DEG))
@@ -535,8 +558,13 @@ def _excitation_args(spec: dict) -> dict:
 
 
 def gust_from_spec(spec: dict | None, va: float, params: PlantParams) -> GustState:
+    """The gust of a protocol's `gust` block: None, or an object whose keys are
+    `GustState` fields and whose values other than `mode` are numbers."""
     _check_airspeed(va)  # before a shedding frequency is derived from it
-    if not spec or spec.get("mode", "off") == "off":
+    if spec is None:
+        return GustState()
+    _check_block(spec, GUST_KEYS, "gust")
+    if spec.get("mode", "off") == "off":
         return GustState()
     spec = dict(spec)
     mode = spec.pop("mode")
@@ -560,9 +588,10 @@ def _smooth_trajectory(
 
 def _excluded_points(entries, grid: set) -> set:
     """`exclude_points`, each checked to be (speed, alpha, beta) of a grid point."""
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"exclude_points must be a list, got {entries!r}")
     for entry in entries:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 3
-                and all(map(_is_number, entry))):
+        if not (_is_numbers(entry) and len(entry) == 3):
             raise ValueError(f"exclude_points entry {entry!r} is not 3 numbers")
         if tuple(entry) not in grid:
             raise ValueError(f"exclude_points entry {entry!r} is not a point of the grid")
@@ -581,14 +610,14 @@ def generate_calibration_data(
     commanded grid point whenever the gust is off.
     """
     _check_keys(protocol, CALIBRATION_KEYS, "calibration protocol")
-    speeds = protocol.get("speeds", [8.0, 10.0, 12.0])
-    alphas = protocol.get("alphas", [-10.0, -5.0, 0.0, 5.0, 10.0])
-    betas = protocol.get("betas", [-10.0, -5.0, 0.0, 5.0, 10.0])
-    repeats = int(protocol.get("repeats", 24))
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    name = _value(protocol, "name", "calib", _is_file_name, "a plain file name")
+    speeds = _value(protocol, "speeds", [8.0, 10.0, 12.0], _is_numbers, "a list of numbers")
+    alphas, betas = (_value(protocol, key, [-10.0, -5.0, 0.0, 5.0, 10.0], _is_numbers,
+                            "a list of numbers") for key in ("alphas", "betas"))
+    repeats = int(_value(protocol, "repeats", 24,
+                         lambda n: _is_number(n) and float(n).is_integer() and n >= 1,
+                         ">= 1 and a whole number"))
     dt = _seconds(protocol, "dt", 0.02)
-    name = protocol.get("name", "calib")
     points = {(va, alpha, beta) for va in speeds for alpha in alphas for beta in betas}
     exclude = _excluded_points(protocol.get("exclude_points", []), points)
     blocks = []  # per speed: its gust and the (alpha, beta) of its rows
@@ -631,12 +660,13 @@ def stage_schedule(
     if stage == "I":
         duration = _seconds(protocol, "duration_s", 60.0)
         t = np.arange(int(round(duration / dt))) * dt
-        a_lo, a_hi = protocol.get("alpha_range", [-10.0, 10.0])
-        b_lo, b_hi = protocol.get("beta_range", [-10.0, 10.0])
-        alpha = _smooth_trajectory(rng, t, a_lo, a_hi)
-        beta = _smooth_trajectory(rng, t, b_lo, b_hi)
+        ranges = [_value(protocol, key, [-10.0, 10.0], _is_pair, "two numbers [low, high]")
+                  for key in ("alpha_range", "beta_range")]
+        alpha, beta = (_smooth_trajectory(rng, t, lo, hi) for lo, hi in ranges)
     elif stage == "II":
-        setpoints = protocol.get("setpoints", [[0.0, 0.0], [5.0, -5.0], [-5.0, 5.0]])
+        setpoints = _value(protocol, "setpoints", [[0.0, 0.0], [5.0, -5.0], [-5.0, 5.0]],
+                           lambda v: isinstance(v, (list, tuple)) and v and all(map(_is_pair, v)),
+                           "a non-empty list of [alpha, beta] pairs")
         n_hold = int(round(_seconds(protocol, "hold_s", 15.0) / dt))
         alpha = np.concatenate([np.full(n_hold, sp[0]) for sp in setpoints])
         beta = np.concatenate([np.full(n_hold, sp[1]) for sp in setpoints])
@@ -664,8 +694,8 @@ def generate_dynamics_data(
     observation columns carry gust- and noise-perturbed values.
     """
     _check_keys(protocol, DYNAMICS_KEYS, "dynamics protocol")
-    speed = float(protocol.get("speed", 10.0))
-    name = protocol.get("name", f"dyn_va{speed:g}")
+    speed = float(_value(protocol, "speed", 10.0, _is_number, "a number"))
+    name = _value(protocol, "name", f"dyn_va{speed:g}", _is_file_name, "a plain file name")
     excitation = _excitation_args(protocol.get("excitation", {}))
     rng = np.random.default_rng(seed)
     t, alpha, beta = stage_schedule(protocol, params, rng)

@@ -55,25 +55,25 @@ def unstructured_model(hidden=(8,), seed=0):
 
 
 def gust_at(gust, time: float, location: str, va: float, params) -> tuple[float, float]:
-    """`plant.gust_perturbation` at one time, as two floats."""
+    """The (d_alpha, d_beta) at `location` of a one-row `plant.gust_field`, as two floats."""
     from aeroalloc import plant
 
-    d_alpha, d_beta = plant.gust_perturbation(gust, np.array([time]), location, va, params)
-    return float(d_alpha[0]), float(d_beta[0])
+    row = plant.gust_field(gust, np.array([time]), va, params)[0]
+    return tuple(row[plant.LOCATIONS.index(location)].tolist())
 
 
 def count_gust_calls(monkeypatch) -> list:
-    """Patch plant.gust_perturbation to log (gust mode, location) per call."""
+    """Patch plant.gust_field to log (gust mode, number of times) per call."""
     from aeroalloc import plant
 
     calls = []
-    original = plant.gust_perturbation
+    original = plant.gust_field
 
-    def counted(gust, time, location, va, params):
-        calls.append((gust.mode, location))
-        return original(gust, time, location, va, params)
+    def counted(gust, times, va, params):
+        calls.append((gust.mode, len(times)))
+        return original(gust, times, va, params)
 
-    monkeypatch.setattr(plant, "gust_perturbation", counted)
+    monkeypatch.setattr(plant, "gust_field", counted)
     return calls
 
 
@@ -102,7 +102,7 @@ def reference_calibration_rows(protocol, params, seed):
     """The (probe0, probe1) rows of a calibration grid protocol that gives its
     speeds, alphas, betas, repeats and dt, built the way the plant did before
     it drew a grid's gusts and noise as tables: one condition per row, a
-    `gust_perturbation` call per row, and per-row `rng.normal` draws."""
+    one-time `gust_field` call per row and probe, and per-row `rng.normal` draws."""
     from aeroalloc import plant, probe
 
     rng = np.random.default_rng(seed)

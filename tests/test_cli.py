@@ -31,6 +31,17 @@ def test_repeated_speed_exits_2(capsys, argv):
     assert "repeats a speed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["/../../x", "a/b", ".."])
+def test_train_calib_name_must_be_a_plain_file_name(tmp_path, capsys, name):
+    # a path in the name would put the model outside the output root
+    root = tmp_path / "root"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train-calib", "--data", "c.csv", "--name", name, "--out", str(root)])
+    assert exc.value.code == 2
+    assert f"{name!r} is not a plain file name" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_eval_without_inputs_exits_2(tmp_path, capsys):
     import numpy as np
 
@@ -158,6 +169,25 @@ CAL = {"kind": "calibration", "name": "bad", "repeats": 1}
     ({**CAL, "exclude_points": [[10.0, 0.0]]}, "entry [10.0, 0.0] is not 3 numbers"),
     ({**CAL, "exclude_points": [["10", 0, 0]]}, "entry ['10', 0, 0] is not 3 numbers"),
     (b'{"kind": "dynamics", ', "proto.json: Expecting property name enclosed in double quotes"),
+    # each bad value is named by its key, and by its block where it has one
+    ({**DYN, "gust": {"mdoe": "shedding", "amplitude": 0.4}}, "gust has unknown keys ['mdoe']"),
+    ({**DYN, "gust": "shedding"}, "gust must be a JSON object, got str"),
+    ({**DYN, "gust": {"mode": "shedding", "amplitude": "0.4"}},
+     "gust amplitude must be a number, got '0.4'"),
+    ({**DYN, "stage": "II", "setpoints": [[1]]},
+     "setpoints must be a non-empty list of [alpha, beta] pairs, got [[1]]"),
+    ({**DYN, "stage": "II", "setpoints": []},
+     "setpoints must be a non-empty list of [alpha, beta] pairs, got []"),
+    ({**DYN, "alpha_range": [1, 2, 3]}, "alpha_range must be two numbers [low, high], got [1, 2, 3]"),
+    ({**DYN, "alpha_range": 5}, "alpha_range must be two numbers [low, high], got 5"),
+    ({**DYN, "speed": "abc"}, "speed must be a number, got 'abc'"),
+    ({**CAL, "speeds": "abc"}, "speeds must be a list of numbers, got 'abc'"),
+    ({**CAL, "repeats": 2.7}, "repeats must be >= 1 and a whole number, got 2.7"),
+    ({**CAL, "exclude_points": 5}, "exclude_points must be a list, got 5"),
+    ({**DYN, "excitation": {"ar": "abc"}}, "excitation ar must be a number, got 'abc'"),
+    ({**DYN, "excitation": {"sigma": True}}, "excitation sigma must be a number, got True"),
+    ({**DYN, "name": "../../x"}, "name must be a plain file name, got '../../x'"),
+    ({**CAL, "name": "../cal"}, "name must be a plain file name, got '../cal'"),
 ])
 def test_gen_data_rejects_unusable_protocols_before_writing(tmp_path, capsys, protocol, message):
     proto = tmp_path / "proto.json"  # bytes are the file's text as it is, not a document
@@ -167,7 +197,8 @@ def test_gen_data_rejects_unusable_protocols_before_writing(tmp_path, capsys, pr
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
-    assert not [p for p in root.rglob("*") if p.is_file()]
+    # nothing is written, inside the output root or beside it
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [proto]
 
 
 @pytest.mark.parametrize("duration", ["0", "0.02", "-1"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import aeroalloc
 from aeroalloc import dynamics, harness, nncore, plant
-from aeroalloc.allocator import TrackingConfig, track_sequence
+from aeroalloc.allocator import DT, TrackingConfig, track_sequence
 from aeroalloc.dynamics import AffineModel, model_flat_params
 from aeroalloc.harness import (
     ExperimentConfig,
@@ -261,9 +261,9 @@ def test_closed_loop_evaluates_each_gust_once_per_run(monkeypatch):
     reference = closed_loop_run(model, cfg, 10.0, seed=5)
     calls = count_gust_calls(monkeypatch)
     tlog = closed_loop_run(model, cfg, 10.0, seed=5)
-    # one evaluation over all the run's times per location, not one per step;
-    # the gust-free target baseline is closed-form and evaluates no gust
-    assert calls == [("shedding", loc) for loc in plant.LOCATIONS]
+    # one evaluation over all the run's times, not one per step; the
+    # gust-free target baseline is closed-form and evaluates no gust
+    assert calls == [("shedding", 100)]
     assert np.array_equal(tlog.controls, reference.controls)
     assert np.array_equal(tlog.achieved, reference.achieved)
 
@@ -295,7 +295,7 @@ def test_closed_loop_matches_per_step_plant_closures_bit_for_bit(flown_models, v
         np.random.default_rng(int(c.generate_state(1)[0]))
         for c in np.random.SeedSequence(seed).spawn(3)
     ]
-    protocol = {"stage": "I", "duration_s": cfg.duration_s, "dt": tracking.dt}
+    protocol = {"stage": "I", "duration_s": cfg.duration_s, "dt": DT}
     t, alpha, beta = plant.stage_schedule(protocol, params, rng_sched)
     gust = plant.gust_from_spec(harness._gust_spec(cfg), speed, params)
     conds = [Condition(speed, float(a), float(b), gust, float(tk))

@@ -1,5 +1,6 @@
 """Import cost: no pipeline step loads SciPy, and the process-pool modules are
-loaded by a suite run on more than one CPU, not by import. Every module-level
+loaded by a suite run on more than one CPU, not by import. The package
+re-exports no names, and `import aeroalloc` loads its modules. Every module-level
 import and private definition in the package is used, and no code outside
 `allocator.track_sequence` branches on a model's family or a variant's name."""
 import ast
@@ -29,7 +30,8 @@ import aeroalloc
 scipy_modules()
 import aeroalloc.cli
 scipy_modules()
-aeroalloc.solve(aeroalloc.AllocationProblem(a=np.zeros(6), b=np.eye(6, 4), y_target=np.ones(6)))
+from aeroalloc.allocator import AllocationProblem
+aeroalloc.allocator.solve(AllocationProblem(a=np.zeros(6), b=np.eye(6, 4), y_target=np.ones(6)))
 scipy_modules()
 from aeroalloc import dynamics, harness
 model = dynamics.load_dynamics_model(sys.argv[1])
@@ -76,6 +78,24 @@ TINY_SUITE = dict(epochs=2, hidden=(8, 8), duration_s=2.0, test_speeds=(10.0, 12
 
 def test_import_loads_no_process_pool_module():
     assert _run(POOL_PROBE_SCRIPT).split() == ["[]"]
+
+
+PACKAGE_MODULES_SCRIPT = """
+import sys
+import {module}
+print(sorted(m for m in sys.modules if m.split(".")[0] == "aeroalloc"))
+"""
+
+
+def test_each_name_has_one_way_in():
+    # the package re-exports no function or class; each is imported from its module
+    flat = sorted(name for name, value in vars(aeroalloc).items()
+                  if callable(value) and not name.startswith("__"))
+    assert flat == []
+    # and `import aeroalloc` loads the modules that any one of them needs
+    loaded = _run(PACKAGE_MODULES_SCRIPT.format(module="aeroalloc"))
+    assert loaded == _run(PACKAGE_MODULES_SCRIPT.format(module="aeroalloc.harness"))
+    assert "'aeroalloc.harness'" in loaded
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
@@ -136,7 +156,7 @@ def _bound_names(node):
 
 
 def test_no_module_keeps_an_unused_import():
-    # __init__ imports to re-export; every other module must use what it imports
+    # __init__ imports its modules to load them; every other module must use what it imports
     unused = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":

@@ -13,8 +13,8 @@ from aeroalloc.plant import (
     band_limited_walk,
     dynamic_pressure,
     generate_dataset,
+    gust_field,
     gust_from_spec,
-    gust_perturbation,
     make_observation,
     probe_pressures,
     run_terms,
@@ -146,15 +146,17 @@ def test_probe_noise_is_seed_deterministic(tmp_path, params):
 
 
 def test_gust_perturbation_modes(params):
+    # gust_field's (d_alpha, d_beta) at each location, in each mode
     times = np.array([0.0, 1.0])
     for quiet in (GustState(), GustState(mode="shedding", amplitude=0.0)):
-        da, db = gust_perturbation(quiet, times, "wing", 10.0, params)
-        assert da.tolist() == db.tolist() == [0.0, 0.0]
-    da, db = gust_perturbation(GustState(mode="shear", yaw_deg=4.0), times, "wing", 10.0, params)
-    assert da.tolist() == [0.0, 0.0]
-    assert db == pytest.approx([params.gust_weight["wing"] * params.shear_beta_per_yaw * 4.0] * 2)
-    with pytest.raises(ValueError):
-        gust_perturbation(GustState(), times, "tail", 10.0, params)
+        field = gust_field(quiet, times, 10.0, params)
+        assert field.shape == (2, 3, 2)
+        assert field.tobytes() == np.zeros((2, 3, 2)).tobytes()  # +0.0, not -0.0
+    field = gust_field(GustState(mode="shear", yaw_deg=4.0), times, 10.0, params)
+    assert field[:, :, 0].tobytes() == np.zeros((2, 3)).tobytes()
+    for i, loc in enumerate(plant.LOCATIONS):
+        expected = params.gust_weight[loc] * params.shear_beta_per_yaw * 4.0
+        assert field[:, i, 1].tolist() == [expected] * 2
 
 
 ARRAY_GUSTS = [
@@ -168,9 +170,11 @@ ARRAY_GUSTS = [
 @pytest.mark.parametrize("location", plant.LOCATIONS)
 @pytest.mark.parametrize("gust", ARRAY_GUSTS, ids=lambda g: f"{g.mode}-{g.amplitude:g}")
 def test_gust_perturbation_over_times_equals_scalar_calls(params, gust, location):
+    # each location's column of gust_field over many times, against one-time calls
     times = np.concatenate([np.arange(6000) * 0.02, [0.013, 7.77, 123.456]])
-    d_alpha, d_beta = gust_perturbation(gust, times, location, 13.5, params)
-    assert d_alpha.shape == d_beta.shape == times.shape
+    field = gust_field(gust, times, 13.5, params)
+    assert field.shape == (times.size, 3, 2)
+    d_alpha, d_beta = field[:, plant.LOCATIONS.index(location)].T
     scalar = [gust_at(gust, t, location, 13.5, params) for t in times.tolist()]
     # each element equals the call at its one time bit for bit, signed zeros included
     assert d_alpha.tobytes() == np.array([a for a, _ in scalar]).tobytes()
@@ -484,7 +488,7 @@ def test_calibration_grid_evaluates_each_gust_once_per_speed(tmp_path, params, m
              "betas": [0.0], "repeats": 4, "gust": {"mode": "shedding", "amplitude": 0.4}}
     calls = count_gust_calls(monkeypatch)
     generate_dataset(proto, params, seed=0, out_dir=tmp_path)
-    assert calls == [("shedding", loc) for _ in range(2) for loc in plant.LOCATIONS]
+    assert calls == [("shedding", 8), ("shedding", 8)]  # 2 alphas x 4 repeats per speed
 
 
 @pytest.mark.parametrize("calibrated", [False, True], ids=["ideal", "calibrated"])
@@ -527,8 +531,8 @@ def test_dynamics_run_evaluates_each_gust_once_per_run(tmp_path, params, monkeyp
     reference = generate_dataset(proto, params, seed=3, out_dir=tmp_path / "a")
     calls = count_gust_calls(monkeypatch)
     paths = generate_dataset(proto, params, seed=3, out_dir=tmp_path / "b")
-    # 100 steps: one evaluation over all the run's times per location, not one per step
-    assert calls == [("shedding", loc) for loc in plant.LOCATIONS]
+    # 100 steps: one evaluation over all the run's times, not one per step
+    assert calls == [("shedding", 100)]
     for pa, pb in zip(reference, paths):
         assert pa.read_bytes() == pb.read_bytes()
 
