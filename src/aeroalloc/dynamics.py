@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nncore
-from .nncore import Network, forward, backward, huber, huber_grad
+from .nncore import Network, forward, backward
 from .table import read_table, write_table
 
 log = logging.getLogger(__name__)
@@ -71,7 +71,8 @@ class SymmetryConfig:
 
     The penalty is a Huber loss on the residual `symmetry_residual_matrix(b)`.
     `delta` sets the per-channel Huber threshold, so bounded asymmetry costs
-    quadratically and gross asymmetry only linearly.
+    quadratically and gross asymmetry only linearly. The thresholds are
+    checked here once, and `penalty` and `penalty_grad` apply them.
     """
 
     lambda_sym: float = 0.1
@@ -85,9 +86,18 @@ class SymmetryConfig:
             raise ValueError(f"delta must be {WRENCH_DIM} positive finite thresholds, got {delta}")
         if not 0.0 <= self.lambda_sym < np.inf:
             raise ValueError(f"lambda_sym must be finite and >= 0, got {self.lambda_sym}")
+        object.__setattr__(self, "_delta", np.asarray(delta, dtype=np.float64))
 
-    def delta_array(self) -> np.ndarray:
-        return np.asarray(self.delta, dtype=float)
+    def penalty(self, resid) -> np.ndarray:
+        """Per-entry Huber penalty of mirror residuals (..., 6): r^2/2 inside
+        |r| <= delta, delta*(|r| - delta/2) outside."""
+        r, d = np.asarray(resid, dtype=np.float64), self._delta
+        a = np.abs(r)
+        return np.where(a <= d, 0.5 * r * r, d * (a - 0.5 * d))
+
+    def penalty_grad(self, resid) -> np.ndarray:
+        """d penalty / d resid, the residual clipped to +-delta."""
+        return np.clip(np.asarray(resid, dtype=np.float64), -self._delta, self._delta)
 
 
 def _check_network(net: Network, n_in: int, n_out: int, what: str) -> None:
@@ -237,7 +247,7 @@ def symmetry_loss(b: np.ndarray, cfg: SymmetryConfig) -> float:
     if b.shape != (WRENCH_DIM, CONTROL_DIM):
         raise ValueError(f"expected a {WRENCH_DIM}x{CONTROL_DIM} matrix, got {b.shape}")
     resid = symmetry_residual_matrix(b)
-    return float(cfg.lambda_sym * np.sum(huber(resid, cfg.delta_array())))
+    return float(cfg.lambda_sym * np.sum(cfg.penalty(resid)))
 
 
 def symmetry_residual_norm(model: AffineModel, obs) -> float:
@@ -262,7 +272,7 @@ def _batch_loss(err, b, sym: SymmetryConfig) -> float:
     loss = float(np.mean(err**2))
     if sym.lambda_sym > 0.0:
         resid = symmetry_residual_matrix(b)
-        loss += float(sym.lambda_sym * np.sum(huber(resid, sym.delta_array())) / err.shape[0])
+        loss += float(sym.lambda_sym * np.sum(sym.penalty(resid)) / err.shape[0])
     return loss
 
 
@@ -279,13 +289,12 @@ def _batch_tapes(nets, u, err, b, acts, sym: SymmetryConfig, out=(None, None, No
     up_b = up_a[:, :, None] * u[:, None, :]
     if sym.lambda_sym > 0.0:
         resid = symmetry_residual_matrix(b)
-        g = (sym.lambda_sym / n) * huber_grad(resid, sym.delta_array())
+        g = (sym.lambda_sym / n) * sym.penalty_grad(resid)
         up_b[:, :, 0] += g
         up_b[:, :, 1] += g * MIRROR_SIGNS
-    h = acts_bb[-1]
-    tape_a = backward(a_head, h, up_a, acts_a, out=out[1])
-    tape_b = backward(b_head, h, up_b.reshape(n, -1), acts_b, out=out[2])
-    tape_bb = backward(backbone, acts_bb[0], tape_a.input_grad + tape_b.input_grad, acts_bb,
+    tape_a = backward(a_head, up_a, acts_a, out=out[1])
+    tape_b = backward(b_head, up_b.reshape(n, -1), acts_b, out=out[2])
+    tape_bb = backward(backbone, tape_a.input_grad + tape_b.input_grad, acts_bb,
                        with_input_grad=False, out=out[0])
     return tape_bb, tape_a, tape_b
 
@@ -514,7 +523,7 @@ def train_unstructured(
     def minibatch_grads(x, y):
         acts = forward(net, x, activations=True)
         err = acts[-1] - y
-        backward(net, x, (2.0 / err.size) * err, acts, with_input_grad=False, out=opt.tapes[0])
+        backward(net, (2.0 / err.size) * err, acts, with_input_grad=False, out=opt.tapes[0])
 
     def full_loss():
         return float(np.mean((forward(net, x_tr) - yt_tr) ** 2))
@@ -544,7 +553,7 @@ def affine_at(model: UnstructuredModel, obs, u_ref) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"command u_ref must have shape ({CONTROL_DIM},), got {u_vec.shape}")
     x = (np.concatenate([feats[0], u_vec]) - model.in_mean) / model.in_std
     acts = nncore._activations(model.net, np.repeat(x[None], WRENCH_DIM, axis=0))
-    grad = nncore.input_grad(model.net, _EYE_WRENCH, acts)
+    grad = nncore._backprop(model.net, _EYE_WRENCH, acts)
     jac = grad[:, -CONTROL_DIM:] / model.in_std[-CONTROL_DIM:]
     # A 1-row pass for y0: reading it off the 6-row pass would move C7, as the two
     # differ in the last bits for 1998 of 2000 random inputs on the C7 baseline net.

@@ -12,9 +12,11 @@ it to the parameters in place with one Adam update, and `fit` is the
 minibatch loop every trainer in the package runs; it logs nothing, and
 records each epoch's training loss only in a `history` list its caller
 passes. Within this module a training step allocates only the activations
-and the gradients it carries between layers. `_activations` is the forward
-kernel, which the wrench models in `dynamics` also run past `forward`'s
-checks.
+and the gradients it carries between layers. There is one kernel per
+direction: `_activations` is the forward pass and `_backprop` the reverse
+pass over the activations it recorded. `forward` and `backward` check their
+arguments and call them, and the wrench models in `dynamics` also run them
+directly, past those checks.
 """
 from __future__ import annotations
 
@@ -172,79 +174,55 @@ def _through_tanh(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(g, d, out=d)
 
 
-def backward(
-    net: Network, x: np.ndarray, upstream: np.ndarray, acts: list | None = None,
-    with_input_grad: bool = True, out: GradientTape | None = None,
-) -> GradientTape:
-    """Gradients of <upstream, forward(net, x)> with respect to all parameters,
-    for a batch x (n, d) and its upstream (n, out).
-
-    It sums the contraction over rows, which is exactly what a mean-type
-    loss needs once the upstream carries the 1/n factor. `acts` are
-    the activations `forward(net, x, activations=True)` returned for this `x`;
-    without them the forward pass is recomputed. With `with_input_grad=False`
-    the first layer's input gradient, which a trainer of the input-side net
-    never reads, is not formed and the tape's `input_grad` is None; the
-    parameter gradients are the same bits either way. The parameter gradients
-    are written into the arrays of `out` (a trainer passes its optimizer's
-    `tapes` entry for `net`), or into new arrays without it.
-    """
-    x_batch = _as_batch(x, net.input_dim, "input")
-    up_batch = _as_batch(upstream, net.output_dim, "upstream")
-    if up_batch.shape[0] != x_batch.shape[0]:
-        raise ValueError(
-            f"batch sizes differ: input {x_batch.shape[0]}, upstream {up_batch.shape[0]}"
-        )
-    if acts is None:
-        acts = _activations(net, x_batch)
-    if out is None:
-        out = GradientTape([np.empty_like(layer.weight) for layer in net.layers],
-                           [np.empty_like(layer.bias) for layer in net.layers], None)
-    weight_grads, bias_grads = out.weight_grads, out.bias_grads
-    g, product = up_batch, _product_for(up_batch)
+def _backprop(net: Network, g: np.ndarray, acts: list, tape: GradientTape | None = None,
+              with_input_grad: bool = True) -> np.ndarray | None:
+    """The reverse kernel: carries the upstream `g` of the pass that recorded
+    `acts` back through the layers, last first. With a `tape` it writes each
+    layer's parameter gradients into it on the way; it returns the input
+    gradient, or None when `with_input_grad` is False."""
+    product = _product_for(g)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         if layer.activation == "tanh":
             g = _through_tanh(g, acts[i + 1])
-        np.matmul(g.T, acts[i], out=weight_grads[i])
-        np.add.reduce(g, axis=0, out=bias_grads[i])
+        if tape is not None:
+            np.matmul(g.T, acts[i], out=tape.weight_grads[i])
+            np.add.reduce(g, axis=0, out=tape.bias_grads[i])
         if i == 0 and not with_input_grad:
-            return GradientTape(weight_grads, bias_grads, None)
-        g = product(g, layer.weight)
-    return GradientTape(weight_grads, bias_grads, g)
-
-
-def input_grad(net: Network, upstream: np.ndarray, acts: list) -> np.ndarray:
-    """`backward(net, acts[0], upstream, acts).input_grad` of a batch, without
-    forming the parameter gradients; the same operations, so the same bits."""
-    g, product = upstream, _product_for(upstream)
-    for layer, out in zip(reversed(net.layers), reversed(acts[1:])):
-        if layer.activation == "tanh":
-            g = _through_tanh(g, out)
+            return None
         g = product(g, layer.weight)
     return g
 
 
-def huber(e, delta):
-    """Huber penalty: e^2/2 inside |e| <= delta, linear delta*(|e|-delta/2) outside.
+def backward(
+    net: Network, upstream: np.ndarray, acts: list, with_input_grad: bool = True,
+    out: GradientTape | None = None,
+) -> GradientTape:
+    """Gradients of <upstream, forward(net, x)> with respect to all parameters,
+    for a batch x (n, d) and its upstream (n, out).
 
-    `delta` may be a positive scalar or an array broadcastable against `e`;
-    the result is an array of their broadcast shape.
+    `acts` are the activations `forward(net, x, activations=True)` returned,
+    so `acts[0]` is x; no forward pass is run here. It sums the contraction
+    over rows, which is exactly what a mean-type loss needs once the upstream
+    carries the 1/n factor. With `with_input_grad=False` the first layer's
+    input gradient, which a trainer of the input-side net never reads, is not
+    formed and the tape's `input_grad` is None; the parameter gradients are
+    the same bits either way. The parameter gradients are written into the
+    arrays of `out` (a trainer passes its optimizer's `tapes` entry for
+    `net`), or into new arrays without it.
     """
-    delta_arr = np.asarray(delta, dtype=np.float64)
-    if np.any(delta_arr <= 0.0):
-        raise ValueError("huber delta must be positive")
-    e_arr = np.asarray(e, dtype=np.float64)
-    a = np.abs(e_arr)
-    return np.where(a <= delta_arr, 0.5 * e_arr * e_arr, delta_arr * (a - 0.5 * delta_arr))
-
-
-def huber_grad(e, delta):
-    """d huber / d e, the clipped residual; saturates at +-delta."""
-    delta_arr = np.asarray(delta, dtype=np.float64)
-    if np.any(delta_arr <= 0.0):
-        raise ValueError("huber delta must be positive")
-    return np.clip(np.asarray(e, dtype=np.float64), -delta_arr, delta_arr)
+    up_batch = _as_batch(upstream, net.output_dim, "upstream")
+    if len(acts) != len(net.layers) + 1:
+        raise ValueError(f"{len(acts)} activations for a network of {len(net.layers)} "
+                         f"layers, which needs {len(net.layers) + 1}")
+    if up_batch.shape[0] != acts[0].shape[0]:
+        raise ValueError(f"batch sizes differ: input {acts[0].shape[0]}, "
+                         f"upstream {up_batch.shape[0]}")
+    if out is None:
+        out = GradientTape([np.empty_like(layer.weight) for layer in net.layers],
+                           [np.empty_like(layer.bias) for layer in net.layers], None)
+    grad_in = _backprop(net, up_batch, acts, out, with_input_grad)
+    return GradientTape(out.weight_grads, out.bias_grads, grad_in)
 
 
 @dataclass

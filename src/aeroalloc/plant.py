@@ -477,13 +477,12 @@ def band_limited_walk(
     rng: np.random.Generator, n_steps: int, ar: float, sigma: float, limit: float
 ) -> np.ndarray:
     """Seeded AR(1) excitation clipped to +-limit, (n_steps, CONTROL_DIM); a
-    protocol's settings come from `_excitation_args`."""
-    x = np.zeros(CONTROL_DIM)
-    out = np.empty((n_steps, CONTROL_DIM))
-    for t in range(n_steps):
-        x = ar * x + rng.normal(0.0, sigma, size=CONTROL_DIM)
-        out[t] = np.clip(x, -limit, limit)
-    return out
+    protocol's settings come from `_excitation_args`. One draw gives the noise of
+    every step, and the AR state runs unclipped, so the walk is clipped once."""
+    out = rng.normal(0.0, sigma, size=(n_steps, CONTROL_DIM))
+    for t in range(1, n_steps):
+        out[t] += ar * out[t - 1]
+    return np.clip(out, -limit, limit, out=out)
 
 
 # The protocol keys each generator reads; any other key (a typo) is rejected.
@@ -726,11 +725,14 @@ def generate_dataset(
     out_dir: str | Path,
     probe_models=None,
 ) -> list[Path]:
-    """Dispatch on the protocol's `kind`; accepts a dict or a JSON file path."""
+    """Dispatch on the protocol's `kind`; accepts a dict or a JSON file path.
+    `probe_models` serve a dynamics protocol only: a calibration grid reads raw taps."""
     if not isinstance(protocol, dict):
         protocol = nncore.load_json(protocol, dict, "protocol")
     kind = protocol.get("kind")
     if kind == "calibration":
+        if probe_models is not None:
+            raise ValueError("a calibration protocol reads raw taps; it takes no probe models")
         return generate_calibration_data(protocol, params, seed, out_dir)
     if kind == "dynamics":
         return generate_dynamics_data(protocol, params, seed, out_dir, probe_models=probe_models)

@@ -244,7 +244,7 @@ def train_calibration(
     def minibatch_grads(xb, tb):
         acts = nncore.forward(net, xb, activations=True)
         upstream = 2.0 * (acts[-1] - tb) / acts[-1].size
-        nncore.backward(net, xb, upstream, acts, with_input_grad=False, out=opt.tapes[0])
+        nncore.backward(net, upstream, acts, with_input_grad=False, out=opt.tapes[0])
 
     def full_loss():
         resid = nncore.forward(net, x) - t_norm

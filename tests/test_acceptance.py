@@ -146,8 +146,9 @@ def _calibration_grad_error(case: int) -> float:
         return float(np.mean((nncore.forward(net, x) - y) ** 2))
 
     theta0 = nncore.flat_params(net).copy()
-    pred = nncore.forward(net, x)
-    grad = nncore.flat_grads(nncore.backward(net, x, (2.0 / pred.size) * (pred - y)))
+    acts = nncore.forward(net, x, activations=True)
+    pred = acts[-1]
+    grad = nncore.flat_grads(nncore.backward(net, (2.0 / pred.size) * (pred - y), acts))
     fd = finite_difference_grads(loss_at, theta0, h=1e-5)
     return relative_error(grad, fd)
 

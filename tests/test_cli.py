@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from aeroalloc import cli, harness, plant
+from aeroalloc import cli, harness, nncore, plant
 from aeroalloc.harness import MetricsReport
 
 
@@ -141,6 +141,21 @@ def test_gen_data_outside_the_envelope_fails_before_the_first_step(tmp_path, cap
     assert cli.main(["gen-data", "--protocol", str(proto), "--out", str(root)]) == 1
     assert "outside the +-15 deg envelope" in capsys.readouterr().err
     assert steps == []
+    assert not root.exists()
+
+
+def test_gen_data_refuses_calib_with_a_calibration_protocol(tmp_path, capsys):
+    nets = [tmp_path / f"net{i}.json" for i in range(2)]
+    for path in nets:
+        nncore.save_network(nncore.init_network((5, 4, 3), 0), path)
+    proto = tmp_path / "proto.json"
+    proto.write_text(json.dumps({"kind": "calibration", "name": "cal", "repeats": 1}))
+    root = tmp_path / "root"
+    argv = ["gen-data", "--protocol", str(proto), "--calib", *map(str, nets), "--out", str(root)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "a calibration protocol reads raw taps; it takes no probe models" in err
     assert not root.exists()
 
 

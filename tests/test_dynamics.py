@@ -157,6 +157,42 @@ def test_symmetry_config_validation():
             SymmetryConfig(delta=(0.5,) * 5 + (bad,))
 
 
+def test_huber_known_values():
+    cfg = SymmetryConfig(delta=(1.0,) * 6)
+    resid = np.array([0.5, 2.0, 1.0, -0.5, -2.0, 0.0])
+    # both branch formulas agree at the threshold (the third entry)
+    assert np.allclose(cfg.penalty(resid), [0.125, 1.5, 0.5, 0.125, 1.5, 0.0], rtol=0, atol=1e-15)
+    assert np.array_equal(cfg.penalty_grad(resid), [0.5, 1.0, 1.0, -0.5, -1.0, 0.0])
+
+
+@given(e=st.floats(-1e6, 1e6), delta=st.floats(1e-3, 1e3))
+def test_huber_even_and_slope_saturates(e, delta):
+    cfg = SymmetryConfig(delta=(delta,) * 6)
+    resid = np.full(6, e)
+    assert np.array_equal(cfg.penalty(resid), cfg.penalty(-resid))
+    assert np.all(np.abs(cfg.penalty_grad(resid)) <= delta + 1e-12)
+    assert np.all(cfg.penalty(resid) >= 0.0)
+
+
+@given(
+    e=st.floats(-1e3, 1e3),
+    step=st.floats(1e-6, 10.0),
+    delta=st.floats(1e-2, 1e2),
+)
+def test_huber_monotone_in_abs(e, step, delta):
+    cfg = SymmetryConfig(delta=(delta,) * 6)
+    bigger = abs(e) + step
+    assert np.all(cfg.penalty(np.full(6, bigger)) >= cfg.penalty(np.full(6, e)))
+
+
+def test_huber_array_delta():
+    # each wrench channel has its own threshold, over a batch of residual rows
+    cfg = SymmetryConfig(delta=(1.0, 1.0, 0.5, 2.0, 0.25, 4.0))
+    resid = np.array([[0.5, 2.0, 1.0, 1.0, -1.0, 3.0]])
+    assert np.allclose(cfg.penalty(resid), [[0.125, 1.5, 0.375, 0.5, 0.21875, 4.5]])
+    assert np.allclose(cfg.penalty_grad(resid), [[0.5, 1.0, 0.5, 1.0, -0.25, 3.0]])
+
+
 def test_symmetry_residual_norm_zero_weight_b_head(rng):
     model = small_model(0)
     for layer in model.b_head.layers:
@@ -512,7 +548,8 @@ def test_affine_at_matches_reference_backward_bit_for_bit(rng):
         u_ref = rng.uniform(-20, 20, size=4)
         a, b = affine_at(model, obs, u_ref)
         x = (np.concatenate([obs, u_ref]) - model.in_mean) / model.in_std
-        tape = nncore.backward(model.net, np.tile(x, (6, 1)), np.eye(6))
+        tape = nncore.backward(model.net, np.eye(6),
+                               nncore.forward(model.net, np.tile(x, (6, 1)), activations=True))
         assert np.array_equal(b, tape.input_grad[:, -4:] / model.in_std[-4:])
         assert np.array_equal(a, nncore.forward(model.net, x[None])[0] - b @ u_ref)
 

@@ -1,7 +1,6 @@
-"""Network engine: forward/backward correctness, Huber, optimizer, serialization."""
+"""Network engine: forward/backward correctness, optimizer, serialization."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from aeroalloc import nncore
 from conftest import finite_difference_grads, relative_error
@@ -43,11 +42,12 @@ def test_forward_batch_matches_rows(rng):
 
 
 def test_kernel_products_give_the_matmul_bits(rng):
-    # the pass and the input gradient multiply 2-D batches of up to 32 rows
-    # with ndarray.dot; a reference written with `@` must agree to the bit
+    # both kernels multiply 2-D batches of up to 32 rows with ndarray.dot; a
+    # reference written with `@` must agree to the bit, on the activations,
+    # the parameter gradients and the input gradient
     for widths in ([13, 64, 64], [64, 24], [17, 64, 64, 6], [5, 32, 32, 3]):
         net = nncore.init_network(widths, seed=3)
-        for n in (1, 6, 32, 33, 1000):
+        for n in (1, 2, 6, 32, 33, 256, 6000):
             x = rng.normal(size=(n, widths[0]))
             ref = [x]
             for layer in net.layers:
@@ -56,16 +56,29 @@ def test_kernel_products_give_the_matmul_bits(rng):
             acts = nncore.forward(net, x, activations=True)
             assert [a.tobytes() for a in acts] == [a.tobytes() for a in ref]
             up = rng.normal(size=(n, widths[-1]))
-            assert nncore.input_grad(net, up, acts).tobytes() == _matmul_input_grad(net, up, ref)
-            assert nncore.backward(net, x, up, acts).input_grad.tobytes() == \
-                _matmul_input_grad(net, up, ref)
+            ref_params, ref_input = _matmul_backprop(net, up, ref)
+            assert nncore._backprop(net, up, acts).tobytes() == ref_input
+            for with_input_grad in (True, False):
+                tape = nncore.backward(net, up, acts, with_input_grad=with_input_grad)
+                assert nncore.flat_grads(tape).tobytes() == ref_params
+                got = tape.input_grad.tobytes() if with_input_grad else tape.input_grad
+                assert got == (ref_input if with_input_grad else None)
 
 
-def _matmul_input_grad(net, upstream, acts) -> bytes:
-    g = upstream
-    for layer, out in zip(reversed(net.layers), reversed(acts[1:])):
-        g = (g * (1.0 - out**2) if layer.activation == "tanh" else g) @ layer.weight
-    return g.tobytes()
+def _matmul_backprop(net, upstream, acts) -> tuple[bytes, bytes]:
+    """Parameter gradients, in flat_params order, and input gradient of a
+    reverse pass written with `@`."""
+    g, grads = upstream, []
+    for layer, inp, out in zip(reversed(net.layers), reversed(acts[:-1]), reversed(acts[1:])):
+        g = g * (1.0 - out**2) if layer.activation == "tanh" else g
+        grads[:0] = [g.T @ inp, g.sum(axis=0)]
+        g = g @ layer.weight
+    return np.concatenate([a.ravel() for a in grads]).tobytes(), g.tobytes()
+
+
+def _backward(net, x, upstream, **kwargs):
+    """`backward` on the activations of a fresh forward pass of `x`."""
+    return nncore.backward(net, upstream, nncore.forward(net, x, activations=True), **kwargs)
 
 
 def test_forward_pure():
@@ -84,7 +97,7 @@ def test_forward_rejects_bad_width():
 def test_backward_linear_scalar_case():
     # y = w*x + b with w free: d<1,y>/dw = x, d/db = 1
     net = nncore.Network([nncore.Layer(np.array([[2.0]]), np.array([0.5]), "identity")])
-    tape = nncore.backward(net, np.array([[3.0]]), np.array([[1.0]]))
+    tape = _backward(net, np.array([[3.0]]), np.array([[1.0]]))
     assert tape.weight_grads[0][0, 0] == 3.0
     assert tape.bias_grads[0][0] == 1.0
     assert tape.input_grad[0, 0] == 2.0
@@ -92,7 +105,7 @@ def test_backward_linear_scalar_case():
 
 def test_backward_zero_upstream_zero_tape():
     net = nncore.init_network([3, 4, 2], seed=5)
-    tape = nncore.backward(net, np.ones((1, 3)), np.zeros((1, 2)))
+    tape = _backward(net, np.ones((1, 3)), np.zeros((1, 2)))
     for gw, gb in zip(tape.weight_grads, tape.bias_grads):
         assert not gw.any()
         assert not gb.any()
@@ -112,7 +125,7 @@ def test_backward_matches_finite_differences(rng):
         p0 = nncore.flat_params(net)
         fd = finite_difference_grads(loss, p0)
         nncore.set_flat_params(net, p0)
-        tape = nncore.backward(net, x, upstream)
+        tape = _backward(net, x, upstream)
         assert relative_error(nncore.flat_grads(tape), fd) < 1e-6
 
 
@@ -120,21 +133,12 @@ def test_backward_batch_sums_rows(rng):
     net = nncore.init_network([3, 4, 2], seed=9)
     xs = rng.normal(size=(6, 3))
     ups = rng.normal(size=(6, 2))
-    batched = nncore.backward(net, xs, ups)
-    summed = [nncore.backward(net, x[None], u[None]) for x, u in zip(xs, ups)]
+    batched = _backward(net, xs, ups)
+    summed = [_backward(net, x[None], u[None]) for x, u in zip(xs, ups)]
     total_w = sum(t.weight_grads[0] for t in summed)
     assert np.allclose(batched.weight_grads[0], total_w, atol=1e-12)
     assert batched.input_grad.shape == (6, 3)
     assert np.allclose(batched.input_grad[2], summed[2].input_grad[0], atol=1e-12)
-
-
-def test_input_grad_equals_backward_input_grad(rng):
-    net = nncore.init_network([5, 7, 6, 3], seed=4)
-    xs = rng.normal(size=(6, 5))
-    ups = rng.normal(size=(6, 3))
-    acts = nncore.forward(net, xs, activations=True)
-    expected = nncore.backward(net, xs, ups).input_grad
-    assert np.array_equal(nncore.input_grad(net, ups, acts), expected)
 
 
 @pytest.mark.parametrize("widths", [[5, 3], [5, 7, 6, 3]])
@@ -143,8 +147,8 @@ def test_backward_without_input_grad_keeps_parameter_grads(rng, widths):
     xs = rng.normal(size=(9, 5))
     ups = rng.normal(size=(9, 3))
     acts = nncore.forward(net, xs, activations=True)
-    full = nncore.backward(net, xs, ups, acts)
-    lean = nncore.backward(net, xs, ups, acts, with_input_grad=False)
+    full = nncore.backward(net, ups, acts)
+    lean = nncore.backward(net, ups, acts, with_input_grad=False)
     assert lean.input_grad is None
     assert np.array_equal(nncore.flat_grads(lean), nncore.flat_grads(full))
 
@@ -153,56 +157,17 @@ def test_backward_input_grad_finite_difference(rng):
     net = nncore.init_network([4, 5, 3], seed=3)
     x = rng.normal(size=(1, 4))
     upstream = rng.normal(size=(1, 3))
-    tape = nncore.backward(net, x, upstream)
+    tape = _backward(net, x, upstream)
     fd = finite_difference_grads(lambda v: float(np.sum(upstream * nncore.forward(net, v[None]))),
                                  x[0].copy())
     assert relative_error(tape.input_grad[0], fd) < 1e-6
-
-
-def test_huber_known_values():
-    assert nncore.huber(0.5, 1.0) == pytest.approx(0.125)
-    assert nncore.huber(2.0, 1.0) == pytest.approx(1.5)
-    # both branch formulas agree at the threshold
-    assert nncore.huber(1.0, 1.0) == pytest.approx(0.5)
-
-
-def test_huber_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        nncore.huber(1.0, 0.0)
-    with pytest.raises(ValueError):
-        nncore.huber_grad(1.0, -2.0)
-
-
-@given(e=st.floats(-1e6, 1e6), delta=st.floats(1e-3, 1e3))
-def test_huber_even_and_slope_saturates(e, delta):
-    assert nncore.huber(e, delta) == nncore.huber(-e, delta)
-    assert abs(nncore.huber_grad(e, delta)) <= delta + 1e-12
-    assert nncore.huber(e, delta) >= 0.0
-
-
-@given(
-    e=st.floats(-1e3, 1e3),
-    step=st.floats(1e-6, 10.0),
-    delta=st.floats(1e-2, 1e2),
-)
-def test_huber_monotone_in_abs(e, step, delta):
-    bigger = abs(e) + step
-    assert nncore.huber(bigger, delta) >= nncore.huber(e, delta)
-
-
-def test_huber_array_delta():
-    e = np.array([0.5, 2.0])
-    delta = np.array([1.0, 1.0])
-    out = nncore.huber(e, delta)
-    assert np.allclose(out, [0.125, 1.5])
-    assert np.allclose(nncore.huber_grad(e, delta), [0.5, 1.0])
 
 
 def test_step_zero_gradient_keeps_params():
     net = nncore.init_network([2, 2], seed=0)
     before = nncore.flat_params(net).copy()
     opt = nncore.init_optimizer(net)
-    nncore.backward(net, np.zeros((1, 2)), np.zeros((1, 2)), out=opt.tapes[0])
+    _backward(net, np.zeros((1, 2)), np.zeros((1, 2)), out=opt.tapes[0])
     nncore.step(opt)
     assert opt.count == 1
     assert np.array_equal(nncore.flat_params(net), before)
@@ -212,7 +177,7 @@ def test_step_first_update_magnitude():
     # bias-corrected Adam moves ~lr on the first step regardless of grad scale
     net = nncore.Network([nncore.Layer(np.array([[1.0]]), np.array([0.0]), "identity")])
     opt = nncore.init_optimizer(net, lr=0.1)
-    nncore.backward(net, np.array([[1.0]]), np.array([[1.0]]), out=opt.tapes[0])
+    _backward(net, np.array([[1.0]]), np.array([[1.0]]), out=opt.tapes[0])
     nncore.step(opt)
     assert net.layers[0].weight[0, 0] == pytest.approx(0.9, abs=1e-6)
 
@@ -225,7 +190,7 @@ def test_step_descends_quadratic():
         w = net.layers[0].weight[0, 0]
         traj.append(abs(w))
         # d(w^2)/dw = 2w corresponds to upstream 2w on input x=1
-        nncore.backward(net, np.array([[1.0]]), np.array([[2.0 * w]]), out=opt.tapes[0])
+        _backward(net, np.array([[1.0]]), np.array([[2.0 * w]]), out=opt.tapes[0])
         nncore.step(opt)
     assert traj[-1] < 1e-3
     assert max(traj[50:]) <= max(traj[:50])
@@ -237,22 +202,38 @@ def test_step_rejects_mismatched_tape():
     other = nncore.init_network([3, 3], seed=0)
     opt = nncore.init_optimizer(net)
     with pytest.raises(ValueError):
-        nncore.backward(other, np.zeros((1, 3)), np.zeros((1, 3)), out=opt.tapes[0])
+        _backward(other, np.zeros((1, 3)), np.zeros((1, 3)), out=opt.tapes[0])
     assert opt.count == 0
     with pytest.raises(ValueError):
         nncore.init_optimizer([net, net])
 
 
-def test_backward_reuses_forward_activations(rng):
+def test_backward_reuses_forward_activations(rng, monkeypatch):
+    # the reverse pass reads the activations it is given and runs no forward pass
     net = nncore.init_network([4, 7, 5, 3], seed=21)
     xs = rng.normal(size=(9, 4))
     ups = rng.normal(size=(9, 3))
     acts = nncore.forward(net, xs, activations=True)
-    assert np.array_equal(acts[-1], nncore.forward(net, xs))
-    reused = nncore.backward(net, xs, ups, acts)
-    fresh = nncore.backward(net, xs, ups)
-    assert np.array_equal(nncore.flat_grads(reused), nncore.flat_grads(fresh))
-    assert np.array_equal(reused.input_grad, fresh.input_grad)
+    expected = _matmul_backprop(net, ups, acts)
+
+    def no_forward(*args):
+        raise AssertionError("backward ran a forward pass")
+
+    monkeypatch.setattr(nncore, "_activations", no_forward)
+    tape = nncore.backward(net, ups, acts)
+    assert (nncore.flat_grads(tape).tobytes(), tape.input_grad.tobytes()) == expected
+
+
+def test_backward_rejects_mismatched_arguments(rng):
+    net = nncore.init_network([4, 7, 3], seed=2)
+    acts = nncore.forward(net, rng.normal(size=(5, 4)), activations=True)
+    with pytest.raises(ValueError, match=r"upstream has shape \(5, 2\), expected \(n, 3\)"):
+        nncore.backward(net, np.zeros((5, 2)), acts)
+    with pytest.raises(ValueError, match="batch sizes differ: input 5, upstream 4"):
+        nncore.backward(net, np.zeros((4, 3)), acts)
+    for bad in (acts[:-1], acts + [acts[-1]]):
+        with pytest.raises(ValueError, match=f"{len(bad)} activations for a network of 2 layers"):
+            nncore.backward(net, np.zeros((5, 3)), bad)
 
 
 def _reference_adam(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -284,8 +265,8 @@ def test_flat_adam_matches_per_array_adam(rng):
         xs = [rng.normal(size=(6, w[0])) for w in widths]
         ups = [rng.normal(size=(6, w[-1])) for w in widths]
         for net, x, up, own in zip(nets, xs, ups, opt.tapes):
-            nncore.backward(net, x, up, out=own)
-        ref_tapes = [nncore.backward(net, x, up) for net, x, up in zip(ref_nets, xs, ups)]
+            _backward(net, x, up, out=own)
+        ref_tapes = [_backward(net, x, up) for net, x, up in zip(ref_nets, xs, ups)]
         nncore.step(opt)
         ref_grads = [g for t in ref_tapes for pair in zip(t.weight_grads, t.bias_grads)
                      for g in pair]
@@ -303,11 +284,11 @@ def test_step_on_gradients_written_in_place_matches_per_array_adam(rng):
     for _ in range(6):
         xs = [rng.normal(size=(5, w[0])) for w in widths]
         ups = [rng.normal(size=(5, w[-1])) for w in widths]
-        tapes = [nncore.backward(net, x, up, out=own)
+        tapes = [_backward(net, x, up, out=own)
                  for net, x, up, own in zip(nets, xs, ups, opt.tapes)]
         assert all(np.shares_memory(t.weight_grads[0], opt.grad) for t in tapes)
         assert np.array_equal(opt.grad, nncore.flat_grads(*tapes))
-        ref_tapes = [nncore.backward(net, x, up) for net, x, up in zip(ref_nets, xs, ups)]
+        ref_tapes = [_backward(net, x, up) for net, x, up in zip(ref_nets, xs, ups)]
         nncore.step(opt)
         ref_grads = [g for t in ref_tapes for pair in zip(t.weight_grads, t.bias_grads)
                      for g in pair]
@@ -326,7 +307,7 @@ def test_fit_reproduces_reference_minibatch_loop(rng):
     def minibatch_grads(xb, yb):
         acts = nncore.forward(net, xb, activations=True)
         err = acts[-1] - yb
-        nncore.backward(net, xb, (2.0 / err.size) * err, acts, out=opt.tapes[0])
+        nncore.backward(net, (2.0 / err.size) * err, acts, out=opt.tapes[0])
 
     history = []
     nncore.fit(
@@ -343,7 +324,7 @@ def test_fit_reproduces_reference_minibatch_loop(rng):
             idx = perm[start:start + 10]
             pred = nncore.forward(ref, x[idx])
             err = pred - y[idx]
-            tape = nncore.backward(ref, x[idx], (2.0 / err.size) * err)
+            tape = _backward(ref, x[idx], (2.0 / err.size) * err)
             grads = [g for pair in zip(tape.weight_grads, tape.bias_grads) for g in pair]
             _reference_adam(_param_arrays([ref]), grads, ref_state, lr=0.01)
         ref_history.append(float(np.mean((nncore.forward(ref, x) - y) ** 2)))

@@ -433,6 +433,22 @@ def test_band_limited_walk_shape_limits_determinism():
     assert np.array_equal(w1, w2)
 
 
+@pytest.mark.parametrize("ar, sigma, limit", [(0.95, 1.2, 25.0), (0.99, 5.0, 10.0),
+                                              (0.5, 0.3, 0.2)])
+def test_band_limited_walk_matches_the_per_step_reference(ar, sigma, limit):
+    # one draw per step, each clipped row kept while the AR state runs unclipped
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    walk = band_limited_walk(rng, 3000, ar=ar, sigma=sigma, limit=limit)
+    x, ref = np.zeros(4), np.empty((3000, 4))
+    for t in range(3000):
+        x = ar * x + ref_rng.normal(0.0, sigma, size=4)
+        ref[t] = np.clip(x, -limit, limit)
+    assert walk.tobytes() == ref.tobytes()
+    if limit < 25.0:
+        assert np.count_nonzero(np.abs(ref) == limit) > 1000  # the clamp is exercised
+    assert rng.normal() == ref_rng.normal()
+
+
 def test_stage_schedule_sweep(params):
     rng = np.random.default_rng(0)
     proto = {"stage": "I", "duration_s": 10.0, "dt": 0.02, "alpha_range": [-8, 8]}
@@ -465,6 +481,15 @@ def test_generate_calibration_dataset(tmp_path, params):
     rows = probe_mod.load_calibration_csv(paths[0])
     assert len(rows) == (2 * 2 - 1) * 3
     assert all(f.va in (8.0, 10.0) for _, f in rows)
+
+
+def test_calibration_protocol_refuses_calibration_models(tmp_path, params):
+    # the grid reads raw taps; nets given with it would be ignored without a word
+    proto = {"kind": "calibration", "speeds": [8.0, 10.0], "repeats": 1, "name": "cal"}
+    with pytest.raises(ValueError, match="calibration protocol reads raw taps; it takes no probe"):
+        generate_dataset(proto, params, seed=7, out_dir=tmp_path / "out",
+                         probe_models=tiny_calibration_nets())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("gust", [{"mode": "off"}, {"mode": "shedding", "amplitude": 0.4},
