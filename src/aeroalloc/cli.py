@@ -34,10 +34,10 @@ def _speeds(text: str) -> tuple[float, ...]:
         values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad speed list {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("speed list is empty")
-    if len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError(f"speed list {text!r} repeats a speed")
+    try:
+        harness._check_distinct(values, f"speed list {text!r}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return values
 
 
@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, nargs="+", default=None, help="explicit dynamics CSVs")
     p.add_argument(
         "--speeds", type=_speeds, default=None,
-        help="comma list; scores the suite's fresh eval sets, <root>/datasets/dyn_va<S>_eval.csv",
+        help="comma list; scores the suite's fresh eval sets, <root>/datasets/dyn_va<S>_eval.csv, "
+        "S the speed as %%g prints it, or its repr where that reads back as another speed",
     )
     add_common(p)
 
@@ -134,12 +135,9 @@ def _new_file(path: Path) -> Path:
     return path
 
 
-def _cmd_gen_data(args) -> int:
-    root = harness.resolve_out_root(args.out)
+def _cmd_gen_data(args, root: Path) -> int:
     params = _load_params(args.params)
-    probe_models = None
-    if args.calib:
-        probe_models = [nncore.load_network(p) for p in args.calib]
+    probe_models = [nncore.load_network(p) for p in args.calib] if args.calib else None
     paths = plant.generate_dataset(
         args.protocol, params, args.seed, root / "datasets", probe_models=probe_models
     )
@@ -148,8 +146,7 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_train_calib(args) -> int:
-    root = harness.resolve_out_root(args.out)
+def _cmd_train_calib(args, root: Path) -> int:
     rho = _load_params(args.params).rho  # the density the taps were read in
     cfg = probe.CalibrationTrainConfig(seed=args.seed, rho=rho, **_given(epochs=args.epochs))
     rows = probe.load_calibration_csv(args.data)
@@ -161,8 +158,7 @@ def _cmd_train_calib(args) -> int:
     return 0
 
 
-def _cmd_train_dyn(args) -> int:
-    root = harness.resolve_out_root(args.out)
+def _cmd_train_dyn(args, root: Path) -> int:
     cfg = _experiment(args, lambda_sym=args.lambda_sym, epochs=args.epochs)
     full = harness._concat_datasets([dynamics.load_dynamics_csv(p) for p in args.data])
     model = harness.train_variant(args.variant, full, cfg)
@@ -172,8 +168,7 @@ def _cmd_train_dyn(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    root = harness.resolve_out_root(args.out)
+def _cmd_eval(args, root: Path) -> int:
     params = _load_params(args.params)
     model = dynamics.load_dynamics_model(args.model)
     if not args.data and not args.speeds:
@@ -182,14 +177,12 @@ def _cmd_eval(args) -> int:
     # the eval sets that `report --run --speeds` writes for the same list
     cfg = _experiment(args, test_speeds=args.speeds) if args.speeds else None
 
-    results = {}
-    if args.data:
-        for path in args.data:
-            results[path.stem] = dynamics.eval_rmse(model, dynamics.load_dynamics_csv(path))
+    results = {path.stem: dynamics.eval_rmse(model, dynamics.load_dynamics_csv(path))
+               for path in args.data or ()}
     if cfg is not None:
         for speed in args.speeds:
             eval_set = harness.generate_eval_set(cfg, speed, params, root / "datasets")
-            results[f"va{speed:g}"] = dynamics.eval_rmse(model, eval_set)
+            results[plant.speed_label(speed)] = dynamics.eval_rmse(model, eval_set)
 
     doc = {"model": args.model.name, "rmse": results}
     out_path = _new_file(root / "reports" / f"eval_{args.model.stem}.json")
@@ -202,15 +195,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_track(args) -> int:
-    root = harness.resolve_out_root(args.out)
+def _cmd_track(args, root: Path) -> int:
     params = _load_params(args.params)
     model = dynamics.load_dynamics_model(args.model)
     cfg = _experiment(args, lambda0=args.lambda0, lambda1=args.lambda1,
                       gust_mode=args.gust, duration_s=args.duration)
     tlog = harness.closed_loop_run(model, cfg, args.speed, params=params)
     metrics = harness.closed_loop_metrics(tlog)  # raises before either file is written
-    stem = f"track_{args.model.stem}_va{args.speed:g}_seed{args.seed}"
+    stem = f"track_{args.model.stem}_{plant.speed_label(args.speed)}_seed{args.seed}"
     out_path = _new_file(root / "tracking" / f"{stem}.csv")
     allocator.save_tracking_csv(out_path, tlog)
     metrics_path = out_path.with_name(f"{stem}_metrics.json")
@@ -226,8 +218,7 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    root = harness.resolve_out_root(args.out)
+def _cmd_report(args, root: Path) -> int:
     compare = [v.strip() for v in args.compare.split(",")] if args.compare else None
     if args.run:
         # the suite trains harness.VARIANTS, so a typo is known before it runs
@@ -265,7 +256,7 @@ def main(argv=None) -> int:
         # small matrices: on 2 vCPUs a 300-epoch affine_sym training took 3.5 s on one
         # thread and 3.7 s on two (medians of 3)
         with harness._one_blas_thread():
-            return _COMMANDS[args.command](args)
+            return _COMMANDS[args.command](args, harness.resolve_out_root(args.out))
     except (OSError, ValueError, ArithmeticError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

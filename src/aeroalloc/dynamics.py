@@ -241,15 +241,6 @@ def symmetry_residual_matrix(b: np.ndarray) -> np.ndarray:
     return b[..., 0] + MIRROR_SIGNS * b[..., 1]
 
 
-def symmetry_loss(b: np.ndarray, cfg: SymmetryConfig) -> float:
-    """Huber-penalized mirror deviation of one effectiveness matrix."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (WRENCH_DIM, CONTROL_DIM):
-        raise ValueError(f"expected a {WRENCH_DIM}x{CONTROL_DIM} matrix, got {b.shape}")
-    resid = symmetry_residual_matrix(b)
-    return float(cfg.lambda_sym * np.sum(cfg.penalty(resid)))
-
-
 def symmetry_residual_norm(model: AffineModel, obs) -> float:
     """Mean euclidean norm of the flaperon mirror residual over observations."""
     _, b = predict_batch(model, obs)
@@ -350,8 +341,7 @@ class DynamicsTrainConfig:
     wing_sensors: bool = True
 
     def __post_init__(self) -> None:
-        if self.epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {self.epochs}")
+        nncore._check_budget(self.epochs, self.hidden)
 
 
 def _dataset_arrays(dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

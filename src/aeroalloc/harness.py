@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, plant as plant_mod
+from . import __version__, plant as plant_mod, probe as probe_mod
 from .allocator import DT, TrackingConfig, TrackingLog, track_sequence
 from .blas import numpy_blas_function
 from .dynamics import (
@@ -74,8 +74,10 @@ def resolve_out_root(explicit: str | os.PathLike | None = None) -> Path:
 
 
 def _check_distinct(speeds, what: str) -> None:
-    """Each speed once: a speed's dataset file and seed come from its one position."""
+    """At least one speed, each once: a speed's files and seed come from its position."""
     speeds = [float(v) for v in speeds]
+    if not speeds:
+        raise ValueError(f"{what} is empty")
     if len(set(speeds)) != len(speeds):
         raise ValueError(f"{what} repeats a speed: {speeds}")
 
@@ -97,8 +99,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         self.train_speeds = tuple(float(v) for v in self.train_speeds)
         self.test_speeds = tuple(float(v) for v in self.test_speeds)
-        if not self.train_speeds or not self.test_speeds:
-            raise ValueError("train and test speed lists must be non-empty")
         _check_distinct(self.train_speeds, "train_speeds")
         _check_distinct(self.test_speeds, "test_speeds")
         if self.gust_mode not in GUST_MODES:
@@ -107,12 +107,10 @@ class ExperimentConfig:
             plant_mod._check_airspeed(speed)
             if self.gust_mode == "shedding":
                 plant_mod._check_shedding_airspeed(speed)
-        if self.epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {self.epochs}")
-        SymmetryConfig(lambda_sym=self.lambda_sym)  # the owners' rules, before anything runs
+        for variant in VARIANTS:  # the owners' rules, before anything runs
+            self.train_config(variant)
         TrackingConfig(lambda0=self.lambda0, lambda1=self.lambda1)
-        if not 0.0 < self.duration_s < np.inf:
-            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
+        probe_mod._check_positive_finite(self.duration_s, "duration_s")
         if not 0.0 < self.holdout_fraction < 1.0:  # NaN fails the comparison as well
             raise ValueError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
 
@@ -312,11 +310,12 @@ def _gust_spec(cfg: ExperimentConfig) -> dict:
     return {"mode": cfg.gust_mode, "amplitude": GUST_AMPLITUDE}
 
 
-def _speed_run(cfg: ExperimentConfig, speed, name: str, seed: int, params: PlantParams,
+def _speed_run(cfg: ExperimentConfig, speed, suffix: str, seed: int, params: PlantParams,
                out_dir: str | Path):
-    """One stage-I dynamics run at `speed`, written as <name>.csv; its loaded arrays."""
-    protocol = {"kind": "dynamics", "name": name, "speed": speed, "stage": "I",
-                "duration_s": cfg.duration_s, "gust": _gust_spec(cfg)}
+    """One stage-I dynamics run at `speed`, written as dyn_va<S><suffix>.csv; its loaded arrays."""
+    protocol = {"kind": "dynamics", "name": f"dyn_{plant_mod.speed_label(speed)}{suffix}",
+                "speed": speed, "stage": "I", "duration_s": cfg.duration_s,
+                "gust": _gust_spec(cfg)}
     return load_dynamics_csv(plant_mod.generate_dataset(protocol, params, seed, out_dir)[0])
 
 
@@ -326,7 +325,7 @@ def generate_speed_datasets(cfg: ExperimentConfig, speeds, params: PlantParams,
     cfg.seed + i for the i-th speed; returns {speed: loaded arrays}.
     A repeated speed raises ValueError."""
     _check_distinct(speeds, "speeds")
-    return {float(speed): _speed_run(cfg, speed, f"dyn_va{speed:g}", cfg.seed + i, params, out_dir)
+    return {float(speed): _speed_run(cfg, speed, "", cfg.seed + i, params, out_dir)
             for i, speed in enumerate(speeds)}
 
 
@@ -345,15 +344,11 @@ def generate_eval_set(cfg: ExperimentConfig, speed: float, params: PlantParams,
     speed, speeds = float(speed), eval_speeds(cfg)
     if speed not in speeds:
         raise ValueError(f"{speed:g} m/s is not an eval speed of the config, {list(speeds)}")
-    return _speed_run(cfg, speed, f"dyn_va{speed:g}_eval", cfg.seed + 1000 + speeds.index(speed),
-                      params, out_dir)
+    return _speed_run(cfg, speed, "_eval", cfg.seed + 1000 + speeds.index(speed), params, out_dir)
 
 
 def _concat_datasets(datasets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    obs = np.concatenate([d[0] for d in datasets])
-    u = np.concatenate([d[1] for d in datasets])
-    y = np.concatenate([d[2] for d in datasets])
-    return obs, u, y
+    return tuple(np.concatenate(arrays) for arrays in zip(*datasets))
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +374,7 @@ class MetricsReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "train_speeds": list(self.train_speeds),
-            "split_hash": self.split_hash,
-            "variants": self.variants,
-            "config": self.config,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MetricsReport":
@@ -403,7 +392,19 @@ class MetricsReport:
                     if type(value) not in (int, float):  # a JSON number, not a bool
                         raise ValueError(f"the suite report's {name} {block} {key!r} must be "
                                          f"a number, got {type(value).__name__}")
+                    _report_order(key)
         return report
+
+
+def _report_order(key: str) -> float:
+    """A report key's place in the tables: in_dist first, then each va<S> by the
+    speed S. A key that is not a `plant.speed_label` raises ValueError."""
+    if key == "in_dist":
+        return -np.inf
+    with contextlib.suppress(ValueError):
+        if plant_mod.speed_label(speed := float(key[2:])) == key:
+            return speed
+    raise ValueError(f"report key {key!r} is neither in_dist nor a speed label")
 
 
 def _config_block(cfg: ExperimentConfig) -> dict:
@@ -422,10 +423,10 @@ def _score(model, cfg: ExperimentConfig, in_dist_split, eval_sets: dict) -> dict
         "inflation_pct": {},
     }
     for speed, eval_set in eval_sets.items():
-        rmse_s = eval_rmse(model, eval_set)
-        entry["rmse"][f"va{speed:g}"] = rmse_s
+        key = plant_mod.speed_label(speed)
+        rmse_s = entry["rmse"][key] = eval_rmse(model, eval_set)
         if speed not in cfg.train_speeds:
-            entry["inflation_pct"][f"va{speed:g}"] = 100.0 * (rmse_s - rmse_in) / rmse_in
+            entry["inflation_pct"][key] = 100.0 * (rmse_s - rmse_in) / rmse_in
     entry["sym_residual"] = (symmetry_residual_norm(model, in_dist_split[0])
                              if model.mirror_residual else None)
     return entry
@@ -492,10 +493,9 @@ def write_report_csv(report: MetricsReport, path: str | Path) -> None:
     rows = []
     for variant in sorted(report.variants):
         entry = report.variants[variant]
-        for key in sorted(entry["rmse"]):
-            rows.append([variant, "rmse", key, entry["rmse"][key]])
-        for key in sorted(entry["inflation_pct"]):
-            rows.append([variant, "inflation_pct", key, entry["inflation_pct"][key]])
+        for block in ("rmse", "inflation_pct"):
+            for key in sorted(entry[block], key=_report_order):
+                rows.append([variant, block, key, entry[block][key]])
         for i, val in enumerate(entry["per_channel_in_dist"]):
             rows.append([variant, "per_channel_rmse", f"ch{i}", val])
         if entry.get("sym_residual") is not None:
@@ -519,7 +519,8 @@ def format_report_text(report: MetricsReport, compare=None) -> str:
     variants = list(compare) if compare else sorted(report.variants)
     _check_variants(variants, report.variants)
     speed_keys = sorted(
-        {k for v in variants for k in report.variants[v]["rmse"] if k != "in_dist"}
+        {k for v in variants for k in report.variants[v]["rmse"] if k != "in_dist"},
+        key=_report_order,
     )
     lines = [
         f"seed {report.seed}  train speeds {list(report.train_speeds)}  "

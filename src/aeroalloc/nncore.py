@@ -303,6 +303,16 @@ def step(opt: OptimizerState) -> None:
     opt.params -= s1
 
 
+def _check_budget(epochs, hidden) -> None:
+    """A trainer's budget: `epochs`, and each of the one or more `hidden` layer
+    widths, a positive int (a bool is not one)."""
+    if not (type(epochs) is int and epochs > 0):
+        raise ValueError(f"epochs must be positive and whole, got {epochs!r}")
+    if not (isinstance(hidden, (list, tuple)) and hidden
+            and all(type(width) is int and width > 0 for width in hidden)):
+        raise ValueError(f"hidden must list one or more positive whole widths, got {hidden!r}")
+
+
 def fit(
     opt: OptimizerState, arrays: Sequence[np.ndarray], batch_size: int, epochs: int,
     rng: np.random.Generator, minibatch_grads: Callable[..., None],

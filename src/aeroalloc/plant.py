@@ -677,6 +677,13 @@ def stage_schedule(
     return t, alpha, beta
 
 
+def speed_label(speed: float) -> str:
+    """`va<S>`, a speed's name in file names and report keys: S is its `:g` text where
+    that reads back as the same float, else its `repr`, so no two speeds share one."""
+    text = f"{speed:g}"
+    return f"va{text if float(text) == speed else repr(float(speed))}"
+
+
 def generate_dynamics_data(
     protocol: dict,
     params: PlantParams,
@@ -694,7 +701,7 @@ def generate_dynamics_data(
     """
     _check_keys(protocol, DYNAMICS_KEYS, "dynamics protocol")
     speed = float(_value(protocol, "speed", 10.0, _is_number, "a number"))
-    name = _value(protocol, "name", f"dyn_va{speed:g}", _is_file_name, "a plain file name")
+    name = _value(protocol, "name", "dyn_" + speed_label(speed), _is_file_name, "a plain file name")
     excitation = _excitation_args(protocol.get("excitation", {}))
     rng = np.random.default_rng(seed)
     t, alpha, beta = stage_schedule(protocol, params, rng)

@@ -188,8 +188,7 @@ class CalibrationTrainConfig:
     rho: float = RHO  # kg/m^3; the Cd labels hold only at the density the taps were read in
 
     def __post_init__(self) -> None:
-        if self.epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {self.epochs}")
+        nncore._check_budget(self.epochs, self.hidden)
 
 
 def _to_features_targets(

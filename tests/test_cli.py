@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, parser validation, report formatting."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -417,6 +418,28 @@ def test_eval_speeds_scores_the_suites_eval_sets(tmp_path, capsys):
     assert np.isfinite(list(report["rmse"].values())).all()
 
 
+def test_eval_gives_speeds_that_print_alike_a_row_each(tmp_path, capsys):
+    # under %g 10.0000001 prints as 10; its eval set and row take its repr
+    root = tmp_path / "root"
+    argv = ["eval", "--model", str(_model_file(tmp_path)), "--speeds", "10,10.0000001"]
+    assert cli.main([*argv, "--out", str(root)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows[:3]] == ["dataset", "va10", "va10.0000001"]
+    assert sorted(p.name for p in (root / "datasets").glob("*_eval.csv")) == [
+        "dyn_va10.0000001_eval.csv", "dyn_va10_eval.csv"]
+
+
+def test_readme_quick_start_protocol_writes_the_file_train_dyn_reads(tmp_path):
+    # the quick start writes its protocol with a heredoc and trains on gen-data's output
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("cat > protocols/dyn10.json <<'EOF'\n", readme.index("## Quick start"))
+    body = readme[start:].split("\n", 1)[1].split("\nEOF\n", 1)[0]
+    assert "--protocol protocols/dyn10.json" in readme
+    assert "train-dyn --data out/datasets/dyn_va10.csv" in readme
+    paths = plant.generate_dataset(json.loads(body), plant.PlantParams(), 0, tmp_path)
+    assert [p.name for p in paths] == ["dyn_va10.csv", "dyn_va10_conditions.csv"]
+
+
 @pytest.mark.parametrize("speeds", ["14", "14,10"])
 def test_eval_speeds_writes_the_sets_report_run_writes(tmp_path, monkeypatch, speeds):
     # the suite's eval sets for a list, whatever its order, are the ones eval scores
@@ -550,6 +573,10 @@ def _short_activation_model() -> dict:
                            "variants": {"affine": {"rmse": {"in_dist": 1.0, "va14": 2.0},
                                                    "inflation_pct": {"va14": True}}}},
      "the suite report's affine inflation_pct 'va14' must be a number, got bool"),
+    ("report", "--suite", {"seed": 0, "train_speeds": [10], "split_hash": "abc",
+                           "variants": {"affine": {"rmse": {"in_dist": 1.0, "va14.0": 2.0},
+                                                   "inflation_pct": {}}}},
+     "report key 'va14.0' is neither in_dist nor a speed label"),
 ])
 def test_a_malformed_artifact_fails_with_one_error_line(tmp_path, capsys, command, flag, doc,
                                                         message):

@@ -25,7 +25,6 @@ from aeroalloc.dynamics import (
     predict_batch,
     predict_wrench_batch,
     set_model_flat_params,
-    symmetry_loss,
     symmetry_residual_matrix,
     symmetry_residual_norm,
     train_dynamics,
@@ -116,33 +115,24 @@ def test_symmetry_residual_matrix_hand_value():
     assert resid[2] == pytest.approx(0.5)
 
 
-def test_symmetry_loss_quadratic_region_hand_value():
+def test_mirror_penalty_quadratic_region_hand_value():
     b = np.zeros((6, 4))
     b[0, 0] = 0.3  # residual 0.3, below delta 0.5 -> 0.5 * 0.3^2
-    cfg = SymmetryConfig(lambda_sym=2.0)
-    assert symmetry_loss(b, cfg) == pytest.approx(2.0 * 0.5 * 0.09)
+    penalty = SymmetryConfig().penalty(symmetry_residual_matrix(b))
+    assert penalty.sum() == pytest.approx(0.5 * 0.09)
 
 
-def test_symmetry_loss_linear_region_hand_value():
+def test_mirror_penalty_linear_region_hand_value():
     b = np.zeros((6, 4))
     b[0, 0] = 3.0  # residual 3.0, above delta 0.5 -> 0.5*(3 - 0.25)
-    cfg = SymmetryConfig(lambda_sym=1.0)
-    assert symmetry_loss(b, cfg) == pytest.approx(0.5 * (3.0 - 0.125 / 0.5))
+    penalty = SymmetryConfig().penalty(symmetry_residual_matrix(b))
+    assert penalty.sum() == pytest.approx(0.5 * (3.0 - 0.125 / 0.5))
 
 
-def test_symmetry_loss_zero_cases(rng):
-    cfg = SymmetryConfig(lambda_sym=0.7)
+def test_mirror_penalty_zero_on_an_exact_mirror(rng):
     b = rng.normal(size=(6, 4))
     b[:, 1] = -MIRROR_SIGNS * b[:, 0]  # exact mirror
-    assert symmetry_loss(b, cfg) == 0.0
-    assert symmetry_loss(rng.normal(size=(6, 4)), SymmetryConfig(lambda_sym=0.0)) == 0.0
-
-
-@given(seed=st.integers(0, 2**31), lam=st.floats(0.0, 10.0))
-@settings(max_examples=30, deadline=None)
-def test_symmetry_loss_nonnegative(seed, lam):
-    b = np.random.default_rng(seed).normal(size=(6, 4))
-    assert symmetry_loss(b, SymmetryConfig(lambda_sym=lam)) >= 0.0
+    assert np.array_equal(SymmetryConfig().penalty(symmetry_residual_matrix(b)), np.zeros(6))
 
 
 def test_symmetry_config_validation():

@@ -158,6 +158,18 @@ def test_unusable_holdout_fraction_fails_before_the_suite_writes(tmp_path, fract
     assert not (tmp_path / "datasets").exists()
 
 
+@pytest.mark.parametrize("bad", [
+    dict(hidden=()), dict(hidden=(0,)), dict(hidden=(8, -1)), dict(hidden=(8.5,)),
+    dict(hidden=(True,)), dict(epochs=2.5), dict(epochs=True),
+])
+def test_a_bad_training_budget_fails_before_the_suite_writes(tmp_path, bad):
+    # a budget that no trainer can run fails before anything is written or trained
+    (name,) = bad
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        run_ablation_suite(ExperimentConfig(duration_s=2.0, **{"epochs": 1, **bad}), tmp_path)
+    assert not (tmp_path / "datasets").exists()
+
+
 def test_train_config_wiring():
     cfg = ExperimentConfig(lambda_sym=0.25)
     assert cfg.train_config("affine_sym").sym.lambda_sym == 0.25
@@ -443,6 +455,34 @@ def test_suite_reruns_byte_identical(tmp_path):
         a = (tmp_path / "a" / "reports" / name).read_bytes()
         b = (tmp_path / "b" / "reports" / name).read_bytes()
         assert a == b, name
+
+
+def test_report_tables_order_the_speeds_by_value(tmp_path):
+    # in_dist first, then va8 va10 va14, not the string order va10 va14 va8
+    report = MetricsReport(seed=0, train_speeds=(10.0,), split_hash="0" * 64, variants={
+        "affine": {"rmse": {"va14": 3.0, "in_dist": 1.0, "va10": 1.5, "va8": 2.0},
+                   "inflation_pct": {"va14": 200.0, "va8": 100.0},
+                   "per_channel_in_dist": [1.0] * 6, "sym_residual": None},
+    })
+    header = format_report_text(report).splitlines()[3].split()
+    assert header == ["variant", "in_dist", "va8", "infl%", "va10", "infl%", "va14", "infl%"]
+    harness.write_report_csv(report, tmp_path / "report.csv")
+    rows = [line.split(",")[1:3] for line in (tmp_path / "report.csv").read_text().splitlines()]
+    assert rows[1:7] == [["rmse", "in_dist"], ["rmse", "va8"], ["rmse", "va10"], ["rmse", "va14"],
+                         ["inflation_pct", "va8"], ["inflation_pct", "va14"]]
+
+
+def test_speeds_that_print_alike_get_their_own_eval_sets_and_keys(tmp_path):
+    # under %g 10.0000001 prints as 10, so its label falls back to its repr
+    assert [plant.speed_label(s) for s in (10.0, 13.5, 10.0000001, 123456789.0)] == [
+        "va10", "va13.5", "va10.0000001", "va123456789.0"]
+    cfg = tiny_cfg(epochs=1, duration_s=2.0, train_speeds=(10.0,), test_speeds=(10.0, 10.0000001))
+    report = run_ablation_suite(cfg, tmp_path)
+    assert sorted(p.name for p in (tmp_path / "datasets").glob("*_eval.csv")) == [
+        "dyn_va10.0000001_eval.csv", "dyn_va10_eval.csv"]
+    for entry in report.variants.values():
+        assert list(entry["rmse"]) == ["in_dist", "va10", "va10.0000001"]
+        assert list(entry["inflation_pct"]) == ["va10.0000001"]
 
 
 def test_format_report_text_compare(tiny_suite):

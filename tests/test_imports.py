@@ -1,8 +1,9 @@
 """Import cost: no pipeline step loads SciPy, and the process-pool modules are
 loaded by a suite run on more than one CPU, not by import. The package
 re-exports no names, and `import aeroalloc` loads its modules. Every module-level
-import and private definition in the package is used, and no code outside
-`allocator.track_sequence` branches on a model's family or a variant's name."""
+import and private definition in the package is used, every public function and
+class is reached by the package, the benchmark or an acceptance gate, and no code
+outside `allocator.track_sequence` branches on a model's family or a variant's name."""
 import ast
 import os
 import subprocess
@@ -237,3 +238,47 @@ def test_no_module_keeps_an_unused_private_definition():
               for defined in _private_definitions(tree)
               if defined.startswith("_") and not defined.startswith("__") and defined not in read]
     assert unused == []
+
+
+
+def _reached_names(tree, bare=True):
+    """The names a file reaches: attribute names, the names it imports and, with
+    `bare`, the bare names it reads (outside the package a bare name is the file's own)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and bare and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _instrumented_names(tree):
+    """The strings of the benchmark's `INSTRUMENTED` table: the functions its tracer wraps."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "INSTRUMENTED"
+                                                for t in node.targets):
+            return {n.value for n in ast.walk(node.value)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    raise AssertionError("perfbench/spans.py has no INSTRUMENTED table")
+
+
+# the documented objective that the allocator tests check `solve` against
+REACHED_ONLY_BY_UNIT_TESTS = {"allocator.objective"}
+
+
+def test_no_public_name_is_reached_only_by_unit_tests():
+    # a public function or class that no pipeline code, benchmark or acceptance gate
+    # reaches is a second way in that only the unit tests keep alive
+    root = SRC.parents[1]
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reached = set().union(*map(_reached_names, trees.values()))
+    for path in [*sorted((root / "perfbench").glob("*.py")), root / "tests" / "test_acceptance.py"]:
+        reached |= _reached_names(ast.parse(path.read_text()), bare=False)
+    reached |= _instrumented_names(ast.parse((root / "perfbench" / "spans.py").read_text()))
+    unreached = {f"{path.stem}.{node.name}" for path, tree in trees.items() for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 and not node.name.startswith("_") and node.name not in reached}
+    assert unreached == REACHED_ONLY_BY_UNIT_TESTS

@@ -267,6 +267,16 @@ def test_calibration_train_config_validation(bad):
         CalibrationTrainConfig(**bad)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(hidden=()), dict(hidden=(0,)), dict(hidden=(8, -1)), dict(hidden=(8.5,)),
+    dict(hidden=(True,)), dict(epochs=2.5), dict(epochs=True),
+])
+def test_calibration_train_config_rejects_a_bad_budget(bad):
+    (name,) = bad
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        CalibrationTrainConfig(**bad)
+
+
 def test_train_calibration_loss_decreases():
     history = []
     cfg = CalibrationTrainConfig(seed=0, hidden=(16,), epochs=60)
