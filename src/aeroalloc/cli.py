@@ -176,20 +176,26 @@ def _cmd_eval(args, root: Path) -> int:
         return 2
     # the eval sets that `report --run --speeds` writes for the same list
     cfg = _experiment(args, test_speeds=args.speeds) if args.speeds else None
+    # the --data rows in the order given, then the speed rows in the report's order
+    speeds = sorted(args.speeds or (), key=lambda s: harness._report_order(plant.speed_label(s)))
+    keys = [path.stem for path in args.data or ()] + [plant.speed_label(s) for s in speeds]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ValueError(f"two eval rows would share the key {key!r}")
 
-    results = {path.stem: dynamics.eval_rmse(model, dynamics.load_dynamics_csv(path))
-               for path in args.data or ()}
-    if cfg is not None:
-        for speed in args.speeds:
-            eval_set = harness.generate_eval_set(cfg, speed, params, root / "datasets")
-            results[plant.speed_label(speed)] = dynamics.eval_rmse(model, eval_set)
+    scores = [dynamics.eval_rmse(model, dynamics.load_dynamics_csv(path))
+              for path in args.data or ()]
+    scores += [dynamics.eval_rmse(model, harness.generate_eval_set(cfg, s, params,
+                                                                   root / "datasets"))
+               for s in speeds]
+    results = dict(zip(keys, scores))
 
     doc = {"model": args.model.name, "rmse": results}
     out_path = _new_file(root / "reports" / f"eval_{args.model.stem}.json")
     out_path.write_text(json.dumps(doc, sort_keys=True, indent=1))
     width = max(len(k) for k in ["dataset", *results])
     print(f"{'dataset':<{width + 2}}rmse")
-    for key in sorted(results):
+    for key in results:
         print(f"{key:<{width + 2}}{results[key]:.4f}")
     print(f"wrote {out_path}")
     return 0

@@ -52,6 +52,7 @@ MIRROR_SIGNS.setflags(write=False)
 VAL_FRACTION = 0.2  # trailing share of the training rows held out for validation
 BATCH_SIZE = 256  # minibatch rows of both trainers
 _EYE_WRENCH = np.eye(WRENCH_DIM)  # upstream of the per-output Jacobian rows
+_BLOCK_ROWS = 2048  # most rows of one scoring pass (`_by_row_blocks`)
 
 
 def _feature_count(wing_sensors: bool) -> int:
@@ -222,9 +223,22 @@ def _affine_terms(model: AffineModel, x: np.ndarray) -> tuple[np.ndarray, np.nda
     return a, b.reshape(-1, WRENCH_DIM, CONTROL_DIM)
 
 
+def _by_row_blocks(pass_fn, *rows) -> tuple:
+    """The arrays `pass_fn(*rows)` returns, from one pass per block of
+    ⌈n / _BLOCK_ROWS⌉ near-equal row blocks, so that a pass over many rows
+    holds the activations of at most _BLOCK_ROWS. The blocks keep the
+    whole-batch bits: each has over 1024 rows, where a fixed block size
+    leaves a short last block that OpenBLAS runs on another GEMM path."""
+    n_blocks = -(-rows[0].shape[0] // _BLOCK_ROWS)
+    if n_blocks <= 1:
+        return pass_fn(*rows)
+    outs = [pass_fn(*block) for block in zip(*(np.array_split(r, n_blocks) for r in rows))]
+    return tuple(np.concatenate(parts) for parts in zip(*outs))
+
+
 def predict_batch(model: AffineModel, obs) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) for a batch: A is (n, 6), B is (n, 6, 4), physical units."""
-    return _affine_terms(model, _obs_matrix(obs, model.n_features))
+    return _by_row_blocks(lambda x: _affine_terms(model, x), _obs_matrix(obs, model.n_features))
 
 
 def predict(model: AffineModel, obs) -> tuple[np.ndarray, np.ndarray]:
@@ -459,8 +473,14 @@ def _logged_validation(model, val):
 
 
 def predict_wrench_batch(model, obs, u) -> np.ndarray:
-    """(n, 6) predicted wrenches of a model of any family."""
-    return _model_class(model).wrench(model, obs, _control_matrix_rows(u))
+    """(n, 6) predicted wrenches of a model of any family, one pass per row
+    block as in `predict_batch`. Observations and commands pair up row by row."""
+    wrench = _model_class(model).wrench
+    x, u = _obs_matrix(obs, model.n_features), _control_matrix_rows(u)
+    if x.shape[0] != u.shape[0]:  # an affine einsum would broadcast a one-row u within one block
+        raise ValueError(f"{x.shape[0]} observation rows but {u.shape[0]} command rows")
+    (y,) = _by_row_blocks(lambda o, v: (wrench(model, o, v),), x, u)
+    return y
 
 
 def _squared_errors(model, dataset) -> np.ndarray:

@@ -348,6 +348,10 @@ def generate_eval_set(cfg: ExperimentConfig, speed: float, params: PlantParams,
 
 
 def _concat_datasets(datasets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The datasets' rows in order; a lone dataset's own arrays, uncopied (no
+    caller writes into them)."""
+    if len(datasets) == 1:
+        return tuple(datasets[0])
     return tuple(np.concatenate(arrays) for arrays in zip(*datasets))
 
 

@@ -429,6 +429,39 @@ def test_eval_gives_speeds_that_print_alike_a_row_each(tmp_path, capsys):
         "dyn_va10.0000001_eval.csv", "dyn_va10_eval.csv"]
 
 
+@pytest.mark.parametrize("data, speeds, key", [
+    (["a/va10.csv"], ["--speeds", "10"], "va10"),  # a stem named like a speed's label
+    (["a/small.csv", "b/small.csv"], [], "small"),  # one stem in two directories
+])
+def test_eval_rows_sharing_a_key_fail_before_anything_runs(tmp_path, capsys, data, speeds, key):
+    source = _dynamics_csv(tmp_path)
+    for name in data:
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(source.read_bytes())
+    root = tmp_path / "root"
+    argv = ["eval", "--model", str(_model_file(tmp_path)),
+            "--data", *(str(tmp_path / name) for name in data), *speeds, "--out", str(root)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: two eval rows would share the key {key!r}\n"
+    assert not root.exists()  # no eval set generated, no report written
+
+
+def test_eval_prints_data_rows_as_given_then_speed_rows_by_speed(tmp_path, capsys):
+    source = _dynamics_csv(tmp_path)
+    for name in ("zeta.csv", "alpha.csv"):
+        (tmp_path / name).write_bytes(source.read_bytes())
+    root = tmp_path / "root"
+    argv = ["eval", "--model", str(_model_file(tmp_path)), "--data", str(tmp_path / "zeta.csv"),
+            str(tmp_path / "alpha.csv"), "--speeds", "14,8,10", "--out", str(root)]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows[1:6]] == ["zeta", "alpha", "va8", "va10", "va14"]
+    report = (root / "reports" / "eval_m.json").read_text()
+    assert list(json.loads(report)["rmse"]) == ["alpha", "va10", "va14", "va8", "zeta"]
+
+
 def test_readme_quick_start_protocol_writes_the_file_train_dyn_reads(tmp_path):
     # the quick start writes its protocol with a heredoc and trains on gen-data's output
     readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -1,6 +1,7 @@
 """Control-affine model: gradients, mirror penalty, training, linearization."""
 import json
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -252,7 +253,87 @@ def test_predict_wrench_batch_matches_manual_forward(rng):
         dynamics.dynamics_model_to_dict(object())
 
 
-# one untrained model of each family; a family added to MODEL_KINDS adds its maker here
+def suite_shaped_model(kind, wing_sensors, seed=11):
+    """An untrained model of one of the suite's four shapes, hidden (64, 64), with
+    a non-trivial input scaling."""
+    rng = np.random.default_rng(seed)
+    n_in = (13 if wing_sensors else 6) + (4 if kind == "unstructured" else 0)
+    mean, std = rng.normal(size=n_in), rng.uniform(0.5, 2.0, size=n_in)
+    if kind == "unstructured":
+        return UnstructuredModel(nncore.init_network((n_in, 64, 64, 6), seed), mean, std,
+                                 wing_sensors=wing_sensors)
+    return AffineModel(nncore.init_network((n_in, 64, 64), seed, output_activation="tanh"),
+                       nncore.init_network((64, 6), seed + 1),
+                       nncore.init_network((64, 24), seed + 2), mean, std,
+                       wing_sensors=wing_sensors)
+
+
+SUITE_SHAPES = [("affine", True), ("affine", False), ("unstructured", True),
+                ("unstructured", False)]
+
+
+@pytest.mark.parametrize("kind, wing_sensors", SUITE_SHAPES)
+@pytest.mark.parametrize("n", [0, 1, 2048, 2049, 2100, 4097, 6000, 8193, 12000])
+def test_blocked_batch_passes_keep_the_whole_batch_bits(kind, wing_sensors, n):
+    model = suite_shaped_model(kind, wing_sensors)
+    rng = np.random.default_rng(n)
+    obs, u = rng.normal(size=(n, 13)) * 3.0, rng.uniform(-25.0, 25.0, size=(n, 4))
+    feats = obs[:, :model.n_features]
+    if kind == "affine":
+        a_ref, b_ref = dynamics._affine_terms(model, feats)  # one pass over every row
+        a, b = predict_batch(model, obs)
+        assert a.shape == (n, 6) and b.shape == (n, 6, 4)
+        assert a.tobytes() == a_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+        y_ref = a_ref + np.einsum("nck,nk->nc", b_ref, u)
+    else:
+        y_ref = nncore.forward(model.net, (np.concatenate([feats, u], axis=1) - model.in_mean)
+                               / model.in_std)
+    y = predict_wrench_batch(model, obs, u)
+    assert y.shape == (n, 6) and y.tobytes() == y_ref.tobytes()
+    if n > 1:  # rows pair up, whatever the model's family and the number of blocks
+        with pytest.raises(ValueError, match=f"{n} observation rows but 1 command rows"):
+            predict_wrench_batch(model, obs, u[:1])
+
+
+@pytest.mark.parametrize("n, blocks", [
+    (2048, [2048]), (2049, [1025, 1024]), (6000, [2000] * 3), (8193, [1639] * 3 + [1638] * 2),
+])
+def test_batch_passes_run_near_equal_blocks_of_at_most_2048_rows(monkeypatch, n, blocks):
+    seen = []
+    affine_terms = dynamics._affine_terms
+
+    def recording(model, x):
+        seen.append(x.shape[0])
+        return affine_terms(model, x)
+
+    monkeypatch.setattr(dynamics, "_affine_terms", recording)
+    model = suite_shaped_model("affine", True)
+    obs = np.random.default_rng(0).normal(size=(n, 13))
+    predict_batch(model, obs)
+    predict_wrench_batch(model, obs, np.zeros((n, 4)))
+    assert seen == blocks * 2
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("score, kind", [
+    (symmetry_residual_norm, "affine"), (eval_rmse, "affine"), (eval_rmse, "unstructured"),
+])
+def test_scoring_12000_rows_holds_less_than_one_whole_set_activation(score, kind):
+    # a two-speed in-distribution set; a whole-set pass holds two (12000, 64) activations
+    model = suite_shaped_model(kind, True)
+    rng = np.random.default_rng(2)
+    obs = rng.normal(size=(12000, 13))
+    data = (obs, rng.uniform(-25.0, 25.0, size=(12000, 4)), rng.normal(size=(12000, 6)))
+    peak = _traced_peak(score, model, *((obs,) if score is symmetry_residual_norm else (data,)))
+    assert peak < 12000 * 64 * 8
 MODEL_MAKERS = {
     "affine": lambda: small_model(6, wing_sensors=False, lambda_sym=0.2),
     "unstructured": lambda: unstructured_model(hidden=(6,), seed=8),

@@ -222,6 +222,17 @@ def test_generate_speed_datasets_layout(tmp_path):
     assert not np.array_equal(sets[8.0][1], sets[12.0][1])
 
 
+def test_concat_datasets_shares_a_lone_dataset_and_copies_two(rng):
+    a = (rng.normal(size=(5, 13)), rng.normal(size=(5, 4)), rng.normal(size=(5, 6)))
+    b = (rng.normal(size=(3, 13)), rng.normal(size=(3, 4)), rng.normal(size=(3, 6)))
+    lone = harness._concat_datasets([a])
+    assert all(got is arr for got, arr in zip(lone, a, strict=True))
+    both = harness._concat_datasets([a, b])
+    for got, first, second in zip(both, a, b, strict=True):
+        assert np.array_equal(got, np.concatenate([first, second]))
+        assert not np.shares_memory(got, first) and not np.shares_memory(got, second)
+
+
 def test_generate_speed_datasets_rejects_a_repeated_speed(tmp_path):
     # a repeat would write one file twice, at two seeds
     with pytest.raises(ValueError, match="speeds repeats a speed"):
