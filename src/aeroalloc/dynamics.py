@@ -109,19 +109,24 @@ def _check_network(net: Network, n_in: int, n_out: int, what: str) -> None:
 
 
 def _scaling(mean, std, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Standardization constants of `n` values as float arrays, scales positive."""
+    """Standardization constants of `n` values as float arrays, finite, scales positive."""
     mean, std = np.asarray(mean, dtype=float), np.asarray(std, dtype=float)
     if mean.shape != (n,) or std.shape != (n,):
         raise ValueError(f"{what} scaling constants must have {n} entries")
     if not np.all(std > 0.0):
         raise ValueError(f"{what} scales must be positive")
+    for name, values in (("means", mean), ("scales", std)):  # json reads NaN and Infinity
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"{what} {name} must be finite; entry {bad[0]} is {values[bad[0]]}")
     return mean, std
 
 
 class _WrenchModel:
-    """A model family: the `kind` its files record, whether the suite reports a
-    mirror residual of its B, the wing-tap switch, and `wrench(obs, u)`, the
-    (n, 6) wrenches of observation rows under (n, 4) command rows."""
+    """A model family: the `kind` its files record, whether the suite reports a mirror
+    residual of its B, the wing-tap switch, its input rule (`raw_inputs`, and the `scaling`
+    its trainer fits on it) and `wrench(obs, u)`, the (n, 6) wrenches of observation rows
+    under (n, 4) command rows."""
 
     kind: str
     mirror_residual: bool
@@ -130,6 +135,12 @@ class _WrenchModel:
     @property
     def n_features(self) -> int:
         return _feature_count(self.wing_sensors)
+
+    def inputs(self, obs, u=None) -> np.ndarray:
+        """The rows the family's first network reads, from plant observation rows (or
+        one row) and command rows: its `raw_inputs`, standardized by its `scaling`."""
+        mean, std = self.scaling
+        return (self.raw_inputs(obs, u, self.n_features) - mean) / std
 
 
 @dataclass
@@ -159,6 +170,12 @@ class AffineModel(_WrenchModel):
         self.obs_mean, self.obs_std = _scaling(self.obs_mean, self.obs_std, self.n_features,
                                                "feature")
 
+    scaling = property(lambda self: (self.obs_mean, self.obs_std))
+
+    @staticmethod
+    def raw_inputs(obs, u, n_features: int) -> np.ndarray:
+        return _obs_matrix(obs, n_features)  # u acts through B
+
     def wrench(self, obs, u) -> np.ndarray:
         a, b = predict_batch(self, obs)
         return a + np.einsum("nck,nk->nc", b, u)
@@ -180,9 +197,14 @@ class UnstructuredModel(_WrenchModel):
         _check_network(self.net, n_in, WRENCH_DIM, "network")
         self.in_mean, self.in_std = _scaling(self.in_mean, self.in_std, n_in, "input")
 
+    scaling = property(lambda self: (self.in_mean, self.in_std))
+
+    @staticmethod
+    def raw_inputs(obs, u, n_features: int) -> np.ndarray:
+        return np.concatenate([_obs_matrix(obs, n_features), u], axis=1)
+
     def wrench(self, obs, u) -> np.ndarray:
-        feats = _obs_matrix(obs, self.n_features)
-        return forward(self.net, (np.concatenate([feats, u], axis=1) - self.in_mean) / self.in_std)
+        return forward(self.net, self.inputs(obs, u))
 
 
 # Each model family by the `kind` its files record.
@@ -217,7 +239,7 @@ def _affine_terms(model: AffineModel, x: np.ndarray) -> tuple[np.ndarray, np.nda
     """(A, B) of an observation matrix from `_obs_matrix`. The model checked its
     widths when it was made, so the passes run on the kernel, past `forward`'s
     input checks."""
-    h = nncore._activations(model.backbone, (x - model.obs_mean) / model.obs_std)[-1]
+    h = nncore._activations(model.backbone, model.inputs(x))[-1]
     a = nncore._activations(model.a_head, h)[-1]
     b = nncore._activations(model.b_head, h)[-1]
     return a, b.reshape(-1, WRENCH_DIM, CONTROL_DIM)
@@ -306,10 +328,9 @@ def _batch_tapes(nets, u, err, b, acts, sym: SymmetryConfig, out=(None, None, No
 
 def _model_batch(model: AffineModel, obs, u, y):
     """Standardized features, control rows and wrench targets of one batch."""
-    x = _obs_matrix(obs, model.n_features)
+    x = model.inputs(obs)
     if x.shape[0] == 0:
         raise ValueError("training loss needs a non-empty batch")
-    x = (x - model.obs_mean) / model.obs_std
     u = _control_matrix_rows(u)
     y = np.asarray(y, dtype=float).reshape(x.shape[0], WRENCH_DIM)
     return x, u, y
@@ -421,23 +442,23 @@ def train_dynamics(dataset, cfg: DynamicsTrainConfig, history: list | None = Non
     """
     (obs_tr, u_tr, y_tr), val = _training_rows(dataset)
 
-    n_feat = _feature_count(cfg.wing_sensors)
-    feats_tr = obs_tr[:, :n_feat]
-    obs_mean, obs_std = nncore.standardize_stats(feats_tr)
+    raw = AffineModel.raw_inputs(obs_tr, u_tr, _feature_count(cfg.wing_sensors))
     y_mean, y_std = nncore.standardize_stats(y_tr)
 
     seed_bb, seed_a, seed_b, seed_batch = _child_seeds(cfg.seed, 4)
     width = cfg.hidden[-1]
-    backbone = nncore.init_network((n_feat, *cfg.hidden), seed_bb, output_activation="tanh")
+    backbone = nncore.init_network((raw.shape[1], *cfg.hidden), seed_bb, output_activation="tanh")
     a_head = nncore.init_network((width, WRENCH_DIM), seed_a)
     b_head = nncore.init_network((width, WRENCH_DIM * CONTROL_DIM), seed_b)
     nets = (backbone, a_head, b_head)
+    model = AffineModel(*nets, *nncore.standardize_stats(raw), sym=cfg.sym,
+                        wing_sensors=cfg.wing_sensors)
     opt = nncore.init_optimizer(nets, lr=cfg.lr)
 
     # Optimize with deflections rescaled to fractions of full throw, so the
     # effectiveness entries sit at order one where the mirror penalty has
     # leverage against the data term; both scalings fold back out below.
-    x_tr = (feats_tr - obs_mean) / obs_std
+    x_tr = model.inputs(obs_tr)
     us_tr = u_tr / CONTROL_LIMIT_DEG
     yt_tr = (y_tr - y_mean) / y_std
 
@@ -460,9 +481,7 @@ def train_dynamics(dataset, cfg: DynamicsTrainConfig, history: list | None = Non
         np.repeat(y_std, CONTROL_DIM) / CONTROL_LIMIT_DEG,
         np.zeros(WRENCH_DIM * CONTROL_DIM),
     )
-    return _logged_validation(AffineModel(
-        backbone, a_head, b_head, obs_mean, obs_std, sym=cfg.sym, wing_sensors=cfg.wing_sensors
-    ), val)
+    return _logged_validation(model, val)
 
 
 def _logged_validation(model, val):
@@ -519,15 +538,15 @@ def train_unstructured(
     """
     (obs_tr, u_tr, y_tr), val = _training_rows(dataset)
 
-    inputs = np.concatenate([obs_tr[:, :_feature_count(cfg.wing_sensors)], u_tr], axis=1)
-    in_mean, in_std = nncore.standardize_stats(inputs)
+    raw = UnstructuredModel.raw_inputs(obs_tr, u_tr, _feature_count(cfg.wing_sensors))
     y_mean, y_std = nncore.standardize_stats(y_tr)
 
     seed_net, seed_batch = _child_seeds(cfg.seed, 2)
-    net = nncore.init_network((inputs.shape[1], *cfg.hidden, WRENCH_DIM), seed_net)
+    net = nncore.init_network((raw.shape[1], *cfg.hidden, WRENCH_DIM), seed_net)
+    model = UnstructuredModel(net, *nncore.standardize_stats(raw), wing_sensors=cfg.wing_sensors)
     opt = nncore.init_optimizer(net, lr=cfg.lr)
 
-    x_tr = (inputs - in_mean) / in_std
+    x_tr = model.inputs(obs_tr, u_tr)
     yt_tr = (y_tr - y_mean) / y_std
 
     def minibatch_grads(x, y):
@@ -544,8 +563,7 @@ def train_unstructured(
     )
 
     nncore.fold_output_scaling(net, y_std, y_mean)
-    return _logged_validation(UnstructuredModel(net, in_mean, in_std,
-                                                wing_sensors=cfg.wing_sensors), val)
+    return _logged_validation(model, val)
 
 
 def affine_at(model: UnstructuredModel, obs, u_ref) -> tuple[np.ndarray, np.ndarray]:
@@ -561,13 +579,13 @@ def affine_at(model: UnstructuredModel, obs, u_ref) -> tuple[np.ndarray, np.ndar
     u_vec = np.asarray(u_ref, dtype=float)
     if u_vec.shape != (CONTROL_DIM,):
         raise ValueError(f"command u_ref must have shape ({CONTROL_DIM},), got {u_vec.shape}")
-    x = (np.concatenate([feats[0], u_vec]) - model.in_mean) / model.in_std
-    acts = nncore._activations(model.net, np.repeat(x[None], WRENCH_DIM, axis=0))
+    x = model.inputs(feats, u_vec[None])  # one row
+    acts = nncore._activations(model.net, np.repeat(x, WRENCH_DIM, axis=0))
     grad = nncore._backprop(model.net, _EYE_WRENCH, acts)
     jac = grad[:, -CONTROL_DIM:] / model.in_std[-CONTROL_DIM:]
     # A 1-row pass for y0: reading it off the 6-row pass would move C7, as the two
     # differ in the last bits for 1998 of 2000 random inputs on the C7 baseline net.
-    y0 = nncore._activations(model.net, x[None])[-1][0]
+    y0 = nncore._activations(model.net, x)[-1][0]
     return y0 - jac @ u_vec, jac
 
 

@@ -636,6 +636,33 @@ def test_a_malformed_model_creates_no_directory(tmp_path, capsys, command):
     assert not root.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "track"])
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("affine", "obs_mean", float("nan"), "feature means must be finite; entry 0 is nan"),
+    ("affine", "obs_std", float("inf"), "feature scales must be finite; entry 0 is inf"),
+    ("unstructured", "in_mean", float("nan"), "input means must be finite; entry 0 is nan"),
+    ("unstructured", "in_std", float("inf"), "input scales must be finite; entry 0 is inf"),
+])
+def test_a_model_with_non_finite_scaling_fails_with_one_error_line(tmp_path, capsys, command,
+                                                                   kind, key, value, message):
+    import numpy as np
+
+    from aeroalloc import dynamics
+    from conftest import constant_affine_model, unstructured_model
+
+    model = (constant_affine_model(np.zeros(6), np.zeros((6, 4))) if kind == "affine"
+             else unstructured_model())
+    doc = dynamics.dynamics_model_to_dict(model)
+    doc[key][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    root = tmp_path / "root"
+    argv = ["--speeds", "10"] if command == "eval" else []
+    assert cli.main([command, "--model", str(bad), *argv, "--out", str(root)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not root.exists()
+
+
 def test_eval_reports_do_not_depend_on_the_output_root(tmp_path):
     data = _dynamics_csv(tmp_path)
     model = _model_file(tmp_path)

@@ -334,6 +334,70 @@ def test_scoring_12000_rows_holds_less_than_one_whole_set_activation(score, kind
     data = (obs, rng.uniform(-25.0, 25.0, size=(12000, 4)), rng.normal(size=(12000, 6)))
     peak = _traced_peak(score, model, *((obs,) if score is symmetry_residual_norm else (data,)))
     assert peak < 12000 * 64 * 8
+
+
+# ---------------------------------------------------------------------------
+# input map
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, wing_sensors", SUITE_SHAPES)
+@pytest.mark.parametrize("n_rows", [None, 1, 5], ids=["one_1d_row", "one_row", "rows"])
+def test_inputs_standardize_the_family_rule_bit_for_bit(kind, wing_sensors, n_rows):
+    model = suite_shaped_model(kind, wing_sensors)
+    rng = np.random.default_rng(3)
+    rows = n_rows or 1
+    obs, u = rng.normal(size=(rows, 13)) * 3.0, rng.uniform(-25.0, 25.0, size=(rows, 4))
+    n = model.n_features
+    if kind == "affine":
+        expected = (obs[:, :n] - model.obs_mean) / model.obs_std
+    else:
+        expected = (np.concatenate([obs[:, :n], u], axis=1) - model.in_mean) / model.in_std
+    x = model.inputs(obs[0] if n_rows is None else obs, u)
+    assert x.shape == expected.shape and x.tobytes() == expected.tobytes()
+
+
+def _recorded_inputs(monkeypatch) -> list:
+    """Patch the families' input map to log (kind, rows) of each call."""
+    calls = []
+    inputs = dynamics._WrenchModel.inputs
+
+    def recording(model, obs, u=None):
+        x = inputs(model, obs, u)
+        calls.append((model.kind, x.shape[0]))
+        return x
+
+    monkeypatch.setattr(dynamics._WrenchModel, "inputs", recording)
+    return calls
+
+
+@pytest.mark.parametrize("kind, call, rows", [
+    ("affine", lambda m, obs, u, y: predict(m, obs[0]), 1),
+    ("affine", lambda m, obs, u, y: predict_batch(m, obs), 8),
+    ("affine", lambda m, obs, u, y: predict_wrench_batch(m, obs, u), 8),
+    ("affine", lambda m, obs, u, y: training_loss(m, obs, u, y), 8),
+    ("affine", lambda m, obs, u, y: training_gradients(m, obs, u, y), 8),
+    ("unstructured", lambda m, obs, u, y: predict_wrench_batch(m, obs, u), 8),
+    ("unstructured", lambda m, obs, u, y: affine_at(m, obs[0], u[0]), 1),
+], ids=["predict", "predict_batch", "predict_wrench_batch", "training_loss",
+        "training_gradients", "unstructured_predict_wrench_batch", "affine_at"])
+def test_every_pass_reads_its_rows_through_the_input_map(monkeypatch, rng, kind, call, rows):
+    model = MODEL_MAKERS[kind]()
+    calls = _recorded_inputs(monkeypatch)
+    call(model, *random_batch(rng, n=8))
+    assert calls == [(kind, rows)]
+
+
+@pytest.mark.parametrize("kind, trainer", [("affine", train_dynamics),
+                                           ("unstructured", train_unstructured)])
+def test_each_trainer_standardizes_its_training_rows_through_the_input_map(monkeypatch, rng,
+                                                                            kind, trainer):
+    calls = _recorded_inputs(monkeypatch)
+    dataset, _ = synthetic_affine_dataset(rng, n=200)
+    trainer(dataset, DynamicsTrainConfig(seed=0, hidden=(4,), epochs=2))
+    assert calls[0] == (kind, 160)  # the 160 training rows; 40 are held out
+
+
 MODEL_MAKERS = {
     "affine": lambda: small_model(6, wing_sensors=False, lambda_sym=0.2),
     "unstructured": lambda: unstructured_model(hidden=(6,), seed=8),
@@ -380,6 +444,24 @@ def test_each_model_kind_keeps_the_contract(kind, tmp_path, rng):
 def test_a_model_checks_its_parts_when_made(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_MAKERS))
+@pytest.mark.parametrize("key, value, message", [
+    ("mean", float("nan"), "means must be finite; entry 2 is nan"),
+    ("std", float("inf"), "scales must be finite; entry 2 is inf"),
+])
+def test_a_model_file_with_non_finite_scaling_fails_naming_the_file(tmp_path, kind, key, value,
+                                                                    message):
+    # Python's json reads NaN and Infinity; a model must not standardize with them
+    doc = dynamics.dynamics_model_to_dict(MODEL_MAKERS[kind]())
+    prefix, what = ("obs", "feature") if kind == "affine" else ("in", "input")
+    doc[f"{prefix}_{key}"][2] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        dynamics.load_dynamics_model(path)
+    assert str(exc.value) == f"{path}: {what} {message}"
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 loaded by a suite run on more than one CPU, not by import. The package
 re-exports no names, and `import aeroalloc` loads its modules. Every module-level
 import and private definition in the package is used, every public function and
-class is reached by the package, the benchmark or an acceptance gate, and no code
-outside `allocator.track_sequence` branches on a model's family or a variant's name."""
+class is reached by the package, the benchmark or an acceptance gate, no code
+outside `allocator.track_sequence` branches on a model's family or a variant's name,
+and only the model families read their input scaling."""
 import ast
 import os
 import subprocess
@@ -169,15 +170,16 @@ def test_no_module_keeps_an_unused_import():
     assert unused == []
 
 
-def _calls_in_functions(tree, outer=()):
-    """(dotted name of the enclosing function, "" at module level, call node) of each call."""
+def _in_functions(tree, node_type=ast.Call, outer=()):
+    """(dotted name of the enclosing function or class, "" at module level, node) of
+    each `node_type` node."""
     for child in ast.iter_child_nodes(tree):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _calls_in_functions(child, (*outer, child.name))
+            yield from _in_functions(child, node_type, (*outer, child.name))
         else:
-            if isinstance(child, ast.Call):
+            if isinstance(child, node_type):
                 yield ".".join(outer), child
-            yield from _calls_in_functions(child, outer)
+            yield from _in_functions(child, node_type, outer)
 
 
 MODEL_FAMILIES = {"AffineModel", "UnstructuredModel"}
@@ -188,12 +190,25 @@ def test_only_track_sequence_asks_a_model_its_family():
     # alone picks predict or affine_at, the two per-step passes it calls by name
     sites = set()
     for path in sorted(SRC.glob("*.py")):
-        for where, call in _calls_in_functions(ast.parse(path.read_text())):
+        for where, call in _in_functions(ast.parse(path.read_text())):
             if (isinstance(call.func, ast.Name) and call.func.id == "isinstance"
                     and {getattr(n, "id", getattr(n, "attr", None))
                          for n in ast.walk(call.args[1])} & MODEL_FAMILIES):
                 sites.add((path.name, where))
     assert sites == {("allocator.py", "track_sequence")}
+
+
+SCALING_FIELDS = {"obs_mean", "obs_std", "in_mean", "in_std"}
+
+
+def test_only_the_model_families_read_their_input_scaling():
+    # a family's `inputs` selects, joins and standardizes what its first network
+    # reads; affine_at reads the command scales only to turn its Jacobian in
+    # standardized inputs into one per degree (`in_std[-CONTROL_DIM:]`)
+    reads = [(path.name, where, ast.unparse(node)) for path in sorted(SRC.glob("*.py"))
+             for where, node in _in_functions(ast.parse(path.read_text()), ast.Attribute)
+             if node.attr in SCALING_FIELDS and where.split(".")[0] not in MODEL_FAMILIES]
+    assert reads == [("dynamics.py", "affine_at", "model.in_std")]
 
 
 def test_no_variant_name_is_parsed():
@@ -202,7 +217,7 @@ def test_no_variant_name_is_parsed():
                  for part in (name[:i + 3], name[i:])}
     parsed = []
     for name in ("harness.py", "cli.py"):
-        for where, call in _calls_in_functions(ast.parse((SRC / name).read_text())):
+        for where, call in _in_functions(ast.parse((SRC / name).read_text())):
             if not (isinstance(call.func, ast.Attribute)
                     and call.func.attr in ("startswith", "endswith")):
                 continue
