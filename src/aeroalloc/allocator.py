@@ -24,7 +24,10 @@ evaluates the objective.
 Each value is checked once, where it enters: AllocationProblem its parts,
 TrackingConfig (frozen) the penalties and the trim command (4 finite
 entries within the actuator limits), `track_sequence` its targets. Every
-tracking run steps at the constant `DT`.
+tracking run steps at the constant `DT`. The loop takes each step's (A, B)
+from `predict` when the model's family is affine in the command
+(`affine_in_u`), else from `affine_at` at the previous command; it imports
+no model class.
 Inside the loop, where commands pass as plain (4,) arrays, each step's
 AllocationProblem is made without its __init__ checks (`_unchecked`), only
 the model's (A, B) and the achieved wrench are checked to be finite, and the
@@ -45,15 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (
-    AffineModel,
-    CONTROL_DIM,
-    CONTROL_LIMIT_DEG,
-    UnstructuredModel,
-    WRENCH_DIM,
-    affine_at,
-    predict,
-)
+from .dynamics import CONTROL_DIM, CONTROL_LIMIT_DEG, WRENCH_DIM, _model_class, affine_at, predict
 from .blas import numpy_blas_function
 from .table import write_table
 
@@ -150,8 +145,8 @@ class AllocationProblem:
     y_target: np.ndarray    # 6-vector desired wrench
     u_prev: np.ndarray = field(default_factory=lambda: np.zeros(CONTROL_DIM))
     u_trim: np.ndarray = field(default_factory=lambda: np.zeros(CONTROL_DIM))
-    lambda0: float = 0.01
-    lambda1: float = 0.1
+    lambda0: float = 0.01   # the penalties' defaults, which TrackingConfig and
+    lambda1: float = 0.1    # the suite's ExperimentConfig read from here
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", _vec(self.a, WRENCH_DIM, "offset wrench"))
@@ -235,8 +230,8 @@ def solve(p: AllocationProblem) -> AllocationSolution:
 class TrackingConfig:
     """Penalties and trim command of a tracking run, checked at construction."""
 
-    lambda0: float = 0.01
-    lambda1: float = 0.1
+    lambda0: float = AllocationProblem.lambda0
+    lambda1: float = AllocationProblem.lambda1
     u_trim: np.ndarray = field(default_factory=lambda: np.zeros(CONTROL_DIM))
 
     def __post_init__(self) -> None:
@@ -276,8 +271,7 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn) ->
     The targets are validated here, once; each step then checks only that the
     model output and the achieved wrench are finite.
     """
-    if not isinstance(model, (AffineModel, UnstructuredModel)):
-        raise TypeError(f"unsupported model type {type(model).__name__}")
+    affine = _model_class(model).affine_in_u
     target_mat = np.array(targets, dtype=float)
     if target_mat.ndim != 2 or target_mat.shape[1] != WRENCH_DIM:
         raise ValueError(f"targets must be (n, {WRENCH_DIM})")
@@ -285,7 +279,6 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn) ->
         raise ValueError("targets must be finite")
     n = target_mat.shape[0]
 
-    affine = isinstance(model, AffineModel)
     u_trim, u_prev = cfg.u_trim, np.zeros(CONTROL_DIM)
     lambda0, lambda1 = cfg.lambda0, cfg.lambda1
     rows_pred = np.empty((n, WRENCH_DIM))

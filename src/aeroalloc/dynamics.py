@@ -14,8 +14,8 @@ airframe should exhibit, without forbidding bounded asymmetry.
 An unstructured baseline (plain feedforward net on the concatenated
 observation and control) lives here too, with its local linearization for
 closed-loop allocation. Each model family is one class of `MODEL_KINDS`: it
-checks its parts when made, its fields are its file format, and `wrench`
-predicts with it.
+checks its parts when made, its fields are its file format, `wrench` predicts
+with it, and `affine_in_u` says whether that wrench is affine in the command.
 """
 from __future__ import annotations
 
@@ -34,15 +34,16 @@ from .table import read_table, write_table
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = "dynmodel-v1"
-OBS_DIM = 13
 PROBE_FEATURES = 6          # leading observation entries, kept by every variant
+WING_TAPS = 7               # trailing observation entries, the wing-surface taps
+OBS_DIM = PROBE_FEATURES + WING_TAPS
 CONTROL_DIM = 4
 WRENCH_DIM = 6
 CONTROL_LIMIT_DEG = 25.0
 
 DYNAMICS_CSV_HEADER = (
     ["Va0", "alpha0", "beta0", "Va1", "alpha1", "beta1"]
-    + [f"ps{i}" for i in range(7)]
+    + [f"ps{i}" for i in range(WING_TAPS)]
     + ["d_la", "d_ra", "d_el", "d_ru", "Fx", "Fy", "Fz", "Tx", "Ty", "Tz"]
 )
 
@@ -52,7 +53,7 @@ MIRROR_SIGNS.setflags(write=False)
 VAL_FRACTION = 0.2  # trailing share of the training rows held out for validation
 BATCH_SIZE = 256  # minibatch rows of both trainers
 _EYE_WRENCH = np.eye(WRENCH_DIM)  # upstream of the per-output Jacobian rows
-_BLOCK_ROWS = 2048  # most rows of one scoring pass (`_by_row_blocks`)
+_BLOCK_ROWS = 2048  # most rows of one scoring pass (`nncore.by_row_blocks`)
 
 
 def _feature_count(wing_sensors: bool) -> int:
@@ -123,13 +124,14 @@ def _scaling(mean, std, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _WrenchModel:
-    """A model family: the `kind` its files record, whether the suite reports a mirror
-    residual of its B, the wing-tap switch, its input rule (`raw_inputs`, and the `scaling`
-    its trainer fits on it) and `wrench(obs, u)`, the (n, 6) wrenches of observation rows
-    under (n, 4) command rows."""
+    """A model family: the `kind` its files record, whether its wrench is affine in the
+    command (`affine_in_u`: then `predict` gives its own (A, B), whose mirror residual the
+    suite reports; else a tracking loop linearizes it with `affine_at`), the wing-tap
+    switch, its input rule (`raw_inputs`, and the `scaling` its trainer fits on it) and
+    `wrench(obs, u)`, the (n, 6) wrenches of observation rows under (n, 4) command rows."""
 
     kind: str
-    mirror_residual: bool
+    affine_in_u: bool
     wing_sensors: bool
 
     @property
@@ -153,7 +155,7 @@ class AffineModel(_WrenchModel):
     """
 
     kind = "affine"
-    mirror_residual = True
+    affine_in_u = True
     backbone: Network
     a_head: Network
     b_head: Network
@@ -186,7 +188,7 @@ class UnstructuredModel(_WrenchModel):
     """Plain feedforward baseline on the concatenated (observation, control)."""
 
     kind = "unstructured"
-    mirror_residual = False
+    affine_in_u = False
     net: Network
     in_mean: np.ndarray
     in_std: np.ndarray
@@ -245,22 +247,10 @@ def _affine_terms(model: AffineModel, x: np.ndarray) -> tuple[np.ndarray, np.nda
     return a, b.reshape(-1, WRENCH_DIM, CONTROL_DIM)
 
 
-def _by_row_blocks(pass_fn, *rows) -> tuple:
-    """The arrays `pass_fn(*rows)` returns, from one pass per block of
-    ⌈n / _BLOCK_ROWS⌉ near-equal row blocks, so that a pass over many rows
-    holds the activations of at most _BLOCK_ROWS. The blocks keep the
-    whole-batch bits: each has over 1024 rows, where a fixed block size
-    leaves a short last block that OpenBLAS runs on another GEMM path."""
-    n_blocks = -(-rows[0].shape[0] // _BLOCK_ROWS)
-    if n_blocks <= 1:
-        return pass_fn(*rows)
-    outs = [pass_fn(*block) for block in zip(*(np.array_split(r, n_blocks) for r in rows))]
-    return tuple(np.concatenate(parts) for parts in zip(*outs))
-
-
 def predict_batch(model: AffineModel, obs) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) for a batch: A is (n, 6), B is (n, 6, 4), physical units."""
-    return _by_row_blocks(lambda x: _affine_terms(model, x), _obs_matrix(obs, model.n_features))
+    return nncore.by_row_blocks(lambda x: _affine_terms(model, x), _BLOCK_ROWS,
+                                _obs_matrix(obs, model.n_features))
 
 
 def predict(model: AffineModel, obs) -> tuple[np.ndarray, np.ndarray]:
@@ -498,7 +488,7 @@ def predict_wrench_batch(model, obs, u) -> np.ndarray:
     x, u = _obs_matrix(obs, model.n_features), _control_matrix_rows(u)
     if x.shape[0] != u.shape[0]:  # an affine einsum would broadcast a one-row u within one block
         raise ValueError(f"{x.shape[0]} observation rows but {u.shape[0]} command rows")
-    (y,) = _by_row_blocks(lambda o, v: (wrench(model, o, v),), x, u)
+    (y,) = nncore.by_row_blocks(lambda o, v: (wrench(model, o, v),), _BLOCK_ROWS, x, u)
     return y
 
 

@@ -33,6 +33,7 @@ from .dynamics import (
     CONTROL_DIM,
     DynamicsTrainConfig,
     SymmetryConfig,
+    _child_seeds,
     block_split,
     eval_rmse,
     load_dynamics_csv,
@@ -85,11 +86,11 @@ def _check_distinct(speeds, what: str) -> None:
 @dataclass
 class ExperimentConfig:
     seed: int = 0
-    hidden: tuple = (64, 64)
+    hidden: tuple = DynamicsTrainConfig.hidden
     epochs: int = 300
-    lambda_sym: float = 0.1
-    lambda0: float = 0.01
-    lambda1: float = 0.1
+    lambda_sym: float = SymmetryConfig.lambda_sym
+    lambda0: float = TrackingConfig.lambda0
+    lambda1: float = TrackingConfig.lambda1
     train_speeds: tuple = (10.0,)
     test_speeds: tuple = (10.0, 14.0)
     gust_mode: str = "shedding"
@@ -432,7 +433,7 @@ def _score(model, cfg: ExperimentConfig, in_dist_split, eval_sets: dict) -> dict
         if speed not in cfg.train_speeds:
             entry["inflation_pct"][key] = 100.0 * (rmse_s - rmse_in) / rmse_in
     entry["sym_residual"] = (symmetry_residual_norm(model, in_dist_split[0])
-                             if model.mirror_residual else None)
+                             if model.affine_in_u else None)
     return entry
 
 
@@ -596,10 +597,7 @@ def closed_loop_run(
     params = params or PlantParams()
     tracking = tracking or TrackingConfig(lambda0=cfg.lambda0, lambda1=cfg.lambda1)
     seed = cfg.seed if seed is None else seed
-    rng_sched, rng_targets, rng_noise = [
-        np.random.default_rng(int(c.generate_state(1)[0]))
-        for c in np.random.SeedSequence(seed).spawn(3)
-    ]
+    rng_sched, rng_targets, rng_noise = map(np.random.default_rng, _child_seeds(seed, 3))
     protocol = {"stage": "I", "duration_s": cfg.duration_s, "dt": DT}
     t, alpha, beta = plant_mod.stage_schedule(protocol, params, rng_sched)
     gust = plant_mod.gust_from_spec(_gust_spec(cfg), speed, params)

@@ -16,7 +16,8 @@ and the gradients it carries between layers. There is one kernel per
 direction: `_activations` is the forward pass and `_backprop` the reverse
 pass over the activations it recorded. `forward` and `backward` check their
 arguments and call them, and the wrench models in `dynamics` also run them
-directly, past those checks.
+directly, past those checks. `by_row_blocks` walks a pass over many rows in
+near-equal blocks, for the wrench models' scoring and the probe's estimator.
 """
 from __future__ import annotations
 
@@ -164,6 +165,21 @@ def forward(net: Network, x: np.ndarray, activations: bool = False):
         arr = _as_batch(arr, net.input_dim, "input")
     acts = _activations(net, arr)
     return acts if activations else acts[-1]
+
+
+def by_row_blocks(pass_fn: Callable[..., tuple], most: int, *rows: np.ndarray) -> tuple:
+    """The arrays `pass_fn(*rows)` returns, from one pass per block of
+    ⌈n / most⌉ near-equal row blocks, each output concatenated in row order,
+    so that a pass over many rows holds the activations of at most `most`.
+    A pass of stacked one-row products gives the same bits for any split. A
+    2-D pass keeps the whole-batch bits when each block has over 1024 rows,
+    as near-equal blocks of at most 2048 do, where a fixed block size leaves
+    a short last block that OpenBLAS runs on another GEMM path."""
+    n_blocks = -(-rows[0].shape[0] // most)
+    if n_blocks <= 1:
+        return pass_fn(*rows)
+    outs = [pass_fn(*block) for block in zip(*(np.array_split(r, n_blocks) for r in rows))]
+    return tuple(np.concatenate(parts) for parts in zip(*outs))
 
 
 def _through_tanh(g: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import nncore, probe as probe_mod
 from .probe import RHO, FlowState, ProbePressures
-from .dynamics import CONTROL_DIM, CONTROL_LIMIT_DEG, save_dynamics_csv
+from .dynamics import CONTROL_DIM, CONTROL_LIMIT_DEG, PROBE_FEATURES, WING_TAPS, save_dynamics_csv
 from .table import write_table
 
 log = logging.getLogger(__name__)
@@ -192,9 +192,10 @@ class PlantParams:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("wing_tap_a", "wing_tap_b", "wing_tap_c", "wing_tap_d"):
             taps = getattr(self, name)
-            if not (isinstance(taps, (tuple, list, np.ndarray)) and len(taps) == 7
+            if not (isinstance(taps, (tuple, list, np.ndarray)) and len(taps) == WING_TAPS
                     and all(map(_is_finite_number, taps))):
-                raise ValueError(f"{name} must list 7 finite tap coefficients, got {taps!r}")
+                raise ValueError(f"{name} must list {WING_TAPS} finite tap coefficients, "
+                                 f"got {taps!r}")
         for name in ("gust_weight", "streamwise_offset_m"):
             table = getattr(self, name)
             if not (isinstance(table, dict)
@@ -343,7 +344,7 @@ def _noise_scales(params: PlantParams, calibrated: bool) -> np.ndarray:
     forces and three torques."""
     probe = ((params.probe_noise_pa,) * 5 if calibrated
              else (params.est_noise_va, params.est_noise_angle_deg, params.est_noise_angle_deg))
-    return np.array([*probe, *probe, *(params.wing_noise_pa,) * 7,
+    return np.array([*probe, *probe, *(params.wing_noise_pa,) * WING_TAPS,
                      *(params.force_noise_n,) * 3, *(params.torque_noise_nm,) * 3])
 
 
@@ -378,7 +379,7 @@ def run_terms(
     through the full sensing chain, one `probe_taps` and one
     `probe.estimate_flow_rows` call per probe for the whole run: simulated
     tap pressures -> normalize -> network -> airspeed reconstruction, with
-    the network run `probe.ROWS_PER_BLOCK` rows at a time. Each step's
+    the network run at most `probe.ROWS_PER_BLOCK` rows at a time. Each step's
     features equal the one-reading `probe_pressures` and `estimate_flow`
     calls bit for bit, and a failed estimate raises as they do, naming the
     probe and its row, which is the step. Without them, "ideal" mode takes
@@ -405,7 +406,7 @@ def run_terms(
     n_probe = 5 if calibrated else 3
 
     gusts = gust_field(gust, t, va, params)
-    features = np.empty((t.size, 6))
+    features = np.empty((t.size, PROBE_FEATURES))
     for i in (0, 1):
         al, be = alpha + gusts[:, i, 0], beta + gusts[:, i, 1]
         probe_noise = noise[:, n_probe * i:n_probe * (i + 1)]
@@ -435,9 +436,9 @@ def run_terms(
         features=features,
         wing_base=tap_a + tap_b * wing_alpha[:, None],
         wing_gust=tap_d * (d_alpha + d_beta)[:, None],
-        wing_noise=noise[:, 2 * n_probe:2 * n_probe + 7],
+        wing_noise=noise[:, 2 * n_probe:2 * n_probe + WING_TAPS],
         c0=np.ascontiguousarray(params.baseline_coefficients(wing_alpha, wing_beta).T),
-        wrench_noise=noise[:, 2 * n_probe + 7:],
+        wrench_noise=noise[:, 2 * n_probe + WING_TAPS:],
     )
 
 

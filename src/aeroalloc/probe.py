@@ -27,7 +27,7 @@ log = logging.getLogger(__name__)
 
 RHO = 1.225  # kg/m^3, standard sea-level air; the default wherever a density is taken
 EPS_DP = 1e-6  # Pa; below this the probe sees no usable flow
-# Rows per calibration-network pass. One pass over a 6000-step excitation run
+# Most rows of one calibration-network pass. One pass over a 6000-step excitation run
 # raised its peak RSS by about 0.7 MB over one-reading passes; 256-row passes
 # keep it about 0.25 MB below them.
 ROWS_PER_BLOCK = 256
@@ -131,17 +131,16 @@ def _calibrate_rows(model: Network, cp: np.ndarray) -> np.ndarray:
     """The calibration network on each row of cp (n, 5): (n, 3) rows of
     (Cd, alpha_deg, beta_deg); a non-finite output raises ValueError.
 
-    The network runs as a stack of one-row products, `ROWS_PER_BLOCK` rows per
-    pass, so each row equals the one-row call bit for bit.
+    The network runs as a stack of one-row products, one pass per near-equal
+    block of at most `ROWS_PER_BLOCK` rows, so each row equals the one-row call
+    bit for bit.
     """
     if model.input_dim != 5 or model.output_dim != 3:
         raise ValueError(
             f"calibration model must map 5 -> 3, got {model.input_dim} -> {model.output_dim}"
         )
-    out = np.empty((cp.shape[0], 3))
-    for start in range(0, cp.shape[0], ROWS_PER_BLOCK):
-        block = cp[start:start + ROWS_PER_BLOCK]
-        out[start:start + block.shape[0]] = nncore.forward(model, block[:, None, :]).reshape(-1, 3)
+    (out,) = nncore.by_row_blocks(
+        lambda rows: (nncore.forward(model, rows[:, None, :]).reshape(-1, 3),), ROWS_PER_BLOCK, cp)
     k = _first(~np.isfinite(out).all(axis=1))
     if k is not None:
         raise ValueError(

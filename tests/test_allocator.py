@@ -24,7 +24,11 @@ from aeroalloc.allocator import (
 from aeroalloc.blas import numpy_blas_function
 from aeroalloc.table import read_table
 
-from conftest import constant_affine_model as constant_model, finite_difference_grads
+from conftest import (
+    constant_affine_model as constant_model,
+    finite_difference_grads,
+    unstructured_model,
+)
 
 
 def random_problem(rng, lambda0=0.01, lambda1=0.1):
@@ -486,6 +490,27 @@ def test_track_sequence_rejects_unknown_model():
     with pytest.raises(TypeError):
         track_sequence(object(), np.zeros((1, 6)), lambda k, u: np.zeros(13), TrackingConfig(),
                        achieved_fn=lambda k, u: np.zeros(6))
+
+
+def test_track_sequence_picks_each_step_pass_by_the_familys_affine_flag(monkeypatch):
+    # predict for a family whose wrench is affine in the command, else affine_at at u_prev;
+    # a family registered in MODEL_KINDS is flown with no edit to the allocator
+    calls = []
+    terms = np.zeros(6), np.vstack([np.eye(4), np.zeros((2, 4))])
+    monkeypatch.setattr(allocator, "predict", lambda m, o: calls.append("predict") or terms)
+    monkeypatch.setattr(allocator, "affine_at",
+                        lambda m, o, u: calls.append("affine_at") or terms)
+
+    class ThirdFamily:
+        kind, affine_in_u = "third", True
+
+    monkeypatch.setitem(dynamics.MODEL_KINDS, ThirdFamily.kind, ThirdFamily)
+    models = [constant_model(*terms), unstructured_model(), ThirdFamily()]
+    for model in models:
+        track_sequence(model, np.zeros((2, 6)), lambda k, u: np.zeros(13), TrackingConfig(),
+                       achieved_fn=lambda k, u: np.zeros(6))
+    assert calls == ["predict"] * 2 + ["affine_at"] * 2 + ["predict"] * 2
+    assert [type(m).affine_in_u for m in models] == [True, False, True]
 
 
 def test_tracking_rmse_hand_value():

@@ -1,4 +1,5 @@
 """Experiment harness: RMSSD, reports, ablation suite, closed-loop determinism."""
+import dataclasses
 import json
 import os
 import signal
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import aeroalloc
 from aeroalloc import dynamics, harness, nncore, plant
-from aeroalloc.allocator import DT, TrackingConfig, track_sequence
+from aeroalloc.allocator import DT, AllocationProblem, TrackingConfig, track_sequence
 from aeroalloc.dynamics import AffineModel, model_flat_params
 from aeroalloc.harness import (
     ExperimentConfig,
@@ -349,6 +350,24 @@ def test_out_of_envelope_schedule_fails_before_the_first_step(monkeypatch):
     with pytest.raises(plant.OutOfEnvelopeError, match="at t=0 s outside the \\+-0 deg"):
         closed_loop_run(model, tiny_cfg(duration_s=2.0), 10.0, seed=5)
     assert steps == []
+
+
+def test_experiment_config_reads_the_owners_defaults():
+    # the suite's penalties, mirror weight and widths are the tracking loop's and the
+    # trainer's defaults, read from their owners rather than written again
+    cfg = ExperimentConfig()
+    assert (cfg.lambda0, cfg.lambda1, cfg.lambda_sym, cfg.hidden) == (0.01, 0.1, 0.1, (64, 64))
+    problem = AllocationProblem(a=np.zeros(6), b=np.eye(6, 4), y_target=np.zeros(6))
+    assert (problem.lambda0, problem.lambda1) == (cfg.lambda0, cfg.lambda1)
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    assert defaults["lambda0"] is AllocationProblem.lambda0 is TrackingConfig.lambda0
+    assert defaults["lambda1"] is AllocationProblem.lambda1 is TrackingConfig.lambda1
+    assert defaults["lambda_sym"] is dynamics.SymmetryConfig.lambda_sym
+    assert defaults["hidden"] is dynamics.DynamicsTrainConfig.hidden
+    # so a default suite trains each variant at the trainer's own widths and prior weight
+    train = cfg.train_config("affine_sym")
+    assert train.hidden == dynamics.DynamicsTrainConfig().hidden
+    assert train.sym == dynamics.SymmetryConfig()
 
 
 def test_closed_loop_metrics_block():

@@ -3,9 +3,11 @@ loaded by a suite run on more than one CPU, not by import. The package
 re-exports no names, and `import aeroalloc` loads its modules. Every module-level
 import and private definition in the package is used, every public function and
 class is reached by the package, the benchmark or an acceptance gate, no code
-outside `allocator.track_sequence` branches on a model's family or a variant's name,
-and only the model families read their input scaling."""
+branches on a model's family or a variant's name, only the model families read
+their input scaling, and seed streams, row blocks and shared run defaults each
+have one owner."""
 import ast
+import contextlib
 import os
 import subprocess
 import sys
@@ -182,12 +184,13 @@ def _in_functions(tree, node_type=ast.Call, outer=()):
             yield from _in_functions(child, node_type, outer)
 
 
-MODEL_FAMILIES = {"AffineModel", "UnstructuredModel"}
+MODEL_FAMILIES = {cls.__name__ for cls in dynamics.MODEL_KINDS.values()}
 
 
-def test_only_track_sequence_asks_a_model_its_family():
-    # a family owns its checks, its file format and its wrench; track_sequence
-    # alone picks predict or affine_at, the two per-step passes it calls by name
+def test_no_code_asks_a_model_its_family():
+    # a family owns its checks, its file format, its wrench and whether that wrench
+    # is affine in the command (`affine_in_u`), which track_sequence reads to pick
+    # predict or affine_at; `dynamics._model_class` checks a model against MODEL_KINDS
     sites = set()
     for path in sorted(SRC.glob("*.py")):
         for where, call in _in_functions(ast.parse(path.read_text())):
@@ -195,7 +198,53 @@ def test_only_track_sequence_asks_a_model_its_family():
                     and {getattr(n, "id", getattr(n, "attr", None))
                          for n in ast.walk(call.args[1])} & MODEL_FAMILIES):
                 sites.add((path.name, where))
-    assert sites == {("allocator.py", "track_sequence")}
+    assert sites == set()
+    imported = {alias.name for node in ast.walk(ast.parse((SRC / "allocator.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & MODEL_FAMILIES
+
+
+def _calls(attr):
+    """(file, dotted name of the enclosing function) of each call of a function named `attr`."""
+    return {(path.name, where) for path in sorted(SRC.glob("*.py"))
+            for where, call in _in_functions(ast.parse(path.read_text()))
+            if getattr(call.func, "attr", getattr(call.func, "id", None)) == attr}
+
+
+def test_one_owner_derives_seed_streams():
+    # every child seed comes from dynamics._child_seeds: the trainers' weights and
+    # batch orders, and closed_loop_run's schedule, target and noise streams
+    assert _calls("SeedSequence") == {("dynamics.py", "_child_seeds")}
+
+
+def test_one_walker_splits_rows_into_blocks():
+    # the wrench models' scoring and the probe's estimator walk their rows in
+    # near-equal blocks through nncore.by_row_blocks
+    assert _calls("array_split") == {("nncore.py", "by_row_blocks")}
+    assert _calls("by_row_blocks") == {("dynamics.py", "predict_batch"),
+                                       ("dynamics.py", "predict_wrench_batch"),
+                                       ("probe.py", "_calibrate_rows")}
+
+
+# the run defaults each config shares, with the value their one owner writes
+SHARED_DEFAULTS = {"lambda0": 0.01, "lambda1": 0.1, "lambda_sym": 0.1, "hidden": (64, 64)}
+
+
+def test_each_shared_default_is_written_once():
+    # AllocationProblem owns the penalties, SymmetryConfig the mirror weight and
+    # DynamicsTrainConfig the hidden widths; the other configs read theirs
+    written = []
+    for path in sorted(SRC.glob("*.py")):
+        for where, node in _in_functions(ast.parse(path.read_text()), ast.AnnAssign):
+            name = getattr(node.target, "id", None)
+            if name in SHARED_DEFAULTS and node.value is not None:
+                with contextlib.suppress(ValueError):
+                    if ast.literal_eval(node.value) == SHARED_DEFAULTS[name]:
+                        written.append((name, where))
+    assert sorted(written) == [("hidden", "DynamicsTrainConfig"),
+                               ("lambda0", "AllocationProblem"),
+                               ("lambda1", "AllocationProblem"),
+                               ("lambda_sym", "SymmetryConfig")]
 
 
 SCALING_FIELDS = {"obs_mean", "obs_std", "in_mean", "in_std"}

@@ -383,3 +383,30 @@ def test_load_rejects_unknown_version(tmp_path):
     path.write_text(__import__("json").dumps(doc))
     with pytest.raises(ValueError):
         nncore.load_network(path)
+
+
+@pytest.mark.parametrize("stacked, most", [(False, 2048), (True, 256)])
+@pytest.mark.parametrize("times, plus", [(0, 0), (0, 1), (1, 0), (1, 1), (3, 5)])
+def test_row_block_walker_keeps_the_bits_of_one_pass(rng, stacked, most, times, plus):
+    # n in {0, 1, most, most + 1, 3 most + 5}: near-equal blocks of at most `most`
+    # rows, whose outputs equal one pass over every row; a stack's also equal
+    # one-row calls, as any split of one-row products does
+    n = times * most + plus
+    net = nncore.init_network([5, 32, 32, 3] if stacked else [5, 64, 64, 6], seed=3)
+    x, w = rng.normal(size=(n, 5)), rng.normal(size=(n, 2))
+    blocks = []
+
+    def one_pass(xb, wb):  # two row arrays in, two outputs out
+        blocks.append(xb.shape[0])
+        y = nncore.forward(net, xb[:, None, :] if stacked else xb)
+        return y.reshape(xb.shape[0], net.output_dim), wb * 2.0
+
+    y, w2 = nncore.by_row_blocks(one_pass, most, x, w)
+    assert len(blocks) == max(1, -(-n // most)) and max(blocks) <= most
+    assert max(blocks) - min(blocks) <= 1 and sum(blocks) == n
+    whole = nncore.forward(net, x[:, None, :] if stacked else x).reshape(n, net.output_dim)
+    assert y.shape == (n, net.output_dim) and y.tobytes() == whole.tobytes()
+    assert w2.tobytes() == (w * 2.0).tobytes()
+    if stacked or n == 1:
+        rows = np.array([nncore.forward(net, row[None])[0] for row in x])
+        assert y.tobytes() == rows.reshape(n, net.output_dim).tobytes()
