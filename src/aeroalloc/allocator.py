@@ -48,7 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import CONTROL_DIM, CONTROL_LIMIT_DEG, WRENCH_DIM, _model_class, affine_at, predict
+from .dynamics import (CONTROL_DIM, CONTROL_LIMIT_DEG, SURFACES, WRENCH_CHANNELS, WRENCH_DIM,
+                       _model_class, affine_at, predict)
 from .blas import numpy_blas_function
 from .table import write_table
 
@@ -58,11 +59,8 @@ DT = 0.02  # s, the time step of every tracking run
 
 TRACKING_CSV_HEADER = (
     ["t"]
-    + [f"target_{c}" for c in ("fx", "fy", "fz", "tx", "ty", "tz")]
-    + [f"predicted_{c}" for c in ("fx", "fy", "fz", "tx", "ty", "tz")]
-    + [f"achieved_{c}" for c in ("fx", "fy", "fz", "tx", "ty", "tz")]
-    + [f"u_{c}" for c in ("la", "ra", "el", "ru")]
-    + [f"clamped_{c}" for c in ("la", "ra", "el", "ru")]
+    + [f"{what}_{c}" for what in ("target", "predicted", "achieved") for c in WRENCH_CHANNELS]
+    + [f"{what}_{s}" for what in ("u", "clamped") for s in SURFACES]
 )
 
 

@@ -64,10 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate calibration or dynamics CSVs from the plant")
     p.add_argument("--protocol", type=Path, required=True, help="protocol JSON file")
-    p.add_argument(
-        "--calib", type=Path, nargs=2, metavar=("PROBE0", "PROBE1"), default=None,
-        help="calibration model JSONs; route probe features through them",
-    )
+    p.add_argument("--calib", type=Path, nargs=len(dynamics.PROBES), default=None,
+                   metavar=tuple(map(str.upper, dynamics.PROBES)),
+                   help="calibration model JSONs; route probe features through them")
     add_common(p)
 
     p = sub.add_parser("train-calib", help="train a probe calibration network from a CSV")

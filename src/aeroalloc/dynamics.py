@@ -28,23 +28,27 @@ from pathlib import Path
 import numpy as np
 
 from . import nncore
-from .nncore import Network, forward, backward
+from .nncore import Network, _check_network, forward, backward
+from .probe import FLOW_VALUES
 from .table import read_table, write_table
 
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = "dynmodel-v1"
-PROBE_FEATURES = 6          # leading observation entries, kept by every variant
+PROBES = ("probe0", "probe1")  # the airframe's two probes, in observation order
+PROBE_FEATURES = len(PROBES) * FLOW_VALUES  # leading observation entries, kept by every variant
 WING_TAPS = 7               # trailing observation entries, the wing-surface taps
 OBS_DIM = PROBE_FEATURES + WING_TAPS
-CONTROL_DIM = 4
-WRENCH_DIM = 6
+SURFACES = ("la", "ra", "el", "ru")  # left and right flaperon, elevator, rudder
+WRENCH_CHANNELS = ("fx", "fy", "fz", "tx", "ty", "tz")  # forces, then torques, on body axes
+CONTROL_DIM = len(SURFACES)
+WRENCH_DIM = len(WRENCH_CHANNELS)
 CONTROL_LIMIT_DEG = 25.0
 
 DYNAMICS_CSV_HEADER = (
-    ["Va0", "alpha0", "beta0", "Va1", "alpha1", "beta1"]
+    [f"{value}{i}" for i in range(len(PROBES)) for value in ("Va", "alpha", "beta")]
     + [f"ps{i}" for i in range(WING_TAPS)]
-    + ["d_la", "d_ra", "d_el", "d_ru", "Fx", "Fy", "Fz", "Tx", "Ty", "Tz"]
+    + [f"d_{s}" for s in SURFACES] + [c.capitalize() for c in WRENCH_CHANNELS]
 )
 
 # Parity of each wrench channel (Fx, Fy, Fz, Tx, Ty, Tz) under a left/right mirror.
@@ -100,13 +104,6 @@ class SymmetryConfig:
     def penalty_grad(self, resid) -> np.ndarray:
         """d penalty / d resid, the residual clipped to +-delta."""
         return np.clip(np.asarray(resid, dtype=np.float64), -self._delta, self._delta)
-
-
-def _check_network(net: Network, n_in: int, n_out: int, what: str) -> None:
-    """A model part's widths: `n_in` inputs and `n_out` outputs."""
-    if net.input_dim != n_in or net.output_dim != n_out:
-        raise ValueError(f"{what} must map {n_in} -> {n_out}, "
-                         f"got {net.input_dim} -> {net.output_dim}")
 
 
 def _scaling(mean, std, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:

@@ -319,6 +319,13 @@ def step(opt: OptimizerState) -> None:
     opt.params -= s1
 
 
+def _check_network(net: Network, n_in: int, n_out: int, what: str) -> None:
+    """A network's widths: `n_in` inputs and `n_out` outputs."""
+    if net.input_dim != n_in or net.output_dim != n_out:
+        raise ValueError(f"{what} must map {n_in} -> {n_out}, "
+                         f"got {net.input_dim} -> {net.output_dim}")
+
+
 def _check_budget(epochs, hidden) -> None:
     """A trainer's budget: `epochs`, and each of the one or more `hidden` layer
     widths, a positive int (a bool is not one)."""
@@ -413,6 +420,8 @@ def network_from_dict(doc: dict) -> Network:
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported network format {doc.get('version')!r}")
     widths = doc["widths"]
+    if not all(type(w) is int and w > 0 for w in widths):
+        raise ValueError(f"network widths must be positive whole numbers, got {widths}")
     for key in ("activations", "weights", "biases"):
         if len(doc[key]) != len(widths) - 1:
             raise ValueError(f"the network lists {len(doc[key])} {key} for widths {widths}, "

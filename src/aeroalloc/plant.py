@@ -11,8 +11,8 @@ Body axes: x forward, y toward the right wing tip, z down. Positive alpha
 means flow arriving from below (the probe's down tap sees it), positive beta
 flow arriving from the right. Flaperons use a mirrored deflection convention:
 equal commands on both produce pure roll, their lift and pitch increments
-cancel, so the true control matrix satisfies the left/right mirror pattern
-under `dynamics.MIRROR_SIGNS`.
+cancel, so `PlantParams` builds the true control matrix's right flaperon
+column from the left one under `dynamics.MIRROR_SIGNS`.
 
 The gust is generated upstream and advects downstream, so each sensing
 location sees it with its own strength and time lag: the nose-mounted probes
@@ -31,13 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from . import nncore, probe as probe_mod
-from .probe import RHO, FlowState, ProbePressures
-from .dynamics import CONTROL_DIM, CONTROL_LIMIT_DEG, PROBE_FEATURES, WING_TAPS, save_dynamics_csv
+from .probe import FLOW_VALUES, RHO, TAPS, FlowState, ProbePressures
+from .dynamics import (CONTROL_DIM, CONTROL_LIMIT_DEG, MIRROR_SIGNS, PROBE_FEATURES, PROBES,
+                       WING_TAPS, WRENCH_DIM, save_dynamics_csv)
 from .table import write_table
 
 log = logging.getLogger(__name__)
 
-LOCATIONS = ("probe0", "probe1", "wing")
+LOCATIONS = (*PROBES, "wing")
 GUST_MODES = ("off", "shear", "shedding")
 
 ENVELOPE_DEG = 15.0  # linear-regime limit on commanded alpha/beta
@@ -156,12 +157,8 @@ class PlantParams:
     # Gust coupling per location: strength weight and streamwise lag distance.
     # The generator sits on the right near probe 0; probes protrude upstream
     # of the wing, so the wing sees the disturbance later.
-    gust_weight: dict = field(
-        default_factory=lambda: {"probe0": 1.0, "probe1": 0.3, "wing": 0.7}
-    )
-    streamwise_offset_m: dict = field(
-        default_factory=lambda: {"probe0": 0.0, "probe1": 0.0, "wing": 0.3}
-    )
+    gust_weight: dict = field(default_factory=lambda: dict(zip(LOCATIONS, (1.0, 0.3, 0.7))))
+    streamwise_offset_m: dict = field(default_factory=lambda: dict(zip(LOCATIONS, (0.0, 0.0, 0.3))))
     shear_beta_per_yaw: float = 0.3  # deg of sideslip offset per deg of generator yaw
 
     # Sensor noise (1 sigma). Wing taps are crude absolute sensors compared
@@ -203,16 +200,14 @@ class PlantParams:
                 raise ValueError(f"{name} needs a finite value for each of {LOCATIONS}, "
                                  f"got {table!r}")
         b, c = self.span, self.chord
-        control = np.array(
-            [
-                [-self.flap_cfx, self.flap_cfx, -self.elev_cfx, -self.rud_cfx],
-                [self.flap_cfy, self.flap_cfy, 0.0, self.rud_cfy],
-                [self.flap_cfz, -self.flap_cfz, self.elev_cfz, 0.0],
-                [self.flap_croll * b, self.flap_croll * b, 0.0, self.rud_croll * b],
-                [-self.flap_cm * c, self.flap_cm * c, self.elev_cm * c, 0.0],
-                [self.flap_cn * b, self.flap_cn * b, 0.0, self.rud_cn * b],
-            ]
-        )
+        # columns `SURFACES`; the right flaperon mirrors the left, exactly
+        left = np.array([-self.flap_cfx, self.flap_cfy, self.flap_cfz, self.flap_croll * b,
+                         -self.flap_cm * c, self.flap_cn * b])
+        control = np.column_stack([
+            left, -MIRROR_SIGNS * left,
+            [-self.elev_cfx, 0.0, self.elev_cfz, 0.0, self.elev_cm * c, 0.0],
+            [-self.rud_cfx, self.rud_cfy, 0.0, self.rud_croll * b, 0.0, self.rud_cn * b],
+        ])
         cone = np.radians(self.probe_cone_deg)
         cos_c, sin_c = np.cos(cone), np.sin(cone)
         tap_axes = np.array(
@@ -233,12 +228,10 @@ class PlantParams:
         object.__setattr__(self, "_wing_taps", wing_taps)
 
     def control_matrix(self) -> np.ndarray:
-        """True 6x4 control sensitivity in coefficient form (a read-only table).
-
-        Moment rows carry their reference lengths, so q*S*(D @ u) is a wrench.
-        Column order (left flaperon, right flaperon, elevator, rudder); the
-        flaperon columns satisfy the mirror pattern exactly by construction.
-        """
+        """True control sensitivity in coefficient form: a read-only (6, 4) table,
+        rows `WRENCH_CHANNELS` and columns `SURFACES`, whose moment rows carry
+        their reference lengths, so q*S*(D @ u) is a wrench. The right flaperon
+        column is -MIRROR_SIGNS times the left one, so its mirror residual is 0."""
         return self._control
 
     def baseline_coefficients(self, alpha_deg, beta_deg) -> np.ndarray:
@@ -339,12 +332,12 @@ class RunTerms:
 
 
 def _noise_scales(params: PlantParams, calibrated: bool) -> np.ndarray:
-    """One step's noise sigmas in draw order: both probes (five taps each when
-    calibrated, else the airspeed and two angles), seven wing taps, three
-    forces and three torques."""
-    probe = ((params.probe_noise_pa,) * 5 if calibrated
+    """One step's noise sigmas in draw order: each of `PROBES` (its `TAPS` taps
+    when calibrated, else its `FLOW_VALUES` airspeed and angles), the wing's
+    `WING_TAPS` taps, three forces and three torques."""
+    probe = ((params.probe_noise_pa,) * TAPS if calibrated
              else (params.est_noise_va, params.est_noise_angle_deg, params.est_noise_angle_deg))
-    return np.array([*probe, *probe, *(params.wing_noise_pa,) * WING_TAPS,
+    return np.array([*probe * len(PROBES), *(params.wing_noise_pa,) * WING_TAPS,
                      *(params.force_noise_n,) * 3, *(params.torque_noise_nm,) * 3])
 
 
@@ -403,28 +396,28 @@ def run_terms(
     scales = _noise_scales(params, calibrated)
     noise = (np.full((t.size, scales.size), -0.0) if rng is None  # x + -0.0 is x, bit for bit
              else _normal_table(rng, t.size, scales))
-    n_probe = 5 if calibrated else 3
+    n_probe = TAPS if calibrated else FLOW_VALUES
 
     gusts = gust_field(gust, t, va, params)
     features = np.empty((t.size, PROBE_FEATURES))
-    for i in (0, 1):
+    for i, loc in enumerate(PROBES):
         al, be = alpha + gusts[:, i, 0], beta + gusts[:, i, 1]
         probe_noise = noise[:, n_probe * i:n_probe * (i + 1)]
+        flow = features[:, FLOW_VALUES * i:FLOW_VALUES * (i + 1)]  # this probe's columns
         if calibrated:
             taps = probe_taps(va, al, be, params) + probe_noise
             try:
-                features[:, 3 * i:3 * i + 3] = probe_mod.estimate_flow_rows(
-                    probe_models[i], taps, params.rho)
+                flow[:] = probe_mod.estimate_flow_rows(probe_models[i], taps, params.rho)
             except ValueError as exc:  # NoFlowError is one too
-                raise type(exc)(f"{LOCATIONS[i]}: {exc}") from None
+                raise type(exc)(f"{loc}: {exc}") from None
         else:
             v = va + probe_noise[:, 0]
-            features[:, 3 * i] = np.where(0.0 > v, 0.0, v)  # max(v, 0.0), as for a float
-            features[:, 3 * i + 1] = al + probe_noise[:, 1]
-            features[:, 3 * i + 2] = be + probe_noise[:, 2]
+            flow[:, 0] = np.where(0.0 > v, 0.0, v)  # max(v, 0.0), as for a float
+            flow[:, 1] = al + probe_noise[:, 1]
+            flow[:, 2] = be + probe_noise[:, 2]
 
     tap_a, tap_b, tap_c, tap_d = params._wing_taps
-    d_alpha, d_beta = gusts[:, 2, 0], gusts[:, 2, 1]
+    d_alpha, d_beta = gusts[:, -1, 0], gusts[:, -1, 1]  # the wing's
     wing_alpha, wing_beta = alpha + d_alpha, beta + d_beta
     q = dynamic_pressure(va, params)
     return RunTerms(
@@ -436,9 +429,9 @@ def run_terms(
         features=features,
         wing_base=tap_a + tap_b * wing_alpha[:, None],
         wing_gust=tap_d * (d_alpha + d_beta)[:, None],
-        wing_noise=noise[:, 2 * n_probe:2 * n_probe + WING_TAPS],
+        wing_noise=noise[:, -WRENCH_DIM - WING_TAPS:-WRENCH_DIM],
         c0=np.ascontiguousarray(params.baseline_coefficients(wing_alpha, wing_beta).T),
-        wrench_noise=noise[:, 2 * n_probe + WING_TAPS:],
+        wrench_noise=noise[:, -WRENCH_DIM:],
     )
 
 
@@ -629,23 +622,24 @@ def generate_calibration_data(
     if n == 0:
         raise ValueError("calibration protocol produces no rows")
 
-    noise = _normal_table(np.random.default_rng(seed), n, np.full(10, params.probe_noise_pa))
-    noise = noise.reshape(n, 2, 5)  # row, probe, tap
-    rows: tuple[list, list] = ([], [])
+    noise = _normal_table(np.random.default_rng(seed), n,
+                          np.full(len(PROBES) * TAPS, params.probe_noise_pa))
+    noise = noise.reshape(n, len(PROBES), TAPS)  # row, probe, tap
+    rows = tuple([] for _ in PROBES)
     start = 0
     for va, gust, angles in blocks:
         stop = start + len(angles)
         local = gust_field(gust, np.arange(start, stop) * dt, va, params)
-        for i in (0, 1):
+        for i, probe_rows in enumerate(rows):
             flow = angles + local[:, i]
             taps = probe_taps(va, flow[:, 0], flow[:, 1], params) + noise[start:stop, i]
-            rows[i].extend((ProbePressures(p), FlowState(va, a, b))
-                           for p, (a, b) in zip(taps, flow.tolist()))
+            probe_rows.extend((ProbePressures(p), FlowState(va, a, b))
+                              for p, (a, b) in zip(taps, flow.tolist()))
         start = stop
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [out_dir / f"{name}_{loc}.csv" for loc in ("probe0", "probe1")]
+    paths = [out_dir / f"{name}_{loc}.csv" for loc in PROBES]
     for path, probe_rows in zip(paths, rows):
         probe_mod.save_calibration_csv(path, probe_rows)
     return paths
@@ -712,7 +706,7 @@ def generate_dynamics_data(
     terms = run_terms(params, speed, t, alpha, beta, gust, rng, probe_models)
     obs_rows = make_observation(terms, slice(None), controls)  # every step at once
     y_rows = true_wrench(terms, slice(None), controls)
-    cond_rows = np.column_stack([t, alpha, beta, terms.gusts[:, 2]])  # and the wing's gust
+    cond_rows = np.column_stack([t, alpha, beta, terms.gusts[:, -1]])  # and the wing's gust
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

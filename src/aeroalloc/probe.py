@@ -26,6 +26,8 @@ from .table import read_table, write_table
 log = logging.getLogger(__name__)
 
 RHO = 1.225  # kg/m^3, standard sea-level air; the default wherever a density is taken
+TAPS = 5  # tap pressures of one probe, ordered (center, up, down, left, right)
+FLOW_VALUES = 3  # what one probe reports: airspeed, alpha, beta (or Cd, alpha, beta)
 EPS_DP = 1e-6  # Pa; below this the probe sees no usable flow
 # Most rows of one calibration-network pass. One pass over a 6000-step excitation run
 # raised its peak RSS by about 0.7 MB over one-reading passes; 256-row passes
@@ -33,7 +35,7 @@ EPS_DP = 1e-6  # Pa; below this the probe sees no usable flow
 ROWS_PER_BLOCK = 256
 BATCH_SIZE = 128  # minibatch rows of `train_calibration`
 
-CALIBRATION_CSV_HEADER = ["p1", "p2", "p3", "p4", "p5", "Va", "alpha_deg", "beta_deg"]
+CALIBRATION_CSV_HEADER = [f"p{i}" for i in range(1, TAPS + 1)] + ["Va", "alpha_deg", "beta_deg"]
 
 
 class NoFlowError(ValueError):
@@ -42,14 +44,14 @@ class NoFlowError(ValueError):
 
 @dataclass(frozen=True)
 class ProbePressures:
-    """Five tap pressures in Pa, ordered (center, up, down, left, right)."""
+    """`TAPS` tap pressures in Pa, ordered (center, up, down, left, right)."""
 
     p: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.p, dtype=np.float64).reshape(-1)
-        if arr.shape != (5,):
-            raise ValueError(f"expected 5 tap pressures, got shape {np.shape(self.p)}")
+        if arr.shape != (TAPS,):
+            raise ValueError(f"expected {TAPS} tap pressures, got shape {np.shape(self.p)}")
         if not np.isfinite(arr).all():
             raise ValueError("tap pressures must be finite")
         object.__setattr__(self, "p", arr)
@@ -135,12 +137,10 @@ def _calibrate_rows(model: Network, cp: np.ndarray) -> np.ndarray:
     block of at most `ROWS_PER_BLOCK` rows, so each row equals the one-row call
     bit for bit.
     """
-    if model.input_dim != 5 or model.output_dim != 3:
-        raise ValueError(
-            f"calibration model must map 5 -> 3, got {model.input_dim} -> {model.output_dim}"
-        )
+    nncore._check_network(model, TAPS, FLOW_VALUES, "calibration model")
     (out,) = nncore.by_row_blocks(
-        lambda rows: (nncore.forward(model, rows[:, None, :]).reshape(-1, 3),), ROWS_PER_BLOCK, cp)
+        lambda rows: (nncore.forward(model, rows[:, None, :]).reshape(-1, FLOW_VALUES),),
+        ROWS_PER_BLOCK, cp)
     k = _first(~np.isfinite(out).all(axis=1))
     if k is not None:
         raise ValueError(
@@ -160,8 +160,8 @@ def estimate_flow_rows(model: Network, taps: np.ndarray, rho: float = RHO) -> np
     correction that is not positive and finite.
     """
     taps = np.asarray(taps, dtype=np.float64)
-    if taps.ndim != 2 or taps.shape[1] != 5:
-        raise ValueError(f"expected rows of 5 tap pressures, got shape {taps.shape}")
+    if taps.ndim != 2 or taps.shape[1] != TAPS:
+        raise ValueError(f"expected rows of {TAPS} tap pressures, got shape {taps.shape}")
     _check_positive_finite(rho, "air density")
     k = _first(~np.isfinite(taps).all(axis=1))
     if k is not None:
@@ -236,7 +236,7 @@ def train_calibration(
     t_mean, t_std = nncore.standardize_stats(t)
     t_norm = (t - t_mean) / t_std
 
-    net = nncore.init_network([5, *cfg.hidden, 3], seed=cfg.seed)
+    net = nncore.init_network([TAPS, *cfg.hidden, FLOW_VALUES], seed=cfg.seed)
     opt = nncore.init_optimizer(net, lr=cfg.lr)
 
     def minibatch_grads(xb, tb):
@@ -266,6 +266,6 @@ def save_calibration_csv(path: str | Path, rows: list[tuple[ProbePressures, Flow
 
 def load_calibration_csv(path: str | Path) -> list[tuple[ProbePressures, FlowState]]:
     return [
-        (ProbePressures(np.asarray(vals[:5])), FlowState(*vals[5:]))
+        (ProbePressures(np.asarray(vals[:TAPS])), FlowState(*vals[TAPS:]))
         for vals in read_table(path, CALIBRATION_CSV_HEADER).tolist()
     ]

@@ -5,10 +5,12 @@ import and private definition in the package is used, every public function and
 class is reached by the package, the benchmark or an acceptance gate, no code
 branches on a model's family or a variant's name, only the model families read
 their input scaling, and seed streams, row blocks and shared run defaults each
-have one owner."""
+have one owner, as do the airframe's layout facts: the mirror pattern, the
+probe's tap count and the probe, surface and wrench-channel names."""
 import ast
 import contextlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +84,24 @@ TINY_SUITE = dict(epochs=2, hidden=(8, 8), duration_s=2.0, test_speeds=(10.0, 12
 
 def test_import_loads_no_process_pool_module():
     assert _run(POOL_PROBE_SCRIPT).split() == ["[]"]
+
+
+NON_PACKAGE_MODULES_SCRIPT = """
+import sys
+import {modules}
+print(sorted(m for m in sys.modules if m.split(".")[0] != "aeroalloc"))
+"""
+# numpy and the standard modules the package imports at module level, cli aside
+IMPORTED_AT_MODULE_LEVEL = ("numpy, __future__, collections, contextlib, csv, ctypes, dataclasses, "
+                            "functools, hashlib, json, logging, math, numbers, os, pathlib, sys, "
+                            "threading, typing, warnings")
+
+
+def test_import_loads_no_module_the_package_does_not_name():
+    # a module-level import of anything else shows here, before it costs
+    # `import aeroalloc` (the benchmark's `setup_s`) time
+    loaded = _run(NON_PACKAGE_MODULES_SCRIPT.format(modules="aeroalloc"))
+    assert loaded == _run(NON_PACKAGE_MODULES_SCRIPT.format(modules=IMPORTED_AT_MODULE_LEVEL))
 
 
 PACKAGE_MODULES_SCRIPT = """
@@ -245,6 +265,64 @@ def test_each_shared_default_is_written_once():
                                ("lambda0", "AllocationProblem"),
                                ("lambda1", "AllocationProblem"),
                                ("lambda_sym", "SymmetryConfig")]
+
+
+def _top_level_name(stmt) -> str:
+    """What a module-level statement defines: a function, class or assigned name."""
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        target = stmt.targets[0] if isinstance(stmt, ast.Assign) else stmt.target
+        return getattr(target, "id", ast.unparse(target))
+    return getattr(stmt, "name", f"line {stmt.lineno}")
+
+
+def _docstrings(tree) -> set:
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def _constants(path):
+    """(top-level name, value) of each constant in a module's code, docstrings aside."""
+    tree = ast.parse(path.read_text())
+    docs = _docstrings(tree)
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Constant) and id(node) not in docs:
+                yield _top_level_name(stmt), node.value
+
+
+# each owner tuple in dynamics, with the names it holds
+LAYOUT_NAMES = {"PROBES": ("probe0", "probe1"), "SURFACES": ("la", "ra", "el", "ru"),
+                "WRENCH_CHANNELS": ("fx", "fy", "fz", "tx", "ty", "tz")}
+
+
+def test_each_layout_name_is_written_once():
+    # probe, surface and wrench-channel names are string literals (any case, or a
+    # token of one such as "d_la") only in their owner tuples; headers, file names
+    # and the CLI's metavars read them
+    names = {name for owned in LAYOUT_NAMES.values() for name in owned}
+    written = sorted((path.name, where, name) for path in sorted(SRC.glob("*.py"))
+                     for where, value in _constants(path) if isinstance(value, str)
+                     for name in set(re.split(r"[^a-z0-9]+", value.lower())) & names)
+    assert written == sorted(("dynamics.py", owner, name)
+                             for owner, owned in LAYOUT_NAMES.items() for name in owned)
+    assert {owner: getattr(dynamics, owner) for owner in LAYOUT_NAMES} == LAYOUT_NAMES
+
+
+def test_the_tap_count_is_written_once():
+    # probe.TAPS owns a probe's five taps; the probe and the plant read it
+    sites = [(name, where) for name in ("probe.py", "plant.py")
+             for where, value in _constants(SRC / name) if type(value) is int and value == 5]
+    assert sites == [("probe.py", "TAPS")]
+
+
+def test_plant_builds_its_mirror_column_from_mirror_signs():
+    # the right flaperon column is -MIRROR_SIGNS times the left, not hand-placed signs
+    tree = ast.parse((SRC / "plant.py").read_text())
+    (params,) = [node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "PlantParams"]
+    assert "MIRROR_SIGNS" in {node.id for node in ast.walk(params) if isinstance(node, ast.Name)}
 
 
 SCALING_FIELDS = {"obs_mean", "obs_std", "in_mean", "in_std"}

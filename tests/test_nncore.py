@@ -1,4 +1,6 @@
 """Network engine: forward/backward correctness, optimizer, serialization."""
+import re
+
 import numpy as np
 import pytest
 
@@ -382,6 +384,20 @@ def test_load_rejects_unknown_version(tmp_path):
     doc["version"] = "nncore-v999"
     path.write_text(__import__("json").dumps(doc))
     with pytest.raises(ValueError):
+        nncore.load_network(path)
+
+
+@pytest.mark.parametrize("widths, n_weights", [
+    ([2, -1], 6),    # reshape reads -1 as "infer": this loaded as a 2 -> 3 network
+    ([2, 0], 0),     # a layer of no units
+    ([2, True], 2),  # a bool is not a width, though reshape reads it as 1
+])
+def test_load_rejects_a_width_that_is_not_a_positive_int(tmp_path, widths, n_weights):
+    path = tmp_path / "bad.json"
+    doc = {"version": nncore.FORMAT_VERSION, "widths": widths, "activations": ["identity"],
+           "weights": [[0.5] * n_weights], "biases": [[0.0] * (n_weights // 2)]}
+    path.write_text(__import__("json").dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: network widths must be positive")):
         nncore.load_network(path)
 
 

@@ -1,10 +1,10 @@
 """Synthetic plant: geometry symmetries, gust advection, exact affinity, datasets."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aeroalloc import nncore, plant, probe as probe_mod
-from aeroalloc.dynamics import load_dynamics_csv, save_dynamics_csv
+from aeroalloc.dynamics import load_dynamics_csv, save_dynamics_csv, symmetry_residual_matrix
 from aeroalloc.plant import (
     ENVELOPE_DEG,
     GustState,
@@ -68,6 +68,40 @@ def test_control_matrix_mirror_exact(params):
     d = params.control_matrix()
     assert d.shape == (6, 4)
     assert np.array_equal(d[:, 0] + SIGNS * d[:, 1], np.zeros(6))
+
+
+def hand_written_control(p):
+    """The control matrix with each flaperon sign placed by hand, as the plant once wrote it."""
+    b, c = p.span, p.chord
+    return np.array([
+        [-p.flap_cfx, p.flap_cfx, -p.elev_cfx, -p.rud_cfx],
+        [p.flap_cfy, p.flap_cfy, 0.0, p.rud_cfy],
+        [p.flap_cfz, -p.flap_cfz, p.elev_cfz, 0.0],
+        [p.flap_croll * b, p.flap_croll * b, 0.0, p.rud_croll * b],
+        [-p.flap_cm * c, p.flap_cm * c, p.elev_cm * c, 0.0],
+        [p.flap_cn * b, p.flap_cn * b, 0.0, p.rud_cn * b],
+    ])
+
+
+# a flaperon coefficient: a zero of either sign, or any finite value
+coefficient = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0), st.floats(-1e6, 1e6))
+
+
+@given(coeffs=st.fixed_dictionaries({
+    **{name: coefficient for name in
+       ("flap_cfx", "flap_cfy", "flap_cfz", "flap_croll", "flap_cm", "flap_cn")},
+    "span": st.floats(0.1, 10.0), "chord": st.floats(0.01, 2.0),
+}))
+@example(coeffs={})  # the default plant
+@settings(max_examples=200, deadline=None)
+def test_derived_mirror_column_keeps_the_hand_written_bits(coeffs):
+    # the right flaperon column is -MIRROR_SIGNS * left: a product with +-1 is
+    # exact, so every entry, zeros and their signs included, is the hand-placed one
+    p = PlantParams(**coeffs)
+    d = p.control_matrix()
+    assert d.dtype == np.float64 and d.flags.c_contiguous
+    assert d.tobytes() == hand_written_control(p).tobytes()
+    assert np.array_equal(symmetry_residual_matrix(d), np.zeros(6))
 
 
 def test_equal_flaperon_commands_cancel_lift_drag_pitch(params):

@@ -66,6 +66,25 @@ def test_only_the_table_module_imports_csv():
     assert importers == ["table.py"]
 
 
+def test_file_headers_are_pinned():
+    # the headers derive from the layout owners; the files keep these columns
+    assert dynamics.DYNAMICS_CSV_HEADER == [
+        "Va0", "alpha0", "beta0", "Va1", "alpha1", "beta1",
+        "ps0", "ps1", "ps2", "ps3", "ps4", "ps5", "ps6",
+        "d_la", "d_ra", "d_el", "d_ru", "Fx", "Fy", "Fz", "Tx", "Ty", "Tz",
+    ]
+    assert allocator.TRACKING_CSV_HEADER == [
+        "t",
+        "target_fx", "target_fy", "target_fz", "target_tx", "target_ty", "target_tz",
+        "predicted_fx", "predicted_fy", "predicted_fz", "predicted_tx", "predicted_ty",
+        "predicted_tz",
+        "achieved_fx", "achieved_fy", "achieved_fz", "achieved_tx", "achieved_ty", "achieved_tz",
+        "u_la", "u_ra", "u_el", "u_ru", "clamped_la", "clamped_ra", "clamped_el", "clamped_ru",
+    ]
+    assert probe.CALIBRATION_CSV_HEADER == [
+        "p1", "p2", "p3", "p4", "p5", "Va", "alpha_deg", "beta_deg"]
+
+
 LOADERS = {
     "dynamics": (dynamics.load_dynamics_csv, dynamics.DYNAMICS_CSV_HEADER, lambda r: len(r[0])),
     "calibration": (probe.load_calibration_csv, probe.CALIBRATION_CSV_HEADER, len),
