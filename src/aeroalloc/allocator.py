@@ -21,21 +21,20 @@ solve import SciPy's posv wrapper, which runs the same two routines. A
 solution holds only the commands and clamp flags; `objective(p, u)`
 evaluates the objective.
 
-Each value is checked once, where it enters: AllocationProblem its parts,
-TrackingConfig (frozen) the penalties and the trim command (4 finite
-entries within the actuator limits), `track_sequence` its targets. Every
-tracking run steps at the constant `DT`. The loop takes each step's (A, B)
-from `predict` when the model's family is affine in the command
-(`affine_in_u`), else from `affine_at` at the previous command; it imports
-no model class.
-Inside the loop, where commands pass as plain (4,) arrays, each step's
-AllocationProblem is made without its __init__ checks (`_unchecked`), only
-the model's (A, B) and the achieved wrench are checked to be finite, and the
-clamp flags are reduced for the debug log only when it is enabled. In a
-traced seed-0 C7 loop a step's time is then mostly the model pass (about two
-fifths), the small numpy operations of the solve (about a quarter), the
-loop's own bookkeeping (about a fifth) and the plant's observation and
-response (about an eighth).
+Each value is checked once, where it enters, and kept as a read-only copy:
+AllocationProblem its parts, TrackingConfig (frozen) the penalties and the
+trim command (4 finite entries within the actuator limits); `track_sequence`
+checks its targets (one row or more). Every run steps at the constant `DT`.
+Each step's (A, B) comes from `predict` when the model's family is affine in
+the command (`affine_in_u`), else from `affine_at` at the previous command.
+Inside the loop each step's AllocationProblem is made without checks or
+copies (`_unchecked`); only the model's (A, B) and the achieved wrench are
+checked, by `_all_finite` (a count in C, not numpy's Python-level `all`);
+`solve` clamps with np.minimum/np.maximum; and the clamp flags are reduced
+for the debug log only when it is enabled. In a traced seed-0 C7 loop a
+step's time is mostly the model pass (about two fifths), the solve (about a
+quarter), the loop's own bookkeeping (about a fifth) and the plant's
+observation and response (about an eighth).
 """
 from __future__ import annotations
 
@@ -111,12 +110,20 @@ class NotStrictlyConvexError(ValueError):
     """Both control penalties are zero, so the minimizer may not be unique."""
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite, counted in C (`ndarray.all` runs numpy's
+    Python-level reduction wrapper)."""
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
 def _vec(value, dim: int, what: str) -> np.ndarray:
-    vec = np.asarray(value, dtype=float)
+    """A read-only float copy of value, checked to hold `dim` finite entries."""
+    vec = np.array(value, dtype=float)
     if vec.shape != (dim,):
         raise ValueError(f"{what} must have {dim} entries, got shape {vec.shape}")
-    if not np.isfinite(vec).all():
+    if not _all_finite(vec):
         raise ValueError(f"{what} must be finite")
+    vec.flags.writeable = False
     return vec
 
 
@@ -151,11 +158,12 @@ class AllocationProblem:
         object.__setattr__(self, "y_target", _vec(self.y_target, WRENCH_DIM, "target wrench"))
         object.__setattr__(self, "u_prev", _vec(self.u_prev, CONTROL_DIM, "previous command"))
         object.__setattr__(self, "u_trim", _vec(self.u_trim, CONTROL_DIM, "trim command"))
-        b = np.asarray(self.b, dtype=float)
+        b = np.array(self.b, dtype=float)
         if b.shape != (WRENCH_DIM, CONTROL_DIM):
             raise ValueError(f"effectiveness matrix must be {WRENCH_DIM}x{CONTROL_DIM}")
-        if not np.isfinite(b).all():
+        if not _all_finite(b):
             raise ValueError("effectiveness matrix must be finite")
+        b.flags.writeable = False
         object.__setattr__(self, "b", b)
         _check_penalties(self.lambda0, self.lambda1)
 
@@ -206,12 +214,12 @@ def objective(p: AllocationProblem, u) -> float:
 def solve(p: AllocationProblem) -> AllocationSolution:
     """Unique minimizer via a Cholesky solve of `build_normal_equations`."""
     q, c = build_normal_equations(p)
-    if not (np.isfinite(q).all() and np.isfinite(c).all()):
+    if not (_all_finite(q) and _all_finite(c)):
         raise ValueError("normal equations must be finite")
     u, info = _posv()(q, c)
     if info != 0:
         raise ArithmeticError(f"normal equations not solvable (LAPACK info {info})")
-    u_star = u.clip(-CONTROL_LIMIT_DEG, CONTROL_LIMIT_DEG)
+    u_star = np.minimum(np.maximum(u, -CONTROL_LIMIT_DEG), CONTROL_LIMIT_DEG)  # u.clip's bits
     # |u| > |u_star| + 1e-12, as u_star is u within the limits and +-limit beyond them
     clamped = np.abs(u) > _CLAMP_ABOVE
     if log.isEnabledFor(logging.DEBUG) and clamped.any():
@@ -273,9 +281,11 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn) ->
     target_mat = np.array(targets, dtype=float)
     if target_mat.ndim != 2 or target_mat.shape[1] != WRENCH_DIM:
         raise ValueError(f"targets must be (n, {WRENCH_DIM})")
-    if not np.isfinite(target_mat).all():
-        raise ValueError("targets must be finite")
     n = target_mat.shape[0]
+    if n == 0:
+        raise ValueError(f"targets must have at least one row, got {n}")
+    if not _all_finite(target_mat):
+        raise ValueError("targets must be finite")
 
     u_trim, u_prev = cfg.u_trim, np.zeros(CONTROL_DIM)
     lambda0, lambda1 = cfg.lambda0, cfg.lambda1
@@ -286,7 +296,7 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn) ->
     for k in range(n):
         obs = observe(k, u_prev)
         a, b = predict(model, obs) if affine else affine_at(model, obs, u_prev)
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        if not (_all_finite(a) and _all_finite(b)):
             raise ArithmeticError(f"non-finite model output at step {k}")
         sol = solve(_unchecked(AllocationProblem, a=a, b=b, y_target=target_mat[k],
                                u_prev=u_prev, u_trim=u_trim, lambda0=lambda0, lambda1=lambda1))
@@ -295,7 +305,7 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn) ->
         rows_clamp[k] = sol.clamped
         np.add(a, b @ u_prev, out=rows_pred[k])
         rows_ach[k] = achieved_fn(k, u_prev)
-        if not np.isfinite(rows_ach[k]).all():
+        if not _all_finite(rows_ach[k]):
             raise ArithmeticError(f"non-finite achieved wrench at step {k}")
     return TrackingLog(
         t=np.arange(n) * DT,

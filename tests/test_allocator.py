@@ -336,6 +336,32 @@ def test_solve_rejects_non_finite_normal_equations():
         solve(p)
 
 
+# NaN, +-inf, +-0.0, +-1e308 and subnormals, the entries a finiteness count can get wrong
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324]),
+    st.floats(-1e-308, 1e-308),  # within the smallest normal float, mostly subnormals
+)
+
+
+@given(data=st.data(), shape=st.sampled_from([(0,), (4,), (6,), (4, 4), (6, 4)]))
+@settings(max_examples=300, deadline=None)
+def test_all_finite_equals_numpys_reduction(data, shape):
+    x = np.array(data.draw(st.lists(EDGE_FLOATS, min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape)))), dtype=float).reshape(shape)
+    with np.errstate(all="raise"):
+        assert allocator._all_finite(x) == bool(np.isfinite(x).all())
+
+
+def test_solve_clamps_with_the_bits_of_clip(monkeypatch):
+    # NaN stays NaN, +-inf goes to the limits and -0.0 keeps its sign, as with ndarray.clip
+    for u in ([np.nan, np.inf, -np.inf, -0.0], [30.0, -30.0, 0.0, 25.0]):
+        u = np.array(u)
+        monkeypatch.setattr(allocator, "_posv", lambda: lambda q, c: (u.copy(), 0))
+        sol = solve(AllocationProblem(a=np.zeros(6), b=np.zeros((6, 4)), y_target=np.zeros(6)))
+        assert sol.u_star.tobytes() == u.clip(-25.0, 25.0).tobytes()
+        assert sol.u_unconstrained.tobytes() == u.tobytes()
+
+
 def test_unclamped_solution_matches_exactly(rng):
     p = random_problem(rng, lambda0=1.0, lambda1=1.0)  # heavy penalties keep u small
     sol = solve(p)
@@ -484,6 +510,35 @@ def test_track_sequence_validates_targets_and_config():
     assert cfg.lambda1 == 0.1
     with pytest.raises(NotStrictlyConvexError):
         dataclasses.replace(cfg, lambda0=0.0, lambda1=0.0)
+
+
+def test_track_sequence_rejects_an_empty_target_sequence():
+    model = constant_model(np.zeros(6), np.zeros((6, 4)))
+    with pytest.raises(ValueError, match="at least one row, got 0"):
+        track_sequence(model, np.zeros((0, 6)), lambda k, u: np.zeros(13), TrackingConfig(),
+                       achieved_fn=lambda k, u: np.zeros(6))
+
+
+def test_checked_commands_cannot_change_after_their_check():
+    # a config and a problem keep read-only copies: the caller's later write does not
+    # reach them, and a write through them fails
+    u = np.array([1.0, 2.0, 3.0, 4.0])
+    cfg = TrackingConfig(u_trim=u)
+    parts = {"a": np.zeros(6), "b": np.zeros((6, 4)), "y_target": np.zeros(6),
+             "u_prev": np.zeros(4), "u_trim": u}
+    p = AllocationProblem(**parts)
+    for value in parts.values():  # u among them
+        value[...] = np.nan
+    assert cfg.u_trim.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert p.u_trim.tolist() == [1.0, 2.0, 3.0, 4.0]
+    for name in parts:
+        held = getattr(p, name)
+        assert np.isfinite(held).all()
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.u_trim[1] = np.nan
+    assert cfg.u_trim.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_track_sequence_rejects_unknown_model():

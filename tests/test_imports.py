@@ -6,7 +6,8 @@ class is reached by the package, the benchmark or an acceptance gate, no code
 branches on a model's family or a variant's name, only the model families read
 their input scaling, and seed streams, row blocks and shared run defaults each
 have one owner, as do the airframe's layout facts: the mirror pattern, the
-probe's tap count and the probe, surface and wrench-channel names."""
+probe's tap count and the probe, surface and wrench-channel names. The
+closed-loop step calls neither `all` nor `clip`."""
 import ast
 import contextlib
 import os
@@ -244,6 +245,13 @@ def test_one_walker_splits_rows_into_blocks():
     assert _calls("by_row_blocks") == {("dynamics.py", "predict_batch"),
                                        ("dynamics.py", "predict_wrench_batch"),
                                        ("probe.py", "_calibrate_rows")}
+
+
+def test_the_closed_loop_step_makes_no_reduction_wrapper_call():
+    # ndarray.all and ndarray.clip run numpy's Python-level wrappers; each step checks
+    # finiteness with allocator._all_finite and clamps with np.minimum/np.maximum
+    step = {("allocator.py", "track_sequence"), ("allocator.py", "solve")}
+    assert not (_calls("all") | _calls("clip")) & step
 
 
 # the run defaults each config shares, with the value their one owner writes
