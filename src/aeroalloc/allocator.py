@@ -28,12 +28,13 @@ checks its targets (one row or more). Every run steps at the constant `DT`.
 Each step's (A, B) comes from `predict` when the model's family is affine in
 the command (`affine_in_u`), else from `affine_at` at the previous command.
 Inside the loop each step's AllocationProblem is made without checks or
-copies (`_unchecked`); only the model's (A, B) and the achieved wrench are
-checked, by `_all_finite` (a count in C, not numpy's Python-level `all`);
-`solve` clamps with np.minimum/np.maximum; and the clamp flags are reduced
-for the debug log only when it is enabled. In a traced seed-0 C7 loop a
-step's time is mostly the model pass (about two fifths), the solve (about a
-quarter), the loop's own bookkeeping (about a fifth) and the plant's
+copies (`_unchecked`) and holds the penalty terms the run formed once
+(`_penalty_terms`, which a checked problem runs at its check); only the
+model's (A, B) and the achieved wrench are checked, by `_all_finite` (a count
+in C); `solve` clamps with np.minimum/np.maximum; and the clamp flags are
+reduced for the debug log only when it is enabled. In a traced seed-0 C7 loop
+a step's time is mostly the model pass (about two fifths), the solve (just
+under a quarter), the loop's own bookkeeping (a fifth) and the plant's
 observation and response (about an eighth).
 """
 from __future__ import annotations
@@ -166,6 +167,8 @@ class AllocationProblem:
         b.flags.writeable = False
         object.__setattr__(self, "b", b)
         _check_penalties(self.lambda0, self.lambda1)
+        self.__dict__["_q_penalty"], self.__dict__["_c_trim"] = _penalty_terms(
+            self.lambda0, self.lambda1, self.u_trim)
 
 
 @dataclass(frozen=True)
@@ -183,6 +186,11 @@ _EYE_CONTROL = np.eye(CONTROL_DIM)
 _CLAMP_ABOVE = CONTROL_LIMIT_DEG + 1e-12  # a surface whose command exceeds it is clamped
 
 
+def _penalty_terms(lambda0: float, lambda1: float, u_trim) -> tuple[np.ndarray, np.ndarray]:
+    """The run constants of the normal equations: (lambda0 + lambda1) I and lambda0 u_trim."""
+    return (lambda0 + lambda1) * _EYE_CONTROL, lambda0 * u_trim
+
+
 def build_normal_equations(p: AllocationProblem) -> tuple[np.ndarray, np.ndarray]:
     """Gradient-stationarity system Q u = c of the allocation objective.
 
@@ -191,12 +199,12 @@ def build_normal_equations(p: AllocationProblem) -> tuple[np.ndarray, np.ndarray
     + lambda0 u_trim) are formed in place, in that order of operations.
     """
     bt = p.b.T
-    q = bt @ p.b
-    q += (p.lambda0 + p.lambda1) * _EYE_CONTROL
+    q = bt.dot(p.b)  # ndarray.dot: `@`'s bits at about half its call cost
+    q += p._q_penalty
     q *= 2.0
-    c = bt @ (p.y_target - p.a)
+    c = bt.dot(p.y_target - p.a)
     c += p.lambda1 * p.u_prev
-    c += p.lambda0 * p.u_trim
+    c += p._c_trim
     c *= 2.0
     return q, c
 
@@ -289,6 +297,7 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn) ->
 
     u_trim, u_prev = cfg.u_trim, np.zeros(CONTROL_DIM)
     lambda0, lambda1 = cfg.lambda0, cfg.lambda1
+    q_penalty, c_trim = _penalty_terms(lambda0, lambda1, u_trim)
     rows_pred = np.empty((n, WRENCH_DIM))
     rows_ach = np.empty((n, WRENCH_DIM))
     rows_u = np.empty((n, CONTROL_DIM))
@@ -299,11 +308,12 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn) ->
         if not (_all_finite(a) and _all_finite(b)):
             raise ArithmeticError(f"non-finite model output at step {k}")
         sol = solve(_unchecked(AllocationProblem, a=a, b=b, y_target=target_mat[k],
-                               u_prev=u_prev, u_trim=u_trim, lambda0=lambda0, lambda1=lambda1))
+                               u_prev=u_prev, u_trim=u_trim, lambda0=lambda0, lambda1=lambda1,
+                               _q_penalty=q_penalty, _c_trim=c_trim))
         u_prev = sol.u_star
         rows_u[k] = u_prev
         rows_clamp[k] = sol.clamped
-        np.add(a, b @ u_prev, out=rows_pred[k])
+        np.add(a, b.dot(u_prev), out=rows_pred[k])
         rows_ach[k] = achieved_fn(k, u_prev)
         if not _all_finite(rows_ach[k]):
             raise ArithmeticError(f"non-finite achieved wrench at step {k}")

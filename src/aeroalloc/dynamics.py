@@ -93,6 +93,7 @@ class SymmetryConfig:
         if not 0.0 <= self.lambda_sym < np.inf:
             raise ValueError(f"lambda_sym must be finite and >= 0, got {self.lambda_sym}")
         object.__setattr__(self, "_delta", np.asarray(delta, dtype=np.float64))
+        object.__setattr__(self, "_neg_delta", -self._delta)
 
     def penalty(self, resid) -> np.ndarray:
         """Per-entry Huber penalty of mirror residuals (..., 6): r^2/2 inside
@@ -102,8 +103,9 @@ class SymmetryConfig:
         return np.where(a <= d, 0.5 * r * r, d * (a - 0.5 * d))
 
     def penalty_grad(self, resid) -> np.ndarray:
-        """d penalty / d resid, the residual clipped to +-delta."""
-        return np.clip(np.asarray(resid, dtype=np.float64), -self._delta, self._delta)
+        """d penalty / d resid, the residual clipped to +-delta (np.clip's bits)."""
+        return np.minimum(np.maximum(np.asarray(resid, dtype=np.float64), self._neg_delta),
+                          self._delta)
 
 
 def _scaling(mean, std, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -235,10 +237,10 @@ def _control_matrix_rows(value) -> np.ndarray:
 
 
 def _affine_terms(model: AffineModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) of an observation matrix from `_obs_matrix`. The model checked its
+    """(A, B) of standardized feature rows (`model.inputs`). The model checked its
     widths when it was made, so the passes run on the kernel, past `forward`'s
     input checks."""
-    h = nncore._activations(model.backbone, model.inputs(x))[-1]
+    h = nncore._activations(model.backbone, x)[-1]
     a = nncore._activations(model.a_head, h)[-1]
     b = nncore._activations(model.b_head, h)[-1]
     return a, b.reshape(-1, WRENCH_DIM, CONTROL_DIM)
@@ -246,14 +248,15 @@ def _affine_terms(model: AffineModel, x: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def predict_batch(model: AffineModel, obs) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) for a batch: A is (n, 6), B is (n, 6, 4), physical units."""
-    return nncore.by_row_blocks(lambda x: _affine_terms(model, x), _BLOCK_ROWS,
+    return nncore.by_row_blocks(lambda o: _affine_terms(model, model.inputs(o)), _BLOCK_ROWS,
                                 _obs_matrix(obs, model.n_features))
 
 
 def predict(model: AffineModel, obs) -> tuple[np.ndarray, np.ndarray]:
-    """Offset vector A(o) (6,) and effectiveness matrix B(o) (6, 4)."""
-    x = _obs_matrix(obs, model.n_features)
-    if x.shape[0] != 1:  # before the pass, so a batch costs no work
+    """Offset vector A(o) (6,) and effectiveness matrix B(o) (6, 4), from one
+    pass of the observation through `model.inputs`."""
+    x = model.inputs(obs)
+    if x.shape[0] != 1:  # before the network passes
         raise ValueError("predict takes a single observation; use predict_batch")
     a, b = _affine_terms(model, x)
     return a[0], b[0]
@@ -573,7 +576,7 @@ def affine_at(model: UnstructuredModel, obs, u_ref) -> tuple[np.ndarray, np.ndar
     # A 1-row pass for y0: reading it off the 6-row pass would move C7, as the two
     # differ in the last bits for 1998 of 2000 random inputs on the C7 baseline net.
     y0 = nncore._activations(model.net, x)[-1][0]
-    return y0 - jac @ u_vec, jac
+    return y0 - jac.dot(u_vec), jac
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,26 @@ def test_q_positive_definite(rng):
         assert np.allclose(q, q.T)
 
 
+def test_penalty_terms_have_one_owner(rng, monkeypatch):
+    # a checked problem, a replace of one with new penalties and the loop's per-step
+    # problem each hold the (lambda0 + lambda1) I and lambda0 u_trim of its own values
+    trim = rng.uniform(-5.0, 5.0, size=4)
+    seen = []
+    monkeypatch.setattr(allocator, "solve", lambda p: seen.append(p) or solve(p))
+    track_sequence(constant_model(rng.normal(size=6), rng.normal(size=(6, 4))),
+                   rng.normal(size=(1, 6)), lambda k, u: np.zeros(13),
+                   TrackingConfig(lambda0=0.03, lambda1=0.7, u_trim=trim),
+                   achieved_fn=lambda k, u: np.zeros(6))
+    (looped,) = seen
+    parts = dict(a=looped.a, b=looped.b, y_target=looped.y_target, u_trim=trim)
+    checked = AllocationProblem(**parts, lambda0=0.03, lambda1=0.7)
+    replaced = dataclasses.replace(AllocationProblem(**parts, lambda0=0.5, lambda1=0.0),
+                                   lambda0=0.03, lambda1=0.7)
+    expected = [x.tobytes() for x in build_normal_equations(checked)]
+    for p in (replaced, looped):
+        assert [x.tobytes() for x in build_normal_equations(p)] == expected
+
+
 def test_solver_reaches_stationary_point(rng):
     p = random_problem(rng)
     sol = solve(p)

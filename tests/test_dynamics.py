@@ -184,6 +184,21 @@ def test_huber_array_delta():
     assert np.allclose(cfg.penalty_grad(resid), [[0.5, 1.0, 0.5, 1.0, -0.25, 3.0]])
 
 
+def test_penalty_grad_clamps_with_the_bits_of_clip():
+    # NaN stays NaN, +-inf goes to +-delta and -0.0 keeps its sign, as with np.clip
+    delta = np.array([1.0, 1.0, 0.5, 2.0, 0.25, 4.0])
+    cfg = SymmetryConfig(delta=tuple(delta))
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+    rows = [np.full(6, v) for v in special] + [delta, -delta, np.nextafter(delta, np.inf),
+                                               np.nextafter(-delta, -np.inf), 3.0 * delta,
+                                               -1e300 * delta, 0.5 * delta]
+    resid = np.vstack(rows + [np.random.default_rng(0).normal(0.0, 2.0, size=(64, 6))])
+    for r in (resid, resid[7], resid[:, None, :]):  # a batch, one row and a stack
+        grad, clipped = cfg.penalty_grad(r), np.clip(r, -delta, delta)
+        assert grad.shape == clipped.shape and grad.tobytes() == clipped.tobytes()
+    assert np.signbit(cfg.penalty_grad(resid[4])).all()
+
+
 def test_symmetry_residual_norm_zero_weight_b_head(rng):
     model = small_model(0)
     for layer in model.b_head.layers:
@@ -280,7 +295,7 @@ def test_blocked_batch_passes_keep_the_whole_batch_bits(kind, wing_sensors, n):
     obs, u = rng.normal(size=(n, 13)) * 3.0, rng.uniform(-25.0, 25.0, size=(n, 4))
     feats = obs[:, :model.n_features]
     if kind == "affine":
-        a_ref, b_ref = dynamics._affine_terms(model, feats)  # one pass over every row
+        a_ref, b_ref = dynamics._affine_terms(model, model.inputs(feats))  # one pass, every row
         a, b = predict_batch(model, obs)
         assert a.shape == (n, 6) and b.shape == (n, 6, 4)
         assert a.tobytes() == a_ref.tobytes() and b.tobytes() == b_ref.tobytes()

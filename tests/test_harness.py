@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aeroalloc
-from aeroalloc import dynamics, harness, nncore, plant
+from aeroalloc import allocator, dynamics, harness, nncore, plant
 from aeroalloc.allocator import DT, AllocationProblem, TrackingConfig, track_sequence
 from aeroalloc.dynamics import AffineModel, model_flat_params
 from aeroalloc.harness import (
@@ -337,6 +337,67 @@ def test_closed_loop_matches_per_step_plant_closures_bit_for_bit(flown_models, v
     assert tlog.controls.shape == (100, 4)
     for name in ("controls", "predicted", "achieved"):
         assert np.array_equal(getattr(tlog, name), getattr(reference, name)), name
+
+
+def reference_loop(model, targets, terms, tracking: TrackingConfig) -> dict:
+    """The tracking loop written out with the arithmetic of its first form: `@`
+    products, the penalty terms formed at every step and each observation shaped
+    before it is standardized. The TrackingLog arrays it fills, by name."""
+    lambda0, lambda1, u_trim = tracking.lambda0, tracking.lambda1, tracking.u_trim
+    u_prev, rows = np.zeros(4), {"predicted": [], "achieved": [], "controls": [], "clamped": []}
+    for k, target in enumerate(targets):
+        x = dynamics._obs_matrix(plant.make_observation(terms, k, u_prev), model.n_features)
+        if model.affine_in_u:
+            h = nncore._activations(model.backbone, (x - model.obs_mean) / model.obs_std)[-1]
+            a = nncore._activations(model.a_head, h)[-1][0]
+            b = nncore._activations(model.b_head, h)[-1].reshape(6, 4)
+        else:
+            x = (np.concatenate([x, u_prev[None]], axis=1) - model.in_mean) / model.in_std
+            acts = nncore._activations(model.net, np.repeat(x, 6, axis=0))
+            b = nncore._backprop(model.net, np.eye(6), acts)[:, -4:] / model.in_std[-4:]
+            a = nncore._activations(model.net, x)[-1][0] - b @ u_prev
+        q = b.T @ b
+        q += (lambda0 + lambda1) * np.eye(4)
+        q *= 2.0
+        c = b.T @ (target - a)
+        c += lambda1 * u_prev
+        c += lambda0 * u_trim
+        c *= 2.0
+        u, info = allocator._posv()(q, c)
+        assert info == 0
+        u_prev = u.clip(-25.0, 25.0)
+        rows["controls"].append(u_prev)
+        rows["clamped"].append(np.abs(u) > 25.0 + 1e-12)
+        rows["predicted"].append(a + b @ u_prev)
+        d_u = (terms.control @ u_prev[:, None])[:, 0]
+        rows["achieved"].append(terms.q_s * (terms.c0[k] + d_u) + terms.wrench_noise[k])
+    return {name: np.array(r) for name, r in rows.items()}
+
+
+@pytest.mark.parametrize("lambda0", [0.0, 0.01])
+@pytest.mark.parametrize("gust_mode", harness.GUST_MODES)
+@pytest.mark.parametrize("variant", ["affine", "unstructured"])
+def test_closed_loop_equals_the_written_out_reference_loop_bit_for_bit(flown_models, variant,
+                                                                      gust_mode, lambda0):
+    model, speed, seed, params = flown_models[variant], 13.5, 5, plant.PlantParams()
+    cfg = tiny_cfg(duration_s=4.0, gust_mode=gust_mode)  # 200 steps
+    tracking = TrackingConfig(lambda0=lambda0, lambda1=0.1, u_trim=[3.0, -2.0, 1.5, -4.0])
+    tlog = closed_loop_run(model, cfg, speed, tracking=tracking, params=params, seed=seed)
+
+    # closed_loop_run's set-up, then the loop of reference_loop
+    rng_sched, rng_targets, rng_noise = map(np.random.default_rng, dynamics._child_seeds(seed, 3))
+    protocol = {"stage": "I", "duration_s": cfg.duration_s, "dt": DT}
+    t, alpha, beta = plant.stage_schedule(protocol, params, rng_sched)
+    gust = plant.gust_from_spec(harness._gust_spec(cfg), speed, params)
+    terms = plant.run_terms(params, speed, t, alpha, beta, gust, rng_noise)
+    targets = make_target_sequence(params, speed, t, int(rng_targets.integers(2**32)),
+                                   alpha_deg=alpha, beta_deg=beta)
+    reference = {"t": np.arange(200) * DT, "targets": targets,
+                 **reference_loop(model, targets, terms, tracking)}
+    for name, expected in reference.items():
+        got = getattr(tlog, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
 
 
 def test_out_of_envelope_schedule_fails_before_the_first_step(monkeypatch):

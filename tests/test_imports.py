@@ -5,9 +5,9 @@ import and private definition in the package is used, every public function and
 class is reached by the package, the benchmark or an acceptance gate, no code
 branches on a model's family or a variant's name, only the model families read
 their input scaling, and seed streams, row blocks and shared run defaults each
-have one owner, as do the airframe's layout facts: the mirror pattern, the
-probe's tap count and the probe, surface and wrench-channel names. The
-closed-loop step calls neither `all` nor `clip`."""
+have one owner, as do the allocation's penalty terms and the airframe's layout
+facts: the mirror pattern, the probe's tap count and the probe, surface and
+wrench-channel names. The closed-loop step calls neither `all` nor `clip`."""
 import ast
 import contextlib
 import os
@@ -273,6 +273,25 @@ def test_each_shared_default_is_written_once():
                                ("lambda0", "AllocationProblem"),
                                ("lambda1", "AllocationProblem"),
                                ("lambda_sym", "SymmetryConfig")]
+
+
+def _operands(node) -> list:
+    """The names or attribute names of a binary operation's two operands."""
+    return [getattr(n, "id", getattr(n, "attr", None)) for n in (node.left, node.right)]
+
+
+def test_the_penalty_terms_are_written_once():
+    # (lambda0 + lambda1) I and lambda0 u_trim come from allocator._penalty_terms alone,
+    # once per checked problem and once per tracking run
+    def penalty_sum(node):
+        return isinstance(node, ast.BinOp) and _operands(node) == ["lambda0", "lambda1"]
+
+    products = [(path.name, where) for path in sorted(SRC.glob("*.py"))
+                for where, node in _in_functions(ast.parse(path.read_text()), ast.BinOp)
+                if isinstance(node.op, ast.Mult)
+                and (penalty_sum(node.left) or penalty_sum(node.right)
+                     or sorted(_operands(node), key=str) == ["lambda0", "u_trim"])]
+    assert products == [("allocator.py", "_penalty_terms")] * 2
 
 
 def _top_level_name(stmt) -> str:
