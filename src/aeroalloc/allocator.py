@@ -22,20 +22,20 @@ solution holds only the commands and clamp flags; `objective(p, u)`
 evaluates the objective.
 
 Each value is checked once, where it enters, and kept as a read-only copy:
-AllocationProblem its parts, TrackingConfig (frozen) the penalties and the
-trim command (4 finite entries within the actuator limits); `track_sequence`
-checks its targets (one row or more). Every run steps at the constant `DT`.
-Each step's (A, B) comes from `predict` when the model's family is affine in
-the command (`affine_in_u`), else from `affine_at` at the previous command.
-Inside the loop each step's AllocationProblem is made without checks or
-copies (`_unchecked`) and holds the penalty terms the run formed once
-(`_penalty_terms`, which a checked problem runs at its check); only the
-model's (A, B) and the achieved wrench are checked, by `_all_finite` (a count
-in C); `solve` clamps with np.minimum/np.maximum; and the clamp flags are
-reduced for the debug log only when it is enabled. In a traced seed-0 C7 loop
-a step's time is mostly the model pass (about two fifths), the solve (just
-under a quarter), the loop's own bookkeeping (a fifth) and the plant's
-observation and response (about an eighth).
+TrackingConfig (frozen) the penalties and the trim command (4 finite entries
+within the actuator limits), forming (lambda0 + lambda1) I and lambda0 u_trim
+there; AllocationProblem its parts and that `cfg` is a TrackingConfig;
+`track_sequence` its targets (one row or more). Every run steps at the constant
+`DT`. Each step's (A, B) comes from `predict` when the model's family is affine
+in the command (`affine_in_u`), else from `affine_at` at the previous command.
+Inside the loop each step's AllocationProblem is made without checks or copies
+(`_unchecked`) and holds the run's config; only the model's (A, B) and the
+achieved wrench are checked, by `_all_finite` (a count in C); `solve` clamps
+with np.minimum/np.maximum; and the clamp flags are reduced for the debug log
+only when enabled. In a traced seed-0 C7 loop a step's time is mostly the model
+pass (about two fifths), the solve (just under a quarter), the loop's own
+bookkeeping (a fifth) and the plant's observation and response (about an
+eighth).
 """
 from __future__ import annotations
 
@@ -128,13 +128,6 @@ def _vec(value, dim: int, what: str) -> np.ndarray:
     return vec
 
 
-def _check_penalties(lambda0: float, lambda1: float) -> None:
-    if not (0.0 <= lambda0 < np.inf and 0.0 <= lambda1 < np.inf):  # NaN fails as well
-        raise ValueError(f"penalty weights must be finite and >= 0, got {lambda0}, {lambda1}")
-    if lambda0 + lambda1 <= 0.0:
-        raise NotStrictlyConvexError("lambda0 + lambda1 must be positive for a unique minimizer")
-
-
 def _unchecked(cls, **fields):
     """The frozen dataclass `cls` holding `fields`, made without its __init__ checks."""
     obj = object.__new__(cls)
@@ -142,23 +135,50 @@ def _unchecked(cls, **fields):
     return obj
 
 
+_EYE_CONTROL = np.eye(CONTROL_DIM)
+
+
+@dataclass(frozen=True)
+class TrackingConfig:
+    """Penalties and trim command, checked and formed once, when made."""
+
+    lambda0: float = 0.01
+    lambda1: float = 0.1
+    u_trim: np.ndarray = field(default_factory=lambda: np.zeros(CONTROL_DIM))
+
+    def __post_init__(self) -> None:
+        lambda0, lambda1 = self.lambda0, self.lambda1
+        if not (0.0 <= lambda0 < np.inf and 0.0 <= lambda1 < np.inf):  # NaN fails as well
+            raise ValueError(f"penalty weights must be finite and >= 0, got {lambda0}, {lambda1}")
+        if lambda0 + lambda1 <= 0.0:
+            raise NotStrictlyConvexError(
+                "lambda0 + lambda1 must be positive for a unique minimizer")
+        u = _vec(self.u_trim, CONTROL_DIM, "u_trim")
+        if np.abs(u).max() > CONTROL_LIMIT_DEG:
+            raise ValueError(f"u_trim {u} exceeds the +-{CONTROL_LIMIT_DEG:g} deg actuator limit")
+        object.__setattr__(self, "u_trim", u)
+        # the normal equations' run constants, read by every problem that holds this config
+        q_penalty, c_trim = (lambda0 + lambda1) * _EYE_CONTROL, lambda0 * self.u_trim
+        q_penalty.flags.writeable = c_trim.flags.writeable = False
+        self.__dict__.update(_q_penalty=q_penalty, _c_trim=c_trim)
+
+
 @dataclass(frozen=True)
 class AllocationProblem:
-    """One allocation step: local model (a, b), target, references, penalties."""
+    """One allocation step: local model (a, b), target, u_prev and the config."""
 
     a: np.ndarray           # 6-vector offset wrench
     b: np.ndarray           # 6x4 effectiveness matrix
     y_target: np.ndarray    # 6-vector desired wrench
     u_prev: np.ndarray = field(default_factory=lambda: np.zeros(CONTROL_DIM))
-    u_trim: np.ndarray = field(default_factory=lambda: np.zeros(CONTROL_DIM))
-    lambda0: float = 0.01   # the penalties' defaults, which TrackingConfig and
-    lambda1: float = 0.1    # the suite's ExperimentConfig read from here
+    cfg: TrackingConfig = TrackingConfig()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cfg, TrackingConfig):
+            raise TypeError(f"cfg must be a TrackingConfig, got {type(self.cfg).__name__}")
         object.__setattr__(self, "a", _vec(self.a, WRENCH_DIM, "offset wrench"))
         object.__setattr__(self, "y_target", _vec(self.y_target, WRENCH_DIM, "target wrench"))
         object.__setattr__(self, "u_prev", _vec(self.u_prev, CONTROL_DIM, "previous command"))
-        object.__setattr__(self, "u_trim", _vec(self.u_trim, CONTROL_DIM, "trim command"))
         b = np.array(self.b, dtype=float)
         if b.shape != (WRENCH_DIM, CONTROL_DIM):
             raise ValueError(f"effectiveness matrix must be {WRENCH_DIM}x{CONTROL_DIM}")
@@ -166,9 +186,6 @@ class AllocationProblem:
             raise ValueError("effectiveness matrix must be finite")
         b.flags.writeable = False
         object.__setattr__(self, "b", b)
-        _check_penalties(self.lambda0, self.lambda1)
-        self.__dict__["_q_penalty"], self.__dict__["_c_trim"] = _penalty_terms(
-            self.lambda0, self.lambda1, self.u_trim)
 
 
 @dataclass(frozen=True)
@@ -182,13 +199,7 @@ class AllocationSolution:
     clamped: np.ndarray
 
 
-_EYE_CONTROL = np.eye(CONTROL_DIM)
 _CLAMP_ABOVE = CONTROL_LIMIT_DEG + 1e-12  # a surface whose command exceeds it is clamped
-
-
-def _penalty_terms(lambda0: float, lambda1: float, u_trim) -> tuple[np.ndarray, np.ndarray]:
-    """The run constants of the normal equations: (lambda0 + lambda1) I and lambda0 u_trim."""
-    return (lambda0 + lambda1) * _EYE_CONTROL, lambda0 * u_trim
 
 
 def build_normal_equations(p: AllocationProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -200,11 +211,11 @@ def build_normal_equations(p: AllocationProblem) -> tuple[np.ndarray, np.ndarray
     """
     bt = p.b.T
     q = bt.dot(p.b)  # ndarray.dot: `@`'s bits at about half its call cost
-    q += p._q_penalty
+    q += p.cfg._q_penalty
     q *= 2.0
     c = bt.dot(p.y_target - p.a)
-    c += p.lambda1 * p.u_prev
-    c += p._c_trim
+    c += p.cfg.lambda1 * p.u_prev
+    c += p.cfg._c_trim
     c *= 2.0
     return q, c
 
@@ -212,10 +223,11 @@ def build_normal_equations(p: AllocationProblem) -> tuple[np.ndarray, np.ndarray
 def objective(p: AllocationProblem, u) -> float:
     u = _vec(u, CONTROL_DIM, "command")
     resid = p.y_target - p.a - p.b @ u
+    cfg = p.cfg
     return float(
         resid @ resid
-        + p.lambda1 * ((u - p.u_prev) ** 2).sum()
-        + p.lambda0 * ((u - p.u_trim) ** 2).sum()
+        + cfg.lambda1 * ((u - p.u_prev) ** 2).sum()
+        + cfg.lambda0 * ((u - cfg.u_trim) ** 2).sum()
     )
 
 
@@ -238,22 +250,6 @@ def solve(p: AllocationProblem) -> AllocationSolution:
 # ---------------------------------------------------------------------------
 # Closed-loop tracking
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrackingConfig:
-    """Penalties and trim command of a tracking run, checked at construction."""
-
-    lambda0: float = AllocationProblem.lambda0
-    lambda1: float = AllocationProblem.lambda1
-    u_trim: np.ndarray = field(default_factory=lambda: np.zeros(CONTROL_DIM))
-
-    def __post_init__(self) -> None:
-        _check_penalties(self.lambda0, self.lambda1)
-        u = _vec(self.u_trim, CONTROL_DIM, "u_trim")
-        if np.abs(u).max() > CONTROL_LIMIT_DEG:
-            raise ValueError(f"u_trim {u} exceeds the +-{CONTROL_LIMIT_DEG:g} deg actuator limit")
-        object.__setattr__(self, "u_trim", u)
 
 
 @dataclass
@@ -295,9 +291,7 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn) ->
     if not _all_finite(target_mat):
         raise ValueError("targets must be finite")
 
-    u_trim, u_prev = cfg.u_trim, np.zeros(CONTROL_DIM)
-    lambda0, lambda1 = cfg.lambda0, cfg.lambda1
-    q_penalty, c_trim = _penalty_terms(lambda0, lambda1, u_trim)
+    u_prev = np.zeros(CONTROL_DIM)
     rows_pred = np.empty((n, WRENCH_DIM))
     rows_ach = np.empty((n, WRENCH_DIM))
     rows_u = np.empty((n, CONTROL_DIM))
@@ -308,8 +302,7 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn) ->
         if not (_all_finite(a) and _all_finite(b)):
             raise ArithmeticError(f"non-finite model output at step {k}")
         sol = solve(_unchecked(AllocationProblem, a=a, b=b, y_target=target_mat[k],
-                               u_prev=u_prev, u_trim=u_trim, lambda0=lambda0, lambda1=lambda1,
-                               _q_penalty=q_penalty, _c_trim=c_trim))
+                               u_prev=u_prev, cfg=cfg))
         u_prev = sol.u_star
         rows_u[k] = u_prev
         rows_clamp[k] = sol.clamped

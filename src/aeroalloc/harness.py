@@ -108,17 +108,14 @@ class ExperimentConfig:
             plant_mod._check_airspeed(speed)
             if self.gust_mode == "shedding":
                 plant_mod._check_shedding_airspeed(speed)
-        for variant in VARIANTS:  # the owners' rules, before anything runs
-            self.train_config(variant)
+        for row in VARIANTS.values():  # the owners' rules, before anything runs
+            self.train_config(row)
         TrackingConfig(lambda0=self.lambda0, lambda1=self.lambda1)
         probe_mod._check_positive_finite(self.duration_s, "duration_s")
         if not 0.0 < self.holdout_fraction < 1.0:  # NaN fails the comparison as well
             raise ValueError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
 
-    def train_config(self, variant: str) -> DynamicsTrainConfig:
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {variant!r}")
-        row = VARIANTS[variant]
+    def train_config(self, row: Variant) -> DynamicsTrainConfig:
         return DynamicsTrainConfig(
             seed=self.seed,
             hidden=self.hidden,
@@ -130,10 +127,12 @@ class ExperimentConfig:
 
 def train_variant(variant: str, dataset, cfg: ExperimentConfig):
     """Train one named variant; all variants share the seed and data."""
-    train_cfg = cfg.train_config(variant)
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {variant!r}")
+    row = VARIANTS[variant]
     # called through this module's name for the trainer, which a wrapper
     # (the benchmark's span tracer) may have replaced since VARIANTS was built
-    return globals()[VARIANTS[variant].trainer.__name__](dataset, train_cfg)
+    return globals()[row.trainer.__name__](dataset, cfg.train_config(row))
 
 
 def rmssd(u_series) -> tuple[np.ndarray, float]:

@@ -216,8 +216,8 @@ def test_allocator_matches_iterative_minimizer(capsys):
         u_trim = rng.uniform(-5.0, 5.0, size=4)
         lam0, lam1 = rng.uniform(0.05, 1.0, size=2)
         y = a + b @ rng.uniform(-10.0, 10.0, size=4) + rng.normal(scale=0.5, size=6)
-        prob = AllocationProblem(a=a, b=b, y_target=y, u_prev=u_prev, u_trim=u_trim,
-                                 lambda0=lam0, lambda1=lam1)
+        prob = AllocationProblem(a=a, b=b, y_target=y, u_prev=u_prev,
+                                 cfg=TrackingConfig(lambda0=lam0, lambda1=lam1, u_trim=u_trim))
 
         # objective, gradient, and hessian written out from the raw formula
         def objective(u):

@@ -37,9 +37,7 @@ def random_problem(rng, lambda0=0.01, lambda1=0.1):
         b=rng.normal(size=(6, 4)),
         y_target=rng.normal(size=6),
         u_prev=rng.normal(size=4),
-        u_trim=rng.normal(size=4),
-        lambda0=lambda0,
-        lambda1=lambda1,
+        cfg=TrackingConfig(lambda0=lambda0, lambda1=lambda1, u_trim=rng.normal(size=4)),
     )
 
 
@@ -59,7 +57,7 @@ def test_normal_equations_known_values():
     p = AllocationProblem(
         a=np.zeros(6), b=b, y_target=np.eye(6)[0] * 3.0,
         u_prev=np.array([1.0, 0.0, 0.0, 0.0]),
-        lambda0=0.5, lambda1=0.25,
+        cfg=TrackingConfig(lambda0=0.5, lambda1=0.25),
     )
     q, c = build_normal_equations(p)
     assert np.allclose(q, np.diag([2 * (4 + 0.75), 1.5, 1.5, 1.5]))
@@ -75,23 +73,31 @@ def test_q_positive_definite(rng):
 
 
 def test_penalty_terms_have_one_owner(rng, monkeypatch):
-    # a checked problem, a replace of one with new penalties and the loop's per-step
-    # problem each hold the (lambda0 + lambda1) I and lambda0 u_trim of its own values
+    # a TrackingConfig forms (lambda0 + lambda1) I and lambda0 u_trim once, when made;
+    # the loop's per-step problems hold the run's config itself, and a checked problem
+    # and a replace of one onto that config give the same normal equations
     trim = rng.uniform(-5.0, 5.0, size=4)
+    cfg = TrackingConfig(lambda0=0.03, lambda1=0.7, u_trim=trim)
     seen = []
     monkeypatch.setattr(allocator, "solve", lambda p: seen.append(p) or solve(p))
     track_sequence(constant_model(rng.normal(size=6), rng.normal(size=(6, 4))),
-                   rng.normal(size=(1, 6)), lambda k, u: np.zeros(13),
-                   TrackingConfig(lambda0=0.03, lambda1=0.7, u_trim=trim),
+                   rng.normal(size=(2, 6)), lambda k, u: np.zeros(13), cfg,
                    achieved_fn=lambda k, u: np.zeros(6))
-    (looped,) = seen
-    parts = dict(a=looped.a, b=looped.b, y_target=looped.y_target, u_trim=trim)
-    checked = AllocationProblem(**parts, lambda0=0.03, lambda1=0.7)
-    replaced = dataclasses.replace(AllocationProblem(**parts, lambda0=0.5, lambda1=0.0),
-                                   lambda0=0.03, lambda1=0.7)
+    assert [p.cfg is cfg for p in seen] == [True, True]
+    looped = seen[0]
+    parts = dict(a=looped.a, b=looped.b, y_target=looped.y_target)
+    checked = AllocationProblem(**parts, cfg=cfg)
+    replaced = dataclasses.replace(
+        AllocationProblem(**parts, cfg=TrackingConfig(lambda0=0.5, lambda1=0.0)), cfg=cfg)
     expected = [x.tobytes() for x in build_normal_equations(checked)]
     for p in (replaced, looped):
         assert [x.tobytes() for x in build_normal_equations(p)] == expected
+    assert cfg._q_penalty.tobytes() == ((0.03 + 0.7) * np.eye(4)).tobytes()
+    assert cfg._c_trim.tobytes() == (0.03 * cfg.u_trim).tobytes()
+    # a replace of the config forms the terms of its own values
+    moved = dataclasses.replace(cfg, lambda0=0.5)
+    assert moved._q_penalty.tobytes() == ((0.5 + 0.7) * np.eye(4)).tobytes()
+    assert moved._c_trim.tobytes() == (0.5 * cfg.u_trim).tobytes()
 
 
 def test_solver_reaches_stationary_point(rng):
@@ -117,7 +123,7 @@ def test_zero_effectiveness_blends_references(rng):
     u_prev, u_trim = rng.normal(size=4), rng.normal(size=4)
     p = AllocationProblem(
         a=np.zeros(6), b=np.zeros((6, 4)), y_target=np.ones(6),
-        u_prev=u_prev, u_trim=u_trim, lambda0=0.3, lambda1=0.7,
+        u_prev=u_prev, cfg=TrackingConfig(lambda0=0.3, lambda1=0.7, u_trim=u_trim),
     )
     expected = 0.7 * u_prev + 0.3 * u_trim
     assert np.allclose(solve(p).u_unconstrained, expected)
@@ -127,7 +133,7 @@ def test_large_smoothness_pins_previous_command(rng):
     u_prev = np.array([3.0, -2.0, 1.0, 0.5])
     p = AllocationProblem(
         a=np.zeros(6), b=rng.normal(size=(6, 4)), y_target=rng.normal(size=6) * 10,
-        u_prev=u_prev, lambda0=0.0, lambda1=1e8,
+        u_prev=u_prev, cfg=TrackingConfig(lambda0=0.0, lambda1=1e8),
     )
     assert np.allclose(solve(p).u_unconstrained, u_prev, atol=1e-4)
 
@@ -136,7 +142,7 @@ def test_zero_penalties_rejected():
     with pytest.raises(NotStrictlyConvexError):
         AllocationProblem(
             a=np.zeros(6), b=np.zeros((6, 4)), y_target=np.zeros(6),
-            lambda0=0.0, lambda1=0.0,
+            cfg=TrackingConfig(lambda0=0.0, lambda1=0.0),
         )
     assert issubclass(NotStrictlyConvexError, ValueError)
 
@@ -144,7 +150,8 @@ def test_zero_penalties_rejected():
 def test_negative_penalty_rejected():
     with pytest.raises(ValueError):
         AllocationProblem(
-            a=np.zeros(6), b=np.zeros((6, 4)), y_target=np.zeros(6), lambda0=-0.1,
+            a=np.zeros(6), b=np.zeros((6, 4)), y_target=np.zeros(6),
+            cfg=TrackingConfig(lambda0=-0.1),
         )
 
 
@@ -164,12 +171,23 @@ def test_problem_rejects_non_finite_parts(part, bad):
              "u_trim": np.zeros(4)}
     parts[part][1] = bad
     with pytest.raises(ValueError, match="finite"):
-        AllocationProblem(b=np.zeros((6, 4)), **parts)
+        cfg = TrackingConfig(u_trim=parts.pop("u_trim"))
+        AllocationProblem(b=np.zeros((6, 4)), cfg=cfg, **parts)
+
+
+@pytest.mark.parametrize("cfg", [None, {"lambda0": 0.01, "lambda1": 0.1},
+                                 dynamics.DynamicsTrainConfig()],
+                         ids=["none", "dict", "another_config"])
+def test_problem_takes_only_a_tracking_config(cfg):
+    # the penalties and trim reach a problem only through the config that checked them
+    with pytest.raises(TypeError, match="cfg must be a TrackingConfig"):
+        AllocationProblem(a=np.zeros(6), b=np.zeros((6, 4)), y_target=np.zeros(6), cfg=cfg)
 
 
 SATURATED = AllocationProblem(
     a=np.zeros(6), b=np.vstack([np.eye(4) * 0.01, np.zeros((2, 4))]),
-    y_target=np.array([50.0, -50.0, 0.0, 0.0, 1.0, 2.0]), lambda0=0.0, lambda1=1e-6,
+    y_target=np.array([50.0, -50.0, 0.0, 0.0, 1.0, 2.0]),
+    cfg=TrackingConfig(lambda0=0.0, lambda1=1e-6),
 )
 
 
@@ -181,8 +199,9 @@ def reference_problems(rng):
     problems = [random_problem(rng, lambda0, lambda1) for lambda0, lambda1 in penalties]
     for i in range(0, len(problems), 3):  # weak surfaces, a large target and light penalties
         p = problems[i]
-        problems[i] = dataclasses.replace(p, b=0.05 * p.b, y_target=20.0 * p.y_target,
-                                          lambda0=1e-3 * p.lambda0, lambda1=1e-3 * p.lambda1)
+        cfg = dataclasses.replace(p.cfg, lambda0=1e-3 * p.cfg.lambda0,
+                                  lambda1=1e-3 * p.cfg.lambda1)
+        problems[i] = dataclasses.replace(p, b=0.05 * p.b, y_target=20.0 * p.y_target, cfg=cfg)
     return problems + [SATURATED]
 
 
@@ -208,7 +227,8 @@ def test_solve_matches_scipy_cholesky_bit_for_bit(rng):
     # a command less than 1e-12 beyond the limit is clipped but not flagged
     b_eye = np.vstack([np.eye(4), np.zeros((2, 4))])
     y = np.array([25.0 + 5e-13, 0.0, -25.0 - 5e-13, 0.0, 0.0, 0.0])
-    sol = solve(AllocationProblem(np.zeros(6), b_eye, y, lambda0=0.0, lambda1=1e-300))
+    sol = solve(AllocationProblem(np.zeros(6), b_eye, y,
+                                  cfg=TrackingConfig(lambda0=0.0, lambda1=1e-300)))
     assert 25.0 < abs(sol.u_unconstrained[0]) <= 25.0 + 1e-12
     assert 25.0 < abs(sol.u_unconstrained[2]) <= 25.0 + 1e-12
     assert np.array_equal(np.abs(sol.u_star), [25.0, 0.0, 25.0, 0.0])
@@ -394,7 +414,7 @@ def test_clamping_flags_and_limits():
     p = AllocationProblem(
         a=np.zeros(6), b=b,
         y_target=np.array([50.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-        lambda0=0.0, lambda1=1e-6,
+        cfg=TrackingConfig(lambda0=0.0, lambda1=1e-6),
     )
     sol = solve(p)
     assert sol.clamped[0] and not sol.clamped[1:].any()
@@ -407,7 +427,7 @@ def test_solution_reports_unconstrained_metrics():
     # the clamp moves u_star off the minimizer; u_unconstrained keeps it
     b = np.vstack([np.eye(4) * 0.01, np.zeros((2, 4))])
     p = AllocationProblem(a=np.zeros(6), b=b, y_target=np.array([50.0, 0, 0, 0, 0, 0]),
-                          lambda0=0.0, lambda1=1e-6)
+                          cfg=TrackingConfig(lambda0=0.0, lambda1=1e-6))
     sol = solve(p)
     assert sol.clamped[0]
     assert objective(p, sol.u_unconstrained) < objective(p, sol.u_star)
@@ -458,8 +478,8 @@ def test_track_sequence_matches_manual_iteration(rng):
     u_prev = np.zeros(4)
     for k in range(12):
         p = AllocationProblem(
-            a_vec, b_mat, targets[k], u_prev=u_prev, u_trim=np.zeros(4),
-            lambda0=0.02, lambda1=0.2,
+            a_vec, b_mat, targets[k], u_prev=u_prev,
+            cfg=TrackingConfig(lambda0=0.02, lambda1=0.2, u_trim=np.zeros(4)),
         )
         u_prev = solve(p).u_star
         assert np.array_equal(tlog.controls[k], u_prev)
@@ -540,25 +560,26 @@ def test_track_sequence_rejects_an_empty_target_sequence():
 
 
 def test_checked_commands_cannot_change_after_their_check():
-    # a config and a problem keep read-only copies: the caller's later write does not
-    # reach them, and a write through them fails
+    # a config and a problem keep read-only copies, and the config its terms read-only:
+    # the caller's later write does not reach them, and a write through them fails
     u = np.array([1.0, 2.0, 3.0, 4.0])
-    cfg = TrackingConfig(u_trim=u)
+    cfg = TrackingConfig(lambda0=0.5, u_trim=u)
     parts = {"a": np.zeros(6), "b": np.zeros((6, 4)), "y_target": np.zeros(6),
-             "u_prev": np.zeros(4), "u_trim": u}
-    p = AllocationProblem(**parts)
-    for value in parts.values():  # u among them
+             "u_prev": np.zeros(4)}
+    p = AllocationProblem(**parts, cfg=cfg)
+    for value in [*parts.values(), u]:
         value[...] = np.nan
-    assert cfg.u_trim.tolist() == [1.0, 2.0, 3.0, 4.0]
-    assert p.u_trim.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert p.cfg is cfg and cfg.u_trim.tolist() == [1.0, 2.0, 3.0, 4.0]
     for name in parts:
         held = getattr(p, name)
         assert np.isfinite(held).all()
         with pytest.raises(ValueError, match="read-only"):
             held[0] = np.nan
-    with pytest.raises(ValueError, match="read-only"):
-        cfg.u_trim[1] = np.nan
+    for held in (cfg.u_trim, cfg._q_penalty, cfg._c_trim):
+        with pytest.raises(ValueError, match="read-only"):
+            held[1] = np.nan
     assert cfg.u_trim.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert cfg._c_trim.tolist() == [0.5, 1.0, 1.5, 2.0]
 
 
 def test_track_sequence_rejects_unknown_model():

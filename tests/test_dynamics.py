@@ -488,7 +488,7 @@ def test_control_limit_enforced():
     assert CONTROL_LIMIT_DEG == 25.0
     p = AllocationProblem(a=np.zeros(6), b=np.vstack([np.eye(4) * 0.01, np.zeros((2, 4))]),
                           y_target=np.array([50.0, -50.0, 0.03, 0.0, 0.0, 0.0]),
-                          lambda0=0.0, lambda1=1e-6)
+                          cfg=TrackingConfig(lambda0=0.0, lambda1=1e-6))
     sol = solve(p)
     assert sol.u_star[:2].tolist() == [25.0, -25.0]
     assert sol.u_star[2] == pytest.approx(3.0, rel=0.02) and not sol.clamped[2:].any()

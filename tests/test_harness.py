@@ -173,13 +173,14 @@ def test_a_bad_training_budget_fails_before_the_suite_writes(tmp_path, bad):
 
 def test_train_config_wiring():
     cfg = ExperimentConfig(lambda_sym=0.25)
-    assert cfg.train_config("affine_sym").sym.lambda_sym == 0.25
-    assert cfg.train_config("affine").sym.lambda_sym == 0.0
-    assert cfg.train_config("affine_no_ws").wing_sensors is False
-    assert cfg.train_config("unstructured_no_ws").wing_sensors is False
-    assert cfg.train_config("unstructured").wing_sensors is True
-    with pytest.raises(ValueError):
-        cfg.train_config("mystery")
+    assert cfg.train_config(VARIANTS["affine_sym"]).sym.lambda_sym == 0.25
+    assert cfg.train_config(VARIANTS["affine"]).sym.lambda_sym == 0.0
+    assert cfg.train_config(VARIANTS["affine_no_ws"]).wing_sensors is False
+    assert cfg.train_config(VARIANTS["unstructured_no_ws"]).wing_sensors is False
+    assert cfg.train_config(VARIANTS["unstructured"]).wing_sensors is True
+    # a name is resolved to its row once, where it comes in
+    with pytest.raises(ValueError, match="variant must be one of"):
+        harness.train_variant("mystery", None, cfg)
 
 
 def test_gust_spec_round_trip():
@@ -419,14 +420,14 @@ def test_experiment_config_reads_the_owners_defaults():
     cfg = ExperimentConfig()
     assert (cfg.lambda0, cfg.lambda1, cfg.lambda_sym, cfg.hidden) == (0.01, 0.1, 0.1, (64, 64))
     problem = AllocationProblem(a=np.zeros(6), b=np.eye(6, 4), y_target=np.zeros(6))
-    assert (problem.lambda0, problem.lambda1) == (cfg.lambda0, cfg.lambda1)
+    assert (problem.cfg.lambda0, problem.cfg.lambda1) == (cfg.lambda0, cfg.lambda1)
     defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
-    assert defaults["lambda0"] is AllocationProblem.lambda0 is TrackingConfig.lambda0
-    assert defaults["lambda1"] is AllocationProblem.lambda1 is TrackingConfig.lambda1
+    assert defaults["lambda0"] is problem.cfg.lambda0 is TrackingConfig.lambda0
+    assert defaults["lambda1"] is problem.cfg.lambda1 is TrackingConfig.lambda1
     assert defaults["lambda_sym"] is dynamics.SymmetryConfig.lambda_sym
     assert defaults["hidden"] is dynamics.DynamicsTrainConfig.hidden
     # so a default suite trains each variant at the trainer's own widths and prior weight
-    train = cfg.train_config("affine_sym")
+    train = cfg.train_config(VARIANTS["affine_sym"])
     assert train.hidden == dynamics.DynamicsTrainConfig().hidden
     assert train.sym == dynamics.SymmetryConfig()
 

@@ -5,11 +5,13 @@ import and private definition in the package is used, every public function and
 class is reached by the package, the benchmark or an acceptance gate, no code
 branches on a model's family or a variant's name, only the model families read
 their input scaling, and seed streams, row blocks and shared run defaults each
-have one owner, as do the allocation's penalty terms and the airframe's layout
+have one owner, as do the allocation's penalties, trim and their terms (each
+problem holds one checked TrackingConfig) and the airframe's layout
 facts: the mirror pattern, the probe's tap count and the probe, surface and
 wrench-channel names. The closed-loop step calls neither `all` nor `clip`."""
 import ast
 import contextlib
+import dataclasses
 import os
 import re
 import subprocess
@@ -21,6 +23,7 @@ import pytest
 
 import aeroalloc
 from aeroalloc import dynamics, harness
+from aeroalloc.allocator import AllocationProblem, TrackingConfig
 
 from conftest import constant_affine_model
 
@@ -259,7 +262,7 @@ SHARED_DEFAULTS = {"lambda0": 0.01, "lambda1": 0.1, "lambda_sym": 0.1, "hidden":
 
 
 def test_each_shared_default_is_written_once():
-    # AllocationProblem owns the penalties, SymmetryConfig the mirror weight and
+    # TrackingConfig owns the penalties, SymmetryConfig the mirror weight and
     # DynamicsTrainConfig the hidden widths; the other configs read theirs
     written = []
     for path in sorted(SRC.glob("*.py")):
@@ -270,8 +273,8 @@ def test_each_shared_default_is_written_once():
                     if ast.literal_eval(node.value) == SHARED_DEFAULTS[name]:
                         written.append((name, where))
     assert sorted(written) == [("hidden", "DynamicsTrainConfig"),
-                               ("lambda0", "AllocationProblem"),
-                               ("lambda1", "AllocationProblem"),
+                               ("lambda0", "TrackingConfig"),
+                               ("lambda1", "TrackingConfig"),
                                ("lambda_sym", "SymmetryConfig")]
 
 
@@ -281,8 +284,8 @@ def _operands(node) -> list:
 
 
 def test_the_penalty_terms_are_written_once():
-    # (lambda0 + lambda1) I and lambda0 u_trim come from allocator._penalty_terms alone,
-    # once per checked problem and once per tracking run
+    # (lambda0 + lambda1) I and lambda0 u_trim are formed where a TrackingConfig is
+    # checked, once per config; no problem and no tracking run forms them again
     def penalty_sum(node):
         return isinstance(node, ast.BinOp) and _operands(node) == ["lambda0", "lambda1"]
 
@@ -291,7 +294,38 @@ def test_the_penalty_terms_are_written_once():
                 if isinstance(node.op, ast.Mult)
                 and (penalty_sum(node.left) or penalty_sum(node.right)
                      or sorted(_operands(node), key=str) == ["lambda0", "u_trim"])]
-    assert products == [("allocator.py", "_penalty_terms")] * 2
+    assert products == [("allocator.py", "TrackingConfig.__post_init__")] * 2
+
+
+def test_a_problem_holds_its_penalties_and_trim_in_one_config():
+    # the penalties and trim are TrackingConfig's fields, which a problem holds as `cfg`
+    assert [f.name for f in dataclasses.fields(AllocationProblem)] == [
+        "a", "b", "y_target", "u_prev", "cfg"]
+    assert [f.name for f in dataclasses.fields(TrackingConfig)] == [
+        "lambda0", "lambda1", "u_trim"]
+
+
+def test_the_penalty_and_trim_rules_run_in_tracking_config_alone():
+    # the penalty rule (finite, >= 0, a positive sum) and the trim rule (4 finite
+    # entries within the actuator limits, copied read-only) are each written once
+    def rule(node):
+        names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+        if isinstance(node, ast.Raise) and "NotStrictlyConvexError" in names:
+            return "penalty"
+        if isinstance(node, ast.Compare) and names & {"lambda0", "lambda1"}:
+            return "penalty"
+        if isinstance(node, ast.Compare) and any("trim" in str(name) for name in names):
+            return "trim"
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_vec"
+                and "trim" in ast.unparse(node)):
+            return "trim"
+        return None
+
+    sites = sorted({(rule(node), path.name, where) for path in sorted(SRC.glob("*.py"))
+                    for where, node in _in_functions(ast.parse(path.read_text()), ast.AST)
+                    if rule(node)})
+    assert sites == [("penalty", "allocator.py", "TrackingConfig.__post_init__"),
+                     ("trim", "allocator.py", "TrackingConfig.__post_init__")]
 
 
 def _top_level_name(stmt) -> str:
