@@ -24,18 +24,17 @@ evaluates the objective.
 Each value is checked once, where it enters, and kept as a read-only copy:
 TrackingConfig (frozen) the penalties and the trim command (4 finite entries
 within the actuator limits), forming (lambda0 + lambda1) I and lambda0 u_trim
-there; AllocationProblem its parts and that `cfg` is a TrackingConfig;
-`track_sequence` its targets (one row or more). Every run steps at the constant
+there; AllocationProblem its parts; `track_sequence` its targets (one row or
+more); and both, by one check, that `cfg` is a TrackingConfig. Runs step at
 `DT`. Each step's (A, B) comes from `predict` when the model's family is affine
 in the command (`affine_in_u`), else from `affine_at` at the previous command.
 Inside the loop each step's AllocationProblem is made without checks or copies
 (`_unchecked`) and holds the run's config; only the model's (A, B) and the
 achieved wrench are checked, by `_all_finite` (a count in C); `solve` clamps
 with np.minimum/np.maximum; and the clamp flags are reduced for the debug log
-only when enabled. In a traced seed-0 C7 loop a step's time is mostly the model
-pass (about two fifths), the solve (just under a quarter), the loop's own
-bookkeeping (a fifth) and the plant's observation and response (about an
-eighth).
+only when enabled. In a traced seed-0 C7 loop a step's time is the model pass
+(44 %), the solve (23 %), the loop's own bookkeeping (19 %) and the plant's
+observation and response (14 %); a one-row pass runs on its row as a vector.
 """
 from __future__ import annotations
 
@@ -50,7 +49,7 @@ import numpy as np
 
 from .dynamics import (CONTROL_DIM, CONTROL_LIMIT_DEG, SURFACES, WRENCH_CHANNELS, WRENCH_DIM,
                        _model_class, affine_at, predict)
-from .blas import numpy_blas_function
+from .blas import numpy_blas_function, numpy_c_function
 from .table import write_table
 
 log = logging.getLogger(__name__)
@@ -111,10 +110,13 @@ class NotStrictlyConvexError(ValueError):
     """Both control penalties are zero, so the minimizer may not be unique."""
 
 
+_count_nonzero = numpy_c_function("count_nonzero")  # np.count_nonzero past its Python wrapper
+
+
 def _all_finite(x: np.ndarray) -> bool:
     """Whether every entry of x is finite, counted in C (`ndarray.all` runs numpy's
     Python-level reduction wrapper)."""
-    return np.count_nonzero(np.isfinite(x)) == x.size
+    return _count_nonzero(np.isfinite(x)) == x.size
 
 
 def _vec(value, dim: int, what: str) -> np.ndarray:
@@ -157,10 +159,17 @@ class TrackingConfig:
         if np.abs(u).max() > CONTROL_LIMIT_DEG:
             raise ValueError(f"u_trim {u} exceeds the +-{CONTROL_LIMIT_DEG:g} deg actuator limit")
         object.__setattr__(self, "u_trim", u)
-        # the normal equations' run constants, read by every problem that holds this config
+        # the normal equations' run constants, read by every problem that holds this config;
+        # lambda1 per surface, as a ufunc on two equal shapes runs faster than with a scalar
         q_penalty, c_trim = (lambda0 + lambda1) * _EYE_CONTROL, lambda0 * self.u_trim
-        q_penalty.flags.writeable = c_trim.flags.writeable = False
-        self.__dict__.update(_q_penalty=q_penalty, _c_trim=c_trim)
+        c_smooth = np.full(CONTROL_DIM, lambda1, dtype=float)
+        q_penalty.flags.writeable = c_trim.flags.writeable = c_smooth.flags.writeable = False
+        self.__dict__.update(_q_penalty=q_penalty, _c_trim=c_trim, _c_smooth=c_smooth)
+
+
+def _check_config(cfg) -> None:
+    if not isinstance(cfg, TrackingConfig):
+        raise TypeError(f"cfg must be a TrackingConfig, got {type(cfg).__name__}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +183,7 @@ class AllocationProblem:
     cfg: TrackingConfig = TrackingConfig()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cfg, TrackingConfig):
-            raise TypeError(f"cfg must be a TrackingConfig, got {type(self.cfg).__name__}")
+        _check_config(self.cfg)
         object.__setattr__(self, "a", _vec(self.a, WRENCH_DIM, "offset wrench"))
         object.__setattr__(self, "y_target", _vec(self.y_target, WRENCH_DIM, "target wrench"))
         object.__setattr__(self, "u_prev", _vec(self.u_prev, CONTROL_DIM, "previous command"))
@@ -199,7 +207,10 @@ class AllocationSolution:
     clamped: np.ndarray
 
 
-_CLAMP_ABOVE = CONTROL_LIMIT_DEG + 1e-12  # a surface whose command exceeds it is clamped
+# the actuator limits, and the command beyond which a surface is clamped, per surface:
+# numpy runs a ufunc on two equal shapes faster than on an array and a scalar
+_LOWER, _UPPER, _CLAMP_ABOVE = (np.full(CONTROL_DIM, v) for v in (
+    -CONTROL_LIMIT_DEG, CONTROL_LIMIT_DEG, CONTROL_LIMIT_DEG + 1e-12))
 
 
 def build_normal_equations(p: AllocationProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -209,14 +220,14 @@ def build_normal_equations(p: AllocationProblem) -> tuple[np.ndarray, np.ndarray
     Q = 2 (B^T B + (lambda0 + lambda1) I) and c = 2 (B^T (y - A) + lambda1 u_prev
     + lambda0 u_trim) are formed in place, in that order of operations.
     """
-    bt = p.b.T
+    cfg, bt = p.cfg, p.b.T
     q = bt.dot(p.b)  # ndarray.dot: `@`'s bits at about half its call cost
-    q += p.cfg._q_penalty
-    q *= 2.0
+    q += cfg._q_penalty
+    q += q  # x + x is 2.0 * x exactly, and a ufunc on equal shapes is the faster
     c = bt.dot(p.y_target - p.a)
-    c += p.cfg.lambda1 * p.u_prev
-    c += p.cfg._c_trim
-    c *= 2.0
+    c += cfg._c_smooth * p.u_prev
+    c += cfg._c_trim
+    c += c
     return q, c
 
 
@@ -239,7 +250,7 @@ def solve(p: AllocationProblem) -> AllocationSolution:
     u, info = _posv()(q, c)
     if info != 0:
         raise ArithmeticError(f"normal equations not solvable (LAPACK info {info})")
-    u_star = np.minimum(np.maximum(u, -CONTROL_LIMIT_DEG), CONTROL_LIMIT_DEG)  # u.clip's bits
+    u_star = np.minimum(np.maximum(u, _LOWER), _UPPER)  # u.clip's bits
     # |u| > |u_star| + 1e-12, as u_star is u within the limits and +-limit beyond them
     clamped = np.abs(u) > _CLAMP_ABOVE
     if log.isEnabledFor(logging.DEBUG) and clamped.any():
@@ -281,6 +292,7 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn) ->
     The targets are validated here, once; each step then checks only that the
     model output and the achieved wrench are finite.
     """
+    _check_config(cfg)
     affine = _model_class(model).affine_in_u
     target_mat = np.array(targets, dtype=float)
     if target_mat.ndim != 2 or target_mat.shape[1] != WRENCH_DIM:
@@ -306,7 +318,7 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn) ->
         u_prev = sol.u_star
         rows_u[k] = u_prev
         rows_clamp[k] = sol.clamped
-        np.add(a, b.dot(u_prev), out=rows_pred[k])
+        np.add(a, b.dot(u_prev), rows_pred[k])
         rows_ach[k] = achieved_fn(k, u_prev)
         if not _all_finite(rows_ach[k]):
             raise ArithmeticError(f"non-finite achieved wrench at step {k}")

@@ -12,13 +12,21 @@ import ctypes
 import functools
 
 
-@functools.cache
-def _numpy_core() -> ctypes.CDLL:
+def _multiarray_umath():  # numpy's C core, under its numpy 2 or numpy 1 name
     try:
         from numpy._core import _multiarray_umath as core
     except ImportError:  # numpy < 2
         from numpy.core import _multiarray_umath as core
-    return ctypes.CDLL(core.__file__)
+    return core
+
+
+@functools.cache
+def _numpy_core() -> ctypes.CDLL:
+    return ctypes.CDLL(_multiarray_umath().__file__)
+
+
+def numpy_c_function(name: str):  # numpy's C function, past any Python wrapper of numpy's
+    return getattr(_multiarray_umath(), name)
 
 
 def numpy_blas_function(name: str):

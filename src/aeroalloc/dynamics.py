@@ -141,7 +141,10 @@ class _WrenchModel:
         """The rows the family's first network reads, from plant observation rows (or
         one row) and command rows: its `raw_inputs`, standardized by its `scaling`."""
         mean, std = self.scaling
-        return (self.raw_inputs(obs, u, self.n_features) - mean) / std
+        raw = self.raw_inputs(obs, u, self.n_features)
+        if len(raw) == 1:  # as a vector: the same bits, past numpy's slower broadcasting
+            return ((raw[0] - mean) / std)[None]
+        return (raw - mean) / std
 
 
 @dataclass
@@ -237,13 +240,12 @@ def _control_matrix_rows(value) -> np.ndarray:
 
 
 def _affine_terms(model: AffineModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) of standardized feature rows (`model.inputs`). The model checked its
-    widths when it was made, so the passes run on the kernel, past `forward`'s
-    input checks."""
+    """(A, B) of standardized feature rows (`model.inputs`), or of one row as a
+    vector. The model checked its widths when made, so the passes run on the kernel."""
     h = nncore._activations(model.backbone, x)[-1]
     a = nncore._activations(model.a_head, h)[-1]
     b = nncore._activations(model.b_head, h)[-1]
-    return a, b.reshape(-1, WRENCH_DIM, CONTROL_DIM)
+    return a, b.reshape(x.shape[:-1] + (WRENCH_DIM, CONTROL_DIM))
 
 
 def predict_batch(model: AffineModel, obs) -> tuple[np.ndarray, np.ndarray]:
@@ -258,8 +260,7 @@ def predict(model: AffineModel, obs) -> tuple[np.ndarray, np.ndarray]:
     x = model.inputs(obs)
     if x.shape[0] != 1:  # before the network passes
         raise ValueError("predict takes a single observation; use predict_batch")
-    a, b = _affine_terms(model, x)
-    return a[0], b[0]
+    return _affine_terms(model, x[0])
 
 
 def symmetry_residual_matrix(b: np.ndarray) -> np.ndarray:
@@ -563,19 +564,19 @@ def affine_at(model: UnstructuredModel, obs, u_ref) -> tuple[np.ndarray, np.ndar
     physical control input, so the allocator can treat the baseline like an
     affine model. Exact at u_ref, approximate elsewhere.
     """
-    feats = _obs_matrix(obs, model.n_features)
-    if feats.shape[0] != 1:
+    obs = np.asarray(obs, dtype=float)  # one row is (k,) or (1, k); `inputs` shapes it
+    if obs.ndim != 1 and obs.shape[:-1] != (1,):
         raise ValueError("affine_at linearizes around a single observation")
     u_vec = np.asarray(u_ref, dtype=float)
     if u_vec.shape != (CONTROL_DIM,):
         raise ValueError(f"command u_ref must have shape ({CONTROL_DIM},), got {u_vec.shape}")
-    x = model.inputs(feats, u_vec[None])  # one row
-    acts = nncore._activations(model.net, np.repeat(x, WRENCH_DIM, axis=0))
+    x = model.inputs(obs, u_vec[None])  # one row
+    acts = nncore._activations(model.net, x.repeat(WRENCH_DIM, axis=0))
     grad = nncore._backprop(model.net, _EYE_WRENCH, acts)
     jac = grad[:, -CONTROL_DIM:] / model.in_std[-CONTROL_DIM:]
     # A 1-row pass for y0: reading it off the 6-row pass would move C7, as the two
     # differ in the last bits for 1998 of 2000 random inputs on the C7 baseline net.
-    y0 = nncore._activations(model.net, x)[-1][0]
+    y0 = nncore._activations(model.net, x[0])[-1]
     return y0 - jac.dot(u_vec), jac
 
 

@@ -130,20 +130,22 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
 
 
 def _product_for(x: np.ndarray):
-    """The layer product for a batch like `x`. On a 2-D batch of up to 32 rows
-    ndarray.dot gives `@`'s bits at half to two thirds of its call cost; on
-    more rows `@` is the faster, and a stack needs its broadcasting."""
-    return np.ndarray.dot if x.ndim == 2 and x.shape[0] <= 32 else np.matmul
+    """The layer product for a batch like `x`. On a vector or a 2-D batch of up to
+    32 rows ndarray.dot gives `@`'s bits at about half its call cost; on more rows
+    `@` is faster, and a stack needs its broadcasting."""
+    return np.ndarray.dot if x.ndim == 1 or x.ndim == 2 and x.shape[0] <= 32 else np.matmul
 
 
 def _activations(net: Network, x_batch: np.ndarray) -> list[np.ndarray]:
+    # one row passed as a vector gives the (1, d) row's bits, without broadcasting
     product = _product_for(x_batch)
     acts = [x_batch]
+    z = x_batch
     for layer in net.layers:
-        z = product(acts[-1], layer.weight.T)
+        z = product(z, layer.weight.T)
         z += layer.bias
         if layer.activation == "tanh":
-            np.tanh(z, out=z)
+            np.tanh(z, z)
         acts.append(z)
     return acts
 
@@ -186,8 +188,8 @@ def _through_tanh(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """g * (1 - out**2): an upstream carried back through a tanh layer whose
     output is `out`, formed in one new array."""
     d = np.square(out)
-    np.subtract(1.0, d, out=d)
-    return np.multiply(g, d, out=d)
+    np.subtract(1.0, d, d)  # out= by position: numpy parses no keyword
+    return np.multiply(g, d, d)
 
 
 def _backprop(net: Network, g: np.ndarray, acts: list, tape: GradientTape | None = None,

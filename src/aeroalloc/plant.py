@@ -445,8 +445,9 @@ def make_observation(terms: RunTerms, k: int | slice, u: np.ndarray) -> np.ndarr
     Each tap reads q*(a + b*alpha_wing + c*u[1] + d*(d_alpha + d_beta)) plus
     noise, summed in that order.
     """
-    wing = (terms.q * ((terms.wing_base[k] + terms.tap_c * u[..., 1, None]) + terms.wing_gust[k])
-            + terms.wing_noise[k])
+    # one step scales by u[1] itself, the bits of a (1,) column without its broadcasting
+    tap_u = terms.tap_c * (u[1] if u.ndim == 1 else u[..., 1, None])
+    wing = terms.q * ((terms.wing_base[k] + tap_u) + terms.wing_gust[k]) + terms.wing_noise[k]
     return np.concatenate((terms.features[k], wing), axis=-1)
 
 

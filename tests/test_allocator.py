@@ -3,6 +3,7 @@ import dataclasses
 import os
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -559,6 +560,17 @@ def test_track_sequence_rejects_an_empty_target_sequence():
                        achieved_fn=lambda k, u: np.zeros(6))
 
 
+def test_track_sequence_rejects_a_config_that_is_not_a_tracking_config():
+    # the problem's config check, run once before the first observation
+    observed = []
+    model = constant_model(np.zeros(6), np.vstack([np.eye(4), np.zeros((2, 4))]))
+    cfg = SimpleNamespace(lambda0=0.01, lambda1=0.1, u_trim=np.zeros(4))
+    with pytest.raises(TypeError, match="cfg must be a TrackingConfig, got SimpleNamespace"):
+        track_sequence(model, np.zeros((2, 6)), lambda k, u: observed.append(k) or np.zeros(13),
+                       cfg, achieved_fn=lambda k, u: np.zeros(6))
+    assert observed == []
+
+
 def test_checked_commands_cannot_change_after_their_check():
     # a config and a problem keep read-only copies, and the config its terms read-only:
     # the caller's later write does not reach them, and a write through them fails
@@ -575,7 +587,7 @@ def test_checked_commands_cannot_change_after_their_check():
         assert np.isfinite(held).all()
         with pytest.raises(ValueError, match="read-only"):
             held[0] = np.nan
-    for held in (cfg.u_trim, cfg._q_penalty, cfg._c_trim):
+    for held in (cfg.u_trim, cfg._q_penalty, cfg._c_trim, cfg._c_smooth):
         with pytest.raises(ValueError, match="read-only"):
             held[1] = np.nan
     assert cfg.u_trim.tolist() == [1.0, 2.0, 3.0, 4.0]

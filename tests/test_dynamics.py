@@ -722,6 +722,30 @@ def test_affine_at_matches_reference_backward_bit_for_bit(rng):
         assert np.array_equal(a, nncore.forward(model.net, x[None])[0] - b @ u_ref)
 
 
+@pytest.mark.parametrize("shape", [(2, 13), (0, 13), (1, 1, 13), ()],
+                         ids=["two_rows", "no_rows", "a_stack", "a_scalar"])
+def test_affine_at_takes_one_observation_row_before_any_network_pass(monkeypatch, shape):
+    model = unstructured_model(hidden=(8,), seed=0)
+    passes = []
+    monkeypatch.setattr(nncore, "_activations", lambda *args: passes.append(args))
+    for u_ref in (np.zeros(4), np.zeros(5)):  # the observation is checked first
+        with pytest.raises(ValueError, match="affine_at linearizes around a single observation"):
+            affine_at(model, np.zeros(shape), u_ref)
+    assert passes == []
+
+
+def test_affine_at_reads_one_row_as_a_vector_or_a_one_row_matrix(rng):
+    model = unstructured_model(hidden=(8, 8), seed=3)
+    obs, u_ref = rng.normal(size=13), rng.uniform(-20, 20, size=4)
+    a, b = affine_at(model, obs, u_ref)
+    for row in (obs[None], obs.tolist(), np.append(obs, 7.0)):  # a 14th entry is not read
+        a_row, b_row = affine_at(model, row, u_ref)
+        assert a_row.tobytes() == a.tobytes() and b_row.tobytes() == b.tobytes()
+    for short in (obs[:12], obs[None, :12]):
+        with pytest.raises(ValueError, match="observations must have at least 13 columns"):
+            affine_at(model, short, u_ref)
+
+
 @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4)])
 def test_affine_at_names_a_command_of_the_wrong_shape(shape):
     model = unstructured_model(hidden=(8,), seed=0)

@@ -401,6 +401,24 @@ def test_closed_loop_equals_the_written_out_reference_loop_bit_for_bit(flown_mod
         assert got.tobytes() == expected.tobytes(), name
 
 
+@pytest.mark.parametrize("variant, model_pass", [("affine", "predict"),
+                                                  ("unstructured", "affine_at")])
+def test_each_step_goes_through_the_traced_layers(monkeypatch, flown_models, variant,
+                                                  model_pass):
+    # the benchmark's tracer and step clock wrap these module attributes, so each
+    # closed-loop step must reach every one of them through its module, once
+    counts = {}
+    for mod, name in ((plant, "make_observation"), (plant, "true_wrench"),
+                      (allocator, model_pass), (allocator, "solve")):
+        def counted(*args, _fn=getattr(mod, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(mod, name, counted)
+    tlog = closed_loop_run(flown_models[variant], tiny_cfg(duration_s=1.0), 13.5, seed=5)
+    assert tlog.controls.shape == (50, 4)
+    assert counts == {"make_observation": 50, "true_wrench": 50, model_pass: 50, "solve": 50}
+
+
 def test_out_of_envelope_schedule_fails_before_the_first_step(monkeypatch):
     model = constant_affine_model(
         np.zeros(6), np.vstack([np.eye(4) * 0.3, np.zeros((2, 4))])

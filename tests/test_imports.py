@@ -8,7 +8,8 @@ their input scaling, and seed streams, row blocks and shared run defaults each
 have one owner, as do the allocation's penalties, trim and their terms (each
 problem holds one checked TrackingConfig) and the airframe's layout
 facts: the mirror pattern, the probe's tap count and the probe, surface and
-wrench-channel names. The closed-loop step calls neither `all` nor `clip`."""
+wrench-channel names. The closed-loop step calls neither `all` nor `clip`; one
+check rejects a config that is not a TrackingConfig, and one shim names numpy's core."""
 import ast
 import contextlib
 import dataclasses
@@ -257,6 +258,25 @@ def test_the_closed_loop_step_makes_no_reduction_wrapper_call():
     assert not (_calls("all") | _calls("clip")) & step
 
 
+def _names_numpy_core(node) -> bool:
+    """Whether `node` names numpy's core package, `numpy._core` or `numpy.core`."""
+    if isinstance(node, ast.ImportFrom):
+        return re.fullmatch(r"numpy\._?core(\..*)?", node.module or "") is not None
+    if isinstance(node, ast.Import):
+        return any(re.fullmatch(r"numpy\._?core(\..*)?", a.name) for a in node.names)
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("_core", "core") and getattr(node.value, "id", None) in ("np", "numpy")
+    return isinstance(node, ast.Constant) and re.search(r"numpy\._?core", str(node.value))
+
+
+def test_numpy_core_is_named_only_in_the_version_shim():
+    # numpy 2 names its C core `numpy._core`, numpy 1 `numpy.core`; one shim knows both
+    sites = {(path.name, where) for path in sorted(SRC.glob("*.py"))
+             for where, node in _in_functions(ast.parse(path.read_text()), ast.AST)
+             if _names_numpy_core(node)}
+    assert sites == {("blas.py", "_multiarray_umath")}
+
+
 # the run defaults each config shares, with the value their one owner writes
 SHARED_DEFAULTS = {"lambda0": 0.01, "lambda1": 0.1, "lambda_sym": 0.1, "hidden": (64, 64)}
 
@@ -295,6 +315,17 @@ def test_the_penalty_terms_are_written_once():
                 and (penalty_sum(node.left) or penalty_sum(node.right)
                      or sorted(_operands(node), key=str) == ["lambda0", "u_trim"])]
     assert products == [("allocator.py", "TrackingConfig.__post_init__")] * 2
+
+
+def test_one_check_names_a_config_that_is_not_a_tracking_config():
+    # a problem and a tracking run share one check, so each rejects such a config alike
+    sites = {(path.name, where) for path in sorted(SRC.glob("*.py"))
+             for where, call in _in_functions(ast.parse(path.read_text()))
+             if getattr(call.func, "id", None) == "isinstance"
+             and "TrackingConfig" in ast.unparse(call.args[1])}
+    assert sites == {("allocator.py", "_check_config")}
+    assert _calls("_check_config") == {("allocator.py", "AllocationProblem.__post_init__"),
+                                       ("allocator.py", "track_sequence")}
 
 
 def test_a_problem_holds_its_penalties_and_trim_in_one_config():
