@@ -50,6 +50,7 @@ import numpy as np
 from .dynamics import (CONTROL_DIM, CONTROL_LIMIT_DEG, SURFACES, WRENCH_CHANNELS, WRENCH_DIM,
                        _model_class, affine_at, predict)
 from .blas import numpy_blas_function, numpy_c_function
+from .nncore import _as_batch
 from .table import write_table
 
 log = logging.getLogger(__name__)
@@ -294,9 +295,7 @@ def track_sequence(model, targets, observe, cfg: TrackingConfig, achieved_fn) ->
     """
     _check_config(cfg)
     affine = _model_class(model).affine_in_u
-    target_mat = np.array(targets, dtype=float)
-    if target_mat.ndim != 2 or target_mat.shape[1] != WRENCH_DIM:
-        raise ValueError(f"targets must be (n, {WRENCH_DIM})")
+    target_mat = _as_batch(targets, WRENCH_DIM, "targets").copy()
     n = target_mat.shape[0]
     if n == 0:
         raise ValueError(f"targets must have at least one row, got {n}")

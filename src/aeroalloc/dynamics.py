@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nncore
-from .nncore import Network, _check_network, forward, backward
+from .nncore import Network, _as_batch, _check_network, forward, backward
 from .probe import FLOW_VALUES
 from .table import read_table, write_table
 
@@ -141,7 +141,7 @@ class _WrenchModel:
         """The rows the family's first network reads, from plant observation rows (or
         one row) and command rows: its `raw_inputs`, standardized by its `scaling`."""
         mean, std = self.scaling
-        raw = self.raw_inputs(obs, u, self.n_features)
+        raw = self.raw_inputs(_obs_rows(obs), u, self.n_features)
         if len(raw) == 1:  # as a vector: the same bits, past numpy's slower broadcasting
             return ((raw[0] - mean) / std)[None]
         return (raw - mean) / std
@@ -178,10 +178,10 @@ class AffineModel(_WrenchModel):
 
     @staticmethod
     def raw_inputs(obs, u, n_features: int) -> np.ndarray:
-        return _obs_matrix(obs, n_features)  # u acts through B
+        return obs[:, :n_features]  # u acts through B
 
     def wrench(self, obs, u) -> np.ndarray:
-        a, b = predict_batch(self, obs)
+        a, b = _affine_terms(self, self.inputs(obs))
         return a + np.einsum("nck,nk->nc", b, u)
 
 
@@ -205,7 +205,7 @@ class UnstructuredModel(_WrenchModel):
 
     @staticmethod
     def raw_inputs(obs, u, n_features: int) -> np.ndarray:
-        return np.concatenate([_obs_matrix(obs, n_features), u], axis=1)
+        return np.concatenate([obs[:, :n_features], u], axis=1)
 
     def wrench(self, obs, u) -> np.ndarray:
         return forward(self.net, self.inputs(obs, u))
@@ -221,22 +221,21 @@ def _model_class(model) -> type:
     return type(model)
 
 
-def _obs_matrix(value, n_features: int) -> np.ndarray:
-    """Observation(s) -> (n, n_features) float matrix, slicing off wing taps
-    for models that do not use them."""
-    mat = np.asarray(value, dtype=float)
-    if mat.ndim == 1:
-        mat = mat[None, :]
-    if mat.ndim != 2 or mat.shape[1] < n_features:
-        raise ValueError(f"observations must have at least {n_features} columns")
-    return mat[:, :n_features]
+def _obs_rows(obs) -> np.ndarray:
+    """Observation rows (n, OBS_DIM); one observation may come as a vector."""
+    mat = np.asarray(obs, dtype=float)
+    return _as_batch(mat[None] if mat.ndim == 1 else mat, OBS_DIM, "observation")
 
 
-def _control_matrix_rows(value) -> np.ndarray:
-    mat = np.asarray(value, dtype=float)
-    if mat.ndim != 2 or mat.shape[1] != CONTROL_DIM:
-        raise ValueError(f"controls must have {CONTROL_DIM} columns")
-    return mat
+def _paired_rows(obs, *rows) -> tuple:
+    """Observation rows and the command (then wrench) rows paired with them row for row."""
+    paired = [_as_batch(obs, OBS_DIM, "observation")]
+    n = paired[0].shape[0]
+    for mat, dim, what in zip(rows, (CONTROL_DIM, WRENCH_DIM), ("command", "wrench")):
+        paired.append(_as_batch(mat, dim, what))
+        if paired[-1].shape[0] != n:
+            raise ValueError(f"{n} observation rows but {paired[-1].shape[0]} {what} rows")
+    return tuple(paired)
 
 
 def _affine_terms(model: AffineModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +250,7 @@ def _affine_terms(model: AffineModel, x: np.ndarray) -> tuple[np.ndarray, np.nda
 def predict_batch(model: AffineModel, obs) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) for a batch: A is (n, 6), B is (n, 6, 4), physical units."""
     return nncore.by_row_blocks(lambda o: _affine_terms(model, model.inputs(o)), _BLOCK_ROWS,
-                                _obs_matrix(obs, model.n_features))
+                                _obs_rows(obs))
 
 
 def predict(model: AffineModel, obs) -> tuple[np.ndarray, np.ndarray]:
@@ -319,12 +318,10 @@ def _batch_tapes(nets, u, err, b, acts, sym: SymmetryConfig, out=(None, None, No
 
 def _model_batch(model: AffineModel, obs, u, y):
     """Standardized features, control rows and wrench targets of one batch."""
-    x = model.inputs(obs)
-    if x.shape[0] == 0:
+    obs, u, y = _paired_rows(obs, u, y)
+    if obs.shape[0] == 0:
         raise ValueError("training loss needs a non-empty batch")
-    u = _control_matrix_rows(u)
-    y = np.asarray(y, dtype=float).reshape(x.shape[0], WRENCH_DIM)
-    return x, u, y
+    return model.inputs(obs), u, y
 
 
 def _model_nets(model: AffineModel):
@@ -372,24 +369,22 @@ class DynamicsTrainConfig:
 
 def _dataset_arrays(dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     obs, u, y = dataset
-    obs = np.asarray(obs, dtype=float)
-    u = np.asarray(u, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if obs.ndim != 2 or obs.shape[1] != OBS_DIM:
-        raise ValueError(f"observations must be (n, {OBS_DIM})")
-    if u.shape != (obs.shape[0], CONTROL_DIM) or y.shape != (obs.shape[0], WRENCH_DIM):
-        raise ValueError("observation, control, and wrench row counts must agree")
+    obs, u, y = _paired_rows(obs, u, y)
     for name, mat in (("observations", obs), ("controls", u), ("wrenches", y)):
         _finite_or_raise(mat, name)
     return obs, u, y
+
+
+def _check_holdout_fraction(fraction: float) -> None:
+    if not 0.0 < fraction < 1.0:  # NaN fails the comparison as well
+        raise ValueError(f"holdout_fraction must be in (0, 1), got {fraction}")
 
 
 def block_split(dataset, holdout_fraction: float):
     """Contiguous leading/trailing split; rows stay in time order so adjacent
     near-duplicate timesteps cannot straddle the boundary."""
     obs, u, y = _dataset_arrays(dataset)
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ValueError("holdout_fraction must be in (0, 1)")
+    _check_holdout_fraction(holdout_fraction)
     n = obs.shape[0]
     n_hold = max(1, int(round(n * holdout_fraction)))
     if n_hold >= n:
@@ -486,10 +481,8 @@ def predict_wrench_batch(model, obs, u) -> np.ndarray:
     """(n, 6) predicted wrenches of a model of any family, one pass per row
     block as in `predict_batch`. Observations and commands pair up row by row."""
     wrench = _model_class(model).wrench
-    x, u = _obs_matrix(obs, model.n_features), _control_matrix_rows(u)
-    if x.shape[0] != u.shape[0]:  # an affine einsum would broadcast a one-row u within one block
-        raise ValueError(f"{x.shape[0]} observation rows but {u.shape[0]} command rows")
-    (y,) = nncore.by_row_blocks(lambda o, v: (wrench(model, o, v),), _BLOCK_ROWS, x, u)
+    (y,) = nncore.by_row_blocks(lambda o, v: (wrench(model, o, v),), _BLOCK_ROWS,
+                                *_paired_rows(obs, u))
     return y
 
 

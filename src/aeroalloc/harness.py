@@ -33,6 +33,7 @@ from .dynamics import (
     CONTROL_DIM,
     DynamicsTrainConfig,
     SymmetryConfig,
+    _check_holdout_fraction,
     _child_seeds,
     block_split,
     eval_rmse,
@@ -42,7 +43,7 @@ from .dynamics import (
     train_dynamics,
     train_unstructured,
 )
-from .nncore import load_json
+from .nncore import _as_batch, load_json
 from .plant import PlantParams
 from .table import write_table
 
@@ -112,8 +113,7 @@ class ExperimentConfig:
             self.train_config(row)
         TrackingConfig(lambda0=self.lambda0, lambda1=self.lambda1)
         probe_mod._check_positive_finite(self.duration_s, "duration_s")
-        if not 0.0 < self.holdout_fraction < 1.0:  # NaN fails the comparison as well
-            raise ValueError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
+        _check_holdout_fraction(self.holdout_fraction)
 
     def train_config(self, row: Variant) -> DynamicsTrainConfig:
         return DynamicsTrainConfig(
@@ -141,9 +141,7 @@ def rmssd(u_series) -> tuple[np.ndarray, float]:
     A smoothness metric: constant series score 0, oscillating ones score the
     typical step size. Translation-invariant by construction.
     """
-    mat = np.asarray(u_series, dtype=float)
-    if mat.ndim != 2 or mat.shape[1] != CONTROL_DIM:
-        raise ValueError(f"control series must be (n, {CONTROL_DIM})")
+    mat = _as_batch(u_series, CONTROL_DIM, "control series")
     if mat.shape[0] < 2:
         raise ValueError("need at least 2 steps to difference")
     diffs = np.diff(mat, axis=0)

@@ -123,6 +123,7 @@ def init_network(widths: Sequence[int], seed: int, output_activation: str = "ide
 
 
 def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """The row rule: `x` as float rows (n, dim), else a ValueError naming `what`."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"{what} has shape {np.shape(x)}, expected (n, {dim})")

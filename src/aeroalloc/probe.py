@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nncore
-from .nncore import Network
+from .nncore import Network, _as_batch
 from .table import read_table, write_table
 
 log = logging.getLogger(__name__)
@@ -159,9 +159,7 @@ def estimate_flow_rows(model: Network, taps: np.ndarray, rho: float = RHO) -> np
     spread <= `EPS_DP`, ValueError for a non-finite network output or a
     correction that is not positive and finite.
     """
-    taps = np.asarray(taps, dtype=np.float64)
-    if taps.ndim != 2 or taps.shape[1] != TAPS:
-        raise ValueError(f"expected rows of {TAPS} tap pressures, got shape {taps.shape}")
+    taps = _as_batch(taps, TAPS, "taps")
     _check_positive_finite(rho, "air density")
     k = _first(~np.isfinite(taps).all(axis=1))
     if k is not None:

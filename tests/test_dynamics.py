@@ -98,6 +98,20 @@ def test_training_loss_rejects_empty_batch():
         training_loss(model, np.zeros((0, 13)), np.zeros((0, 4)), np.zeros((0, 6)))
 
 
+@pytest.mark.parametrize("train_pass", [training_loss, training_gradients])
+def test_training_passes_take_rows_that_pair_row_for_row(rng, train_pass):
+    model = small_model(0)
+    obs, u, y = random_batch(rng, n=8)
+    for args, message in [
+        ((obs, u, y.T), r"wrench has shape \(6, 8\), expected \(n, 6\)"),  # not reshaped
+        ((obs, u[:1], y), "8 observation rows but 1 command rows"),  # not broadcast
+        ((obs, u, y[:7]), "8 observation rows but 7 wrench rows"),
+        ((obs[0], u[:1], y[:1]), r"observation has shape \(13,\), expected \(n, 13\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            train_pass(model, *args)
+
+
 # ---------------------------------------------------------------------------
 # mirror penalty
 # ---------------------------------------------------------------------------
@@ -231,6 +245,12 @@ def test_predict_batch_consistent_with_single(rng):
             assert a.tobytes() == a_1[0].tobytes() and b.tobytes() == b_1[0].tobytes()
         with pytest.raises(ValueError, match="predict takes a single observation"):
             predict(model, obs[:2])
+        wide = np.append(obs, obs[:, :1], axis=1)  # a 14th entry is rejected, not dropped
+        for call in (predict, predict_batch):
+            for rows, shape in ((wide[0], r"\(1, 14\)"), (wide[:1], r"\(1, 14\)"),
+                                (wide[:2], r"\(2, 14\)")):
+                with pytest.raises(ValueError, match=rf"observation has shape {shape}"):
+                    call(model, rows)
 
 
 def test_prediction_exactly_affine_in_control(rng):
@@ -262,6 +282,8 @@ def test_predict_wrench_batch_matches_manual_forward(rng):
     x = np.concatenate([obs, u], axis=1)
     expected = nncore.forward(model.net, (x - model.in_mean) / model.in_std)
     assert np.allclose(predict_wrench_batch(model, obs, u), expected)
+    with pytest.raises(ValueError, match=r"observation has shape \(13,\), expected \(n, 13\)"):
+        predict_wrench_batch(model, obs[0], u[:1])  # rows pair up, so one vector is no batch
     with pytest.raises(TypeError):
         predict_wrench_batch(object(), obs, u)
     with pytest.raises(TypeError):
@@ -295,7 +317,7 @@ def test_blocked_batch_passes_keep_the_whole_batch_bits(kind, wing_sensors, n):
     obs, u = rng.normal(size=(n, 13)) * 3.0, rng.uniform(-25.0, 25.0, size=(n, 4))
     feats = obs[:, :model.n_features]
     if kind == "affine":
-        a_ref, b_ref = dynamics._affine_terms(model, model.inputs(feats))  # one pass, every row
+        a_ref, b_ref = dynamics._affine_terms(model, model.inputs(obs))  # one pass, every row
         a, b = predict_batch(model, obs)
         assert a.shape == (n, 6) and b.shape == (n, 6, 4)
         assert a.tobytes() == a_ref.tobytes() and b.tobytes() == b_ref.tobytes()
@@ -370,6 +392,9 @@ def test_inputs_standardize_the_family_rule_bit_for_bit(kind, wing_sensors, n_ro
         expected = (np.concatenate([obs[:, :n], u], axis=1) - model.in_mean) / model.in_std
     x = model.inputs(obs[0] if n_rows is None else obs, u)
     assert x.shape == expected.shape and x.tobytes() == expected.tobytes()
+    wide = np.append(obs, obs[:, :1], axis=1)  # a 14th entry is rejected, not dropped
+    with pytest.raises(ValueError, match=rf"observation has shape \({rows}, 14\), expected"):
+        model.inputs(wide[0] if n_rows is None else wide, u)
 
 
 def _recorded_inputs(monkeypatch) -> list:
@@ -399,7 +424,12 @@ def _recorded_inputs(monkeypatch) -> list:
 def test_every_pass_reads_its_rows_through_the_input_map(monkeypatch, rng, kind, call, rows):
     model = MODEL_MAKERS[kind]()
     calls = _recorded_inputs(monkeypatch)
-    call(model, *random_batch(rng, n=8))
+    obs, u, y = random_batch(rng, n=8)
+    call(model, obs, u, y)
+    assert calls == [(kind, rows)]
+    # 14-entry rows, one or a batch, fail the row rule and are not read as their first 13
+    with pytest.raises(ValueError, match=r"observation has shape \((1|8), 14\), expected"):
+        call(model, np.append(obs, obs[:, :1], axis=1), u, y)
     assert calls == [(kind, rows)]
 
 
@@ -513,8 +543,8 @@ def test_block_split_contiguous(rng):
 
 def test_block_split_validation(rng):
     data = random_batch(rng, n=10)
-    for frac in (0.0, 1.0, -0.2):
-        with pytest.raises(ValueError):
+    for frac in (0.0, 1.0, -0.2, float("nan")):
+        with pytest.raises(ValueError, match=r"holdout_fraction must be in \(0, 1\), got"):
             block_split(data, frac)
     with pytest.raises(ValueError):
         block_split((np.zeros((2, 13)), np.zeros((2, 4)), np.zeros((2, 6))), 0.99)
@@ -738,12 +768,15 @@ def test_affine_at_reads_one_row_as_a_vector_or_a_one_row_matrix(rng):
     model = unstructured_model(hidden=(8, 8), seed=3)
     obs, u_ref = rng.normal(size=13), rng.uniform(-20, 20, size=4)
     a, b = affine_at(model, obs, u_ref)
-    for row in (obs[None], obs.tolist(), np.append(obs, 7.0)):  # a 14th entry is not read
+    for row in (obs[None], obs.tolist()):
         a_row, b_row = affine_at(model, row, u_ref)
         assert a_row.tobytes() == a.tobytes() and b_row.tobytes() == b.tobytes()
-    for short in (obs[:12], obs[None, :12]):
-        with pytest.raises(ValueError, match="observations must have at least 13 columns"):
-            affine_at(model, short, u_ref)
+    for width in (12, 14):  # an observation row holds exactly 13 entries
+        row = np.resize(obs, width)
+        for wrong in (row, row[None]):
+            with pytest.raises(ValueError, match=rf"observation has shape \(1, {width}\), "
+                                                 r"expected \(n, 13\)"):
+                affine_at(model, wrong, u_ref)
 
 
 @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4)])

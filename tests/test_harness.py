@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aeroalloc
-from aeroalloc import allocator, dynamics, harness, nncore, plant
+from aeroalloc import allocator, dynamics, harness, nncore, plant, probe
 from aeroalloc.allocator import DT, AllocationProblem, TrackingConfig, track_sequence
 from aeroalloc.dynamics import AffineModel, model_flat_params
 from aeroalloc.harness import (
@@ -103,6 +103,32 @@ def test_rmssd_validation():
         rmssd(np.zeros((1, 4)))
     with pytest.raises(ValueError):
         rmssd(np.zeros((10, 3)))
+
+
+def _track(targets):
+    track_sequence(constant_affine_model(np.zeros(6), np.zeros((6, 4))), targets,
+                   lambda k, u: np.zeros(13), TrackingConfig(), lambda k, u: np.zeros(6))
+
+
+@pytest.mark.parametrize("call, rows, message", [
+    (rmssd, np.zeros((10, 3)), r"control series has shape \(10, 3\), expected \(n, 4\)"),
+    (_track, np.zeros(6), r"targets has shape \(6,\), expected \(n, 6\)"),
+    (lambda taps: probe.estimate_flow_rows(nncore.init_network((5, 3), 0), taps),
+     np.zeros((3, 4)), r"taps has shape \(3, 4\), expected \(n, 5\)"),
+    (lambda data: dynamics.block_split(data, 0.25),
+     (np.zeros((20, 12)), np.zeros((20, 4)), np.zeros((20, 6))),
+     r"observation has shape \(20, 12\), expected \(n, 13\)"),
+    (lambda data: dynamics.block_split(data, 0.25),
+     (np.zeros((20, 13)), np.zeros((19, 4)), np.zeros((20, 6))),
+     "20 observation rows but 19 command rows"),
+    (lambda data: dynamics.block_split(data, 0.25),
+     (np.zeros((20, 13)), np.zeros((20, 4)), np.zeros((20, 7))),
+     r"wrench has shape \(20, 7\), expected \(n, 6\)"),
+], ids=["control_series", "targets", "taps", "observations", "commands", "wrenches"])
+def test_each_row_input_is_checked_by_the_one_row_rule(call, rows, message):
+    # nncore._as_batch names the input and its shape; datasets also pair their rows
+    with pytest.raises(ValueError, match=message):
+        call(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +373,7 @@ def reference_loop(model, targets, terms, tracking: TrackingConfig) -> dict:
     lambda0, lambda1, u_trim = tracking.lambda0, tracking.lambda1, tracking.u_trim
     u_prev, rows = np.zeros(4), {"predicted": [], "achieved": [], "controls": [], "clamped": []}
     for k, target in enumerate(targets):
-        x = dynamics._obs_matrix(plant.make_observation(terms, k, u_prev), model.n_features)
+        x = dynamics._obs_rows(plant.make_observation(terms, k, u_prev))[:, :model.n_features]
         if model.affine_in_u:
             h = nncore._activations(model.backbone, (x - model.obs_mean) / model.obs_std)[-1]
             a = nncore._activations(model.a_head, h)[-1][0]

@@ -9,7 +9,8 @@ have one owner, as do the allocation's penalties, trim and their terms (each
 problem holds one checked TrackingConfig) and the airframe's layout
 facts: the mirror pattern, the probe's tap count and the probe, surface and
 wrench-channel names. The closed-loop step calls neither `all` nor `clip`; one
-check rejects a config that is not a TrackingConfig, and one shim names numpy's core."""
+check rejects a config that is not a TrackingConfig, and one shim names numpy's core.
+One function, `nncore._as_batch`, holds an input to n rows of one fixed width."""
 import ast
 import contextlib
 import dataclasses
@@ -249,6 +250,30 @@ def test_one_walker_splits_rows_into_blocks():
     assert _calls("by_row_blocks") == {("dynamics.py", "predict_batch"),
                                        ("dynamics.py", "predict_wrench_batch"),
                                        ("probe.py", "_calibrate_rows")}
+
+
+def _row_rule_half(node) -> str | None:
+    """Which half of the row rule a comparison writes: "ndim" for an array's `ndim`
+    against 2, "width" for its column count `shape[1]` or `shape[-1]`."""
+    operands = [node.left, *node.comparators]
+    if (any(getattr(n, "attr", None) == "ndim" for n in operands)
+            and any(getattr(n, "value", None) == 2 for n in operands)):
+        return "ndim"
+    if any(isinstance(n, ast.Subscript) and getattr(n.value, "attr", None) == "shape"
+           and ast.unparse(n.slice) in ("1", "-1") for n in operands):
+        return "width"
+    return None
+
+
+def test_one_function_holds_an_input_to_rows_of_one_width():
+    # the row rule: an input is a float array of n rows of one fixed width, and a bad
+    # one raises an error naming it and its shape; every other check calls _as_batch
+    halves = {}
+    for path in sorted(SRC.glob("*.py")):
+        for where, node in _in_functions(ast.parse(path.read_text()), ast.Compare):
+            halves.setdefault((path.name, where), set()).add(_row_rule_half(node))
+    assert {site for site, found in halves.items() if {"ndim", "width"} <= found} == {
+        ("nncore.py", "_as_batch")}
 
 
 def test_the_closed_loop_step_makes_no_reduction_wrapper_call():
